@@ -13,13 +13,13 @@ the d^2 = 0 check) is exact and truncation-free.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .cohomology import StageCohomology
 from .errors import DimensionMismatch, InputError, TruncationError
 from .gvec import GradedLinearMap, GradedVectorSpace
-from .ratlin import ColumnReducer, RatMatrix, kernel_basis, quotient_basis
+from .ratlin import RatMatrix, to_dense
 
 Monomial = tuple  # sorted generator indices
 Poly = dict  # Monomial -> Fraction
@@ -72,6 +72,7 @@ class SullivanAlgebra:
             self.diff[self.index[name]] = self._canon_poly(poly)
         self._monomials: dict[int, list] = {}
         self._mono_index: dict[int, dict] = {}
+        self._dcols: dict[int, tuple] = {}
         self._dmat: dict[int, RatMatrix] = {}
         self._mulcache: dict = {}
         if not _validated:
@@ -291,17 +292,22 @@ class SullivanAlgebra:
     def labels(self, k: int) -> list:
         return [self.monomial_label(m) for m in self.monomials(k)]
 
+    def d_columns(self, k: int) -> tuple:
+        """Sparse columns of d: degree k -> k+1, one per degree-k
+        monomial, with their row count (0 past the truncation)."""
+        if k not in self._dcols:
+            rows = self.dim(k + 1) if k + 1 <= self.trunc else 0
+            index = self._mono_index.get(k + 1, {})
+            cols = [{index[m]: c for m, c in self.d_monomial(mono).items()} if rows else {}
+                    for mono in self.monomials(k)]
+            self._dcols[k] = (cols, rows)
+        return self._dcols[k]
+
     def d_matrix(self, k: int) -> RatMatrix:
-        if k in self._dmat:
-            return self._dmat[k]
-        rows = self.dim(k + 1) if k + 1 <= self.trunc else 0
-        cols = []
-        for m in self.monomials(k):
-            dm = self.d_monomial(m)
-            cols.append(self.poly_to_vec(dm, k + 1) if rows else [])
-        mat = RatMatrix.from_columns(cols, rows=rows) if cols else RatMatrix.zeros(rows, 0)
-        self._dmat[k] = mat
-        return mat
+        if k not in self._dmat:
+            cols, rows = self.d_columns(k)
+            self._dmat[k] = RatMatrix.from_columns([to_dense(c, rows) for c in cols], rows=rows)
+        return self._dmat[k]
 
     def mul_basis(self, p: int, i: int, q: int, j: int) -> dict:
         if p + q > self.trunc:
@@ -356,12 +362,6 @@ class SullivanAlgebra:
 
 def make_sullivan(generators, differential, truncation_degree) -> SullivanAlgebra:
     return SullivanAlgebra(generators, differential, truncation_degree)
-
-
-def monomial_basis(alg: SullivanAlgebra, deg: int) -> list:
-    """Canonical monomials of the given total degree, in the fixed
-    deterministic order."""
-    return alg.monomials(deg)
 
 
 def linear_part(alg: SullivanAlgebra):
@@ -476,18 +476,6 @@ class CDGAMorphism:
     def apply_vec(self, k: int, vec: Sequence) -> list:
         return self.matrix(k).apply(vec)
 
-    def apply_poly(self, p: Poly) -> dict:
-        """Image of a homogeneous polynomial as sparse target coords."""
-        out: dict[int, Fraction] = {}
-        for m, c in p.items():
-            for i, v in self._image_of_monomial(m).items():
-                nv = out.get(i, Fraction(0)) + c * v
-                if nv == 0:
-                    out.pop(i, None)
-                else:
-                    out[i] = nv
-        return out
-
     def verify_chain_map(self, through: Optional[int] = None):
         hi = self.max_checkable() - 1 if through is None else through
         for k in range(hi + 1):
@@ -539,109 +527,40 @@ def linear_part_map(phi: CDGAMorphism) -> GradedLinearMap:
 
 
 # ---------------------------------------------------------------------------
-# Cohomology of a finite CDGA
+# Cohomology of a finite CDGA, through the one cohomology engine
 # ---------------------------------------------------------------------------
-
-
-class CdgaCohomology:
-    """Kernel-mod-image cohomology of anything with the finite-CDGA
-    interface, with representatives and class coordinates."""
-
-    def __init__(self, alg, max_deg: int):
-        self.alg = alg
-        # a zero differential is exact at the truncation edge; otherwise
-        # degree max_deg needs d into max_deg + 1
-        limit = alg.trunc if getattr(alg, "zero_differential", False) else alg.trunc - 1
-        if max_deg > limit:
-            raise TruncationError(
-                f"cohomology through {max_deg} needs truncation > {max_deg}")
-        self.max_deg = max_deg
-        self._reps: dict[int, list] = {}
-        self._red: dict[int, tuple] = {}
-
-    def dim(self, k: int) -> int:
-        return len(self.reps(k))
-
-    def reps(self, k: int) -> list:
-        """Representative cocycles as dense coordinate vectors."""
-        if k in self._reps:
-            return self._reps[k]
-        if k < 0 or k > self.max_deg:
-            return []
-        n = self.alg.dim(k)
-        if n == 0:
-            self._reps[k] = []
-            return []
-        if getattr(self.alg, "zero_differential", False):
-            # H^k is the degree itself; avoids touching degree k+1
-            reps = []
-            for i in range(n):
-                v = [Fraction(0)] * n
-                v[i] = Fraction(1)
-                reps.append(v)
-            self._reps[k] = reps
-            return reps
-        ker = kernel_basis(self.alg.d_matrix(k))
-        img = self.alg.d_matrix(k - 1) if k > 0 else RatMatrix.zeros(n, 0)
-        keep = quotient_basis(n, img, ker)
-        self._reps[k] = [ker.column(j) for j in keep]
-        return self._reps[k]
-
-    def _class_reducer(self, k: int):
-        if k not in self._red:
-            n = self.alg.dim(k)
-            red = ColumnReducer(n, record=True)
-            if k > 0 and not getattr(self.alg, "zero_differential", False):
-                img = self.alg.d_matrix(k - 1)
-                for j in range(img.cols):
-                    red.add(img.column(j))
-            offsets = []
-            for rep in self.reps(k):
-                offsets.append(red._ncols)
-                red.add(rep)
-            self._red[k] = (red, offsets)
-        return self._red[k]
-
-    def class_of(self, k: int, vec) -> list:
-        """Coordinates of a cocycle's class in the chosen basis."""
-        if self.dim(k) == 0:
-            return []
-        red, offsets = self._class_reducer(k)
-        sol = red.solve(vec if isinstance(vec, dict) else
-                        {i: Fraction(c) for i, c in enumerate(vec) if c})
-        if sol is None:
-            raise InputError("vector is not a cocycle modulo exact elements")
-        return [sol.get(off, Fraction(0)) for off in offsets]
-
-    def space(self) -> GradedVectorSpace:
-        return GradedVectorSpace.from_dims({k: self.dim(k) for k in range(self.max_deg + 1)})
 
 
 def cdga_cohomology(alg: SullivanAlgebra, max_deg: int):
     """Graded vector space of H^* with representative polynomials."""
-    h = CdgaCohomology(alg, max_deg)
-    dims = {k: h.dim(k) for k in range(max_deg + 1)}
+    h = StageCohomology.of_cdga(alg, max_deg)
+    dims = {k: h.h_dim(k) for k in range(max_deg + 1)}
     reps = {
-        k: [alg.vec_to_poly(r, k) for r in h.reps(k)]
+        k: [{alg.monomials(k)[i]: c for i, c in sorted(r.items())} for r in h.h_reps(k)]
         for k in range(max_deg + 1) if dims[k]
     }
     return GradedVectorSpace.from_dims(dims), reps
 
 
-def induced_cohomology_map(phi: CDGAMorphism, h_src: CdgaCohomology,
-                           h_tgt: CdgaCohomology, max_deg: int) -> GradedLinearMap:
-    """H(phi) on the chosen representative bases."""
+def induced_cohomology_map(phi: CDGAMorphism, h_src: StageCohomology,
+                           h_tgt: StageCohomology, max_deg: int,
+                           min_deg: int = 0) -> GradedLinearMap:
+    """H(phi) on the chosen representative bases, in degrees
+    min_deg..max_deg."""
+    degrees = range(min_deg, max_deg + 1)
     mats = {}
-    for k in range(max_deg + 1):
-        if h_src.dim(k) == 0 or h_tgt.dim(k) == 0:
+    for k in degrees:
+        if h_src.h_dim(k) == 0 or h_tgt.h_dim(k) == 0:
             continue
-        cols = [h_tgt.class_of(k, phi.apply_vec(k, rep)) for rep in h_src.reps(k)]
-        m = RatMatrix.from_columns(cols, rows=h_tgt.dim(k))
+        n = phi.source.dim(k)
+        cols = [h_tgt.class_of(k, phi.apply_vec(k, to_dense(rep, n)))
+                for rep in h_src.h_reps(k)]
+        m = RatMatrix.from_columns(cols, rows=h_tgt.h_dim(k))
         if not m.is_zero():
             mats[k] = m
     return GradedLinearMap(
-        GradedVectorSpace.from_dims({k: h_src.dim(k) for k in range(max_deg + 1)}),
-        GradedVectorSpace.from_dims({k: h_tgt.dim(k) for k in range(max_deg + 1)}),
+        GradedVectorSpace.from_dims({k: h_src.h_dim(k) for k in degrees}),
+        GradedVectorSpace.from_dims({k: h_tgt.h_dim(k) for k in degrees}),
         mats,
     )
 
@@ -655,8 +574,8 @@ def check_homotopy_necessary(phi0: CDGAMorphism, phi1: CDGAMorphism,
     if phi0.source is not phi1.source or phi0.target is not phi1.target:
         raise InputError("morphisms must share source and target")
     hi = min(phi0.max_checkable(), phi1.max_checkable()) - 1 if max_deg is None else max_deg
-    h_src = CdgaCohomology(phi0.source, hi)
-    h_tgt = CdgaCohomology(phi0.target, hi)
+    h_src = StageCohomology.of_cdga(phi0.source, hi)
+    h_tgt = StageCohomology.of_cdga(phi0.target, hi)
     h0 = induced_cohomology_map(phi0, h_src, h_tgt, hi)
     h1 = induced_cohomology_map(phi1, h_src, h_tgt, hi)
     h_equal = h0.equals(h1)
@@ -666,6 +585,6 @@ def check_homotopy_necessary(phi0: CDGAMorphism, phi1: CDGAMorphism,
     return {
         "h_equal": h_equal,
         "q_equal": q_equal,
-        "h1_source_zero": h_src.dim(1) == 0,
+        "h1_source_zero": h_src.h_dim(1) == 0,
         "necessary_conditions_met": h_equal and (q_equal is not False),
     }

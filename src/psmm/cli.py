@@ -61,9 +61,6 @@ def _config_from_args(args) -> Config:
         deg1_cap=args.deg1_cap,
         simplex_cap=args.simplex_cap,
         gh_cap=args.gh_cap,
-        tolerance=args.tolerance,
-        output=args.output,
-        fmt=args.format,
     )
 
 
@@ -76,9 +73,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--simplex-cap", type=int, default=2_000_000)
     p.add_argument("--gh-cap", type=int, default=30,
                    help="cap on |X|*|Y| for the brute-force Gromov-Hausdorff")
-    p.add_argument("--tolerance", type=float, default=0.0,
-                   help="echoed into reports for downstream comparisons")
-    p.add_argument("--format", choices=("json",), default="json")
     p.add_argument("-o", "--output", default=None)
 
 
@@ -138,8 +132,8 @@ def cmd_compare(args) -> int:
     right = _load_comparand(args.right, cfg)
     report = bounds_report(left, right, cfg, with_gh=args.gh)
     blob = report.to_json()
-    if cfg.tolerance:
-        blob["tolerance"] = cfg.tolerance
+    if args.tolerance:
+        blob["tolerance"] = args.tolerance
     _emit(blob, args.output)
     print(report.table(), file=sys.stderr)
     return EXIT_OK
@@ -189,8 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="psmm",
         description="Persistent minimal models of Rips filtrations: "
                     "homotopy and cohomology barcodes with lower-bound reports.",
-        epilog="PSMM_THREADS bounds internal parallelism (default 1); "
-               "results are identical either way.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -212,6 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", required=True)
     p.add_argument("--gh", action="store_true",
                    help="include the brute-force 2*d_GH upper bound")
+    p.add_argument("--tolerance", type=float, default=0.0,
+                   help="echoed into the report for downstream comparisons")
     _add_common(p)
     p.set_defaults(fn=cmd_compare)
 

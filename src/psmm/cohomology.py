@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from .errors import InputError, TruncationError
 from .gvec import GradedLinearMap, GradedVectorSpace
 from .metric import SimplicialComplex
-from .ratlin import ColumnReducer, RatMatrix
+from .ratlin import ColumnReducer, RatMatrix, to_dense
 
 
 def coboundary_columns(cx: SimplicialComplex, p: int):
@@ -80,32 +80,57 @@ def cup_product(cx: SimplicialComplex, a, p: int, b, q: int):
 
 
 class StageCohomology:
-    """Lazy cohomology engine for one simplicial complex.
+    """Lazy kernel-mod-image engine for one finite cochain complex.
 
-    Dimensions come from sparse coboundary ranks; representative
-    cocycles and class coordinates are materialized per degree on
-    demand.  A cone apex shortcut skips the large eliminations on
+    The complex is given by `n_cochains(k)`, the dimension of degree k,
+    and `columns(k)`, the sparse columns of d^k (one per degree-k basis
+    element) with their row count.  Three sources feed it: the
+    coboundaries of a simplicial complex (`of_complex`), the
+    differential of a Sullivan algebra and the zero differential of a
+    cohomology ring (`of_cdga`).
+
+    Dimensions come from sparse ranks; representative cocycles and
+    class coordinates are materialized per degree on demand.  Degrees
+    above `max_deg`, when given, have zero cohomology.  On simplicial
+    complexes a cone apex shortcut skips the large eliminations on
     contractible-through-truncation stages.
     """
 
-    def __init__(self, cx: SimplicialComplex, use_cone_shortcut: bool = True):
+    def __init__(self, n_cochains, columns, max_deg: Optional[int] = None,
+                 cx: Optional[SimplicialComplex] = None, cone=None):
+        self.n_cochains = n_cochains
+        self._delta = columns
+        self.max_deg = max_deg
         self.cx = cx
+        self._cone = cone
         self._cols = {}
-        self._nupper = {}
         self._rank = {}
         self._reps = {}
         self._class_red = {}
-        self._cone = cx.find_cone_apex() if use_cone_shortcut else None
 
-    def n_cochains(self, k: int) -> int:
-        return len(self.cx.dim_simplices(k))
+    @staticmethod
+    def of_complex(cx: SimplicialComplex, use_cone_shortcut: bool = True) -> "StageCohomology":
+        return StageCohomology(
+            lambda k: len(cx.dim_simplices(k)),
+            lambda k: coboundary_columns(cx, k),
+            cx=cx, cone=cx.find_cone_apex() if use_cone_shortcut else None)
+
+    @staticmethod
+    def of_cdga(alg, max_deg: int) -> "StageCohomology":
+        """Cohomology through max_deg of anything with the finite-CDGA
+        interface (`dim`, `d_columns`, `trunc`)."""
+        # a zero differential is exact at the truncation edge; otherwise
+        # degree max_deg needs d into max_deg + 1
+        limit = alg.trunc if getattr(alg, "zero_differential", False) else alg.trunc - 1
+        if max_deg > limit:
+            raise TruncationError(
+                f"cohomology through {max_deg} needs truncation > {max_deg}")
+        return StageCohomology(alg.dim, alg.d_columns, max_deg=max_deg)
 
     def _columns(self, k: int):
         if k not in self._cols:
-            cols, nup = coboundary_columns(self.cx, k)
-            self._cols[k] = cols
-            self._nupper[k] = nup
-        return self._cols[k], self._nupper[k]
+            self._cols[k] = self._delta(k)
+        return self._cols[k]
 
     def rank_delta(self, k: int) -> int:
         if k < 0 or self.n_cochains(k) == 0:
@@ -128,7 +153,7 @@ class StageCohomology:
         return complete or k < self.cx.top_dim
 
     def h_dim(self, k: int) -> int:
-        if k < 0:
+        if k < 0 or (self.max_deg is not None and k > self.max_deg):
             return 0
         if k == 0 and self._cone is not None:
             return 1
@@ -140,7 +165,9 @@ class StageCohomology:
         return n - self.rank_delta(k) - self.rank_delta(k - 1)
 
     def h_reps(self, k: int) -> list:
-        """Representative cocycles (sparse dicts over k-simplex indices)."""
+        """Representative cocycles (sparse dicts over degree-k basis
+        indices): the kernel of d^k in elimination order, greedily
+        reduced modulo the image of d^{k-1}."""
         if k in self._reps:
             return self._reps[k]
         if self.h_dim(k) == 0:
@@ -151,9 +178,8 @@ class StageCohomology:
             rep = {i: Fraction(1) for i in range(self.n_cochains(0))}
             self._reps[0] = [rep]
             return self._reps[0]
-        cols, _ = self._columns(k)
-        kernel = ColumnReducer(self.n_cochains(k + 1) if self.n_cochains(k + 1) else 1,
-                               record=True)
+        cols, nup = self._columns(k)
+        kernel = ColumnReducer(nup, record=True)
         for c in cols:
             kernel.add(c)
         quot = ColumnReducer(self.n_cochains(k))
@@ -169,7 +195,7 @@ class StageCohomology:
         return reps
 
     def _class_reducer(self, k: int) -> ColumnReducer:
-        """Reducer loaded with im(delta^{k-1}) then the chosen reps, with
+        """Reducer loaded with im(d^{k-1}) then the chosen reps, with
         recording, so rep coefficients of any cocycle can be read off."""
         if k not in self._class_red:
             red = ColumnReducer(self.n_cochains(k), record=True)
@@ -185,8 +211,9 @@ class StageCohomology:
             self._class_red[k] = (red, offsets)
         return self._class_red[k]
 
-    def class_of(self, k: int, cochain: dict) -> list:
-        """Coordinates of a cocycle's class in the chosen H^k basis."""
+    def class_of(self, k: int, cochain) -> list:
+        """Coordinates of a cocycle's class in the chosen H^k basis; the
+        cocycle is a sparse dict or a dense sequence."""
         if self.h_dim(k) == 0:
             return []
         red, offsets = self._class_reducer(k)
@@ -195,21 +222,11 @@ class StageCohomology:
             raise InputError("cochain is not a cocycle modulo boundaries")
         return [sol.get(off, Fraction(0)) for off in offsets]
 
-    def betti(self, k: int) -> int:
-        return self.h_dim(k)
-
 
 def cohomology_basis(cx: SimplicialComplex, deg: int) -> list:
     """Representative cocycles of H^deg as dense vectors."""
-    eng = StageCohomology(cx, use_cone_shortcut=False)
-    n = eng.n_cochains(deg)
-    out = []
-    for rep in eng.h_reps(deg):
-        v = [Fraction(0)] * n
-        for i, c in rep.items():
-            v[i] = c
-        out.append(v)
-    return out
+    eng = StageCohomology.of_complex(cx, use_cone_shortcut=False)
+    return [to_dense(rep, eng.n_cochains(deg)) for rep in eng.h_reps(deg)]
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +244,9 @@ class CohomologyRing:
     """Graded basis of H* with representatives and structure constants.
 
     Doubles as a formal CDGA (zero differential) for minimal-model
-    construction: `dim`, `d_matrix`, `mul_basis`, `unit_coords` make up
-    the finite-CDGA interface shared with Sullivan algebras.
+    construction: `dim`, `d_matrix`, `d_columns`, `mul_basis`,
+    `unit_coords` make up the finite-CDGA interface shared with Sullivan
+    algebras.
     """
 
     zero_differential = True
@@ -247,7 +265,7 @@ class CohomologyRing:
     @staticmethod
     def from_complex(cx: SimplicialComplex, max_deg: int,
                      eager_through: Optional[int] = None) -> "CohomologyRing":
-        ring = CohomologyRing(max_deg, StageCohomology(cx))
+        ring = CohomologyRing(max_deg, StageCohomology.of_complex(cx))
         hi = max_deg if eager_through is None else min(eager_through, max_deg)
         for k in range(hi + 1):
             ring.ensure_degree(k)
@@ -378,6 +396,11 @@ class CohomologyRing:
     def d_matrix(self, k: int) -> RatMatrix:
         n_next = self.dim(k + 1) if k + 1 <= self.max_deg else 0
         return RatMatrix.zeros(n_next, self.dim(k))
+
+    def d_columns(self, k: int) -> tuple:
+        """Zero columns of d^k with row count 0: degree k + 1 is never
+        touched, so asking for it materializes no cup products."""
+        return [{} for _ in range(self.dim(k))], 0
 
     def mul_basis(self, p: int, i: int, q: int, j: int) -> dict:
         if p + q > self.max_deg:

@@ -14,9 +14,6 @@ class Config:
     deg1_cap: int = 8
     simplex_cap: int = 2_000_000
     gh_cap: int = 30
-    tolerance: float = 0.0  # reporting only
-    output: Optional[str] = None
-    fmt: str = "json"
 
     def __post_init__(self):
         if self.max_dim is None:

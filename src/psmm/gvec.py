@@ -35,9 +35,6 @@ class GradedVectorSpace:
     def degrees(self) -> list:
         return [k for k, _ in self.dims]
 
-    def total_dim(self) -> int:
-        return sum(d for _, d in self.dims)
-
     def label(self, k: int, i: int) -> str:
         if self.labels and k in self.labels:
             return self.labels[k][i]

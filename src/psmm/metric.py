@@ -71,9 +71,14 @@ def metric_from_matrix(matrix: Sequence[Sequence], names=None) -> MetricSpace:
     if any(len(row) != n for row in matrix):
         raise InputError("distance matrix is not square")
     rows = [[_parse_entry(x) for x in row] for row in matrix]
+    if any(isinstance(x, float) and not math.isfinite(x) for row in rows for x in row):
+        raise InputError("distance matrix has a NaN or infinite entry")
     exact = all(isinstance(x, Fraction) for row in rows for x in row)
     if not exact:
-        rows = [[float(x) for x in row] for row in rows]
+        try:
+            rows = [[float(x) for x in row] for row in rows]
+        except OverflowError as e:
+            raise InputError("distance entry too large for a float") from e
     for i in range(n):
         if rows[i][i] != 0:
             raise InputError(f"nonzero diagonal at {i}")
@@ -95,14 +100,21 @@ def metric_from_matrix(matrix: Sequence[Sequence], names=None) -> MetricSpace:
 
 def metric_from_points(points: Sequence[Sequence]) -> MetricSpace:
     """Euclidean distances computed in binary64."""
-    pts = [tuple(float(c) for c in p) for p in points]
+    try:
+        pts = [tuple(float(c) for c in p) for p in points]
+    except (TypeError, ValueError, OverflowError) as e:
+        raise InputError(f"bad point coordinate: {e}") from e
     if pts and any(len(p) != len(pts[0]) for p in pts):
         raise InputError("inconsistent point dimensions")
+    if any(not math.isfinite(c) for p in pts for c in p):
+        raise InputError("a point coordinate is NaN or infinite")
     n = len(pts)
     rows = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             d = math.dist(pts[i], pts[j])
+            if not math.isfinite(d):
+                raise InputError(f"distance between points {i} and {j} overflows")
             rows[i][j] = rows[j][i] = d
     return MetricSpace(tuple(tuple(r) for r in rows), None, exact=False, triangle_ok=True)
 
@@ -158,9 +170,6 @@ class SimplicialComplex:
 
     def simplex_count(self) -> int:
         return sum(len(s) for s in self.simplices.values())
-
-    def contains(self, s: tuple) -> bool:
-        return s in set(self.simplices.get(len(s) - 1, ()))
 
     def validate(self):
         seen = {s for group in self.simplices.values() for s in group}
@@ -239,16 +248,6 @@ class FilteredComplex:
     @property
     def num_stages(self) -> int:
         return len(self.stages)
-
-    def stage_of_param(self, t) -> Optional[int]:
-        if t <= 0:
-            return None
-        k = 0
-        for d in self.critical_values:
-            if d < t:
-                k += 1
-        return k
-
 
 def build_filtration(m: MetricSpace, max_dim: int, simplex_cap: int = 2_000_000) -> FilteredComplex:
     """Clique-expand the neighborhood graph once at the final scale,

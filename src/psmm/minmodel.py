@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cdga import CDGAMorphism, CdgaCohomology, SullivanAlgebra
+from .cdga import CDGAMorphism, SullivanAlgebra, induced_cohomology_map
+from .cohomology import StageCohomology
 from .errors import CapExceeded, InputError, LiftError
-from .ratlin import RatMatrix, kernel_basis, quotient_basis, rank, solve
+from .ratlin import RatMatrix, kernel_basis, quotient_basis, rank, solve, to_dense
 
 
 @dataclass
@@ -31,8 +32,8 @@ class MinimalModel:
     verified_degree: int
     deg1_converged: bool
     report: dict
-    h_input: CdgaCohomology
-    h_model: CdgaCohomology
+    h_input: StageCohomology
+    h_model: StageCohomology
 
 
 class _Builder:
@@ -65,18 +66,32 @@ class _Builder:
         return alg, rho
 
 
-def _h_map_matrix(rho: CDGAMorphism, h_model: CdgaCohomology,
-                  h_input: CdgaCohomology, k: int) -> RatMatrix:
-    cols = [h_input.class_of(k, rho.apply_vec(k, rep)) for rep in h_model.reps(k)]
-    return RatMatrix.from_columns(cols, rows=h_input.dim(k))
+def _add_killers(builder: "_Builder", a, alg: SullivanAlgebra, rho: CDGAMorphism,
+                 h_model: StageCohomology, ker: RatMatrix, k: int):
+    """One degree-(k-1) generator z per kernel vector of H^k(rho): d z
+    is the model cocycle zeta it names, rho(z) a solution x of
+    d x = rho(zeta) in the input."""
+    reps = h_model.h_reps(k)
+    for j in range(ker.cols):
+        zeta_vec = [Fraction(0)] * alg.dim(k)
+        for i, c in enumerate(ker.column(j)):
+            if c != 0:
+                for r, v in reps[i].items():
+                    zeta_vec[r] += c * v
+        zeta = alg.vec_to_poly(zeta_vec, k)
+        zeta_names = {tuple(alg.names[g] for g in m): c for m, c in zeta.items()}
+        x = solve(a.d_matrix(k - 1), rho.apply_vec(k, zeta_vec))
+        if x is None:
+            raise InputError("d x = rho(d z) unsolvable: invariant breach")
+        builder.add(k - 1, zeta_names, x)
 
 
 def minimal_model(a, max_deg: int, deg1_cap: int = 8,
                   gen_cap: int = 512) -> MinimalModel:
     """Minimal Sullivan model of a path-connected finite CDGA, with a
     quasi-isomorphism onto it verified degreewise through max_deg."""
-    h_input = CdgaCohomology(a, max_deg + 1)
-    if h_input.dim(0) != 1 or all(c == 0 for c in h_input.class_of(0, a.unit_coords())):
+    h_input = StageCohomology.of_cdga(a, max_deg + 1)
+    if h_input.h_dim(0) != 1 or all(c == 0 for c in h_input.class_of(0, a.unit_coords())):
         raise InputError("input is not path-connected: H^0 != Q")
 
     builder = _Builder(a)
@@ -86,17 +101,17 @@ def minimal_model(a, max_deg: int, deg1_cap: int = 8,
         return len(builder.entries)
 
     # -- degree 1: iterated extension ---------------------------------
-    if max_deg >= 1 and h_input.dim(1) > 0:
-        for rep in h_input.reps(1):
-            builder.add(1, {}, rep)
+    if max_deg >= 1 and h_input.h_dim(1) > 0:
+        for rep in h_input.h_reps(1):
+            builder.add(1, {}, to_dense(rep, a.dim(1)))
         deg1_converged = False
         for iteration in range(deg1_cap + 1):
             alg, rho = builder.build(trunc=3)
-            h_model = CdgaCohomology(alg, 2)
-            if h_model.dim(2) == 0:
+            h_model = StageCohomology.of_cdga(alg, 2)
+            if h_model.h_dim(2) == 0:
                 deg1_converged = True
                 break
-            hk = _h_map_matrix(rho, h_model, h_input, 2)
+            hk = induced_cohomology_map(rho, h_model, h_input, 2, min_deg=2).matrix(2)
             ker = kernel_basis(hk)
             if ker.cols == 0:
                 deg1_converged = True
@@ -105,62 +120,35 @@ def minimal_model(a, max_deg: int, deg1_cap: int = 8,
                 break
             if total_gens() + ker.cols > gen_cap:
                 raise CapExceeded(f"generator cap {gen_cap} exceeded in degree 1")
-            for j in range(ker.cols):
-                combo = ker.column(j)
-                zeta_vec = [Fraction(0)] * alg.dim(2)
-                for i, c in enumerate(combo):
-                    if c != 0:
-                        for r, v in enumerate(h_model.reps(2)[i]):
-                            zeta_vec[r] += c * v
-                zeta = alg.vec_to_poly(zeta_vec, 2)
-                zeta_names = {tuple(alg.names[g] for g in m): c for m, c in zeta.items()}
-                rho_rhs = rho.apply_vec(2, zeta_vec)
-                x = solve(a.d_matrix(1), rho_rhs)
-                if x is None:
-                    raise InputError("d x = rho(d z) unsolvable: invariant breach")
-                builder.add(1, zeta_names, x)
+            _add_killers(builder, a, alg, rho, h_model, ker, 2)
 
     # -- degrees 2..max_deg: one pass each ------------------------------
     for k in range(2, max_deg + 1):
         alg, rho = builder.build(trunc=k + 2)
-        h_model = CdgaCohomology(alg, k + 1)
+        h_model = StageCohomology.of_cdga(alg, k + 1)
         # cokernel of H^k(rho): new closed generators
-        if h_input.dim(k) > 0:
-            hk = _h_map_matrix(rho, h_model, h_input, k)
-            coker = quotient_basis(h_input.dim(k), hk,
-                                   RatMatrix.identity(h_input.dim(k)))
+        if h_input.h_dim(k) > 0:
+            hk = induced_cohomology_map(rho, h_model, h_input, k, min_deg=k).matrix(k)
+            coker = quotient_basis(h_input.h_dim(k), hk, RatMatrix.identity(h_input.h_dim(k)))
             if total_gens() + len(coker) > gen_cap:
                 raise CapExceeded(f"generator cap {gen_cap} exceeded at degree {k}")
             for idx in coker:
-                builder.add(k, {}, h_input.reps(k)[idx])
+                builder.add(k, {}, to_dense(h_input.h_reps(k)[idx], a.dim(k)))
             if coker:
                 alg, rho = builder.build(trunc=k + 2)
-                h_model = CdgaCohomology(alg, k + 1)
+                h_model = StageCohomology.of_cdga(alg, k + 1)
         # kernel of H^{k+1}(rho): new generators with decomposable d
-        if h_model.dim(k + 1) > 0:
-            hk1 = _h_map_matrix(rho, h_model, h_input, k + 1)
-            ker = kernel_basis(hk1)
+        if h_model.h_dim(k + 1) > 0:
+            hk1 = induced_cohomology_map(rho, h_model, h_input, k + 1, min_deg=k + 1)
+            ker = kernel_basis(hk1.matrix(k + 1))
             if total_gens() + ker.cols > gen_cap:
                 raise CapExceeded(f"generator cap {gen_cap} exceeded at degree {k}")
-            for j in range(ker.cols):
-                combo = ker.column(j)
-                zeta_vec = [Fraction(0)] * alg.dim(k + 1)
-                for i, c in enumerate(combo):
-                    if c != 0:
-                        for r, v in enumerate(h_model.reps(k + 1)[i]):
-                            zeta_vec[r] += c * v
-                zeta = alg.vec_to_poly(zeta_vec, k + 1)
-                zeta_names = {tuple(alg.names[g] for g in m): c for m, c in zeta.items()}
-                rho_rhs = rho.apply_vec(k + 1, zeta_vec)
-                x = solve(a.d_matrix(k), rho_rhs)
-                if x is None:
-                    raise InputError("d x = rho(d z) unsolvable: invariant breach")
-                builder.add(k, zeta_names, x)
+            _add_killers(builder, a, alg, rho, h_model, ker, k + 1)
 
     alg, rho = builder.build(trunc=max_deg + 2)
     if not alg.is_minimal():
         raise InputError("constructed model is not minimal: invariant breach")
-    h_model = CdgaCohomology(alg, max_deg + 1)
+    h_model = StageCohomology.of_cdga(alg, max_deg + 1)
     mm = MinimalModel(alg, rho, a, -1, deg1_converged, {}, h_input, h_model)
     mm.report = verify_quasi_iso(mm, max_deg)
     mm.verified_degree = mm.report["verified_degree"]
@@ -174,22 +162,18 @@ def verify_quasi_iso(mm: MinimalModel, max_deg: int) -> dict:
     verified = -1
     prefix_ok = True
     for k in range(max_deg + 1):
-        dm = mm.h_model.dim(k)
-        di = mm.h_input.dim(k)
-        if dm == 0 or di == 0:
-            r = 0
-        else:
-            r = rank(_h_map_matrix(mm.rho, mm.h_model, mm.h_input, k))
+        dm = mm.h_model.h_dim(k)
+        di = mm.h_input.h_dim(k)
+        r = 0
+        if dm and di:
+            h_rho = induced_cohomology_map(mm.rho, mm.h_model, mm.h_input, k, min_deg=k)
+            r = rank(h_rho.matrix(k))
         per_degree.append({"degree": k, "dim_model": dm, "dim_input": di, "rank": r})
         if prefix_ok and dm == di == r:
             verified = k
         else:
             prefix_ok = False
     return {"per_degree": per_degree, "verified_degree": verified}
-
-
-def _f_matrix(f, k: int) -> RatMatrix:
-    return f.matrix(k)
 
 
 def sullivan_representative(f, mmA: MinimalModel, mmB: MinimalModel,
@@ -248,7 +232,7 @@ def sullivan_representative(f, mmA: MinimalModel, mmB: MinimalModel,
             if any(g >= gi for g in mono):
                 raise InputError("generator order violates the Sullivan filtration")
         rhs1 = apply_partial(dv, k + 1)
-        rhs2 = _f_matrix(f, k).apply(mmA.rho.images[gi])
+        rhs2 = f.matrix(k).apply(mmA.rho.images[gi])
 
         n_y = tgt.dim(k)
         n_eta = B.dim(k - 1) if k >= 1 else 0
@@ -283,10 +267,11 @@ def verify_representative(phi: CDGAMorphism, f, mmA: MinimalModel,
     hi = min(max_deg, mmA.verified_degree if mmA.verified_degree >= 0 else max_deg)
     h_b = mmB.h_input
     for k in range(hi + 1):
-        if mmA.h_model.dim(k) == 0 or h_b.dim(k) == 0:
+        if mmA.h_model.h_dim(k) == 0 or h_b.h_dim(k) == 0:
             continue  # one side is the zero space, nothing to compare
-        for rep in mmA.h_model.reps(k):
+        for rep in mmA.h_model.h_reps(k):
+            rep = to_dense(rep, mmA.model.dim(k))
             lhs_vec = mmB.rho.apply_vec(k, phi.apply_vec(k, rep))
-            rhs_vec = _f_matrix(f, k).apply(mmA.rho.apply_vec(k, rep))
+            rhs_vec = f.matrix(k).apply(mmA.rho.apply_vec(k, rep))
             if h_b.class_of(k, lhs_vec) != h_b.class_of(k, rhs_vec):
                 raise LiftError(f"representative breaks H-contract at degree {k}")

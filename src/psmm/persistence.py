@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, InputError
 from .gvec import GradedLinearMap, GradedVectorSpace
-from .ratlin import ColumnReducer, RatMatrix
+from .ratlin import ColumnReducer, RatMatrix, rank
 
 INF = math.inf
 
@@ -137,8 +137,7 @@ class PersistentGVec:
             r[(i, i)] = dims[i]
             for j in range(i + 1, m):
                 comp = mats[j - 1].matmul(comp)
-                from .ratlin import rank as _rank
-                r[(i, j)] = _rank(comp)
+                r[(i, j)] = rank(comp)
         return r
 
     def _zero(self):
@@ -272,10 +271,6 @@ class PersistentGVec:
         if t <= 0:
             return None
         return sum(1 for d in self.grid if d < t)
-
-    def dim_at(self, t, deg: int) -> int:
-        k = self.stage_of(t)
-        return 0 if k is None else self.spaces[k].dim(deg)
 
     def map_between(self, t, s, deg: int) -> RatMatrix:
         """Matrix of the structure map from time t to time s >= t."""
@@ -518,16 +513,15 @@ def _sample_points(grid, delta):
 
 
 def _rank_conditions_hold(p, q, delta, deg) -> bool:
-    from .ratlin import rank as _rank
     samples = [t for t in _sample_points(p.grid, delta)]
     for a in range(len(samples)):
         for b in range(a, len(samples)):
             t, s = samples[a], samples[b]
-            if _rank(p.map_between(t, s + 2 * delta, deg)) > \
-                    _rank(q.map_between(t + delta, s + delta, deg)):
+            if rank(p.map_between(t, s + 2 * delta, deg)) > \
+                    rank(q.map_between(t + delta, s + delta, deg)):
                 return False
-            if _rank(q.map_between(t, s + 2 * delta, deg)) > \
-                    _rank(p.map_between(t + delta, s + delta, deg)):
+            if rank(q.map_between(t, s + 2 * delta, deg)) > \
+                    rank(p.map_between(t + delta, s + delta, deg)):
                 return False
     return True
 

@@ -34,7 +34,7 @@ from .metric import MetricSpace, build_filtration, gh_bruteforce
 from .minmodel import minimal_model, sullivan_representative
 from .persistence import INF, Barcode, BottleneckResult, PersistentGVec, bottleneck
 from .ratlin import RatMatrix
-from .util import num_to_json, pmap
+from .util import num_from_json, num_to_json
 
 
 @dataclass
@@ -160,11 +160,10 @@ def persistent_model(m: MetricSpace, cfg: Optional[Config] = None,
     filt = build_filtration(m, cfg.max_dim, cfg.simplex_cap)
     ring_deg = cfg.max_degree + 1
 
-    rings = pmap(
-        lambda cx: CohomologyRing.from_complex(cx, ring_deg, eager_through=cfg.max_degree),
-        filt.stages)
+    rings = [CohomologyRing.from_complex(cx, ring_deg, eager_through=cfg.max_degree)
+             for cx in filt.stages]
     cores = [r.unital_core() for r in rings]
-    models = pmap(lambda core: minimal_model(core, cfg.max_degree, cfg.deg1_cap), cores)
+    models = [minimal_model(core, cfg.max_degree, cfg.deg1_cap) for core in cores]
 
     n = len(filt.stages)
     ring_maps = [induced_ring_map(rings[k], rings[k + 1], cfg.max_degree)
@@ -230,7 +229,7 @@ def persistent_model_from_cdgas(pc: PersistentCDGA,
     h_spaces = []
     for mm in models:
         h_spaces.append(GradedVectorSpace.from_dims(
-            {k: mm.h_input.dim(k) for k in range(cfg.max_degree + 1)}))
+            {k: mm.h_input.h_dim(k) for k in range(cfg.max_degree + 1)}))
     h_maps = [
         induced_cohomology_map(pc.maps[k], models[k + 1].h_input,
                                models[k].h_input, cfg.max_degree)
@@ -243,7 +242,7 @@ def persistent_model_from_cdgas(pc: PersistentCDGA,
         h_spaces=h_spaces,
         h_maps=h_maps,
         max_degree=cfg.max_degree,
-        h1_stages=[k for k, mm in enumerate(models) if mm.h_input.dim(1) > 0],
+        h1_stages=[k for k, mm in enumerate(models) if mm.h_input.h_dim(1) > 0],
         nonconverged_stages=[k for k, mm in enumerate(models)
                              if not mm.deg1_converged],
         degraded_pairs=degraded,
@@ -271,10 +270,8 @@ def h_barcode(source, cfg: Optional[Config] = None) -> Barcode:
     if isinstance(source, MetricSpace):
         cfg = cfg or Config()
         filt = build_filtration(source, cfg.max_dim, cfg.simplex_cap)
-        rings = pmap(
-            lambda cx: CohomologyRing.from_complex(cx, cfg.max_degree,
-                                                   eager_through=cfg.max_degree),
-            filt.stages)
+        rings = [CohomologyRing.from_complex(cx, cfg.max_degree, eager_through=cfg.max_degree)
+                 for cx in filt.stages]
         spaces = [r.space(cfg.max_degree) for r in rings]
         maps = [induced_ring_map(rings[k], rings[k + 1], cfg.max_degree)
                 for k in range(len(rings) - 1)]
@@ -370,14 +367,13 @@ def _gmap_to_json(f: GradedLinearMap, max_deg: int) -> dict:
 def psm_to_json(psm: PersistentSullivanModel) -> dict:
     """Full dump: per-stage models with rho images and verification,
     plus the matrices needed to rebuild both barcodes exactly."""
-    from .util import num_to_json as nj
     stages = []
     for k, mm in enumerate(psm.models):
         vspace = mm.model.generator_space()
         stages.append({
             "model": mm.model.dump(),
             "rho": {
-                name: [nj(c) for c in mm.rho.images[i]]
+                name: [num_to_json(c) for c in mm.rho.images[i]]
                 for i, (name, _) in enumerate(mm.model.generators)
             },
             "verification": mm.report,
@@ -390,7 +386,7 @@ def psm_to_json(psm: PersistentSullivanModel) -> dict:
     for rep in psm.reps:
         reps.append({
             "images": {
-                name: [nj(c) for c in rep.images[i]]
+                name: [num_to_json(c) for c in rep.images[i]]
                 for i, (name, _) in enumerate(rep.source.generators)
             },
             "q_matrices": _gmap_to_json(linear_part_map(rep), psm.max_degree),
@@ -399,7 +395,7 @@ def psm_to_json(psm: PersistentSullivanModel) -> dict:
         "format": "psmm-model",
         "source": psm.source,
         "max_degree": psm.max_degree,
-        "grid": [nj(g) for g in psm.grid],
+        "grid": [num_to_json(g) for g in psm.grid],
         "stages": stages,
         "representatives": reps,
         "h_maps": [_gmap_to_json(f, psm.max_degree) for f in psm.h_maps],
@@ -415,10 +411,9 @@ def _space_from_dims(dims: dict) -> GradedVectorSpace:
 
 def _gmap_from_json(data: dict, src: GradedVectorSpace,
                     tgt: GradedVectorSpace) -> GradedLinearMap:
-    from .util import num_from_json as nf
     mats = {}
     for k, rows in data.items():
-        m = RatMatrix.from_rows([[nf(x) for x in row] for row in rows]) if rows \
+        m = RatMatrix.from_rows([[num_from_json(x) for x in row] for row in rows]) if rows \
             else RatMatrix.zeros(tgt.dim(int(k)), src.dim(int(k)))
         if not m.is_zero():
             mats[int(k)] = m
@@ -427,10 +422,9 @@ def _gmap_from_json(data: dict, src: GradedVectorSpace,
 
 def barcodes_from_json(data: dict):
     """(V barcode, H barcode) rebuilt from a model dump."""
-    from .util import num_from_json as nf
     if data.get("format") != "psmm-model":
         raise InputError("not a model dump")
-    grid = tuple(nf(g) for g in data["grid"])
+    grid = tuple(num_from_json(g) for g in data["grid"])
     v_spaces = [_space_from_dims(s["v_dims"]) for s in data["stages"]]
     h_spaces = [_space_from_dims(s["h_dims"]) for s in data["stages"]]
     v_maps = []

@@ -111,12 +111,6 @@ class RatMatrix:
 
     # -- arithmetic ---------------------------------------------------
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(
-            self.cols, self.rows,
-            [[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
-
     def matmul(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.cols} != {other.rows}")
@@ -150,15 +144,6 @@ class RatMatrix:
             self.rows, self.cols + other.cols,
             [list(self._data[i]) + list(other._data[i]) for i in range(self.rows)],
         )
-
-    def sub(self, other: "RatMatrix") -> "RatMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch("shape mismatch")
-        return RatMatrix(
-            self.rows, self.cols,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._data, other._data)],
-        )
-
 
 @dataclass(frozen=True)
 class RrefResult:
@@ -202,6 +187,14 @@ def rref(m: RatMatrix) -> RrefResult:
         pivots.append(c)
         r += 1
     return RrefResult(RatMatrix(nr, nc, a), tuple(pivots), len(pivots))
+
+
+def to_dense(col: dict, n: int) -> list:
+    """Dense length-n vector of a sparse {index: value} column."""
+    out = [Fraction(0)] * n
+    for i, v in col.items():
+        out[i] = v
+    return out
 
 
 def rank(m: RatMatrix) -> int:
@@ -344,15 +337,6 @@ class ColumnReducer:
         if self.record:
             self._combos[low] = combo
         return True
-
-    def residual(self, col) -> dict:
-        """Reduce a vector against the stored columns without adding it."""
-        c = self._to_sparse(col)
-        c, _, _ = self._reduce(dict(c), None)
-        return c
-
-    def contains(self, col) -> bool:
-        return not self.residual(col)
 
     def solve(self, col) -> Optional[dict]:
         """Coefficients {column_index: coeff} expressing col over the

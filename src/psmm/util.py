@@ -1,10 +1,8 @@
-"""Serialization helpers and the optional thread pool."""
+"""Serialization of exact numbers and infinity to and from JSON."""
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .errors import InputError
@@ -34,16 +32,3 @@ def num_from_json(x):
         return Fraction(x)
     return float(x)
 
-
-def pmap(fn, items):
-    """Order-preserving map, threaded when PSMM_THREADS > 1.
-
-    Results are identical to the sequential path; only wall time
-    changes.
-    """
-    items = list(items)
-    n = int(os.environ.get("PSMM_THREADS", "1") or "1")
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))

@@ -22,10 +22,10 @@ import random
 import time
 from fractions import Fraction
 
-from psmm.cdga import CdgaCohomology, linear_part_map, make_sullivan, CDGAMorphism
+from psmm.cdga import linear_part_map, make_sullivan, CDGAMorphism
 from psmm.cdga import poly_add, poly_scale
 from psmm.cli import main as cli_main
-from psmm.cohomology import cohomology_ring
+from psmm.cohomology import StageCohomology, cohomology_ring
 from psmm.config import Config
 from psmm.metric import gh_bruteforce, metric_from_matrix
 from psmm.minmodel import minimal_model
@@ -143,12 +143,12 @@ def test_criterion_3_strictness_separation(capsys):
 
 def test_criterion_4_non_minimal_example(capsys):
     alg = make_sullivan([("a2", 2), ("b3", 3)], {"a2": [(1, ["b3"])]}, 8)
-    h = CdgaCohomology(alg, 6)
+    h = StageCohomology.of_cdga(alg, 6)
     mm = minimal_model(alg, max_deg=6)
     with capsys.disabled():
         report(4, "non-minimal example", [
             ("is_minimal false", not alg.is_minimal()),
-            ("H^2 = 0", h.dim(2) == 0),
+            ("H^2 = 0", h.h_dim(2) == 0),
             ("model is Q through degree 6",
              mm.model.generators == () and mm.verified_degree == 6),
         ])

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from psmm.cdga import (
     CDGAMorphism,
-    CdgaCohomology,
     cdga_cohomology,
     check_homotopy_necessary,
     induced_cohomology_map,
@@ -46,7 +45,6 @@ def random_sullivan(rng, max_gens=5, trunc=8):
         if d + 1 > trunc - 1 or i == 0:
             continue
         partial = make_sullivan(gens[:i], diff, trunc)
-        h = CdgaCohomology(partial, d + 1)
         from psmm.ratlin import kernel_basis
         ker = kernel_basis(partial.d_matrix(d + 1))
         if ker.cols == 0 or rng.random() < 0.3:

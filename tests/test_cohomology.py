@@ -85,17 +85,17 @@ class TestCoboundaries:
 
 class TestCohomologyBasis:
     def test_hollow_triangle(self):
-        eng = StageCohomology(hollow_triangle(), use_cone_shortcut=False)
+        eng = StageCohomology.of_complex(hollow_triangle(), use_cone_shortcut=False)
         assert eng.h_dim(0) == 1
         assert eng.h_dim(1) == 1
         assert len(cohomology_basis(hollow_triangle(), 1)) == 1
 
     def test_solid_triangle(self):
-        eng = StageCohomology(solid_triangle(), use_cone_shortcut=False)
+        eng = StageCohomology.of_complex(solid_triangle(), use_cone_shortcut=False)
         assert eng.h_dim(1) == 0
 
     def test_octahedron_sphere(self):
-        eng = StageCohomology(octahedron(), use_cone_shortcut=False)
+        eng = StageCohomology.of_complex(octahedron(), use_cone_shortcut=False)
         assert [eng.h_dim(k) for k in range(3)] == [1, 0, 1]
 
     def test_betti_match_oracle_on_random_stages(self):
@@ -104,7 +104,7 @@ class TestCohomologyBasis:
             m = random_exact_space(rng, 5)
             f = build_filtration(m, max_dim=3)
             for s, cx in enumerate(f.stages):
-                eng = StageCohomology(cx)
+                eng = StageCohomology.of_complex(cx)
                 expected = oracles.complex_betti(cx, 2)
                 got = {k: eng.h_dim(k) for k in range(3)}
                 assert got == expected

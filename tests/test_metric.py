@@ -59,6 +59,15 @@ class TestLoadMetric:
         with pytest.raises(InputError):
             metric_from_matrix([[0, -1], [-1, 0]])
 
+    def test_non_finite_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InputError, match="NaN or infinite"):
+                metric_from_matrix([[0, bad], [bad, 0]])
+            with pytest.raises(InputError, match="NaN or infinite"):
+                metric_from_points([[0, 0], [1, bad], [2, 0]])
+        with pytest.raises(InputError, match="overflows"):
+            metric_from_points([[-1e308, 0], [1e308, 0]])
+
     def test_rational_strings_normalized(self):
         m = metric_from_matrix([[0, "2/4"], ["2/4", 0]])
         assert m.d(0, 1) == Fraction(1, 2) and m.exact

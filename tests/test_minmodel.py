@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from psmm.cdga import CdgaCohomology, linear_part_map, make_sullivan
-from psmm.cohomology import CohomologyRing, cohomology_ring
+from psmm.cdga import linear_part_map, make_sullivan
+from psmm.cohomology import CohomologyRing, StageCohomology, cohomology_ring
 from psmm.errors import InputError
 from psmm.gvec import GradedLinearMap
 from psmm.minmodel import (
@@ -115,7 +115,7 @@ class TestVerifyQuasiIso:
         rho = CDGAMorphism(broken_alg, mm.input, [[Fraction(1)]])
         broken = MinimalModel(
             broken_alg, rho, mm.input, -1, True, {},
-            mm.h_input, CdgaCohomology(broken_alg, 7),
+            mm.h_input, StageCohomology.of_cdga(broken_alg, 7),
         )
         rep = verify_quasi_iso(broken, 6)
         row4 = rep["per_degree"][4]
