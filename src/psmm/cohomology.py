@@ -7,9 +7,11 @@ the global vertex order; the ring is graded-commutative and associative
 after projection to cohomology, and both facts are asserted during
 construction.
 
-Heavy stages are handled lazily: ranks of the sparse coboundaries give
-all dimensions, and representative cocycles are only extracted in
-degrees where the cohomology is nonzero.
+`StageCohomology` computes the kernel mod image of every cochain
+complex in the package.  It eliminates each sparse coboundary once, in
+ascending degree and only up to the degrees asked for, and reads
+dimensions, representative cocycles and class coordinates off that one
+pass.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ def coboundary_columns(cx: SimplicialComplex, p: int):
     """Sparse columns of delta^p: C^p -> C^{p+1}, indexed by p-simplices."""
     lower = cx.dim_simplices(p)
     upper = cx.dim_simplices(p + 1)
-    low_index = {s: i for i, s in enumerate(lower)}
+    low_index = cx.index(p)
     cols = [dict() for _ in lower]
     for ui, t in enumerate(upper):
         for i in range(len(t)):
@@ -60,8 +62,8 @@ def cup_product(cx: SimplicialComplex, a, p: int, b, q: int):
     """
     sa = a if isinstance(a, dict) else {i: Fraction(v) for i, v in enumerate(a) if v}
     sb = b if isinstance(b, dict) else {i: Fraction(v) for i, v in enumerate(b) if v}
-    ip = {s: i for i, s in enumerate(cx.dim_simplices(p))}
-    iq = {s: i for i, s in enumerate(cx.dim_simplices(q))}
+    ip = cx.index(p)
+    iq = cx.index(q)
     out = {}
     for idx, s in enumerate(cx.dim_simplices(p + q)):
         va = sa.get(ip.get(s[: p + 1], -1))
@@ -89,11 +91,17 @@ class StageCohomology:
     differential of a Sullivan algebra and the zero differential of a
     cohomology ring (`of_cdga`).
 
-    Dimensions come from sparse ranks; representative cocycles and
-    class coordinates are materialized per degree on demand.  Degrees
-    above `max_deg`, when given, have zero cohomology.  On simplicial
-    complexes a cone apex shortcut skips the large eliminations on
-    contractible-through-truncation stages.
+    Each d^k is eliminated once, in ascending k, by one record-mode
+    `ColumnReducer` pass with clearing (Chen-Kerber 2011): a column
+    whose index is a pivot row of the reduced d^{k-1} is skipped, since
+    d d = 0 makes it reduce to zero.  The pass gives the rank of d^k as
+    its pivot count, and its kernel combinations are the representative
+    cocycles: the skipped columns are exactly the kernel elements that
+    a greedy pass modulo im d^{k-1} would have dropped.  `class_of`
+    solves against the reduced pivots of d^{k-1} with the
+    representatives added on top.  Degrees above `max_deg`, when given,
+    have zero cohomology.  On simplicial complexes a cone apex shortcut
+    skips the eliminations on contractible-through-truncation stages.
     """
 
     def __init__(self, n_cochains, columns, max_deg: Optional[int] = None,
@@ -103,8 +111,7 @@ class StageCohomology:
         self.max_deg = max_deg
         self.cx = cx
         self._cone = cone
-        self._cols = {}
-        self._rank = {}
+        self._reduced = {}
         self._reps = {}
         self._class_red = {}
 
@@ -127,23 +134,25 @@ class StageCohomology:
                 f"cohomology through {max_deg} needs truncation > {max_deg}")
         return StageCohomology(alg.dim, alg.d_columns, max_deg=max_deg)
 
-    def _columns(self, k: int):
-        if k not in self._cols:
-            self._cols[k] = self._delta(k)
-        return self._cols[k]
+    def _reducer(self, k: int) -> ColumnReducer:
+        """The record-mode reducer of d^k, cleared by the pivot rows of
+        d^{k-1} (k >= 0)."""
+        if k not in self._reduced:
+            cleared = self._reducer(k - 1).pivots if k > 0 else {}
+            cols, nup = self._delta(k)
+            red = ColumnReducer(nup, record=True)
+            for j, c in enumerate(cols):
+                if j in cleared:
+                    red.skip()
+                else:
+                    red.add(c)
+            self._reduced[k] = red
+        return self._reduced[k]
 
     def rank_delta(self, k: int) -> int:
         if k < 0 or self.n_cochains(k) == 0:
             return 0
-        if k not in self._rank:
-            cols, nup = self._columns(k)
-            red = ColumnReducer(nup)
-            r = 0
-            for c in cols:
-                if red.add(c):
-                    r += 1
-            self._rank[k] = r
-        return self._rank[k]
+        return self._reducer(k).rank
 
     def _cone_trivial(self, k: int) -> bool:
         """True if the cone shortcut certifies H^k = 0 (k >= 1)."""
@@ -166,49 +175,29 @@ class StageCohomology:
 
     def h_reps(self, k: int) -> list:
         """Representative cocycles (sparse dicts over degree-k basis
-        indices): the kernel of d^k in elimination order, greedily
-        reduced modulo the image of d^{k-1}."""
+        indices): the kernel combinations of the cleared d^k pass, in
+        elimination order."""
         if k in self._reps:
             return self._reps[k]
         if self.h_dim(k) == 0:
             self._reps[k] = []
-            return []
-        if k == 0 and self._cone is not None:
+        elif k == 0 and self._cone is not None:
             # connected: the constant-1 cochain spans H^0
-            rep = {i: Fraction(1) for i in range(self.n_cochains(0))}
-            self._reps[0] = [rep]
-            return self._reps[0]
-        cols, nup = self._columns(k)
-        kernel = ColumnReducer(nup, record=True)
-        for c in cols:
-            kernel.add(c)
-        quot = ColumnReducer(self.n_cochains(k))
-        if k > 0:
-            img_cols, _ = self._columns(k - 1)
-            for c in img_cols:
-                quot.add(c)
-        reps = []
-        for combo in kernel.kernel_combos:
-            if quot.add(combo):
-                reps.append(dict(combo))
-        self._reps[k] = reps
-        return reps
+            self._reps[0] = [{i: Fraction(1) for i in range(self.n_cochains(0))}]
+        else:
+            self._reps[k] = list(self._reducer(k).kernel_combos)
+        return self._reps[k]
 
     def _class_reducer(self, k: int) -> ColumnReducer:
-        """Reducer loaded with im(d^{k-1}) then the chosen reps, with
-        recording, so rep coefficients of any cocycle can be read off."""
+        """Reducer seeded with the reduced im(d^{k-1}) and loaded with the
+        chosen reps, so rep coefficients of any cocycle can be read off."""
         if k not in self._class_red:
-            red = ColumnReducer(self.n_cochains(k), record=True)
-            if k > 0:
-                img_cols, _ = self._columns(k - 1)
-                for c in img_cols:
-                    red.add(c)
-            offsets = []
+            image = self._reducer(k - 1).pivots if k > 0 else {}
+            red = ColumnReducer.from_pivots(self.n_cochains(k), image)
             for rep in self.h_reps(k):
-                offsets.append(red._ncols)
                 if not red.add(rep):
                     raise InputError("dependent representative")  # pragma: no cover
-            self._class_red[k] = (red, offsets)
+            self._class_red[k] = red
         return self._class_red[k]
 
     def class_of(self, k: int, cochain) -> list:
@@ -216,11 +205,11 @@ class StageCohomology:
         cocycle is a sparse dict or a dense sequence."""
         if self.h_dim(k) == 0:
             return []
-        red, offsets = self._class_reducer(k)
-        sol = red.solve(cochain)
+        sol = self._class_reducer(k).solve(cochain)
         if sol is None:
             raise InputError("cochain is not a cocycle modulo boundaries")
-        return [sol.get(off, Fraction(0)) for off in offsets]
+        zero = Fraction(0)
+        return [sol.get(i, zero) for i in range(len(self.h_reps(k)))]
 
 
 def cohomology_basis(cx: SimplicialComplex, deg: int) -> list:
@@ -538,7 +527,7 @@ def induced_ring_map(ring_small: CohomologyRing, ring_big: CohomologyRing,
         ns = ring_small.dim(k)
         if nb == 0 or ns == 0:
             continue
-        small_index = {s: i for i, s in enumerate(small.cx.dim_simplices(k))}
+        small_index = small.cx.index(k)
         big_simplices = big.cx.dim_simplices(k)
         cols = []
         for cls in ring_big.basis[k]:

@@ -159,6 +159,7 @@ class SimplicialComplex:
 
     n_vertices: int
     simplices: dict = field(default_factory=dict)  # dim -> tuple of tuples
+    _index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def top_dim(self) -> int:
@@ -167,6 +168,13 @@ class SimplicialComplex:
 
     def dim_simplices(self, d: int) -> tuple:
         return self.simplices.get(d, ())
+
+    def index(self, d: int) -> dict:
+        """Position of each d-simplex in `dim_simplices(d)`, built once."""
+        idx = self._index.get(d)
+        if idx is None:
+            idx = self._index[d] = {s: i for i, s in enumerate(self.dim_simplices(d))}
+        return idx
 
     def simplex_count(self) -> int:
         return sum(len(s) for s in self.simplices.values())

@@ -402,23 +402,42 @@ def _diag_adjacency(bars1, bars2, delta):
     return adj
 
 
-def _max_matching(adj, size):
-    match_r = [-1] * size
+def _augment(adj, match_r, root, seen) -> bool:
+    """Kuhn's depth-first search for an augmenting path from left vertex
+    `root`; flips the path into `match_r` when one is found.
 
-    def try_kuhn(u, seen):
-        for v in adj[u]:
+    The path lives on an explicit stack, so a long augmenting path
+    cannot exhaust the interpreter's recursion limit; neighbours are
+    visited in the order of the recursive form.
+    """
+    stack = [(root, iter(adj[root]))]
+    via = []  # via[i] is the right vertex leading from stack[i] to stack[i + 1]
+    while stack:
+        u, nbrs = stack[-1]
+        for v in nbrs:
             if seen[v]:
                 continue
             seen[v] = True
-            if match_r[v] == -1 or try_kuhn(match_r[v], seen):
+            if match_r[v] == -1:
                 match_r[v] = u
+                for (w, _), x in zip(stack, via):
+                    match_r[x] = w
                 return True
-        return False
+            via.append(v)
+            stack.append((match_r[v], iter(adj[match_r[v]])))
+            break
+        else:
+            stack.pop()
+            if via:
+                via.pop()
+    return False
 
+
+def _max_matching(adj, size):
+    match_r = [-1] * size
     matched = 0
     for u in range(size):
-        seen = [False] * size
-        if try_kuhn(u, seen):
+        if _augment(adj, match_r, u, [False] * size):
             matched += 1
     return matched, match_r
 

@@ -9,17 +9,19 @@ Two layers:
 
 * `RatMatrix` with `rref` / `solve` / `kernel_basis` / `quotient_basis`
   -- dense, for the small systems that dominate the algebraic side.
-* `ColumnReducer` -- a sparse incremental column-elimination engine for
-  the large coboundary matrices of Vietoris-Rips stages.  Semantics are
-  identical to the dense route; the representation is a performance
-  decision only.
+* `ColumnReducer` -- a sparse incremental column-elimination engine,
+  which `cohomology.StageCohomology` runs over the coboundary matrices
+  of Vietoris-Rips stages and the differentials of Sullivan algebras.
+  Semantics are identical to the dense route; the representation is a
+  performance decision only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch
 
@@ -275,10 +277,17 @@ class ColumnReducer:
 
     Columns are sparse dicts {row: Fraction}.  Each added column is
     reduced against the stored echelon columns by its lowest nonzero
-    row.  With `record=True` the reducer tracks the combination of
-    input columns producing each reduced column, which yields kernel
-    vectors and solve coefficients; rank-only mode skips that
-    bookkeeping to stay lean on large coboundary matrices.
+    row, and `rank` counts the stored ones.  With `record=True` the
+    reducer also tracks the combination of input columns producing
+    each reduced column; a column that reduces to zero leaves its
+    combination in `kernel_combos`, and `solve` reads coefficients off
+    the stored combinations.
+
+    `skip()` reserves the next column index for a column known to
+    reduce to zero without reducing it, so the indices in later
+    combinations still count it.  `from_pivots` starts from reduced
+    columns of another reducer with empty combinations: `solve` then
+    works modulo their span.
     """
 
     def __init__(self, nrows: int, record: bool = False):
@@ -289,6 +298,27 @@ class ColumnReducer:
         self._ncols = 0
         self.rank = 0
         self.kernel_combos: list[dict[int, Fraction]] = []
+
+    @staticmethod
+    def from_pivots(nrows: int, pivots: Mapping) -> "ColumnReducer":
+        """Record-mode reducer holding the given reduced columns, keyed
+        by lowest row, as pivots with empty combinations.  The columns
+        are shared, not copied; no reducer modifies a stored column."""
+        red = ColumnReducer(nrows, record=True)
+        red._pivots = dict(pivots)
+        red._combos = {low: {} for low in pivots}
+        red.rank = len(pivots)
+        return red
+
+    @property
+    def pivots(self) -> Mapping:
+        """Read-only view of the reduced columns, keyed by lowest row."""
+        return MappingProxyType(self._pivots)
+
+    def skip(self) -> int:
+        """Reserve the next column index without reducing a column."""
+        self._ncols += 1
+        return self._ncols - 1
 
     @staticmethod
     def _to_sparse(col) -> dict:
@@ -334,6 +364,7 @@ class ColumnReducer:
                 self.kernel_combos.append(combo)
             return False
         self._pivots[low] = c
+        self.rank += 1
         if self.record:
             self._combos[low] = combo
         return True
@@ -356,7 +387,7 @@ def sparse_rank(columns: Iterable, nrows: int) -> int:
     red = ColumnReducer(nrows)
     for c in columns:
         red.add(c)
-    return sum(1 for _ in red._pivots)
+    return red.rank
 
 
 def sparse_kernel(columns: Sequence, nrows: int) -> list:

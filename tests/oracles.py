@@ -1,8 +1,9 @@
 """Independent test oracles.
 
 Persistent homology by straight boundary-matrix reduction over Q,
-written against the raw filtration data and deliberately sharing no
-code with the package's cohomology or persistence machinery.
+written against the raw filtration data, and the cohomology engine's
+former kernel-mod-image algorithm, both deliberately sharing no code
+with the package's cohomology, persistence or linear-algebra machinery.
 """
 
 from fractions import Fraction
@@ -142,3 +143,50 @@ def _dense_rank(rows):
         r += 1
         rank += 1
     return rank
+
+
+class _Reducer:
+    """Lowest-row column reduction of sparse {row: Fraction} columns
+    that records, per column, its combination of the input columns."""
+
+    def __init__(self):
+        self.pivots = {}  # low row -> (reduced column, combination)
+        self.kernel = []
+        self.ncols = 0
+
+    def add(self, col) -> bool:
+        col = {r: Fraction(v) for r, v in col.items() if v}
+        combo = {self.ncols: Fraction(1)}
+        self.ncols += 1
+        while col:
+            low = max(col)
+            if low not in self.pivots:
+                self.pivots[low] = (col, combo)
+                return True
+            pcol, pcombo = self.pivots[low]
+            f = col[low] / pcol[low]
+            for target, source in ((col, pcol), (combo, pcombo)):
+                for r, v in source.items():
+                    nv = target.get(r, Fraction(0)) - f * v
+                    if nv == 0:
+                        target.pop(r, None)
+                    else:
+                        target[r] = nv
+        self.kernel.append(combo)
+        return False
+
+
+def greedy_cohomology_reps(cols_k, nup_k, cols_below):
+    """Representative cocycles of H^k by the cohomology engine's former
+    algorithm: the recorded kernel of all of d^k (columns `cols_k` with
+    `nup_k` rows, which only bound the row indices), then each kernel
+    vector in turn kept iff it is independent of im d^{k-1} (the
+    columns `cols_below`) and of the vectors kept before it."""
+    kernel = _Reducer()
+    for c in cols_k:
+        assert all(r < nup_k for r in c)
+        kernel.add(c)
+    quotient = _Reducer()
+    for c in cols_below:
+        quotient.add(c)
+    return [dict(z) for z in kernel.kernel if quotient.add(z)]

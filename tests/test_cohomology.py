@@ -3,11 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import oracles
 from psmm.cohomology import (
     CohomologyRing,
     StageCohomology,
     coboundaries,
+    coboundary_columns,
     cohomology_basis,
     cohomology_ring,
     cup_product,
@@ -20,6 +24,8 @@ from psmm.metric import (
     metric_from_matrix,
     metric_from_points,
 )
+from psmm.ratlin import ColumnReducer
+from test_cdga import random_sullivan
 
 
 def hollow_triangle():
@@ -109,6 +115,85 @@ class TestCohomologyBasis:
                 got = {k: eng.h_dim(k) for k in range(3)}
                 assert got == expected
                 assert got == oracles.betti_numbers(f, s, 2)
+
+
+def check_engine_against_oracle(eng, columns, degrees, rng):
+    """The engine's reps, dimensions and class coordinates against the
+    former greedy kernel-mod-image algorithm, degree by degree in the
+    given order (the engine's answers must not depend on it)."""
+    for k in degrees:
+        cols_k, nup = columns(k)
+        below = columns(k - 1)[0] if k > 0 else []
+        reps = oracles.greedy_cohomology_reps(cols_k, nup, below)
+        assert eng.h_reps(k) == reps
+        assert eng.h_dim(k) == len(reps)
+        # class_of(sum c_i rep_i + d b) = c
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in reps]
+        cochain = {}
+        terms = list(zip(coeffs, reps))
+        terms += [(Fraction(rng.randint(-2, 2)), col) for col in below]
+        for c, vec in terms:
+            for i, v in vec.items():
+                cochain[i] = cochain.get(i, Fraction(0)) + c * v
+        assert eng.class_of(k, cochain) == coeffs
+
+
+@st.composite
+def small_complexes(draw):
+    n = draw(st.integers(1, 8))
+    faces = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=5),
+                          max_size=6))
+    return complex_from_simplices(n, faces)
+
+
+class TestEngineAgainstGreedyOracle:
+    @given(small_complexes(), st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_random_complexes(self, cx, cone, data):
+        eng = StageCohomology.of_complex(cx, use_cone_shortcut=cone)
+        degrees = data.draw(st.permutations(range(cx.top_dim + 1)))
+        check_engine_against_oracle(eng, lambda k: coboundary_columns(cx, k), degrees,
+                                    random.Random(data.draw(st.integers(0, 10 ** 6))))
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=30, deadline=None)
+    def test_random_sullivan_algebras(self, seed):
+        rng = random.Random(seed)
+        alg = random_sullivan(rng)
+        eng = StageCohomology.of_cdga(alg, alg.trunc - 1)
+        degrees = list(range(alg.trunc))
+        rng.shuffle(degrees)
+        check_engine_against_oracle(eng, alg.d_columns, degrees, rng)
+
+    def test_each_column_added_once(self, monkeypatch):
+        """Every column of every d^k reaches a reducer at most once, and
+        the cleared ones (rank d^{k-1} of them) never."""
+        cx = torus7()
+        fetched = {}
+
+        def columns(k):
+            assert k not in fetched, f"d^{k} fetched twice"
+            fetched[k] = coboundary_columns(cx, k)
+            return fetched[k]
+
+        added = []
+        real_add = ColumnReducer.add
+        monkeypatch.setattr(ColumnReducer, "add",
+                            lambda red, col: added.append(id(col)) or real_add(red, col))
+        eng = StageCohomology(lambda k: len(cx.dim_simplices(k)), columns, cx=cx)
+        ring = CohomologyRing(2, eng)
+        for k in range(3):
+            ring.ensure_degree(k)
+            reps = eng.h_reps(k)
+            for i, rep in enumerate(reps):
+                assert eng.class_of(k, rep) == [int(i == j) for j in range(len(reps))]
+        assert sorted(fetched) == [0, 1, 2]
+        assert ring.dim(1) == 2 and ring.mul_basis(1, 0, 1, 1)
+        for k, (cols, _) in fetched.items():
+            ids = {id(c) for c in cols}
+            hits = [i for i in added if i in ids]
+            assert len(hits) == len(set(hits))
+            assert len(hits) == len(cols) - eng.rank_delta(k - 1)
 
 
 class TestCupProduct:

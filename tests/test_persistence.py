@@ -11,6 +11,7 @@ from psmm.persistence import (
     INF,
     Barcode,
     PersistentGVec,
+    _max_matching,
     bottleneck,
     barcode,
     direct_sum,
@@ -208,6 +209,15 @@ class TestBottleneck:
         assert bottleneck(x, x).sup == 0
         dxz, dzy = bottleneck(x, z).sup, bottleneck(z, y).sup
         assert dxy <= dxz + dzy
+
+    def test_long_augmenting_path(self):
+        # the last vertex's augmenting path runs through all n vertices,
+        # deeper than the interpreter's recursion limit
+        n = 3000
+        adj = [[u + 1, u] for u in range(n - 1)] + [[n - 1]]
+        matched, match_r = _max_matching(adj, n)
+        assert matched == n
+        assert match_r == list(range(n))
 
 
 class TestInterleavingOracle:

@@ -160,6 +160,10 @@ class TestSparseEngine:
     def test_sparse_rank_matches_dense(self, a):
         cols = [dict(enumerate(a.column(j))) for j in range(a.cols)]
         assert sparse_rank(cols, a.rows) == rref(a).rank
+        red = ColumnReducer(a.rows, record=True)
+        for c in cols:
+            red.add(c)
+        assert red.rank == rref(a).rank
 
     @given(small_matrices())
     def test_sparse_kernel_matches_dense(self, a):
@@ -176,6 +180,18 @@ class TestSparseEngine:
         # 3*e0 + 2*e1 = 1*(1,0) + 2*(1,1)
         assert sol == {0: Fraction(1), 1: Fraction(2)}
         assert red.solve([0, 0]) == {}
+
+    def test_seeded_pivots_and_skip(self):
+        image = ColumnReducer(3)
+        image.add([1, 1, 0])
+        red = ColumnReducer.from_pivots(3, image.pivots)
+        assert red.rank == 1
+        assert red.skip() == 0
+        red.add([0, 0, 1])
+        # solved modulo the seeded span: only the added column, index 1, counts
+        assert red.solve([2, 2, 5]) == {1: Fraction(5)}
+        assert red.solve([1, 0, 0]) is None
+        assert image.rank == 1 and len(image.pivots) == 1
 
     def test_solve_outside_span(self):
         red = ColumnReducer(2, record=True)
