@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .cdga import make_sullivan
@@ -41,6 +42,10 @@ def _read_json(path: str) -> dict:
             return json.load(fh)
     except FileNotFoundError as e:
         raise InputError(f"no such file: {path}") from e
+    except OSError as e:
+        raise InputError(f"cannot read {path}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise InputError(f"cannot decode {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise InputError(f"malformed JSON in {path}: {e}") from e
 
@@ -127,6 +132,8 @@ def cmd_barcode(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise InputError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
     cfg = _config_from_args(args)
     left = _load_comparand(args.left, cfg)
     right = _load_comparand(args.right, cfg)
@@ -205,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gh", action="store_true",
                    help="include the brute-force 2*d_GH upper bound")
     p.add_argument("--tolerance", type=float, default=0.0,
-                   help="echoed into the report for downstream comparisons")
+                   help="a finite number >= 0, echoed into the report for "
+                        "downstream comparisons")
     _add_common(p)
     p.set_defaults(fn=cmd_compare)
 

@@ -12,11 +12,17 @@ verified against the raw matrices) supplies explicit bases for the
 interleaving oracle, which certifies answers in both directions: True
 answers carry an explicitly checked pair of shift morphisms, False
 answers a violated rank inequality.
+
+The bottleneck distance between barcodes is exact: a binary search over
+the ranks of the candidate costs, each computed once, with a
+Hopcroft-Karp perfect-matching test per probe.  The interleaving
+oracle's matched witness comes from the same cost table and graph.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -359,6 +365,18 @@ def barcode(p: PersistentGVec) -> Barcode:
 
 # ---------------------------------------------------------------------------
 # Bottleneck distance
+#
+# In one degree the distance is the least delta at which the bars admit
+# a delta-matching: matched bars differ by at most delta at each end,
+# and every unmatched bar is at most 2 delta long (it goes to the
+# diagonal at its half-length).  That delta is a candidate cost: 0, the
+# cost of a pair of bars or a half-length.  `_CostTable` computes each
+# candidate once and labels the matching graph's edges with the integer
+# ranks of their costs; `_bottleneck_degree` binary-searches the ranks,
+# and each probe asks Hopcroft-Karp (`_max_matching`) for a perfect
+# matching of the edges at or below the probed rank (Efrat-Itai-Katz
+# 2001; Kerber-Morozov-Nigmetov, "Geometry helps to compare persistence
+# diagrams", 2017).
 # ---------------------------------------------------------------------------
 
 
@@ -379,73 +397,179 @@ def _half_length(b):
     return (b[1] - b[0]) / 2
 
 
-def _diag_adjacency(bars1, bars2, delta):
-    """Left nodes: bars1 then diagonal copies of bars2; right nodes:
-    bars2 then diagonal slots.  A perfect matching exists iff the bars
-    admit a delta-matching with deletions costing half-length."""
-    n, m = len(bars1), len(bars2)
-    size = n + m
-    adj = [[] for _ in range(size)]
-    for i, b1 in enumerate(bars1):
-        for j, b2 in enumerate(bars2):
-            if _pair_cost(b1, b2) <= delta:
-                adj[i].append(j)
-        if _half_length(b1) <= delta:
-            for j in range(m, size):
-                adj[i].append(j)
-    for k, b2 in enumerate(bars2):
-        i = n + k
-        if _half_length(b2) <= delta:
-            adj[i].append(k)
-        for j in range(m, size):
-            adj[i].append(j)
-    return adj
+def _scaled_endpoints(bars):
+    """(2L, the bars with every finite endpoint times 2L), where L is the
+    lcm of the endpoints' denominators; None when an endpoint is a float.
 
-
-def _augment(adj, match_r, root, seen) -> bool:
-    """Kuhn's depth-first search for an augmenting path from left vertex
-    `root`; flips the path into `match_r` when one is found.
-
-    The path lives on an explicit stack, so a long augmenting path
-    cannot exhaust the interpreter's recursion limit; neighbours are
-    visited in the order of the recursive form.
+    The scaled endpoints are ints, so their pair costs and half-lengths
+    are exact ints that order and equate as the bars' costs do, at a
+    fraction of the price of `Fraction` arithmetic.  A cost with a float
+    endpoint is rounded as it is computed, so such bars keep their own
+    arithmetic; so do ints from 2**52 on, since an int bar's half-length
+    is the float (e - b) / 2.
     """
-    stack = [(root, iter(adj[root]))]
-    via = []  # via[i] is the right vertex leading from stack[i] to stack[i + 1]
-    while stack:
-        u, nbrs = stack[-1]
-        for v in nbrs:
-            if seen[v]:
-                continue
-            seen[v] = True
-            if match_r[v] == -1:
-                match_r[v] = u
-                for (w, _), x in zip(stack, via):
-                    match_r[x] = w
-                return True
-            via.append(v)
-            stack.append((match_r[v], iter(adj[match_r[v]])))
-            break
+    rational = (int, Fraction)
+    if not all(type(x) is Fraction or (type(x) is int and abs(x) < 2 ** 52)
+               or x == INF for bar in bars for x in bar):
+        return None
+    scale = 2 * math.lcm(1, *(x.denominator for bar in bars for x in bar
+                              if type(x) in rational))
+    return scale, [tuple(x.numerator * (scale // x.denominator)
+                         if type(x) in rational else INF for x in bar)
+                   for bar in bars]
+
+
+class _CostTable:
+    """The candidate costs of two bar lists, each computed once, and the
+    matching graph with its edges labelled by their costs' ranks.
+
+    `keys` are the sorted distinct finite costs and 0 (scaled ints when
+    `_scaled_endpoints` applies, the costs themselves otherwise); a
+    cost's rank is its index in `keys`, and an infinite cost has rank
+    `len(keys)`, above every probe.
+
+    The graph is Kerber-Morozov-Nigmetov's.  Left vertices are bars1
+    (0..n-1) and diagonal copies of bars2 (n..n+m-1); right vertices are
+    bars2 (0..m-1) and diagonal copies of bars1 (m..m+n-1).  Bar i meets
+    bar j at their pair cost and its own copy m+i at its half-length;
+    copy n+j meets bar j at its half-length and copy m+i at the cost of
+    the pair (i, j), which is what the copies of a matched pair pay to
+    meet.  At any delta it has a perfect matching iff the bars admit a
+    delta-matching.  Each vertex's edges are sorted by rank, so the graph
+    at rank k keeps a prefix of every list.
+    """
+
+    def __init__(self, bars1, bars2):
+        n, m = len(bars1), len(bars2)
+        self.bars = list(bars1) + list(bars2)
+        scaled = _scaled_endpoints(self.bars)
+        if scaled is None:
+            self.scale, pts = None, self.bars
+            halves = [_half_length(b) for b in pts]
         else:
-            stack.pop()
-            if via:
-                via.pop()
-    return False
+            self.scale, pts = scaled
+            halves = [INF if e == INF else (e - b) // 2 for b, e in pts]
+        pairs = [[_pair_cost(p1, p2) for p2 in pts[n:]] for p1 in pts[:n]]
+        keys = {0}
+        for row in pairs:
+            keys.update(row)
+        keys.update(halves)
+        keys.discard(INF)
+        self.keys = sorted(keys)
+        top = len(self.keys)
+        index = {c: k for k, c in enumerate(self.keys)}
+        # Every rank is the one int object that `index` holds for it, and
+        # every vertex number the one in `vertex`: the lists below share
+        # them instead of holding a new int per pair.
+        self.ranks = [[index.get(c, top) for c in row] for row in pairs]
+        self.half_ranks = [index.get(h, top) for h in halves]
+        del pairs
+        vertex = list(range(n + m))
+        self.size = n + m
+        self._ranks, self._nbrs = [], []
+        for i, row in enumerate(self.ranks):
+            self._add_vertex(row + [self.half_ranks[i]], vertex[:m] + [vertex[m + i]])
+        for j in range(m):
+            self._add_vertex([row[j] for row in self.ranks] + [self.half_ranks[n + j]],
+                             vertex[m:] + [vertex[j]])
+
+    def _add_vertex(self, ranks, nbrs):
+        order = sorted(range(len(ranks)), key=ranks.__getitem__)
+        self._ranks.append([ranks[t] for t in order])
+        self._nbrs.append([nbrs[t] for t in order])
+
+    def adjacency(self, k):
+        """The matching graph with the edges of rank at most k."""
+        return [nbrs[:bisect_right(ranks, k)]
+                for ranks, nbrs in zip(self._ranks, self._nbrs)]
+
+    def rank_at(self, delta):
+        """The highest rank whose cost is at most delta; -1 when none is."""
+        if delta == INF:
+            return len(self.keys)
+        if self.scale is not None:
+            delta = Fraction(delta) * self.scale
+        return bisect_right(self.keys, delta) - 1
+
+    def value(self, k):
+        """The cost of rank k as the bars' own number: the first equal
+        cost met in the order 0, pair costs row by row, half-lengths of
+        bars1, then of bars2.  Equal costs of different types
+        (`Fraction(1, 2)` and `0.5`) are told apart only by this order,
+        and the type shows in the JSON reports."""
+        if self.keys[k] == 0:
+            return 0
+        n = len(self.ranks)
+        for i, row in enumerate(self.ranks):
+            if k in row:
+                return _pair_cost(self.bars[i], self.bars[n + row.index(k)])
+        return _half_length(self.bars[self.half_ranks.index(k)])
 
 
 def _max_matching(adj, size):
+    """Maximum matching by Hopcroft-Karp; returns (size of the matching,
+    match_r) with match_r[v] the left vertex matched to right vertex v,
+    or -1.  `adj[u]` lists the right neighbours of left vertex u; both
+    sides are numbered 0..size-1.
+
+    Each phase layers the graph by a breadth-first search from the free
+    left vertices, then augments along vertex-disjoint shortest paths
+    found by depth-first searches that keep their path on an explicit
+    stack, so a long augmenting path cannot exhaust the interpreter's
+    recursion limit.
+    """
+    match_l = [-1] * size
     match_r = [-1] * size
     matched = 0
-    for u in range(size):
-        if _augment(adj, match_r, u, [False] * size):
-            matched += 1
-    return matched, match_r
-
-
-def _matching_feasible(bars1, bars2, delta) -> bool:
-    size = len(bars1) + len(bars2)
-    matched, _ = _max_matching(_diag_adjacency(bars1, bars2, delta), size)
-    return matched == size
+    while True:
+        free = [u for u in range(size) if match_l[u] == -1]
+        dist = [-1] * size
+        for u in free:
+            dist[u] = 0
+        layer, limit = free, -1
+        while layer and limit < 0:
+            below = []
+            for u in layer:
+                for v in adj[u]:
+                    w = match_r[v]
+                    if w == -1:
+                        limit = dist[u]
+                    elif dist[w] == -1:
+                        dist[w] = dist[u] + 1
+                        below.append(w)
+            layer = below
+        if limit < 0:
+            return matched, match_r
+        pos = [0] * size  # next neighbour to try, per left vertex
+        for root in free:
+            stack = [root]
+            via = []  # via[i] is the right vertex from stack[i] to stack[i + 1]
+            while stack:
+                u = stack[-1]
+                nbrs, i, d = adj[u], pos[u], dist[u]
+                v = -1
+                while i < len(nbrs):
+                    x = nbrs[i]
+                    i += 1
+                    w = match_r[x]
+                    if (d == limit) if w == -1 else (dist[w] == d + 1):
+                        v = x
+                        break
+                pos[u] = i
+                if v == -1:
+                    dist[u] = -1  # no shortest augmenting path through u this phase
+                    stack.pop()
+                    if via:
+                        via.pop()
+                elif match_r[v] == -1:
+                    via.append(v)
+                    for x, y in zip(stack, via):
+                        match_l[x], match_r[y] = y, x
+                    matched += 1
+                    break
+                else:
+                    via.append(v)
+                    stack.append(match_r[v])
 
 
 def _bottleneck_degree(bars1, bars2):
@@ -455,27 +579,17 @@ def _bottleneck_degree(bars1, bars2):
     inf2 = sum(1 for b in bars2 if b[1] == INF)
     if inf1 != inf2:
         return INF
-    cands = {0}
-    for b1 in bars1:
-        for b2 in bars2:
-            c = _pair_cost(b1, b2)
-            if c != INF:
-                cands.add(c)
-    for b in list(bars1) + list(bars2):
-        h = _half_length(b)
-        if h != INF:
-            cands.add(h)
-    cands = sorted(cands)
-    lo, hi = 0, len(cands) - 1
-    if not _matching_feasible(bars1, bars2, cands[hi]):
-        return INF
+    table = _CostTable(bars1, bars2)
+    top = len(table.keys)
+    lo, hi = 0, top  # rank top is an infinite cost and is never probed
     while lo < hi:
         mid = (lo + hi) // 2
-        if _matching_feasible(bars1, bars2, cands[mid]):
+        matched, _ = _max_matching(table.adjacency(mid), table.size)
+        if matched == table.size:
             hi = mid
         else:
             lo = mid + 1
-    return cands[lo]
+    return INF if lo == top else table.value(lo)
 
 
 @dataclass(frozen=True)
@@ -502,9 +616,9 @@ def _matching_at(bars1, bars2, delta):
     """One feasible matching (list of (i, j) real-real pairs) at delta,
     or None; deleted bars are those not in any pair."""
     n, m = len(bars1), len(bars2)
-    size = n + m
-    matched, match_r = _max_matching(_diag_adjacency(bars1, bars2, delta), size)
-    if matched != size:
+    table = _CostTable(bars1, bars2)
+    matched, match_r = _max_matching(table.adjacency(table.rank_at(delta)), table.size)
+    if matched != table.size:
         return None
     return [(match_r[v], v) for v in range(m) if 0 <= match_r[v] < n]
 

@@ -1,12 +1,16 @@
 """Independent test oracles.
 
 Persistent homology by straight boundary-matrix reduction over Q,
-written against the raw filtration data, and the cohomology engine's
-former kernel-mod-image algorithm, both deliberately sharing no code
-with the package's cohomology, persistence or linear-algebra machinery.
+written against the raw filtration data, the cohomology engine's former
+kernel-mod-image algorithm, and the bottleneck distance's former
+algorithm, all deliberately sharing no code with the package's
+cohomology, persistence or linear-algebra machinery.
 """
 
+import math
 from fractions import Fraction
+
+INF = math.inf
 
 
 def _boundary(simplex):
@@ -190,3 +194,112 @@ def greedy_cohomology_reps(cols_k, nup_k, cols_below):
     for c in cols_below:
         quotient.add(c)
     return [dict(z) for z in kernel.kernel if quotient.add(z)]
+
+
+def _pair_cost(b1, b2):
+    db = abs(b1[0] - b2[0])
+    if b1[1] == INF and b2[1] == INF:
+        de = 0
+    elif b1[1] == INF or b2[1] == INF:
+        return INF
+    else:
+        de = abs(b1[1] - b2[1])
+    return max(db, de)
+
+
+def _half_length(b):
+    if b[1] == INF:
+        return INF
+    return (b[1] - b[0]) / 2
+
+
+def _diag_adjacency(bars1, bars2, delta):
+    """Left nodes: bars1 then diagonal copies of bars2; right nodes:
+    bars2 then diagonal slots.  A perfect matching exists iff the bars
+    admit a delta-matching with deletions costing half-length."""
+    n, m = len(bars1), len(bars2)
+    size = n + m
+    adj = [[] for _ in range(size)]
+    for i, b1 in enumerate(bars1):
+        for j, b2 in enumerate(bars2):
+            if _pair_cost(b1, b2) <= delta:
+                adj[i].append(j)
+        if _half_length(b1) <= delta:
+            for j in range(m, size):
+                adj[i].append(j)
+    for k, b2 in enumerate(bars2):
+        i = n + k
+        if _half_length(b2) <= delta:
+            adj[i].append(k)
+        for j in range(m, size):
+            adj[i].append(j)
+    return adj
+
+
+def _augment(adj, match_r, root, seen) -> bool:
+    """Kuhn's depth-first search for an augmenting path from `root`,
+    kept on an explicit stack; flips the path into `match_r`."""
+    stack = [(root, iter(adj[root]))]
+    via = []  # via[i] is the right vertex leading from stack[i] to stack[i + 1]
+    while stack:
+        u, nbrs = stack[-1]
+        for v in nbrs:
+            if seen[v]:
+                continue
+            seen[v] = True
+            if match_r[v] == -1:
+                match_r[v] = u
+                for (w, _), x in zip(stack, via):
+                    match_r[x] = w
+                return True
+            via.append(v)
+            stack.append((match_r[v], iter(adj[match_r[v]])))
+            break
+        else:
+            stack.pop()
+            if via:
+                via.pop()
+    return False
+
+
+def _perfect_matching_exists(bars1, bars2, delta) -> bool:
+    size = len(bars1) + len(bars2)
+    adj = _diag_adjacency(bars1, bars2, delta)
+    match_r = [-1] * size
+    return all(_augment(adj, match_r, u, [False] * size) for u in range(size))
+
+
+def bottleneck_reference(bars1, bars2):
+    """Bottleneck distance of two bar lists, each bar a (birth, death)
+    pair repeated once per copy, by the package's former algorithm: a
+    binary search over the sorted candidate costs, each probe a full
+    Kuhn matching on the bar-plus-diagonal graph.  The value is the
+    candidate object the search lands on, so it keeps the type (`int`,
+    `Fraction` or `float`) that its first equal candidate had."""
+    if not bars1 and not bars2:
+        return 0
+    inf1 = sum(1 for b in bars1 if b[1] == INF)
+    inf2 = sum(1 for b in bars2 if b[1] == INF)
+    if inf1 != inf2:
+        return INF
+    cands = {0}
+    for b1 in bars1:
+        for b2 in bars2:
+            c = _pair_cost(b1, b2)
+            if c != INF:
+                cands.add(c)
+    for b in list(bars1) + list(bars2):
+        h = _half_length(b)
+        if h != INF:
+            cands.add(h)
+    cands = sorted(cands)
+    lo, hi = 0, len(cands) - 1
+    if not _perfect_matching_exists(bars1, bars2, cands[hi]):
+        return INF
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _perfect_matching_exists(bars1, bars2, cands[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return cands[lo]

@@ -46,6 +46,14 @@ class TestMinimalModelCommand:
         p.write_text("{not json")
         assert run_cli(["minimal-model", "--input", str(p)]) == 2
 
+    def test_unreadable_input_exit_2(self, tmp_path, capsys):
+        # a directory, and bytes that do not decode (a UTF-16 byte-order mark)
+        binary = tmp_path / "utf16.json"
+        binary.write_bytes(b"\xff\xfe{\x00}\x00")
+        for path in (tmp_path, binary):
+            assert run_cli(["minimal-model", "--input", str(path)]) == 2
+            assert capsys.readouterr().err.startswith("error: "), path
+
     def test_invalid_cdga_exit_2(self, tmp_path, capsys):
         inp = write(tmp_path, "bad.json", {
             "generators": [{"name": "a", "degree": 2}],
@@ -191,6 +199,18 @@ class TestCompareCommand:
         assert report["dB_H"]["4"] == "inf"
         err = capsys.readouterr().err
         assert "dB_H" in err
+
+    def test_invalid_tolerance_exit_2(self, tmp_path, capsys):
+        inp = write(tmp_path, "one.json", {"distance_matrix": [[0]]})
+        out = tmp_path / "report.json"
+        for tol in ("nan", "inf", "-inf", "-1"):
+            assert run_cli(["compare", "--left", inp, "--right", inp,
+                            f"--tolerance={tol}", "-o", str(out)]) == 2, tol
+            assert "--tolerance" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_cli(["compare", "--left", inp, "--right", inp,
+                        "--tolerance", "0.5", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["tolerance"] == 0.5
 
     def test_gh_cap_warning_code_0(self, tmp_path, capsys):
         inp = circle_file(tmp_path, n=8)

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from psmm.errors import InputError
 from psmm.gvec import GradedLinearMap, GradedVectorSpace
 from psmm.persistence import (
@@ -158,7 +160,7 @@ class TestBottleneck:
         import itertools
 
         def naive_bottleneck(bars1, bars2):
-            from psmm.persistence import _half_length, _pair_cost
+            from oracles import _half_length, _pair_cost
             best = None
             n, m = len(bars1), len(bars2)
             for k in range(min(n, m) + 1):
@@ -209,6 +211,65 @@ class TestBottleneck:
         assert bottleneck(x, x).sup == 0
         dxz, dzy = bottleneck(x, z).sup, bottleneck(z, y).sup
         assert dxy <= dxz + dzy
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_value_and_type(self, seed):
+        # The distance is one of the candidate cost objects, so equal
+        # costs of different types (Fraction(1, 2) and 0.5) must resolve
+        # to the reference's choice; all-rational, all-float and mixed
+        # barcodes take different arithmetic.
+        rng = random.Random(seed)
+
+        def endpoint(kind, x):
+            if kind == "float" or (kind == "mixed" and rng.random() < 0.5):
+                return float(x)
+            return x if x.denominator != 1 or rng.random() < 0.5 else int(x)
+
+        def random_bars(kind, essential):
+            bars = [(endpoint(kind, Fraction(rng.randint(0, 40), 4)), INF, rng.randint(1, 2))
+                    for _ in range(essential)]
+            for _ in range(rng.randint(0, 40 - essential)):
+                b = Fraction(rng.randint(0, 40), 4)
+                e = b + Fraction(rng.randint(1, 24), rng.choice((2, 4, 8)))
+                bars.append((endpoint(kind, b), endpoint(kind, e), rng.choice((1, 1, 1, 2, 3))))
+            return bars
+
+        def random_barcode(essentials):
+            kind = rng.choice(("rational", "float", "mixed"))
+            return Barcode.from_dict({d: random_bars(kind, k) for d, k in essentials.items()})
+
+        essentials = {0: rng.randint(0, 2), 1: rng.randint(0, 2)}
+        a = random_barcode(essentials)
+        if rng.random() < 0.2:
+            essentials[1] += 1
+        b = random_barcode(essentials)
+        got = bottleneck(a, b).per_degree
+        assert set(got) == set(a.degrees()) | set(b.degrees())
+        for d, value in got.items():
+            want = oracles.bottleneck_reference(a.expanded(d), b.expanded(d))
+            assert value == want and type(value) is type(want), (d, value, want)
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=60, deadline=None)
+    def test_max_matching_against_brute_force(self, seed):
+        rng = random.Random(seed)
+        size = rng.randint(0, 12)
+        p = rng.random()
+        adj = [[v for v in range(size) if rng.random() < p] for _ in range(size)]
+
+        @functools.lru_cache(maxsize=None)
+        def best(u, used):
+            if u == size:
+                return 0
+            return max([best(u + 1, used)] + [1 + best(u + 1, used | 1 << v)
+                                               for v in adj[u] if not used >> v & 1])
+
+        matched, match_r = _max_matching(adj, size)
+        pairs = [(u, v) for v, u in enumerate(match_r) if u != -1]
+        assert all(v in adj[u] for u, v in pairs)
+        assert len({u for u, _ in pairs}) == len(pairs) == matched
+        assert matched == best(0, 0)
 
     def test_long_augmenting_path(self):
         # the last vertex's augmenting path runs through all n vertices,
