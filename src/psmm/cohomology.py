@@ -341,31 +341,24 @@ class CohomologyRing:
                     for i in range(self.dim(p)):
                         for j in range(self.dim(q)):
                             for t in range(self.dim(r)):
-                                left = self._mul_elem(p + q, self.mul_basis(p, i, q, j), r, t)
-                                right = self._mul_elem_rev(p, i, q + r, self.mul_basis(q, j, r, t))
+                                left = self._mul_elem(p + q, self.mul_basis(p, i, q, j),
+                                                      r, {t: 1})
+                                right = self._mul_elem(p, {i: 1}, q + r,
+                                                       self.mul_basis(q, j, r, t))
                                 if left != right:
                                     raise InputError("associativity fails")
 
-    def _mul_elem(self, p: int, coeffs: dict, q: int, j: int) -> dict:
+    def _mul_elem(self, p: int, a: dict, q: int, b: dict) -> dict:
+        """Product of sum_i a[i]·h^p_i and sum_j b[j]·h^q_j, both sparse."""
         out: dict[int, Fraction] = {}
-        for i, c in coeffs.items():
-            for t, v in self.mul_basis(p, i, q, j).items():
-                nv = out.get(t, Fraction(0)) + c * v
-                if nv == 0:
-                    out.pop(t, None)
-                else:
-                    out[t] = nv
-        return out
-
-    def _mul_elem_rev(self, p: int, i: int, q: int, coeffs: dict) -> dict:
-        out: dict[int, Fraction] = {}
-        for j, c in coeffs.items():
-            for t, v in self.mul_basis(p, i, q, j).items():
-                nv = out.get(t, Fraction(0)) + c * v
-                if nv == 0:
-                    out.pop(t, None)
-                else:
-                    out[t] = nv
+        for i, ca in a.items():
+            for j, cb in b.items():
+                for t, v in self.mul_basis(p, i, q, j).items():
+                    nv = out.get(t, Fraction(0)) + ca * cb * v
+                    if nv == 0:
+                        out.pop(t, None)
+                    else:
+                        out[t] = nv
         return out
 
     # -- finite-CDGA interface --------------------------------------------

@@ -6,6 +6,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
+from .errors import InputError
+
 
 @dataclass
 class Config:
@@ -20,7 +22,7 @@ class Config:
             self.max_dim = self.max_degree + 1
         for name in ("max_degree", "deg1_cap", "simplex_cap", "gh_cap"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+                raise InputError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if self.max_dim < self.max_degree - 1:
             warnings.warn("max_dim < max_degree - 1: top cohomology degrees "
                           "will be truncated away")

@@ -6,12 +6,15 @@ are re-indexed by reversing the grid and endpoints are mapped back when
 bars are reported.  Bars follow the half-open (b, e] convention of the
 open Rips filtration, with stage k constant on (d_k, d_{k+1}].
 
-The barcode comes from the rank function by inclusion-exclusion.  An
-independent decomposition routine (elder-rule basis propagation, self
-verified against the raw matrices) supplies explicit bases for the
-interleaving oracle, which certifies answers in both directions: True
-answers carry an explicitly checked pair of shift morphisms, False
-answers a violated rank inequality.
+The barcode is read off an interval decomposition with explicit bases,
+built by the elder-rule sweep (Zomorodian-Carlsson, "Computing
+persistent homology", 2005): each live bar's vector is pushed through
+the next map, the images are reduced in birth order, and an image that
+depends on older ones ends the youngest bar.  Every decomposition is
+verified against the raw matrices before its bars are reported.  The
+same bases feed the interleaving oracle, which certifies answers in
+both directions: True answers carry an explicitly checked pair of shift
+morphisms, False answers a violated rank inequality.
 
 The bottleneck distance between barcodes is exact: a binary search over
 the ranks of the candidate costs, each computed once, with a
@@ -30,6 +33,7 @@ from typing import Optional, Sequence
 from .errors import DimensionMismatch, InputError
 from .gvec import GradedLinearMap, GradedVectorSpace
 from .ratlin import ColumnReducer, RatMatrix, rank
+from .util import num_to_json
 
 INF = math.inf
 
@@ -73,15 +77,9 @@ class Barcode:
         return sum(m for _, bars in self.bars for (_, _, m) in bars)
 
     def to_json(self) -> list:
-        def num(x):
-            if x == INF:
-                return "inf"
-            if isinstance(x, Fraction):
-                return str(x)
-            return x
         return [
             {"degree": d,
-             "bars": [{"birth": num(b), "death": num(e), "mult": m}
+             "bars": [{"birth": num_to_json(b), "death": num_to_json(e), "mult": m}
                       for (b, e, m) in bars]}
             for d, bars in self.bars
         ]
@@ -132,19 +130,7 @@ class PersistentGVec:
         mats = [f.matrix(deg) for f in self.maps]
         return dims, mats
 
-    # -- rank function and barcode -------------------------------------
-
-    def _ranks(self, deg: int):
-        dims, mats = self.degree_data(deg)
-        m = self.num_stages
-        r = {}
-        for i in range(m):
-            comp = RatMatrix.identity(dims[i])
-            r[(i, i)] = dims[i]
-            for j in range(i + 1, m):
-                comp = mats[j - 1].matmul(comp)
-                r[(i, j)] = rank(comp)
-        return r
+    # -- barcode --------------------------------------------------------
 
     def _zero(self):
         if self.grid and isinstance(self.grid[0], float):
@@ -163,24 +149,12 @@ class PersistentGVec:
         return birth, death
 
     def barcode(self) -> Barcode:
+        """Bars of every degree, read off `decompose`."""
         out: dict[int, list] = {}
-        m = self.num_stages
         for deg in self.degrees():
-            r = self._ranks(deg)
-
-            def rr(i, j):
-                if i < 0 or j > m - 1 or i > j:
-                    return 0
-                return r[(i, j)]
-
-            for i in range(m):
-                for j in range(i, m):
-                    mult = rr(i, j) - rr(i - 1, j) - rr(i, j + 1) + rr(i - 1, j + 1)
-                    if mult > 0:
-                        b, e = self._stage_interval_endpoints(i, j)
-                        out.setdefault(deg, []).append((b, e, mult))
-                    elif mult < 0:
-                        raise InputError("negative multiplicity: not a persistence module")
+            for bar in self.decompose(deg):
+                b, e = self._stage_interval_endpoints(bar["birth"], bar["death"] - 1)
+                out.setdefault(deg, []).append((b, e, 1))
         return Barcode.from_dict(out)
 
     # -- decomposition with explicit bases ------------------------------
@@ -204,22 +178,23 @@ class PersistentGVec:
             if k > 0:
                 for b in active:
                     vec = mats[k - 1].apply(bars[b]["vecs"][k - 1])
+                    added_bars.append(b)
                     if red.add(vec):
-                        added_bars.append(b)
                         bars[b]["vecs"][k] = vec
                         survivors.append(b)
-                    else:
-                        added_bars.append(b)
-                        sol = red.solve(vec)
-                        bars[b]["death"] = k
-                        if sol:
-                            for idx, c in sol.items():
-                                sb = added_bars[idx]
-                                for st in range(bars[b]["birth"], k):
-                                    corr = bars[sb]["vecs"][st]
-                                    cur = bars[b]["vecs"][st]
-                                    bars[b]["vecs"][st] = [
-                                        x - c * y for x, y in zip(cur, corr)]
+                        continue
+                    # The image depends on older bars' images, so b dies;
+                    # adding the kernel combination's older bars to b's
+                    # history makes its last vector map to zero.
+                    bars[b]["death"] = k
+                    for idx, c in red.kernel_combos[-1].items():
+                        sb = added_bars[idx]
+                        if sb == b:
+                            continue
+                        for st in range(bars[b]["birth"], k):
+                            cur = bars[b]["vecs"][st]
+                            corr = bars[sb]["vecs"][st]
+                            bars[b]["vecs"][st] = [x + c * y for x, y in zip(cur, corr)]
             for e in range(dims[k]):
                 unit = [Fraction(0)] * dims[k]
                 unit[e] = Fraction(1)
@@ -252,14 +227,6 @@ class PersistentGVec:
                         raise InputError("decomposition not map-compatible")
                 elif any(c != 0 for c in img):
                     raise InputError("dying bar has nonzero image")
-
-    def decomposition_barcode(self) -> Barcode:
-        out: dict[int, list] = {}
-        for deg in self.degrees():
-            for bar in self.decompose(deg):
-                b, e = self._stage_interval_endpoints(bar["birth"], bar["death"] - 1)
-                out.setdefault(deg, []).append((b, e, 1))
-        return Barcode.from_dict(out)
 
     # -- evaluation over real parameters --------------------------------
 
@@ -357,10 +324,6 @@ def direct_sum(modules: Sequence[PersistentGVec]) -> PersistentGVec:
         maps.append(GradedLinearMap(spaces[k], spaces[k + 1], mats))
     return PersistentGVec(grid, spaces, maps,
                           reversed_grid=modules[0].reversed_grid)
-
-
-def barcode(p: PersistentGVec) -> Barcode:
-    return p.barcode()
 
 
 # ---------------------------------------------------------------------------

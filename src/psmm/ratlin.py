@@ -5,23 +5,23 @@ bases) funnels through this module.  All arithmetic is exact: entries
 are `fractions.Fraction`, floating point is forbidden here because
 quasi-isomorphism and minimality checks are rank statements.
 
-Two layers:
-
-* `RatMatrix` with `rref` / `solve` / `kernel_basis` / `quotient_basis`
-  -- dense, for the small systems that dominate the algebraic side.
-* `ColumnReducer` -- a sparse incremental column-elimination engine,
-  which `cohomology.StageCohomology` runs over the coboundary matrices
-  of Vietoris-Rips stages and the differentials of Sullivan algebras.
-  Semantics are identical to the dense route; the representation is a
-  performance decision only.
+`RatMatrix` is the dense container the algebraic side passes around.
+One engine eliminates: `ColumnReducer`, a sparse incremental column
+reducer.  `cohomology.StageCohomology` runs it over the coboundary
+matrices of Vietoris-Rips stages and the differentials of Sullivan
+algebras, and `rank`, `solve`, `kernel_basis` and `quotient_basis`
+feed it a matrix's columns left to right.  Their answers are the dense
+Gauss-Jordan ones: a column is a pivot column iff it is independent of
+the columns before it, so `solve` sets free variables to zero and each
+kernel vector is e_c minus the coefficients of column c over the
+pivot columns before it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch
 
@@ -147,49 +147,6 @@ class RatMatrix:
             [list(self._data[i]) + list(other._data[i]) for i in range(self.rows)],
         )
 
-@dataclass(frozen=True)
-class RrefResult:
-    reduced: RatMatrix
-    pivot_columns: tuple
-    rank: int
-
-
-def rref(m: RatMatrix) -> RrefResult:
-    """Unique reduced row echelon form with pivot columns and rank.
-
-    Columns are processed left to right (uniqueness); within a column
-    the pivot row is the candidate with the fewest nonzeros, which keeps
-    elimination cheap on the sparse incidence-style matrices that
-    dominate this codebase.
-    """
-    a = [list(row) for row in m._data]
-    nr, nc = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(nc):
-        if r >= nr:
-            break
-        best = -1
-        best_nnz = None
-        for i in range(r, nr):
-            if a[i][c] != 0:
-                nnz = sum(1 for x in a[i] if x != 0)
-                if best_nnz is None or nnz < best_nnz:
-                    best, best_nnz = i, nnz
-        if best < 0:
-            continue
-        a[r], a[best] = a[best], a[r]
-        piv = a[r][c]
-        if piv != 1:
-            a[r] = [x / piv for x in a[r]]
-        for i in range(nr):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return RrefResult(RatMatrix(nr, nc, a), tuple(pivots), len(pivots))
-
 
 def to_dense(col: dict, n: int) -> list:
     """Dense length-n vector of a sparse {index: value} column."""
@@ -199,8 +156,16 @@ def to_dense(col: dict, n: int) -> list:
     return out
 
 
+def _reducer(a: RatMatrix, record: bool = False) -> "ColumnReducer":
+    """A reducer holding the columns of `a`, added left to right."""
+    red = ColumnReducer(a.rows, record=record)
+    for j in range(a.cols):
+        red.add(a.column(j))
+    return red
+
+
 def rank(m: RatMatrix) -> int:
-    return rref(m).rank
+    return _reducer(m).rank
 
 
 def solve(a: RatMatrix, b: Sequence) -> Optional[list]:
@@ -211,29 +176,14 @@ def solve(a: RatMatrix, b: Sequence) -> Optional[list]:
     """
     if len(b) != a.rows:
         raise DimensionMismatch(f"rhs length {len(b)} != {a.rows}")
-    aug = a.hstack(RatMatrix.from_columns([list(b)], rows=a.rows))
-    res = rref(aug)
-    if a.cols in res.pivot_columns:
-        return None
-    x = [Fraction(0)] * a.cols
-    for r, c in enumerate(res.pivot_columns):
-        x[c] = res.reduced[r, a.cols]
-    return x
+    x = _reducer(a, record=True).solve(b)
+    return None if x is None else to_dense(x, a.cols)
 
 
 def kernel_basis(a: RatMatrix) -> RatMatrix:
     """Columns spanning the null space; count = cols - rank."""
-    res = rref(a)
-    piv = set(res.pivot_columns)
-    free = [c for c in range(a.cols) if c not in piv]
-    cols = []
-    for fc in free:
-        v = [Fraction(0)] * a.cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(res.pivot_columns):
-            v[pc] = -res.reduced[r, fc]
-        cols.append(v)
-    return RatMatrix.from_columns(cols, rows=a.cols)
+    combos = _reducer(a, record=True).kernel_combos
+    return RatMatrix.from_columns([to_dense(c, a.cols) for c in combos], rows=a.cols)
 
 
 def quotient_basis(ambient_dim: int, subspace: RatMatrix, vectors: RatMatrix) -> list:
@@ -255,16 +205,6 @@ def quotient_basis(ambient_dim: int, subspace: RatMatrix, vectors: RatMatrix) ->
         if red.add(vectors.column(j)):
             kept.append(j)
     return kept
-
-
-def inverse(a: RatMatrix) -> RatMatrix:
-    if a.rows != a.cols:
-        raise DimensionMismatch("not square")
-    res = rref(a.hstack(RatMatrix.identity(a.rows)))
-    if res.pivot_columns[: a.rows] != tuple(range(a.rows)):
-        raise DimensionMismatch("matrix not invertible")
-    data = [[res.reduced[i, a.cols + j] for j in range(a.cols)] for i in range(a.rows)]
-    return RatMatrix(a.rows, a.cols, data)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +296,6 @@ class ColumnReducer:
             if r >= self.nrows:
                 raise DimensionMismatch(f"row index {r} out of range {self.nrows}")
         combo = {self._ncols: Fraction(1)} if self.record else None
-        idx = self._ncols
         self._ncols += 1
         c, combo, low = self._reduce(c, combo)
         if low is None:
@@ -382,17 +321,3 @@ class ColumnReducer:
             return None
         return {k: -v for k, v in combo.items()}
 
-
-def sparse_rank(columns: Iterable, nrows: int) -> int:
-    red = ColumnReducer(nrows)
-    for c in columns:
-        red.add(c)
-    return red.rank
-
-
-def sparse_kernel(columns: Sequence, nrows: int) -> list:
-    """Kernel combinations of the given columns as sparse dicts."""
-    red = ColumnReducer(nrows, record=True)
-    for c in columns:
-        red.add(c)
-    return red.kernel_combos

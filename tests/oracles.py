@@ -1,10 +1,11 @@
 """Independent test oracles.
 
 Persistent homology by straight boundary-matrix reduction over Q,
-written against the raw filtration data, the cohomology engine's former
-kernel-mod-image algorithm, and the bottleneck distance's former
-algorithm, all deliberately sharing no code with the package's
-cohomology, persistence or linear-algebra machinery.
+written against the raw filtration data; dense Gauss-Jordan
+elimination; the barcode by inclusion-exclusion over the rank
+function; the cohomology engine's former kernel-mod-image algorithm;
+and the bottleneck distance's former algorithm.  All deliberately share
+no code with the package: this module imports nothing from `psmm`.
 """
 
 import math
@@ -129,24 +130,109 @@ def _delta_dense(lower, upper):
     return rows
 
 
-def _dense_rank(rows):
-    rows = [list(r) for r in rows]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
+def dense_rref(rows, ncols=None):
+    """(reduced rows, pivot columns) of the reduced row echelon form,
+    by Gauss-Jordan elimination on dense rows of rationals; `ncols`
+    defaults to the first row's length."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    pivots = []
     r = 0
     for c in range(ncols):
         piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        pr = rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
-                f = rows[i][c] / pr[c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], pr)]
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
         r += 1
-        rank += 1
-    return rank
+    return rows, tuple(pivots)
+
+
+def _dense_rank(rows, ncols=None):
+    return len(dense_rref(rows, ncols)[1])
+
+
+def dense_solve(rows, ncols, b):
+    """The solution of a.x = b with free variables zero, or None when b
+    is outside the image; read off the RREF of [a | b]."""
+    reduced, pivots = dense_rref([list(row) + [v] for row, v in zip(rows, b)],
+                                 ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = reduced[r][ncols]
+    return x
+
+
+def dense_kernel(rows, ncols):
+    """One kernel vector per free column fc, in order: e_fc minus fc's
+    RREF coefficients on the pivot columns."""
+    reduced, pivots = dense_rref(rows, ncols)
+    out = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][fc]
+        out.append(v)
+    return out
+
+
+def rank_function_barcode(grid, degree_data, contravariant=False):
+    """The barcode of a module over stages 0..len(grid), by
+    inclusion-exclusion over its rank function, in the shape of the
+    package's `Barcode.bars`: ((degree, ((birth, death, mult), ...)), ...).
+
+    `degree_data[deg]` is (dims, mats): dims[k] the dimension at stage k,
+    and mats[k] the rows of the map stage k -> k+1, or of stage k+1 -> k
+    when `contravariant`.  Stage k lives on (grid[k-1], grid[k]], with
+    grid[-1] = 0 and grid[len(grid)] = inf.
+    """
+    n = len(grid) + 1
+    zero = 0.0 if grid and isinstance(grid[0], float) else Fraction(0)
+    out = []
+    for deg in sorted(degree_data):
+        dims, mats = degree_data[deg]
+        r = {}
+        for i in range(n):
+            # comp: stage i -> stage j (covariant), stage j -> stage i (contravariant)
+            comp = [[Fraction(int(a == b)) for b in range(dims[i])] for a in range(dims[i])]
+            r[i, i] = dims[i]
+            for j in range(i + 1, n):
+                if contravariant:
+                    comp = _matmul(comp, mats[j - 1], dims[j])
+                    r[i, j] = _dense_rank(comp, dims[j])
+                else:
+                    comp = _matmul(mats[j - 1], comp, dims[i])
+                    r[i, j] = _dense_rank(comp, dims[i])
+        bars = []
+        for i in range(n):
+            for j in range(i, n):
+                mult = (r[i, j] - r.get((i - 1, j), 0) - r.get((i, j + 1), 0)
+                        + r.get((i - 1, j + 1), 0))
+                assert mult >= 0, "a chain of linear maps has no negative multiplicity"
+                if mult:
+                    birth = zero if i == 0 else grid[i - 1]
+                    death = INF if j == n - 1 else grid[j]
+                    bars.append((birth, death, mult))
+        if bars:
+            out.append((deg, tuple(sorted(bars))))
+    return tuple(out)
+
+
+def _matmul(a, b, ncols):
+    """Dense product of row lists; `ncols` is b's column count."""
+    return [[sum((x * row[c] for x, row in zip(ar, b)), Fraction(0))
+             for c in range(ncols)] for ar in a]
 
 
 class _Reducer:

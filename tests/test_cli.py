@@ -3,6 +3,8 @@ import math
 import subprocess
 import sys
 
+import pytest
+
 from psmm.cli import main
 
 
@@ -92,6 +94,15 @@ class TestModelCommand:
     def test_cap_exit_3(self, tmp_path, capsys):
         inp = circle_file(tmp_path)
         assert run_cli(["model", "--input", inp, "--simplex-cap", "10"]) == 3
+
+    @pytest.mark.parametrize("flag", ["--max-degree", "--deg1-cap", "--simplex-cap",
+                                      "--gh-cap"])
+    def test_negative_flag_exit_2(self, tmp_path, capsys, flag):
+        inp = write(tmp_path, "two.json", {"distance_matrix": [[0, 1], [1, 0]]})
+        assert run_cli(["model", "--input", inp, flag, "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "must be nonnegative" in captured.err
 
     def test_non_finite_input_exit_2(self, tmp_path, capsys):
         # NaN and Infinity are JSON extensions that Python's parser accepts

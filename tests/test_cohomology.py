@@ -275,6 +275,19 @@ class TestCohomologyRing:
                 {(1, 0, 1, 1): {0: 1}, (1, 1, 1, 0): {0: 1}},
             )
 
+    def test_abstract_ring_associativity_checked(self):
+        # Q[a]/(a^4), |a| = 2, on the scaled basis a, u = a^2/2, w = a^3/6:
+        # both bracketings of a.a.a carry coefficients other than 1
+        labels = {0: ["one"], 2: ["a"], 4: ["u"], 6: ["w"]}
+        ring = CohomologyRing.from_data(6, labels, {
+            (2, 0, 2, 0): {0: 2}, (2, 0, 4, 0): {0: 3}, (4, 0, 2, 0): {0: 3}})
+        assert ring.mul_basis(2, 0, 4, 0) == {0: Fraction(3)}
+        with pytest.raises(InputError, match="associativity"):
+            # a second degree-2 class c with a.c = 0 but u.c = w:
+            # (a.a).c = 2w while a.(a.c) = 0
+            CohomologyRing.from_data(6, {0: ["one"], 2: ["a", "c"], 4: ["u"], 6: ["w"]}, {
+                (2, 0, 2, 0): {0: 2}, (4, 0, 2, 1): {0: 1}, (2, 1, 4, 0): {0: 1}})
+
     def test_unital_core_collapses_components(self):
         m = metric_from_matrix([[0, 1], [1, 0]])
         f = build_filtration(m, max_dim=1)

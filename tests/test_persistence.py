@@ -15,7 +15,6 @@ from psmm.persistence import (
     PersistentGVec,
     _max_matching,
     bottleneck,
-    barcode,
     direct_sum,
     interleaving_check,
     interval_module,
@@ -110,17 +109,42 @@ class TestBarcode:
         got = {(b, e): m for (b, e, m) in s.barcode().degree(0)}
         assert got == expected
 
-    def test_decomposition_matches_rank_barcode(self):
-        rng = random.Random(7)
-        for _ in range(15):
-            grid = tuple(Fraction(k + 1) for k in range(rng.randint(1, 3)))
-            dims = [rng.randint(0, 3) for _ in range(len(grid) + 1)]
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_rank_function_oracle(self, data):
+        # random modules in up to 3 degrees, dimensions up to 4: the
+        # elder-rule bars equal inclusion-exclusion over the rank function
+        n = data.draw(st.integers(1, 5), label="stages")
+        if data.draw(st.booleans(), label="float grid"):
+            grid = tuple(0.5 * (k + 1) for k in range(n - 1))
+        else:
+            grid = tuple(Fraction(k + 1, 3) for k in range(n - 1))
+        contravariant = data.draw(st.booleans(), label="contravariant")
+        degrees = data.draw(st.sets(st.integers(0, 4), min_size=1, max_size=3),
+                            label="degrees")
+        entries = st.integers(-1, 1)
+        dims = {d: [data.draw(st.integers(0, 4)) for _ in range(n)] for d in degrees}
+        raw = {}
+        for d in degrees:
             mats = []
-            for k in range(len(grid)):
-                mats.append([[Fraction(rng.randint(-1, 1))
-                              for _ in range(dims[k])] for _ in range(dims[k + 1])])
-            p = module_from_dims(grid, dims, mats)
-            assert p.barcode().bars == p.decomposition_barcode().bars
+            for k in range(n - 1):
+                src, tgt = (k + 1, k) if contravariant else (k, k + 1)
+                mats.append([[data.draw(entries) for _ in range(dims[d][src])]
+                             for _ in range(dims[d][tgt])])
+            raw[d] = (dims[d], mats)
+        spaces = [GradedVectorSpace.from_dims({d: dims[d][k] for d in degrees})
+                  for k in range(n)]
+        maps = []
+        for k in range(n - 1):
+            src, tgt = (k + 1, k) if contravariant else (k, k + 1)
+            maps.append(GradedLinearMap(spaces[src], spaces[tgt], {
+                d: RatMatrix(dims[d][tgt], dims[d][src], raw[d][1][k])
+                for d in degrees}))
+        if contravariant:
+            p = PersistentGVec.from_contravariant(grid, spaces, maps)
+        else:
+            p = PersistentGVec(grid, spaces, maps)
+        assert p.barcode().bars == oracles.rank_function_barcode(grid, raw, contravariant)
 
     def test_contravariant_reporting(self):
         # two-point-space H^0 pattern: dims 2 at stage 0, 1 at stage 1,
