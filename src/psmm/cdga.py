@@ -553,7 +553,8 @@ def induced_cohomology_map(phi: CDGAMorphism, h_src: StageCohomology,
         if h_src.h_dim(k) == 0 or h_tgt.h_dim(k) == 0:
             continue
         n = phi.source.dim(k)
-        cols = [h_tgt.class_of(k, phi.apply_vec(k, to_dense(rep, n)))
+        cols = [to_dense(h_tgt.class_of(k, phi.apply_vec(k, to_dense(rep, n))),
+                         h_tgt.h_dim(k))
                 for rep in h_src.h_reps(k)]
         m = RatMatrix.from_columns(cols, rows=h_tgt.h_dim(k))
         if not m.is_zero():

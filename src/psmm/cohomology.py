@@ -27,7 +27,8 @@ from .ratlin import ColumnReducer, RatMatrix, to_dense
 
 
 def coboundary_columns(cx: SimplicialComplex, p: int):
-    """Sparse columns of delta^p: C^p -> C^{p+1}, indexed by p-simplices."""
+    """Sparse columns of delta^p: C^p -> C^{p+1}, indexed by p-simplices,
+    with int entries +-1."""
     lower = cx.dim_simplices(p)
     upper = cx.dim_simplices(p + 1)
     low_index = cx.index(p)
@@ -36,21 +37,8 @@ def coboundary_columns(cx: SimplicialComplex, p: int):
         for i in range(len(t)):
             face = t[:i] + t[i + 1:]
             j = low_index[face]
-            cols[j][ui] = Fraction(1 if i % 2 == 0 else -1)
+            cols[j][ui] = 1 if i % 2 == 0 else -1
     return cols, len(upper)
-
-
-def coboundaries(cx: SimplicialComplex, max_deg: int) -> list:
-    """Dense coboundary matrices delta^0 .. delta^max_deg."""
-    out = []
-    for p in range(max_deg + 1):
-        cols, nup = coboundary_columns(cx, p)
-        data = [[Fraction(0)] * len(cols) for _ in range(nup)]
-        for j, col in enumerate(cols):
-            for i, v in col.items():
-                data[i][j] = v
-        out.append(RatMatrix(nup, len(cols), data))
-    return out
 
 
 def cup_product(cx: SimplicialComplex, a, p: int, b, q: int):
@@ -114,6 +102,7 @@ class StageCohomology:
         self._reduced = {}
         self._reps = {}
         self._class_red = {}
+        self._h_dims = {}
 
     @staticmethod
     def of_complex(cx: SimplicialComplex, use_cone_shortcut: bool = True) -> "StageCohomology":
@@ -162,6 +151,11 @@ class StageCohomology:
         return complete or k < self.cx.top_dim
 
     def h_dim(self, k: int) -> int:
+        if k not in self._h_dims:
+            self._h_dims[k] = self._compute_h_dim(k)
+        return self._h_dims[k]
+
+    def _compute_h_dim(self, k: int) -> int:
         if k < 0 or (self.max_deg is not None and k > self.max_deg):
             return 0
         if k == 0 and self._cone is not None:
@@ -200,22 +194,17 @@ class StageCohomology:
             self._class_red[k] = red
         return self._class_red[k]
 
-    def class_of(self, k: int, cochain) -> list:
-        """Coordinates of a cocycle's class in the chosen H^k basis; the
-        cocycle is a sparse dict or a dense sequence."""
+    def class_of(self, k: int, cochain) -> dict:
+        """Coordinates of a cocycle's class in the chosen H^k basis, as a
+        sparse dict {rep index: Fraction} sorted by index with no zeros;
+        the cocycle is a sparse dict or a dense sequence.  `to_dense(...,
+        h_dim(k))` gives the coordinate vector."""
         if self.h_dim(k) == 0:
-            return []
+            return {}
         sol = self._class_reducer(k).solve(cochain)
         if sol is None:
             raise InputError("cochain is not a cocycle modulo boundaries")
-        zero = Fraction(0)
-        return [sol.get(i, zero) for i in range(len(self.h_reps(k)))]
-
-
-def cohomology_basis(cx: SimplicialComplex, deg: int) -> list:
-    """Representative cocycles of H^deg as dense vectors."""
-    eng = StageCohomology.of_complex(cx, use_cone_shortcut=False)
-    return [to_dense(rep, eng.n_cochains(deg)) for rep in eng.h_reps(deg)]
+        return dict(sorted(sol.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +304,7 @@ class CohomologyRing:
                     self.structure[(p, i, q, j)] = {}
                     continue
                 prod = cup_product(self.engine.cx, ci.cocycle, p, cj.cocycle, q)
-                coords = self.engine.class_of(p + q, prod)
-                self.structure[(p, i, q, j)] = {
-                    t: c for t, c in enumerate(coords) if c != 0
-                }
+                self.structure[(p, i, q, j)] = self.engine.class_of(p + q, prod)
 
     # -- ring axioms -----------------------------------------------------
 
@@ -403,7 +389,7 @@ class CohomologyRing:
         if self.engine is None:
             raise InputError("abstract ring without unit")
         one = {i: Fraction(1) for i in range(self.engine.n_cochains(0))}
-        self._unit = self.engine.class_of(0, one)
+        self._unit = to_dense(self.engine.class_of(0, one), self.engine.h_dim(0))
         return list(self._unit)
 
     def space(self, through: Optional[int] = None) -> GradedVectorSpace:
@@ -529,7 +515,7 @@ def induced_ring_map(ring_small: CohomologyRing, ring_big: CohomologyRing,
                 si = small_index.get(big_simplices[bi])
                 if si is not None:
                     restricted[si] = c
-            cols.append(small.class_of(k, restricted))
+            cols.append(to_dense(small.class_of(k, restricted), small.h_dim(k)))
         m = RatMatrix.from_columns(cols, rows=ns)
         if not m.is_zero():
             mats[k] = m

@@ -68,6 +68,8 @@ class MetricSpace:
 
 def metric_from_matrix(matrix: Sequence[Sequence], names=None) -> MetricSpace:
     n = len(matrix)
+    if n == 0:
+        raise InputError("distance matrix has no points")
     if any(len(row) != n for row in matrix):
         raise InputError("distance matrix is not square")
     rows = [[_parse_entry(x) for x in row] for row in matrix]
@@ -98,13 +100,21 @@ def metric_from_matrix(matrix: Sequence[Sequence], names=None) -> MetricSpace:
     return MetricSpace(tuple(tuple(r) for r in rows), names, exact, tri)
 
 
+def _coordinate(c) -> float:
+    if isinstance(c, bool):
+        raise InputError(f"invalid point coordinate {c!r}")
+    return float(c)
+
+
 def metric_from_points(points: Sequence[Sequence]) -> MetricSpace:
     """Euclidean distances computed in binary64."""
     try:
-        pts = [tuple(float(c) for c in p) for p in points]
+        pts = [tuple(_coordinate(c) for c in p) for p in points]
     except (TypeError, ValueError, OverflowError) as e:
         raise InputError(f"bad point coordinate: {e}") from e
-    if pts and any(len(p) != len(pts[0]) for p in pts):
+    if not pts:
+        raise InputError("no points")
+    if any(len(p) != len(pts[0]) for p in pts):
         raise InputError("inconsistent point dimensions")
     if any(not math.isfinite(c) for p in pts for c in p):
         raise InputError("a point coordinate is NaN or infinite")

@@ -91,7 +91,7 @@ def minimal_model(a, max_deg: int, deg1_cap: int = 8,
     """Minimal Sullivan model of a path-connected finite CDGA, with a
     quasi-isomorphism onto it verified degreewise through max_deg."""
     h_input = StageCohomology.of_cdga(a, max_deg + 1)
-    if h_input.h_dim(0) != 1 or all(c == 0 for c in h_input.class_of(0, a.unit_coords())):
+    if h_input.h_dim(0) != 1 or not h_input.class_of(0, a.unit_coords()):
         raise InputError("input is not path-connected: H^0 != Q")
 
     builder = _Builder(a)

@@ -1,16 +1,20 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream (cohomology, monomial differentials, quotient
-bases) funnels through this module.  All arithmetic is exact: entries
-are `fractions.Fraction`, floating point is forbidden here because
-quasi-isomorphism and minimality checks are rank statements.
+bases) funnels through this module.  All arithmetic is exact, and
+floating point is forbidden here because quasi-isomorphism and
+minimality checks are rank statements.  Values that leave the module
+are `fractions.Fraction`.
 
 `RatMatrix` is the dense container the algebraic side passes around.
 One engine eliminates: `ColumnReducer`, a sparse incremental column
-reducer.  `cohomology.StageCohomology` runs it over the coboundary
-matrices of Vietoris-Rips stages and the differentials of Sullivan
-algebras, and `rank`, `solve`, `kernel_basis` and `quotient_basis`
-feed it a matrix's columns left to right.  Their answers are the dense
+reducer that works on integer columns (each input column scaled by the
+lcm of its denominators, fraction-free steps, pivots divided by their
+content) and converts to `Fraction` only at its answers.
+`cohomology.StageCohomology` runs it over the coboundary matrices of
+Vietoris-Rips stages and the differentials of Sullivan algebras, and
+`rank`, `solve`, `kernel_basis` and `quotient_basis` feed it a
+matrix's columns left to right.  Their answers are the dense
 Gauss-Jordan ones: a column is a pivot column iff it is independent of
 the columns before it, so `solve` sets free variables to zero and each
 kernel vector is e_c minus the coefficients of column c over the
@@ -20,6 +24,7 @@ pivot columns before it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -212,20 +217,45 @@ def quotient_basis(ambient_dim: int, subspace: RatMatrix, vectors: RatMatrix) ->
 # ---------------------------------------------------------------------------
 
 
-class ColumnReducer:
-    """Incremental exact column elimination over the rationals.
+def _divided(combo: dict, den: int) -> dict:
+    """{k: Fraction(v, den)} of an integer combination, in its order."""
+    if den == 1:
+        return {k: Fraction(v) for k, v in combo.items()}
+    if den == -1:
+        return {k: Fraction(-v) for k, v in combo.items()}
+    return {k: Fraction(v, den) for k, v in combo.items()}
 
-    Columns are sparse dicts {row: Fraction}.  Each added column is
-    reduced against the stored echelon columns by its lowest nonzero
-    row, and `rank` counts the stored ones.  With `record=True` the
-    reducer also tracks the combination of input columns producing
-    each reduced column; a column that reduces to zero leaves its
-    combination in `kernel_combos`, and `solve` reads coefficients off
-    the stored combinations.
+
+class ColumnReducer:
+    """Incremental exact column elimination over the rationals, in
+    integer arithmetic.
+
+    Each column is reduced against the stored echelon columns by its
+    lowest nonzero row, and `rank` counts the stored ones.  Inside the
+    reducer every column is a sparse dict {row: int}: an input column
+    (entries int, `Fraction` or a string `Fraction` accepts) is scaled
+    by the lcm of its entries' denominators, and a reduction step
+    cross-multiplies, c <- (p[low]/g)*c - (c[low]/g)*p with g the gcd of
+    the two leading entries, so no step divides.  A stored pivot column
+    is divided by its content, the gcd of its entries (and of its
+    combination's), with the sign that makes its leading entry
+    positive.  Scaling a column by a nonzero integer changes neither its
+    lowest row nor its span, so the pivots, the pivot rows and the
+    kernel columns are those of elimination over `Fraction`.
+
+    With `record=True` the reducer also tracks the integer combination
+    of input columns producing each reduced column; a column's scale
+    enters as the starting coefficient of its own index.  The answers
+    are converted to `Fraction` once, at the boundary: a column that
+    reduces to zero leaves its combination in `kernel_combos`,
+    normalised so the column's own coefficient is 1, and `solve`
+    divides its combination by the solved column's scale and the
+    product of the multipliers its steps applied.  Both are the
+    `Fraction`-elimination values exactly.
 
     `skip()` reserves the next column index for a column known to
     reduce to zero without reducing it, so the indices in later
-    combinations still count it.  `from_pivots` starts from reduced
+    combinations still count it.  `from_pivots` starts from the reduced
     columns of another reducer with empty combinations: `solve` then
     works modulo their span.
     """
@@ -233,17 +263,17 @@ class ColumnReducer:
     def __init__(self, nrows: int, record: bool = False):
         self.nrows = nrows
         self.record = record
-        self._pivots: dict[int, dict[int, Fraction]] = {}
-        self._combos: dict[int, dict[int, Fraction]] = {}
+        self._pivots: dict[int, dict[int, int]] = {}
+        self._combos: dict[int, dict[int, int]] = {}
         self._ncols = 0
         self.rank = 0
         self.kernel_combos: list[dict[int, Fraction]] = []
 
     @staticmethod
     def from_pivots(nrows: int, pivots: Mapping) -> "ColumnReducer":
-        """Record-mode reducer holding the given reduced columns, keyed
-        by lowest row, as pivots with empty combinations.  The columns
-        are shared, not copied; no reducer modifies a stored column."""
+        """Record-mode reducer holding another reducer's `pivots` as
+        pivots with empty combinations.  The columns are shared, not
+        copied; no reducer modifies a stored column."""
         red = ColumnReducer(nrows, record=True)
         red._pivots = dict(pivots)
         red._combos = {low: {} for low in pivots}
@@ -252,7 +282,8 @@ class ColumnReducer:
 
     @property
     def pivots(self) -> Mapping:
-        """Read-only view of the reduced columns, keyed by lowest row."""
+        """Read-only view of the reduced integer columns, keyed by
+        lowest row."""
         return MappingProxyType(self._pivots)
 
     def skip(self) -> int:
@@ -261,47 +292,85 @@ class ColumnReducer:
         return self._ncols - 1
 
     @staticmethod
-    def _to_sparse(col) -> dict:
-        if isinstance(col, dict):
-            return {i: _frac(v) for i, v in col.items() if v != 0}
-        return {i: _frac(v) for i, v in enumerate(col) if v != 0}
+    def _scaled(col) -> tuple:
+        """(integer column, scale): the nonzero entries of `col`, a dict
+        or a dense sequence, times the lcm of their denominators."""
+        items = col.items() if isinstance(col, dict) else enumerate(col)
+        c = {}
+        exact = True
+        for i, v in items:
+            t = type(v)
+            if t is not int:
+                exact = False
+                if t is not Fraction:
+                    v = _frac(v)
+            if v:
+                c[i] = v
+        if exact:
+            return c, 1
+        scale = lcm(*[v.denominator for v in c.values() if type(v) is not int])
+        if scale == 1:
+            return {i: v if type(v) is int else v.numerator for i, v in c.items()}, 1
+        return {i: v * scale if type(v) is int else v.numerator * (scale // v.denominator)
+                for i, v in c.items()}, scale
 
     def _reduce(self, c: dict, combo: Optional[dict]):
+        """Reduce c (and its combination) against the stored pivots.
+        Returns (c, combo, low, mult): low is c's new pivot row, or None
+        when c reduced to zero, and mult the product of the factors c
+        was multiplied by."""
+        mult = 1
         while c:
             low = max(c)
             p = self._pivots.get(low)
             if p is None:
-                return c, combo, low
-            f = c[low] / p[low]
+                return c, combo, low, mult
+            a, b = p[low], c[low]
+            g = gcd(a, b)
+            if g != 1:
+                a //= g
+                b //= g
+            if a != 1:
+                mult *= a
+                c = {r: v * a for r, v in c.items()}
+                if combo is not None:
+                    combo = {k: v * a for k, v in combo.items()}
             for r, v in p.items():
-                nv = c.get(r, Fraction(0)) - f * v
-                if nv == 0:
-                    c.pop(r, None)
-                else:
+                nv = c.get(r, 0) - b * v
+                if nv:
                     c[r] = nv
+                else:
+                    del c[r]
             if combo is not None:
-                pc = self._combos[low]
-                for k, v in pc.items():
-                    nv = combo.get(k, Fraction(0)) - f * v
-                    if nv == 0:
-                        combo.pop(k, None)
-                    else:
+                for k, v in self._combos[low].items():
+                    nv = combo.get(k, 0) - b * v
+                    if nv:
                         combo[k] = nv
-        return c, combo, None
+                    else:
+                        del combo[k]
+        return c, combo, None, mult
 
     def add(self, col) -> bool:
         """Add one column; True iff it was independent of those stored."""
-        c = self._to_sparse(col)
+        c, scale = self._scaled(col)
         for r in c:
             if r >= self.nrows:
                 raise DimensionMismatch(f"row index {r} out of range {self.nrows}")
-        combo = {self._ncols: Fraction(1)} if self.record else None
+        j = self._ncols
         self._ncols += 1
-        c, combo, low = self._reduce(c, combo)
+        combo = {j: scale} if self.record else None
+        c, combo, low, _ = self._reduce(c, combo)
         if low is None:
             if self.record:
-                self.kernel_combos.append(combo)
+                self.kernel_combos.append(_divided(combo, combo[j]))
             return False
+        content = gcd(*c.values(), *(combo.values() if self.record else ()))
+        if c[low] < 0:
+            content = -content
+        if content != 1:
+            c = {r: v // content for r, v in c.items()}
+            if self.record:
+                combo = {k: v // content for k, v in combo.items()}
         self._pivots[low] = c
         self.rank += 1
         if self.record:
@@ -314,10 +383,8 @@ class ColumnReducer:
         Requires record=True."""
         if not self.record:
             raise ValueError("solve requires record=True")
-        c = self._to_sparse(col)
-        combo: dict[int, Fraction] = {}
-        c, combo, low = self._reduce(c, combo)
+        c, scale = self._scaled(col)
+        c, combo, low, mult = self._reduce(c, {})
         if low is not None:
             return None
-        return {k: -v for k, v in combo.items()}
-
+        return _divided(combo, -mult * scale)

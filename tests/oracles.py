@@ -4,8 +4,10 @@ Persistent homology by straight boundary-matrix reduction over Q,
 written against the raw filtration data; dense Gauss-Jordan
 elimination; the barcode by inclusion-exclusion over the rank
 function; the cohomology engine's former kernel-mod-image algorithm;
-and the bottleneck distance's former algorithm.  All deliberately share
-no code with the package: this module imports nothing from `psmm`.
+the elimination engine's former `Fraction` arithmetic; dense
+coboundary matrices; and the bottleneck distance's former algorithm.
+All deliberately share no code with the package: this module imports
+nothing from `psmm`.
 """
 
 import math
@@ -235,35 +237,78 @@ def _matmul(a, b, ncols):
              for c in range(ncols)] for ar in a]
 
 
-class _Reducer:
-    """Lowest-row column reduction of sparse {row: Fraction} columns
-    that records, per column, its combination of the input columns."""
+class FractionColumnReducer:
+    """The package's former `ColumnReducer`: the same lowest-row
+    elimination with `rank`, `skip`, `from_pivots`, `pivots`,
+    `kernel_combos` and `solve`, in `Fraction` arithmetic throughout.
+    Entries are converted before zeros are dropped."""
 
-    def __init__(self):
-        self.pivots = {}  # low row -> (reduced column, combination)
-        self.kernel = []
-        self.ncols = 0
+    def __init__(self, nrows, record=False):
+        self.nrows = nrows
+        self.record = record
+        self.pivots = {}  # low row -> reduced column
+        self._combos = {}
+        self._ncols = 0
+        self.rank = 0
+        self.kernel_combos = []
 
-    def add(self, col) -> bool:
-        col = {r: Fraction(v) for r, v in col.items() if v}
-        combo = {self.ncols: Fraction(1)}
-        self.ncols += 1
-        while col:
-            low = max(col)
-            if low not in self.pivots:
-                self.pivots[low] = (col, combo)
-                return True
-            pcol, pcombo = self.pivots[low]
-            f = col[low] / pcol[low]
-            for target, source in ((col, pcol), (combo, pcombo)):
+    @staticmethod
+    def from_pivots(nrows, pivots):
+        red = FractionColumnReducer(nrows, record=True)
+        red.pivots = dict(pivots)
+        red._combos = {low: {} for low in pivots}
+        red.rank = len(pivots)
+        return red
+
+    def skip(self):
+        self._ncols += 1
+        return self._ncols - 1
+
+    @staticmethod
+    def _to_sparse(col):
+        items = col.items() if isinstance(col, dict) else enumerate(col)
+        fracs = {i: Fraction(v) for i, v in items}
+        return {i: v for i, v in fracs.items() if v != 0}
+
+    def _reduce(self, c, combo):
+        while c:
+            low = max(c)
+            p = self.pivots.get(low)
+            if p is None:
+                return c, combo, low
+            f = c[low] / p[low]
+            targets = [(c, p)]
+            if combo is not None:
+                targets.append((combo, self._combos[low]))
+            for target, source in targets:
                 for r, v in source.items():
                     nv = target.get(r, Fraction(0)) - f * v
                     if nv == 0:
                         target.pop(r, None)
                     else:
                         target[r] = nv
-        self.kernel.append(combo)
-        return False
+        return c, combo, None
+
+    def add(self, col):
+        c = self._to_sparse(col)
+        combo = {self._ncols: Fraction(1)} if self.record else None
+        self._ncols += 1
+        c, combo, low = self._reduce(c, combo)
+        if low is None:
+            if self.record:
+                self.kernel_combos.append(combo)
+            return False
+        self.pivots[low] = c
+        self.rank += 1
+        if self.record:
+            self._combos[low] = combo
+        return True
+
+    def solve(self, col):
+        c, combo, low = self._reduce(self._to_sparse(col), {})
+        if low is not None:
+            return None
+        return {k: -v for k, v in combo.items()}
 
 
 def greedy_cohomology_reps(cols_k, nup_k, cols_below):
@@ -272,14 +317,22 @@ def greedy_cohomology_reps(cols_k, nup_k, cols_below):
     `nup_k` rows, which only bound the row indices), then each kernel
     vector in turn kept iff it is independent of im d^{k-1} (the
     columns `cols_below`) and of the vectors kept before it."""
-    kernel = _Reducer()
+    kernel = FractionColumnReducer(nup_k, record=True)
     for c in cols_k:
         assert all(r < nup_k for r in c)
         kernel.add(c)
-    quotient = _Reducer()
+    quotient = FractionColumnReducer(len(cols_k))
     for c in cols_below:
         quotient.add(c)
-    return [dict(z) for z in kernel.kernel if quotient.add(z)]
+    return [dict(z) for z in kernel.kernel_combos if quotient.add(z)]
+
+
+def coboundaries(cx, max_deg):
+    """Dense rows of delta^0 .. delta^max_deg of a simplicial complex,
+    built from its simplex tuples: row t, column s holds the sign of s
+    as a face of t."""
+    return [_delta_dense(cx.dim_simplices(p), cx.dim_simplices(p + 1))
+            for p in range(max_deg + 1)]
 
 
 def _pair_cost(b1, b2):

@@ -116,6 +116,25 @@ class TestModelCommand:
             err = capsys.readouterr().err
             assert "NaN or infinite" in err, text
 
+    @staticmethod
+    def _assert_rejected(tmp_path, capsys, text, message):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        assert run_cli(["model", "--input", str(p)]) == 2, text
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err, text
+
+    def test_empty_input_exit_2(self, tmp_path, capsys):
+        for text in ('{"points": []}', '{"distance_matrix": []}'):
+            self._assert_rejected(tmp_path, capsys, text, "no points")
+
+    def test_boolean_coordinate_exit_2(self, tmp_path, capsys):
+        # JSON booleans are not numbers; distance entries already reject them
+        for text in ('{"points": [[true, false], [0, 1]]}',
+                     '{"points": [[0, 0], [1, false]]}'):
+            self._assert_rejected(tmp_path, capsys, text, "invalid point coordinate")
+
     def test_persistent_cdga_model_roundtrip(self, tmp_path, capsys):
         inp = write(tmp_path, "pc.json", {
             "grid": [1],

@@ -10,9 +10,7 @@ import oracles
 from psmm.cohomology import (
     CohomologyRing,
     StageCohomology,
-    coboundaries,
     coboundary_columns,
-    cohomology_basis,
     cohomology_ring,
     cup_product,
     induced_ring_map,
@@ -24,7 +22,7 @@ from psmm.metric import (
     metric_from_matrix,
     metric_from_points,
 )
-from psmm.ratlin import ColumnReducer
+from psmm.ratlin import ColumnReducer, RatMatrix, to_dense
 from test_cdga import random_sullivan
 
 
@@ -52,6 +50,19 @@ def torus7(perm=None):
     if perm:
         tris = [[perm[v] for v in t] for t in tris]
     return complex_from_simplices(7, tris)
+
+
+def coboundaries(cx, max_deg):
+    """Dense coboundary matrices delta^0 .. delta^max_deg, from the
+    oracle's rows."""
+    return [RatMatrix(len(rows), len(cx.dim_simplices(p)), rows)
+            for p, rows in enumerate(oracles.coboundaries(cx, max_deg))]
+
+
+def cohomology_basis(cx, deg):
+    """Representative cocycles of H^deg as dense vectors."""
+    eng = StageCohomology.of_complex(cx, use_cone_shortcut=False)
+    return [to_dense(rep, eng.n_cochains(deg)) for rep in eng.h_reps(deg)]
 
 
 def random_exact_space(rng, n):
@@ -135,7 +146,13 @@ def check_engine_against_oracle(eng, columns, degrees, rng):
         for c, vec in terms:
             for i, v in vec.items():
                 cochain[i] = cochain.get(i, Fraction(0)) + c * v
-        assert eng.class_of(k, cochain) == coeffs
+        coords = eng.class_of(k, cochain)
+        assert to_dense(coords, eng.h_dim(k)) == coeffs
+        assert list(coords) == sorted(coords) and all(coords.values())
+        # num_to_json writes an int as a JSON number: a leaked int would
+        # change dumps
+        assert all(type(v) is Fraction for rep in eng.h_reps(k) for v in rep.values())
+        assert all(type(v) is Fraction for v in coords.values())
 
 
 @st.composite
@@ -186,7 +203,8 @@ class TestEngineAgainstGreedyOracle:
             ring.ensure_degree(k)
             reps = eng.h_reps(k)
             for i, rep in enumerate(reps):
-                assert eng.class_of(k, rep) == [int(i == j) for j in range(len(reps))]
+                assert to_dense(eng.class_of(k, rep), eng.h_dim(k)) == \
+                    [int(i == j) for j in range(len(reps))]
         assert sorted(fetched) == [0, 1, 2]
         assert ring.dim(1) == 2 and ring.mul_basis(1, 0, 1, 1)
         for k, (cols, _) in fetched.items():
@@ -239,6 +257,16 @@ class TestCupProduct:
         a_db = cup_product(cx, a, 1, d[1].apply(b), 2)
         rhs = [x - y for x, y in zip(da_b, a_db)]  # (-1)^1
         assert lhs == rhs
+
+
+class TestAnswerTypes:
+    def test_structure_and_unit_are_fractions(self):
+        # reps and class coordinates are checked in
+        # check_engine_against_oracle; the ring stores class_of's answers
+        ring = cohomology_ring(torus7(), 2)
+        assert ring.structure and all(type(v) is Fraction for val in ring.structure.values()
+                                      for v in val.values())
+        assert all(type(v) is Fraction for v in ring.unit_coords())
 
 
 class TestCohomologyRing:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_kernel, dense_rref, dense_solve
+from oracles import FractionColumnReducer, dense_kernel, dense_rref, dense_solve
 from psmm.errors import DimensionMismatch
 from psmm.ratlin import (
     ColumnReducer,
@@ -124,6 +124,13 @@ class TestKernel:
     def test_rank_nullity(self, a):
         assert rank(a) + kernel_basis(a).cols == a.cols
 
+    @given(small_matrices(), st.data())
+    def test_answers_are_fractions(self, a, data):
+        k = kernel_basis(a)
+        assert all(type(v) is Fraction for col in k.columns() for v in col)
+        x = solve(a, a.apply([data.draw(small_entries) for _ in range(a.cols)]))
+        assert all(type(v) is Fraction for v in x)
+
     @given(small_matrices())
     def test_kernel_annihilated(self, a):
         k = kernel_basis(a)
@@ -195,3 +202,99 @@ class TestSparseEngine:
         red = ColumnReducer(2, record=True)
         red.add([1, 0])
         assert red.solve([0, 1]) is None
+
+    def test_zero_string_entry_dropped(self):
+        # "0" is converted before zeros are dropped, so it never becomes a
+        # zero leading entry of a stored pivot
+        red = ColumnReducer(2, record=True)
+        assert red.add([1, "0"])
+        assert red.add([0, 1])
+        assert red.rank == 2 and sorted(red.pivots) == [0, 1]
+        assert red.solve({0: "1/2", 1: "0"}) == {0: Fraction(1, 2)}
+
+
+# int, Fraction (denominators up to 10**6), string and zero entries
+engine_entries = st.one_of(
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6)),
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(-9, 9), st.integers(1, 9)),
+    st.sampled_from([0, Fraction(0), "0", "-0/3"]),
+)
+
+
+@st.composite
+def engine_column(draw, nrows):
+    """A column over `nrows` rows, as a sparse dict or a dense list."""
+    if draw(st.booleans()):
+        return [draw(engine_entries) for _ in range(nrows)]
+    rows = draw(st.lists(st.integers(0, nrows - 1), max_size=nrows, unique=True)) \
+        if nrows else []
+    return {r: draw(engine_entries) for r in rows}
+
+
+def _dense(col, nrows):
+    out = [Fraction(0)] * nrows
+    for i, v in (col.items() if isinstance(col, dict) else enumerate(col)):
+        out[i] = Fraction(v)
+    return out
+
+
+def _all_fractions(combos):
+    return all(type(v) is Fraction for c in combos for v in c.values())
+
+
+class TestAgainstFractionEngine:
+    """The integer engine answers exactly what the former `Fraction`
+    engine answers: same ranks, pivot rows, kernel combinations and
+    solutions, every value a `Fraction`."""
+
+    @staticmethod
+    def _solve_both(red, ref, col):
+        got, want = red.solve(col), ref.solve(col)
+        assert got == want
+        if got is not None:
+            assert _all_fractions([got])
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_same_answers(self, data):
+        nrows = data.draw(st.integers(0, 6))
+        record = data.draw(st.booleans())
+        red, ref = ColumnReducer(nrows, record=record), FractionColumnReducer(nrows, record)
+        added = []
+        for _ in range(data.draw(st.integers(0, 9))):
+            if data.draw(st.integers(0, 5)) == 0:
+                assert red.skip() == ref.skip()
+                continue
+            col = data.draw(engine_column(nrows))
+            assert red.add(col) == ref.add(col)
+            added.append(_dense(col, nrows))
+        assert red.rank == ref.rank
+        assert list(red.pivots) == list(ref.pivots)
+        assert red.kernel_combos == ref.kernel_combos
+        assert _all_fractions(red.kernel_combos)
+
+        # solve over the stored columns, then modulo their span through
+        # from_pivots with more columns on top
+        def probes():
+            yield data.draw(engine_column(nrows))
+            if added:
+                coeffs = [data.draw(st.integers(-3, 3)) for _ in added]
+                yield [sum((c * v[i] for c, v in zip(coeffs, added)), Fraction(0))
+                       for i in range(nrows)]
+        if record:
+            for col in probes():
+                self._solve_both(red, ref, col)
+        red2 = ColumnReducer.from_pivots(nrows, red.pivots)
+        ref2 = FractionColumnReducer.from_pivots(nrows, ref.pivots)
+        assert red2.rank == ref2.rank
+        for _ in range(data.draw(st.integers(0, 3))):
+            if data.draw(st.booleans()):
+                assert red2.skip() == ref2.skip()
+            col = data.draw(engine_column(nrows))
+            assert red2.add(col) == ref2.add(col)
+            added.append(_dense(col, nrows))
+        assert list(red2.pivots) == list(ref2.pivots)
+        assert red2.kernel_combos == ref2.kernel_combos
+        for col in probes():
+            self._solve_both(red2, ref2, col)
