@@ -120,6 +120,9 @@ def cmd_barcode(args) -> int:
         bc = vb if args.invariant == "V" else hb
         if data.get("nonconverged_stages"):
             code = EXIT_DEG1
+    elif args.invariant == "H" and ("points" in data or "distance_matrix" in data):
+        # the cohomology barcode needs no models, so none are built
+        bc = h_barcode(load_metric(data), cfg)
     else:
         psm = _build_psm(args.input, cfg)
         bc = v_barcode(psm) if args.invariant == "V" else h_barcode(psm)

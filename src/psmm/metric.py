@@ -60,6 +60,11 @@ class MetricSpace:
         vals.discard(0.0)
         return sorted(vals)
 
+    def enclosing_radius(self) -> Num:
+        """min_x max_y d(x, y): from this scale on every Rips stage is a
+        cone with apex any x attaining the minimum."""
+        return min(max(row) for row in self.dist)
+
     def scaled(self, lam: Num) -> "MetricSpace":
         rows = tuple(tuple(x * lam for x in row) for row in self.dist)
         return MetricSpace(rows, self.names, self.exact and isinstance(lam, (int, Fraction)),
@@ -267,35 +272,42 @@ class FilteredComplex:
     def num_stages(self) -> int:
         return len(self.stages)
 
-def build_filtration(m: MetricSpace, max_dim: int, simplex_cap: int = 2_000_000) -> FilteredComplex:
-    """Clique-expand the neighborhood graph once at the final scale,
-    track simplex diameters, and slice stages by diameter."""
+
+def rips_simplices(m: MetricSpace, max_dim: int, simplex_cap: int = 2_000_000) -> dict:
+    """Every simplex of dimension <= max_dim with its diameter: per
+    dimension, the lexicographic list of (simplex, diameter).
+
+    The final Rips stage is the full simplex on the points, so the
+    count, and with it the cap, is known before anything is enumerated.
+    The vertices alone are never capped.
+    """
     if max_dim < 0:
         raise InputError("max_dim must be >= 0")
     n = m.n
-    crit = m.positive_distances()
+    if max_dim > 0 and sum(math.comb(n, d + 1) for d in range(max_dim + 1)) > simplex_cap:
+        raise CapExceeded(f"simplex count exceeds cap {simplex_cap}")
+    dist = m.dist
     zero = Fraction(0) if m.exact else 0.0
-
-    # adjacency at the final scale is the complete graph; enumerate all
-    # simplices with their diameters, ascending dimension
     simplices: dict[int, list] = {0: [((v,), zero) for v in range(n)]}
-    total = n
     for d in range(1, max_dim + 1):
         cur = []
         for s, diam in simplices[d - 1]:
-            last = s[-1]
-            for v in range(last + 1, n):
+            for v in range(s[-1] + 1, n):
                 nd = diam
                 for u in s:
-                    duv = m.d(u, v)
+                    duv = dist[u][v]
                     if duv > nd:
                         nd = duv
                 cur.append((s + (v,), nd))
-        total += len(cur)
-        if total > simplex_cap:
-            raise CapExceeded(f"simplex count exceeds cap {simplex_cap}")
         simplices[d] = cur
+    return simplices
 
+
+def build_filtration(m: MetricSpace, max_dim: int, simplex_cap: int = 2_000_000) -> FilteredComplex:
+    """The stages of `rips_simplices`, sliced by diameter."""
+    simplices = rips_simplices(m, max_dim, simplex_cap)
+    crit = m.positive_distances()
+    zero = Fraction(0) if m.exact else 0.0
     stages = []
     for k in range(len(crit) + 1):
         bound = zero if k == 0 else crit[k - 1]
@@ -304,7 +316,7 @@ def build_filtration(m: MetricSpace, max_dim: int, simplex_cap: int = 2_000_000)
             sel = tuple(s for s, diam in group if diam <= bound)
             if sel:
                 by_dim[d] = sel
-        stages.append(SimplicialComplex(n, by_dim))
+        stages.append(SimplicialComplex(m.n, by_dim))
     return FilteredComplex(tuple(crit), tuple(stages))
 
 

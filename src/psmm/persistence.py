@@ -11,15 +11,15 @@ built by the elder-rule sweep (Zomorodian-Carlsson, "Computing
 persistent homology", 2005): each live bar's vector is pushed through
 the next map, the images are reduced in birth order, and an image that
 depends on older ones ends the youngest bar.  Every decomposition is
-verified against the raw matrices before its bars are reported.  The
-same bases feed the interleaving oracle, which certifies answers in
-both directions: True answers carry an explicitly checked pair of shift
-morphisms, False answers a violated rank inequality.
+verified against the raw matrices before its bars are reported.
+
+The persistent-cohomology barcode of a simplicial filtration
+(`cohomology_barcode`) needs no module: one reduction of the coboundary
+over the whole filtration, with clearing, pairs the simplices.
 
 The bottleneck distance between barcodes is exact: a binary search over
 the ranks of the candidate costs, each computed once, with a
-Hopcroft-Karp perfect-matching test per probe.  The interleaving
-oracle's matched witness comes from the same cost table and graph.
+Hopcroft-Karp perfect-matching test per probe.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch, InputError
 from .gvec import GradedLinearMap, GradedVectorSpace
-from .ratlin import ColumnReducer, RatMatrix, rank
+from .ratlin import ColumnReducer
 from .util import num_to_json
 
 INF = math.inf
@@ -228,102 +228,59 @@ class PersistentGVec:
                 elif any(c != 0 for c in img):
                     raise InputError("dying bar has nonzero image")
 
-    # -- evaluation over real parameters --------------------------------
 
-    def stage_of(self, t) -> Optional[int]:
-        """Stored-index stage at parameter t; None when the module is 0.
-
-        For reversed (contravariant) families the parameter is mirrored.
-        """
-        if self.reversed_grid:
-            m = len(self.grid)
-            if t <= 0:
-                return None
-            k = sum(1 for d in self.grid if d < t)
-            return m - k
-        if t <= 0:
-            return None
-        return sum(1 for d in self.grid if d < t)
-
-    def map_between(self, t, s, deg: int) -> RatMatrix:
-        """Matrix of the structure map from time t to time s >= t."""
-        if s < t:
-            raise InputError("backwards structure map")
-        kt, ks = self.stage_of(t), self.stage_of(s)
-        rows = 0 if ks is None else self.spaces[ks].dim(deg)
-        cols = 0 if kt is None else self.spaces[kt].dim(deg)
-        if kt is None or ks is None:
-            return RatMatrix.zeros(rows, cols)
-        if self.reversed_grid and ks > kt:
-            raise InputError("reversed module evaluated backwards")
-        comp = RatMatrix.identity(cols)
-        step = 1
-        for k in range(kt, ks, step):
-            comp = self.maps[k].matrix(deg).matmul(comp)
-        return comp
+# ---------------------------------------------------------------------------
+# Persistent cohomology of a simplicial filtration
+# ---------------------------------------------------------------------------
 
 
-def interval_module(interval, grid, deg: int) -> PersistentGVec:
-    """Interval-like persistent object: Q on stages inside (b, e], zero
-    outside, identities inside, zero across the boundary."""
-    b, e = interval
-    if not (b < e):
-        raise InputError(f"malformed interval ({b}, {e}]")
-    stops = [0] + list(grid) + [INF]
-    if b not in stops or (e != INF and e not in stops):
-        raise InputError("interval endpoints must lie on the grid")
-    m = len(grid)
-    spaces = []
-    for k in range(m + 1):
-        lo = stops[k]
-        hi = stops[k + 1]
-        inside = (b <= lo) and (hi <= e)
-        spaces.append(GradedVectorSpace.from_dims({deg: 1} if inside else {}))
-    maps = []
-    for k in range(m):
-        if spaces[k].dim(deg) and spaces[k + 1].dim(deg):
-            maps.append(GradedLinearMap(spaces[k], spaces[k + 1],
-                                        {deg: RatMatrix.identity(1)}))
-        else:
-            maps.append(GradedLinearMap(spaces[k], spaces[k + 1], {}))
-    return PersistentGVec(grid, spaces, maps)
+def cohomology_barcode(simplices: dict, max_degree: int, zero) -> Barcode:
+    """Persistent-cohomology barcode in degrees 0..max_degree of a
+    simplicial filtration, by one reduction of its coboundary with
+    clearing (de Silva-Morozov-Vejdemo-Johansson, "Dualities in
+    persistent (co)homology", 2011; Bauer, "Ripser", 2021).
 
-
-def direct_sum(modules: Sequence[PersistentGVec]) -> PersistentGVec:
-    grid = modules[0].grid
-    if any(p.grid != grid or p.reversed_grid != modules[0].reversed_grid
-           for p in modules):
-        raise InputError("direct sum needs a shared grid")
-    m = len(grid)
-    spaces = []
-    for k in range(m + 1):
-        dims: dict[int, int] = {}
-        for p in modules:
-            for d in p.spaces[k].degrees():
-                dims[d] = dims.get(d, 0) + p.spaces[k].dim(d)
-        spaces.append(GradedVectorSpace.from_dims(dims))
-    maps = []
-    for k in range(m):
-        mats = {}
-        degs = set(spaces[k].degrees()) | set(spaces[k + 1].degrees())
-        for d in degs:
-            blocks = [p.maps[k].matrix(d) for p in modules]
-            rows = sum(b.rows for b in blocks)
-            cols = sum(b.cols for b in blocks)
-            data = [[Fraction(0)] * cols for _ in range(rows)]
-            r0 = c0 = 0
-            for bm in blocks:
-                for i in range(bm.rows):
-                    for j in range(bm.cols):
-                        data[r0 + i][c0 + j] = bm[i, j]
-                r0 += bm.rows
-                c0 += bm.cols
-            mat = RatMatrix(rows, cols, data)
-            if not mat.is_zero():
-                mats[d] = mat
-        maps.append(GradedLinearMap(spaces[k], spaces[k + 1], mats))
-    return PersistentGVec(grid, spaces, maps,
-                          reversed_grid=modules[0].reversed_grid)
+    `simplices[d]` lists the d-simplices as (vertex tuple, value), every
+    face of a listed simplex listed with a value no larger.  The
+    filtration order is (value, dimension, list order).  For each degree
+    k the coboundary columns of the k-simplices are reduced from the
+    last simplex to the first, with the (k+1)-simplices as rows, last
+    first, so a column's pivot is its earliest surviving coface.  A
+    pivot tau pairs the column's simplex sigma with tau: the bar
+    (value sigma, value tau] when it is not empty.  A k-simplex that is
+    already the pivot of a degree-(k-1) column reduces to zero and is
+    skipped (clearing); any other column that reduces to zero is an
+    essential class (value sigma, inf).  Births at value 0 are reported
+    as `zero`.
+    """
+    by_value = {d: sorted(group, key=lambda sv: sv[1]) for d, group in simplices.items()}
+    top = max((d for d, group in by_value.items() if group), default=-1)
+    out: dict[int, list] = {}
+    cleared: set = set()
+    for k in range(min(max_degree, top) + 1):
+        cofaces = by_value.get(k + 1, [])
+        last = len(cofaces) - 1
+        coboundary: dict = {}
+        for i, (t, _) in enumerate(cofaces):
+            for j in range(len(t)):
+                coboundary.setdefault(t[:j] + t[j + 1:], {})[last - i] = -1 if j % 2 else 1
+        red = ColumnReducer(len(cofaces))
+        pivots = set()
+        bars = out.setdefault(k, [])
+        for s, birth in reversed(by_value[k]):
+            if s in cleared:
+                continue
+            if birth == 0:
+                birth = zero
+            if red.add(coboundary.get(s, {})):
+                t, death = cofaces[last - red.last_low]
+                pivots.add(t)
+                if birth < death:
+                    bars.append((birth, death, 1))
+            else:
+                bars.append((birth, INF, 1))
+        cleared = pivots
+    return Barcode.from_dict(out)
 
 
 # ---------------------------------------------------------------------------
@@ -446,14 +403,6 @@ class _CostTable:
         return [nbrs[:bisect_right(ranks, k)]
                 for ranks, nbrs in zip(self._ranks, self._nbrs)]
 
-    def rank_at(self, delta):
-        """The highest rank whose cost is at most delta; -1 when none is."""
-        if delta == INF:
-            return len(self.keys)
-        if self.scale is not None:
-            delta = Fraction(delta) * self.scale
-        return bisect_right(self.keys, delta) - 1
-
     def value(self, k):
         """The cost of rank k as the bars' own number: the first equal
         cost met in the order 0, pair costs row by row, half-lengths of
@@ -573,149 +522,3 @@ def bottleneck(b1: Barcode, b2: Barcode) -> BottleneckResult:
         per[d] = v
         sup = max(sup, v)
     return BottleneckResult(per, sup)
-
-
-def _matching_at(bars1, bars2, delta):
-    """One feasible matching (list of (i, j) real-real pairs) at delta,
-    or None; deleted bars are those not in any pair."""
-    n, m = len(bars1), len(bars2)
-    table = _CostTable(bars1, bars2)
-    matched, match_r = _max_matching(table.adjacency(table.rank_at(delta)), table.size)
-    if matched != table.size:
-        return None
-    return [(match_r[v], v) for v in range(m) if 0 <= match_r[v] < n]
-
-
-# ---------------------------------------------------------------------------
-# Interleaving oracle
-# ---------------------------------------------------------------------------
-
-
-def _sample_points(grid, delta):
-    stops = {0}
-    for d in list(grid) + [0]:
-        for k in (-2, -1, 0, 1, 2):
-            stops.add(d + k * delta)
-    stops = sorted(stops)
-    samples = []
-    prev = None
-    for x in stops:
-        if prev is not None and x > prev:
-            samples.append(prev + (x - prev) / 2)
-        prev = x
-    samples.append(stops[-1] + 1)
-    samples.insert(0, stops[0] - 1)
-    return samples
-
-
-def _rank_conditions_hold(p, q, delta, deg) -> bool:
-    samples = [t for t in _sample_points(p.grid, delta)]
-    for a in range(len(samples)):
-        for b in range(a, len(samples)):
-            t, s = samples[a], samples[b]
-            if rank(p.map_between(t, s + 2 * delta, deg)) > \
-                    rank(q.map_between(t + delta, s + delta, deg)):
-                return False
-            if rank(q.map_between(t, s + 2 * delta, deg)) > \
-                    rank(p.map_between(t + delta, s + delta, deg)):
-                return False
-    return True
-
-
-class _DecomposedModule:
-    """Interval view of one degree of a module, in parameter terms."""
-
-    def __init__(self, p: PersistentGVec, deg: int):
-        self.intervals = []
-        for bar in p.decompose(deg):
-            b, e = p._stage_interval_endpoints(bar["birth"], bar["death"] - 1)
-            self.intervals.append((b, e))
-
-    def alive(self, t) -> list:
-        return [i for i, (b, e) in enumerate(self.intervals)
-                if b < t and (e == INF or t <= e)]
-
-    def internal_map(self, t, s) -> RatMatrix:
-        at, as_ = self.alive(t), self.alive(s)
-        data = [[Fraction(1) if (j == i) else Fraction(0) for j in at] for i in as_]
-        return RatMatrix(len(as_), len(at), data)
-
-
-def _shift_matrix(src: "_DecomposedModule", dst: "_DecomposedModule",
-                  pairs, t, delta, windows) -> RatMatrix:
-    """f_t: src(t) -> dst(t + delta) from a matching; component 1 on the
-    overlap window of each matched pair, 0 elsewhere."""
-    alive_s = src.alive(t)
-    alive_d = dst.alive(t + delta)
-    data = [[Fraction(0)] * len(alive_s) for _ in alive_d]
-    pos_s = {i: c for c, i in enumerate(alive_s)}
-    pos_d = {j: r for r, j in enumerate(alive_d)}
-    for (i, j) in pairs:
-        lo, hi = windows[(i, j)]
-        if i in pos_s and j in pos_d and lo < t and (hi == INF or t <= hi):
-            data[pos_d[j]][pos_s[i]] = Fraction(1)
-    return RatMatrix(len(alive_d), len(alive_s), data)
-
-
-def interleaving_check(p: PersistentGVec, q: PersistentGVec, delta) -> bool:
-    """Decide existence of a delta-interleaving on the shared grid.
-
-    True answers construct explicit shift morphisms from a matched
-    decomposition and verify every naturality square and both triangle
-    families at a refined sample set.  False answers exhibit a violated
-    rank inequality (a composite of structure maps that cannot factor
-    through the other module).
-    """
-    if p.grid != q.grid:
-        raise InputError("interleaving check needs a shared refined grid")
-    if p.reversed_grid or q.reversed_grid:
-        raise InputError("re-index contravariant modules before the check")
-    if delta < 0:
-        raise InputError("delta must be nonnegative")
-    degrees = sorted(set(p.degrees()) | set(q.degrees()))
-    for deg in degrees:
-        if not _rank_conditions_hold(p, q, delta, deg):
-            return False
-    for deg in degrees:
-        dp = _DecomposedModule(p, deg)
-        dq = _DecomposedModule(q, deg)
-        pairs = _matching_at(dp.intervals, dq.intervals, delta)
-        if pairs is None:
-            return False
-        if not _verify_interleaving(dp, dq, pairs, delta, p.grid):
-            raise InputError("witness verification failed: internal error")
-    return True
-
-
-def _verify_interleaving(dp, dq, pairs, delta, grid) -> bool:
-    windows_f = {}
-    windows_g = {}
-    for (i, j) in pairs:
-        b, e = dp.intervals[i]
-        b2, e2 = dq.intervals[j]
-        windows_f[(i, j)] = (b, (e2 - delta) if e2 != INF else INF)
-        windows_g[(j, i)] = (b2, (e - delta) if e != INF else INF)
-    gpairs = [(j, i) for (i, j) in pairs]
-    samples = _sample_points(grid, delta)
-
-    def f_at(t):
-        return _shift_matrix(dp, dq, pairs, t, delta, windows_f)
-
-    def g_at(t):
-        return _shift_matrix(dq, dp, gpairs, t, delta, windows_g)
-
-    for a in range(len(samples) - 1):
-        t, s = samples[a], samples[a + 1]
-        # squares for f and for g
-        if dq.internal_map(t + delta, s + delta).matmul(f_at(t)) != \
-                f_at(s).matmul(dp.internal_map(t, s)):
-            return False
-        if dp.internal_map(t + delta, s + delta).matmul(g_at(t)) != \
-                g_at(s).matmul(dq.internal_map(t, s)):
-            return False
-    for t in samples:
-        if g_at(t + delta).matmul(f_at(t)) != dp.internal_map(t, t + 2 * delta):
-            return False
-        if f_at(t + delta).matmul(g_at(t)) != dq.internal_map(t, t + 2 * delta):
-            return False
-    return True

@@ -1,5 +1,12 @@
-"""End-to-end orchestration: filtration -> per-stage rings -> persistent
-minimal model -> V and H barcodes -> lower-bound report.
+"""End-to-end orchestration.
+
+Two routes start from a metric space.  `persistent_model` runs the
+whole pipeline: Rips filtration -> per-stage cohomology rings ->
+persistent minimal model with representatives -> V and H barcodes ->
+lower-bound report.  `h_barcode(MetricSpace)` reads the H barcode alone
+off one persistent-cohomology reduction over the Rips simplices, with no
+stages, rings or models; it agrees with the ring-map barcode of the
+persistent model, value and type, and serves as its independent check.
 
 Per stage the model input is the cohomology ring with zero differential
 (the formal CDGA of the stage).  This computes the true minimal model
@@ -30,9 +37,16 @@ from .cohomology import CohomologyRing, induced_ring_map
 from .config import Config
 from .errors import CapExceeded, InputError, LiftError
 from .gvec import GradedLinearMap, GradedVectorSpace
-from .metric import MetricSpace, build_filtration, gh_bruteforce
+from .metric import MetricSpace, build_filtration, gh_bruteforce, rips_simplices
 from .minmodel import minimal_model, sullivan_representative
-from .persistence import INF, Barcode, BottleneckResult, PersistentGVec, bottleneck
+from .persistence import (
+    INF,
+    Barcode,
+    BottleneckResult,
+    PersistentGVec,
+    bottleneck,
+    cohomology_barcode,
+)
 from .ratlin import RatMatrix
 from .util import num_from_json, num_to_json
 
@@ -262,21 +276,27 @@ def v_barcode(psm: PersistentSullivanModel) -> Barcode:
 
 
 def h_barcode(source, cfg: Optional[Config] = None) -> Barcode:
-    """Persistent-cohomology barcode from the induced-map matrices.
+    """Persistent-cohomology barcode in degrees 0..max_degree.
 
-    Accepts a built PersistentSullivanModel or a raw MetricSpace; the
-    metric path stops at rings and induced maps, skipping the models.
+    From a PersistentSullivanModel it is read off the stage cohomology
+    and the induced-map matrices.  From a MetricSpace it is one
+    reduction over the Rips simplices (`persistence.cohomology_barcode`),
+    with no stages, rings or induced maps.  When max_degree < max_dim,
+    simplices beyond the enclosing radius are left out: from there on
+    every stage is a cone through degree max_dim - 1, so no bar of a
+    reported degree lives past it.  Both paths give equal bars with
+    endpoints of equal types: a zero birth is `Fraction(0)` unless the
+    space has a positive float distance.
     """
     if isinstance(source, MetricSpace):
         cfg = cfg or Config()
-        filt = build_filtration(source, cfg.max_dim, cfg.simplex_cap)
-        rings = [CohomologyRing.from_complex(cx, cfg.max_degree, eager_through=cfg.max_degree)
-                 for cx in filt.stages]
-        spaces = [r.space(cfg.max_degree) for r in rings]
-        maps = [induced_ring_map(rings[k], rings[k + 1], cfg.max_degree)
-                for k in range(len(rings) - 1)]
-        module = PersistentGVec.from_contravariant(filt.critical_values, spaces, maps)
-        return module.barcode()
+        simplices = rips_simplices(source, cfg.max_dim, cfg.simplex_cap)
+        if cfg.max_degree < cfg.max_dim:
+            radius = source.enclosing_radius()
+            simplices = {d: [sv for sv in group if sv[1] <= radius]
+                         for d, group in simplices.items()}
+        zero = 0.0 if not source.exact and source.positive_distances() else Fraction(0)
+        return cohomology_barcode(simplices, cfg.max_degree, zero)
     psm = source
     module = PersistentGVec.from_contravariant(psm.grid, psm.h_spaces, psm.h_maps)
     return module.barcode()

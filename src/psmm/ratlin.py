@@ -253,6 +253,10 @@ class ColumnReducer:
     product of the multipliers its steps applied.  Both are the
     `Fraction`-elimination values exactly.
 
+    `last_low` is the pivot row of the column the last `add` stored, or
+    None when that column was dependent; `add` itself answers only
+    whether it stored one.
+
     `skip()` reserves the next column index for a column known to
     reduce to zero without reducing it, so the indices in later
     combinations still count it.  `from_pivots` starts from the reduced
@@ -266,6 +270,7 @@ class ColumnReducer:
         self._pivots: dict[int, dict[int, int]] = {}
         self._combos: dict[int, dict[int, int]] = {}
         self._ncols = 0
+        self._last_low: Optional[int] = None
         self.rank = 0
         self.kernel_combos: list[dict[int, Fraction]] = []
 
@@ -285,6 +290,12 @@ class ColumnReducer:
         """Read-only view of the reduced integer columns, keyed by
         lowest row."""
         return MappingProxyType(self._pivots)
+
+    @property
+    def last_low(self) -> Optional[int]:
+        """Pivot row of the column the last `add` stored; None when that
+        column was dependent, or before any `add`."""
+        return self._last_low
 
     def skip(self) -> int:
         """Reserve the next column index without reducing a column."""
@@ -360,6 +371,7 @@ class ColumnReducer:
         self._ncols += 1
         combo = {j: scale} if self.record else None
         c, combo, low, _ = self._reduce(c, combo)
+        self._last_low = low
         if low is None:
             if self.record:
                 self.kernel_combos.append(_divided(combo, combo[j]))

@@ -22,6 +22,7 @@ import random
 import time
 from fractions import Fraction
 
+from interleaving import direct_sum, interleaving_check, interval_module
 from psmm.cdga import linear_part_map, make_sullivan, CDGAMorphism
 from psmm.cdga import poly_add, poly_scale
 from psmm.cli import main as cli_main
@@ -29,7 +30,7 @@ from psmm.cohomology import StageCohomology, cohomology_ring
 from psmm.config import Config
 from psmm.metric import gh_bruteforce, metric_from_matrix
 from psmm.minmodel import minimal_model
-from psmm.persistence import INF, bottleneck, direct_sum, interleaving_check, interval_module
+from psmm.persistence import INF, bottleneck
 from psmm.pipeline import (
     bounds_report,
     h_barcode,

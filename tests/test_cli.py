@@ -1,11 +1,18 @@
 import json
 import math
+import os
+import resource
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import oracles
+import psmm
 from psmm.cli import main
+from psmm.metric import build_filtration, load_metric
 
 
 def run_cli(args):
@@ -182,6 +189,50 @@ class TestBarcodeCommand:
             assert run_cli(["barcode", "--input", str(dump_path),
                             "--invariant", invariant, "-o", str(redump)]) == 0
             assert direct.read_bytes() == redump.read_bytes()
+
+    def test_metric_h_builds_no_models(self, tmp_path):
+        # persistent_model exhausts a 1 GiB address space on this 5-point
+        # matrix at max degree 2 (its degree-1 models grow); its H barcode
+        # alone needs a few milliseconds
+        rows = [[0, 1, "9/4", 2, "3/4"], [1, 0, "1/2", "5/4", "9/4"],
+                ["9/4", "1/2", 0, "3/2", "1/2"], [2, "5/4", "3/2", 0, 1],
+                ["3/4", "9/4", "1/2", 1, 0]]
+        inp = write(tmp_path, "five.json", {"distance_matrix": rows})
+        limit = 1 << 30
+        src = str(Path(psmm.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "psmm.cli", "barcode", "--input", inp,
+             "--invariant", "H", "--max-degree", "2"],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        got = {entry["degree"]: sorted(
+            (Fraction(b["birth"]), math.inf if b["death"] == "inf" else Fraction(b["death"]))
+            for b in entry["bars"] for _ in range(b["mult"]))
+            for entry in json.loads(proc.stdout)["barcode"]}
+        filt = build_filtration(load_metric({"distance_matrix": rows}), 3)
+        want = {d: sorted((b, math.inf if e is None else e) for b, e in bars)
+                for d, bars in oracles.parameter_bars(filt, 2).items() if bars}
+        assert got == want
+
+    def test_metric_h_ignores_degree1_models(self, tmp_path, capsys):
+        # the wedge that makes `model` exit 4: its H barcode is exact anyway
+        pts = [(0, 0), (1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+        edges = {(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (5, 6), (0, 6)}
+        n = len(pts)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = 1 if (i, j) in edges else 4
+        inp = write(tmp_path, "wedge.json", {"distance_matrix": rows})
+        assert run_cli(["barcode", "--input", inp, "--invariant", "H", "--max-degree", "2",
+                        "--max-dim", "3", "--deg1-cap", "2"]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        deg1 = next(d for d in json.loads(out.out)["barcode"] if d["degree"] == 1)
+        assert deg1["bars"] == [{"birth": "1", "death": "4", "mult": 2}]
 
     def test_determinism_repeat_runs(self, tmp_path, capsys):
         inp = circle_file(tmp_path)

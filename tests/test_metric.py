@@ -14,6 +14,7 @@ from psmm.metric import (
     load_metric,
     metric_from_matrix,
     metric_from_points,
+    rips_simplices,
 )
 
 
@@ -144,6 +145,35 @@ class TestFiltration:
     def test_simplex_cap(self):
         with pytest.raises(CapExceeded):
             build_filtration(circle_space(20), max_dim=4, simplex_cap=100)
+
+    def test_rips_simplices_lexicographic_with_diameters(self):
+        import random
+        m = random_space(random.Random(5), 5)
+        simplices = rips_simplices(m, 3)
+        assert sorted(simplices) == [0, 1, 2, 3]
+        for d, group in simplices.items():
+            assert [s for s, _ in group] == list(itertools.combinations(range(5), d + 1))
+            for s, diam in group:
+                assert diam == max((m.d(i, j) for i, j in itertools.combinations(s, 2)),
+                                   default=Fraction(0))
+                assert type(diam) is Fraction
+
+    def test_rips_simplices_cap_is_the_final_count(self):
+        import random
+        # 6 points through dimension 2: 6 + 15 + 20 simplices
+        m = random_space(random.Random(1), 6)
+        assert sum(map(len, rips_simplices(m, 2, simplex_cap=41).values())) == 41
+        with pytest.raises(CapExceeded):
+            rips_simplices(m, 2, simplex_cap=40)
+        with pytest.raises(InputError):
+            rips_simplices(m, -1)
+        # the vertices alone are never capped
+        assert len(rips_simplices(m, 0, simplex_cap=0)[0]) == 6
+
+    def test_enclosing_radius(self):
+        m = metric_from_matrix([[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]])
+        assert m.enclosing_radius() == 2
+        assert metric_from_matrix([[0]]).enclosing_radius() == 0
 
 
 class TestConeDetection:

@@ -7,18 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from interleaving import direct_sum, interleaving_check, interval_module
 from psmm.errors import InputError
 from psmm.gvec import GradedLinearMap, GradedVectorSpace
-from psmm.persistence import (
-    INF,
-    Barcode,
-    PersistentGVec,
-    _max_matching,
-    bottleneck,
-    direct_sum,
-    interleaving_check,
-    interval_module,
-)
+from psmm.persistence import INF, Barcode, PersistentGVec, _max_matching, bottleneck
 from psmm.ratlin import RatMatrix
 
 GRID2 = (Fraction(1), Fraction(2))

@@ -3,10 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from psmm import pipeline
 from psmm.config import Config
-from psmm.errors import InputError
+from psmm.errors import CapExceeded, InputError
 from psmm.metric import build_filtration, metric_from_matrix, metric_from_points
 from psmm.persistence import INF
 from psmm.pipeline import (
@@ -221,6 +224,121 @@ class TestDegenerateInputs:
         hb = h_barcode(psm)
         # the coincident pair is one component from the start
         assert hb.degree(0) == ((Fraction(0), Fraction(1), 1), (Fraction(0), INF, 1))
+
+
+def typed_bars(bc):
+    """The bars with each endpoint's type, so that equal values of
+    different types (Fraction(0) and 0.0) compare unequal."""
+    return [(d, [(b, type(b), e, type(e), m) for b, e, m in bars]) for d, bars in bc.bars]
+
+
+def oracle_bars(m, cfg):
+    """H bars of the dense boundary-reduction oracle, per degree."""
+    filt = build_filtration(m, cfg.max_dim, cfg.simplex_cap)
+    return {deg: sorted((b, INF if e is None else e) for b, e in bars)
+            for deg, bars in oracles.parameter_bars(filt, cfg.max_degree).items() if bars}
+
+
+def expanded_bars(bc):
+    return {deg: sorted(bc.expanded(deg)) for deg in bc.degrees()}
+
+
+class TestMetricHBarcode:
+    """h_barcode(MetricSpace), one reduction over the Rips simplices,
+    against the ring-map barcode of the persistent model and against the
+    dense reduction oracle."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_ring_path(self, data):
+        # A stage with H^1 of rank 2 or more, a wedge of circles, needs five
+        # points, or four when no triangle is filled (max_dim < 2).  Its
+        # degree-1 model can grow past any memory bound in persistent_model,
+        # so those spaces are compared in degree 0 only.
+        n = data.draw(st.integers(1, 5), label="points")
+        max_dim = data.draw(st.integers(0, 5), label="max_dim")
+        wedges = n == 5 or (n == 4 and max_dim < 2)
+        deg = data.draw(st.integers(0, 0 if wedges else min(4, max_dim + 1)),
+                        label="max_degree")
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = Fraction(data.draw(st.integers(0, 9)), 4)
+        m = metric_from_matrix(rows)
+        cfg = Config(max_degree=deg, max_dim=max_dim)
+        direct = h_barcode(m, cfg)
+        assert typed_bars(direct) == typed_bars(h_barcode(persistent_model(m, cfg)))
+
+    def test_float_points_match_reduction_oracle(self):
+        rng = random.Random(3)
+        for trial in range(12):
+            n = rng.randint(3, 9)
+            m = metric_from_points([[rng.random(), rng.random()] for _ in range(n)])
+            cfg = Config(max_degree=2, max_dim=3) if trial % 2 else \
+                Config(max_degree=1, max_dim=1)
+            hb = h_barcode(m, cfg)
+            assert expanded_bars(hb) == oracle_bars(m, cfg)
+            assert all(type(x) is float for d in hb.degrees() for bar in hb.degree(d)
+                       for x in bar[:2])
+
+    def test_one_point(self):
+        cfg = Config(max_degree=2, max_dim=3)
+        for m in (metric_from_matrix([[0]]), metric_from_points([[0.5, -1.0]])):
+            hb = h_barcode(m, cfg)
+            assert typed_bars(hb) == [(0, [(Fraction(0), Fraction, INF, float, 1)])]
+            assert typed_bars(hb) == typed_bars(h_barcode(persistent_model(m, cfg)))
+
+    def test_coincident_points(self):
+        cfg = Config(max_degree=1, max_dim=2)
+        exact = metric_from_matrix([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+        assert h_barcode(exact, cfg).degree(0) == ((0, Fraction(1), 1), (0, INF, 1))
+        planar = metric_from_points([[0, 0], [0, 0], [1, 0]])
+        assert typed_bars(h_barcode(planar, cfg)) == \
+            [(0, [(0.0, float, 1.0, float, 1), (0.0, float, INF, float, 1)])]
+        only = metric_from_points([[2, 2], [2, 2]])
+        assert typed_bars(h_barcode(only, cfg)) == [(0, [(Fraction(0), Fraction, INF, float, 1)])]
+        for m in (exact, planar, only):
+            assert typed_bars(h_barcode(m, cfg)) == \
+                typed_bars(h_barcode(persistent_model(m, cfg)))
+
+    def test_top_degree_not_cut(self):
+        # four points on a line: the enclosing radius is 2, and the graph's
+        # third cycle is born at 3, after it; with max_dim == max_degree the
+        # top degree's classes are cokernel classes and never die
+        # (the ring path is no reference here: its stages are wedges of
+        # circles, whose degree-1 models grow without bound)
+        m = metric_from_matrix([[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]])
+        cfg = Config(max_degree=1, max_dim=1)
+        hb = h_barcode(m, cfg)
+        assert hb.degree(1) == ((2, INF, 2), (3, INF, 1))
+        assert expanded_bars(hb) == oracle_bars(m, cfg)
+        # one dimension more fills every cycle, and the cut applies
+        assert h_barcode(m, Config(max_degree=1, max_dim=2)).degree(1) == ()
+
+    def test_max_degree_above_max_dim(self):
+        m = metric_from_matrix([[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]])
+        cfg = Config(max_degree=3, max_dim=2)
+        hb = h_barcode(m, cfg)
+        assert hb.degrees() == [0, 2]
+        assert expanded_bars(hb) == oracle_bars(m, cfg)
+        assert typed_bars(hb) == typed_bars(h_barcode(persistent_model(m, cfg)))
+
+    def test_max_degree_zero(self):
+        m = circle_space(8)
+        cfg = Config(max_degree=0, max_dim=3)
+        hb = h_barcode(m, cfg)
+        assert hb.degrees() == [0]
+        assert expanded_bars(hb) == oracle_bars(m, cfg)
+        assert typed_bars(hb) == typed_bars(h_barcode(persistent_model(m, cfg)))
+
+    def test_invalid_input_fails_before_any_reduction(self, monkeypatch):
+        def no_reduction(*args):
+            raise AssertionError("reduction reached")
+        monkeypatch.setattr(pipeline, "cohomology_barcode", no_reduction)
+        with pytest.raises(InputError):
+            h_barcode(square_space(), Config(max_degree=0, max_dim=-1))
+        with pytest.raises(CapExceeded):
+            h_barcode(circle_space(12), Config(max_degree=2, max_dim=3, simplex_cap=100))
 
 
 class TestRandomEndToEnd:

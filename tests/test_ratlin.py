@@ -203,6 +203,17 @@ class TestSparseEngine:
         red.add([1, 0])
         assert red.solve([0, 1]) is None
 
+    def test_last_low_is_the_stored_pivot_row(self):
+        red = ColumnReducer(3)
+        assert red.last_low is None
+        added = red.add({0: 1})
+        assert added is True and red.last_low == 0
+        assert red.add({0: 2, 2: 1}) is True and red.last_low == 2
+        # reduces against the pivot at row 2 and lands on row 1
+        assert red.add({1: 3, 2: 1}) is True and red.last_low == 1
+        assert red.add({0: 5, 1: 3, 2: 2}) is False and red.last_low is None
+        assert sorted(red.pivots) == [0, 1, 2]
+
     def test_zero_string_entry_dropped(self):
         # "0" is converted before zeros are dropped, so it never becomes a
         # zero leading entry of a stored pivot

@@ -1,0 +1,24 @@
+"""The runnable scripts under scripts/, run as a user runs them."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import psmm
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    src = str(Path(psmm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, cwd=ROOT, timeout=300)
+
+
+def test_stability_audit_smoke():
+    proc = run_script("stability_audit.py", "20")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "20 trials, seed 20260810: 0 violations" in proc.stdout
