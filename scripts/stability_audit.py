@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Randomized audit of the lower-bound chain: for pairs of small exact
 metric spaces, the cohomology-barcode bottleneck in degrees <= 2 must
-stay below twice the brute-force Gromov-Hausdorff distance.
+stay below twice the exact Gromov-Hausdorff distance.
 
 Usage: python3 scripts/stability_audit.py [trials] [seed] [out.json]
+
+A trial count that is not a positive integer, or a seed that is not an
+integer, exits 2 with a usage line on stderr.
 """
 
 import json
@@ -29,10 +32,29 @@ def random_space(rng):
     return metric_from_matrix(rows)
 
 
+USAGE = "usage: stability_audit.py [trials] [seed] [out.json]"
+
+
+def _int_arg(text, name):
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
+
+
 def main():
-    trials = int(sys.argv[1]) if len(sys.argv) > 1 else 200
-    seed = int(sys.argv[2]) if len(sys.argv) > 2 else 20260810
-    out_path = sys.argv[3] if len(sys.argv) > 3 else None
+    args = sys.argv[1:]
+    try:
+        if len(args) > 3:
+            raise ValueError("too many arguments")
+        trials = _int_arg(args[0], "trials") if args else 200
+        seed = _int_arg(args[1], "seed") if len(args) > 1 else 20260810
+        if trials <= 0:
+            raise ValueError(f"trials must be positive, got {trials}")
+    except ValueError as e:
+        print(f"{USAGE}\nstability_audit.py: error: {e}", file=sys.stderr)
+        return 2
+    out_path = args[2] if len(args) > 2 else None
     rng = random.Random(seed)
     cfg = Config(max_degree=2, max_dim=3)
 

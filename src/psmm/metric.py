@@ -1,5 +1,5 @@
-"""Finite metric spaces, Vietoris-Rips filtrations, and a brute-force
-Gromov-Hausdorff oracle for small spaces.
+"""Finite metric spaces, Vietoris-Rips filtrations, and the exact
+Gromov-Hausdorff distance of small spaces.
 
 Distances are either exact rationals or binary64 floats, tracked per
 instance.  The Rips convention is the open one, diam < t, realized as
@@ -325,102 +325,80 @@ def build_filtration(m: MetricSpace, max_dim: int, simplex_cap: int = 2_000_000)
 # ---------------------------------------------------------------------------
 
 
-def _distortion_feasible(dx, dy, delta) -> bool:
-    """Is there a correspondence with distortion <= delta?
-
-    Any correspondence contains one of the form graph(phi) u
-    graph(psi)^T for maps phi: X->Y, psi: Y->X, with no larger
-    distortion.  The search assigns phi- and psi-values in interleaved
-    order so the coupling constraints prune early, with all pairwise
-    checks reduced to one precomputed boolean table over point pairs.
-    """
-    nx, ny = len(dx), len(dy)
-    # ok[a*ny + b][c*ny + d]: the pairs (a, b), (c, d) of X x Y are
-    # compatible, |dx[a][c] - dy[b][d]| <= delta
-    npairs = nx * ny
-    ok = [bytearray(npairs) for _ in range(npairs)]
-    for a in range(nx):
-        for b in range(ny):
-            row = ok[a * ny + b]
-            dxa = dx[a]
-            for c in range(nx):
-                dxac = dxa[c]
-                dyb = dy[b]
-                base = c * ny
-                for d in range(ny):
-                    if abs(dxac - dyb[d]) <= delta:
-                        row[base + d] = 1
-
-    # variables: phi(x_i) in Y and psi(y_j) in X, interleaved; each
-    # assignment is a pair index into the table
-    variables = []
-    for k in range(max(nx, ny)):
-        if k < nx:
-            variables.append(("x", k))
-        if k < ny:
-            variables.append(("y", k))
-    assigned: list[int] = []
-
-    def backtrack(v: int) -> bool:
-        if v == len(variables):
-            return True
-        kind, k = variables[v]
-        if kind == "x":
-            candidates = (k * ny + b for b in range(ny))
-        else:
-            candidates = (a * ny + k for a in range(nx))
-        for pair in candidates:
-            row = ok[pair]
-            if all(row[p] for p in assigned) and row[pair]:
-                assigned.append(pair)
-                if backtrack(v + 1):
-                    return True
-                assigned.pop()
-        return False
-
-    return backtrack(0)
-
-
 def _integerize(dx, dy):
     """Common integer scaling of two exact distance matrices, so the
-    feasibility search runs on machine integers."""
-    from math import lcm
-    dens = {v.denominator for row in dx for v in row}
-    dens |= {v.denominator for row in dy for v in row}
-    scale = 1
-    for d in dens:
-        scale = lcm(scale, d)
-    ix = tuple(tuple(int(v * scale) for v in row) for row in dx)
-    iy = tuple(tuple(int(v * scale) for v in row) for row in dy)
+    search runs on machine integers."""
+    scale = math.lcm(*{v.denominator for m in (dx, dy) for row in m for v in row})
+    ix = tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in dx)
+    iy = tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in dy)
     return ix, iy, scale
 
 
 def gh_bruteforce(x: MetricSpace, y: MetricSpace, cap: int = 30) -> Num:
-    """Half the minimum correspondence distortion, exactly.
+    """Half the minimum correspondence distortion, exactly, by
+    branch-and-bound over correspondences.
 
-    Searches the finite candidate set of achievable distortions by
-    bisection, deciding each candidate by pruned backtracking.
+    Any correspondence contains one of the form graph(phi) u
+    graph(psi)^T for maps phi: X->Y, psi: Y->X, with no larger
+    distortion.  The search assigns phi(x_k) and psi(y_k), interleaved so
+    the coupling costs prune early, over one table of the costs
+    |dx[a][c] - dy[b][d]| of all pairs of pairs: O((|X|*|Y|)^2) memory.
+    Candidates go cheapest first, a branch ends once it, or a variable it
+    leaves open, cannot beat the best correspondence found, and the
+    search stops as soon as that one meets the eccentricity lower bound.
+    The stack is explicit, so the depth |X| + |Y| is not bounded by the
+    interpreter's recursion limit.
     """
     if x.n * y.n > cap:
         raise CapExceeded(f"|X|*|Y| = {x.n * y.n} exceeds cap {cap}")
     if x.n == 0 or y.n == 0:
         raise InputError("empty metric space")
+    nx, ny = x.n, y.n
     dx, dy = x.dist, y.dist
     scale = None
     if x.exact and y.exact:
         dx, dy, scale = _integerize(dx, dy)
-    vals_x = {dx[i][j] for i in range(x.n) for j in range(x.n)}
-    vals_y = {dy[i][j] for i in range(y.n) for j in range(y.n)}
-    cands = sorted({abs(a - b) for a in vals_x for b in vals_y})
-    lo, hi = 0, len(cands) - 1
-    # cands[hi] is always feasible: distortion never exceeds max |dx-dy|
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _distortion_feasible(dx, dy, cands[mid]):
-            hi = mid
+    # every correspondence pairs each x with some y and each y with some
+    # x, and one that pairs x with y has distortion >= |ecc x - ecc y|, where
+    # ecc x = max_x' d(x, x'); in floats too, as rounding is monotone
+    ecc_x, ecc_y = [max(row) for row in dx], [max(row) for row in dy]
+    lower = max(max(min(abs(a - b) for b in ecc_y) for a in ecc_x),
+                max(min(abs(a - b) for a in ecc_x) for b in ecc_y))
+    # cost[p][q], p = a*ny + b and q = c*ny + d: the pairs (a, b), (c, d)
+    # of X x Y together cost |dx[a][c] - dy[b][d]|
+    cost = [[abs(u - v) for u in row_x for v in row_y] for row_x in dx for row_y in dy]
+    slots = []  # the pair indices of phi(x_k), then of psi(y_k)
+    for k in range(max(nx, ny)):
+        if k < nx:
+            slots.append(slice(k * ny, k * ny + ny))
+        if k < ny:
+            slots.append(slice(k, nx * ny, ny))
+    pair_ids = range(nx * ny)
+
+    # a frame: the untried candidates of the next slot, cheapest first,
+    # worst[q] the largest cost of pair q against the assigned pairs
+    # (q itself included), and the distortion of the assigned pairs
+    best = math.inf
+    worst = [cost[q][q] for q in pair_ids]
+    stack = [(iter(sorted(pair_ids[slots[0]], key=worst.__getitem__)), worst, 0)]
+    while stack:
+        cands, worst, cur = stack[-1]
+        q = next(cands, None)
+        val = None if q is None else max(cur, worst[q])
+        if val is None or val >= best:
+            stack.pop()
+        elif len(stack) == len(slots):
+            best = val
+            if best <= lower:
+                break
+            stack.pop()
         else:
-            lo = mid + 1
-    best = cands[lo]
+            depth = len(stack)
+            worst = [a if a > b else b for a, b in zip(worst, cost[q])]
+            # descend only if every open slot still has a candidate below best
+            if max(map(min, map(worst.__getitem__, slots[depth:]))) < best:
+                stack.append((iter(sorted(pair_ids[slots[depth]], key=worst.__getitem__)),
+                              worst, val))
     if scale is not None:
         return Fraction(best, 2 * scale)
     return best * 0.5

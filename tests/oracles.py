@@ -5,11 +5,13 @@ written against the raw filtration data; dense Gauss-Jordan
 elimination; the barcode by inclusion-exclusion over the rank
 function; the cohomology engine's former kernel-mod-image algorithm;
 the elimination engine's former `Fraction` arithmetic; dense
-coboundary matrices; and the bottleneck distance's former algorithm.
-All deliberately share no code with the package: this module imports
-nothing from `psmm`.
+coboundary matrices; the bottleneck distance's former algorithm; and
+the Gromov-Hausdorff distance by the package's former bisection and by
+exhaustive search over pairs of maps.  All deliberately share no code
+with the package: this module imports nothing from `psmm`.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -442,3 +444,122 @@ def bottleneck_reference(bars1, bars2):
         else:
             lo = mid + 1
     return cands[lo]
+
+
+def _distortion_feasible(dx, dy, delta) -> bool:
+    """Is there a correspondence with distortion <= delta?
+
+    Any correspondence contains one of the form graph(phi) u
+    graph(psi)^T for maps phi: X->Y, psi: Y->X, with no larger
+    distortion.  The search assigns phi- and psi-values in interleaved
+    order so the coupling constraints prune early, with all pairwise
+    checks reduced to one precomputed boolean table over point pairs.
+    """
+    nx, ny = len(dx), len(dy)
+    # ok[a*ny + b][c*ny + d]: the pairs (a, b), (c, d) of X x Y are
+    # compatible, |dx[a][c] - dy[b][d]| <= delta
+    npairs = nx * ny
+    ok = [bytearray(npairs) for _ in range(npairs)]
+    for a in range(nx):
+        for b in range(ny):
+            row = ok[a * ny + b]
+            dxa = dx[a]
+            for c in range(nx):
+                dxac = dxa[c]
+                dyb = dy[b]
+                base = c * ny
+                for d in range(ny):
+                    if abs(dxac - dyb[d]) <= delta:
+                        row[base + d] = 1
+
+    # variables: phi(x_i) in Y and psi(y_j) in X, interleaved; each
+    # assignment is a pair index into the table
+    variables = []
+    for k in range(max(nx, ny)):
+        if k < nx:
+            variables.append(("x", k))
+        if k < ny:
+            variables.append(("y", k))
+    assigned = []
+
+    def backtrack(v: int) -> bool:
+        if v == len(variables):
+            return True
+        kind, k = variables[v]
+        if kind == "x":
+            candidates = (k * ny + b for b in range(ny))
+        else:
+            candidates = (a * ny + k for a in range(nx))
+        for pair in candidates:
+            row = ok[pair]
+            if all(row[p] for p in assigned) and row[pair]:
+                assigned.append(pair)
+                if backtrack(v + 1):
+                    return True
+                assigned.pop()
+        return False
+
+    return backtrack(0)
+
+
+def _integerize(dx, dy):
+    dens = {v.denominator for row in dx for v in row}
+    dens |= {v.denominator for row in dy for v in row}
+    scale = 1
+    for d in dens:
+        scale = math.lcm(scale, d)
+    ix = tuple(tuple(int(v * scale) for v in row) for row in dx)
+    iy = tuple(tuple(int(v * scale) for v in row) for row in dy)
+    return ix, iy, scale
+
+
+def _is_exact(matrix):
+    return all(isinstance(v, Fraction) for row in matrix for v in row)
+
+
+def gh_bisection(dx, dy):
+    """Gromov-Hausdorff distance of two distance matrices by the
+    package's former algorithm: a bisection over every |dx - dy| value,
+    each probe a backtracking search for a correspondence within it.
+    Two all-`Fraction` matrices give a `Fraction`, anything else a
+    `float`, as `gh_bruteforce` gives for the spaces holding them."""
+    nx, ny = len(dx), len(dy)
+    scale = None
+    if _is_exact(dx) and _is_exact(dy):
+        dx, dy, scale = _integerize(dx, dy)
+    vals_x = {dx[i][j] for i in range(nx) for j in range(nx)}
+    vals_y = {dy[i][j] for i in range(ny) for j in range(ny)}
+    cands = sorted({abs(a - b) for a in vals_x for b in vals_y})
+    lo, hi = 0, len(cands) - 1
+    # cands[hi] is always feasible: distortion never exceeds max |dx-dy|
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _distortion_feasible(dx, dy, cands[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    best = cands[lo]
+    if scale is not None:
+        return Fraction(best, 2 * scale)
+    return best * 0.5
+
+
+def gh_exhaustive(dx, dy):
+    """Gromov-Hausdorff distance of two distance matrices over every
+    pair of maps phi: X->Y, psi: Y->X, with no pruning; for spaces of a
+    few points."""
+    nx, ny = len(dx), len(dy)
+    best = None
+    for phi in itertools.product(range(ny), repeat=nx):
+        for psi in itertools.product(range(nx), repeat=ny):
+            dis = 0
+            for i, i2 in itertools.combinations_with_replacement(range(nx), 2):
+                dis = max(dis, abs(dx[i][i2] - dy[phi[i]][phi[i2]]))
+            for j, j2 in itertools.combinations_with_replacement(range(ny), 2):
+                dis = max(dis, abs(dy[j][j2] - dx[psi[j]][psi[j2]]))
+            for i in range(nx):
+                for j in range(ny):
+                    dis = max(dis, abs(dx[i][psi[j]] - dy[phi[i]][j]))
+            if best is None or dis < best:
+                best = dis
+    return best / 2 if isinstance(best, float) else best * Fraction(1, 2)

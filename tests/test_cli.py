@@ -316,6 +316,15 @@ class TestGhCommand:
         big = circle_file(tmp_path, n=8)
         assert run_cli(["gh", "--left", big, "--right", big]) == 3
 
+    def test_search_deeper_than_recursion_limit(self, tmp_path, capsys):
+        """One point against 1200 on a line: a correspondence search 1201
+        assignments deep, past the interpreter's default recursion limit."""
+        one = write(tmp_path, "one.json", {"points": [[0.0, 0.0]]})
+        line = write(tmp_path, "line.json", {"points": [[i, 0.0] for i in range(1200)]})
+        assert run_cli(["gh", "--left", one, "--right", line, "--gh-cap", "2000"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["gh"] == 599.5 and data["gh2"] == 1199.0
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):

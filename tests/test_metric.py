@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import gh_bisection, gh_exhaustive
 from psmm.errors import CapExceeded, InputError
 from psmm.metric import (
     build_filtration,
@@ -198,22 +199,23 @@ class TestConeDetection:
         assert f.stages[5].find_cone_apex() is None
 
 
-def gh_exhaustive(x, y):
-    """All assignment pairs, no pruning; oracle for small spaces."""
-    best = None
-    for phi in itertools.product(range(y.n), repeat=x.n):
-        for psi in itertools.product(range(x.n), repeat=y.n):
-            dis = 0
-            for i, i2 in itertools.combinations_with_replacement(range(x.n), 2):
-                dis = max(dis, abs(x.d(i, i2) - y.d(phi[i], phi[i2])))
-            for j, j2 in itertools.combinations_with_replacement(range(y.n), 2):
-                dis = max(dis, abs(y.d(j, j2) - x.d(psi[j], psi[j2])))
-            for i in range(x.n):
-                for j in range(y.n):
-                    dis = max(dis, abs(x.d(i, psi[j]) - y.d(phi[i], j)))
-            if best is None or dis < best:
-                best = dis
-    return best / 2 if isinstance(best, float) else best * Fraction(1, 2)
+@st.composite
+def gh_spaces(draw, n):
+    """A space of n points from exact or float entries, coincident points
+    and triangle-breaking matrices included."""
+    if draw(st.booleans()):
+        entry = st.builds(Fraction, st.integers(0, 12), st.sampled_from([1, 2, 3, 4, 6]))
+    else:
+        entry = st.one_of(st.integers(0, 12).map(lambda k: k / 4), st.floats(0, 3))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(entry)
+    return metric_from_matrix(rows)
+
+
+def assert_same_value_and_type(got, want):
+    assert got == want and type(got) is type(want), (got, want)
 
 
 class TestGromovHausdorff:
@@ -230,7 +232,34 @@ class TestGromovHausdorff:
         x = square_space()
         y = metric_from_points([[0, 0], [2, 0], [2, 2], [0, 2]])
         got = gh_bruteforce(x, y)
-        assert got == gh_exhaustive(x, y)
+        assert got == gh_exhaustive(x.dist, y.dist)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bisection(self, data):
+        x = data.draw(gh_spaces(data.draw(st.integers(1, 5))))
+        y = data.draw(gh_spaces(data.draw(st.integers(1, 5))))
+        assert_same_value_and_type(gh_bruteforce(x, y), gh_bisection(x.dist, y.dist))
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_bisection_thin(self, data):
+        """1 x n and 2 x n, either way round, up to the default cap of 30."""
+        k = data.draw(st.integers(1, 2))
+        x = data.draw(gh_spaces(k))
+        y = data.draw(gh_spaces(data.draw(st.integers(1, 30 // k))))
+        if data.draw(st.booleans()):
+            x, y = y, x
+        assert_same_value_and_type(gh_bruteforce(x, y), gh_bisection(x.dist, y.dist))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_small_matches_exhaustive(self, data):
+        x = data.draw(gh_spaces(data.draw(st.integers(1, 3))))
+        y = data.draw(gh_spaces(data.draw(st.integers(1, 3))))
+        want = gh_exhaustive(x.dist, y.dist)
+        assert gh_bisection(x.dist, y.dist) == want
+        assert gh_bruteforce(x, y) == want
 
     def test_cap(self):
         m = circle_space(8)

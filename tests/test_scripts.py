@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import psmm
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -22,3 +24,12 @@ def test_stability_audit_smoke():
     proc = run_script("stability_audit.py", "20")
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "20 trials, seed 20260810: 0 violations" in proc.stdout
+
+
+@pytest.mark.parametrize("args", [("-5",), ("0",), ("2.5",), ("many",), ("5", "seed"),
+                                  ("5", "1", "out.json", "extra")])
+def test_stability_audit_rejects_bad_arguments(args):
+    proc = run_script("stability_audit.py", *args)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stderr.startswith("usage: stability_audit.py")
+    assert "violations" not in proc.stdout
