@@ -16,10 +16,10 @@ import itertools
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cohomology import StageCohomology
+from .cohomology import StageCohomology, mul_elements
 from .errors import DimensionMismatch, InputError, TruncationError
 from .gvec import GradedLinearMap, GradedVectorSpace
-from .ratlin import RatMatrix, to_dense
+from .ratlin import RatMatrix, combine, to_dense, to_sparse
 
 Monomial = tuple  # sorted generator indices
 Poly = dict  # Monomial -> Fraction
@@ -51,8 +51,7 @@ class SullivanAlgebra:
     by exactly one and d(d(g)) = 0 identically.
     """
 
-    def __init__(self, generators: Sequence, differential: dict, truncation_degree: int,
-                 _validated: bool = False):
+    def __init__(self, generators: Sequence, differential: dict, truncation_degree: int):
         gens = [(str(n), int(d)) for n, d in generators]
         if len({n for n, _ in gens}) != len(gens):
             raise InputError("duplicate generator names")
@@ -73,15 +72,10 @@ class SullivanAlgebra:
         self._monomials: dict[int, list] = {}
         self._mono_index: dict[int, dict] = {}
         self._dcols: dict[int, tuple] = {}
-        self._dmat: dict[int, RatMatrix] = {}
         self._mulcache: dict = {}
-        if not _validated:
-            self._validate()
+        self._validate()
 
     # -- canonical monomial arithmetic ---------------------------------
-
-    def gen_degree(self, i: int) -> int:
-        return self.degrees[i]
 
     def monomial_degree(self, m: Monomial) -> int:
         return sum(self.degrees[i] for i in m)
@@ -202,19 +196,22 @@ class SullivanAlgebra:
             return {m: c for m, c in out.items() if c != 0}
         out = {}
         for term in terms:
-            if isinstance(term, dict):
-                coeff, names = term["coeff"], term["monomial"]
-            else:
-                coeff, names = term
             try:
-                idxs = [self.index[str(n)] for n in names]
+                coeff, names = ((term["coeff"], term["monomial"]) if isinstance(term, dict)
+                                else term)
+                coeff, names = Fraction(coeff), [str(n) for n in names]
+            except (KeyError, TypeError, ValueError, ZeroDivisionError):
+                raise InputError(f"malformed term {term!r}: needs a coeff and a "
+                                 "monomial list") from None
+            try:
+                idxs = [self.index[n] for n in names]
             except KeyError as e:
                 raise InputError(f"unknown generator in monomial: {e}")
             res = self.sort_monomial(idxs)
             if res is None:
                 raise InputError(f"odd generator squared in monomial {names}")
             mono, sign = res
-            c = sign * Fraction(coeff)
+            c = sign * coeff
             if c != 0:
                 out[mono] = out.get(mono, Fraction(0)) + c
         return {m: c for m, c in out.items() if c != 0}
@@ -303,12 +300,6 @@ class SullivanAlgebra:
             self._dcols[k] = (cols, rows)
         return self._dcols[k]
 
-    def d_matrix(self, k: int) -> RatMatrix:
-        if k not in self._dmat:
-            cols, rows = self.d_columns(k)
-            self._dmat[k] = RatMatrix.from_columns([to_dense(c, rows) for c in cols], rows=rows)
-        return self._dmat[k]
-
     def mul_basis(self, p: int, i: int, q: int, j: int) -> dict:
         if p + q > self.trunc:
             return {}
@@ -364,6 +355,32 @@ def make_sullivan(generators, differential, truncation_degree) -> SullivanAlgebr
     return SullivanAlgebra(generators, differential, truncation_degree)
 
 
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def sullivan_from_json(spec, min_trunc: int = 0) -> SullivanAlgebra:
+    """Sullivan algebra from its file form: a `generators` list of
+    {"name", "degree"} objects, an optional `differential` object
+    mapping names to lists of {"coeff", "monomial"} terms, and an
+    optional integer `truncation` (default 6, raised to min_trunc)."""
+    if not isinstance(spec, dict) or not isinstance(spec.get("generators"), list):
+        raise InputError("a Sullivan algebra needs a 'generators' list")
+    gens = []
+    for g in spec["generators"]:
+        if not isinstance(g, dict) or not isinstance(g.get("name"), str):
+            raise InputError(f"generator {g!r} needs a string 'name' and a 'degree'")
+        gens.append((g["name"], _json_int(g.get("degree"), f"degree of {g['name']}")))
+    differential = spec.get("differential", {})
+    if not isinstance(differential, dict) or not all(
+            isinstance(terms, list) for terms in differential.values()):
+        raise InputError("'differential' must map generator names to term lists")
+    trunc = max(_json_int(spec.get("truncation", 6), "truncation"), min_trunc)
+    return SullivanAlgebra(gens, differential, trunc)
+
+
 def linear_part(alg: SullivanAlgebra):
     """(V, Q(d)): the generator space and the word-length-1 component of
     the differential as matrices V^k -> V^{k+1}."""
@@ -394,6 +411,21 @@ def is_minimal(alg: SullivanAlgebra) -> bool:
 # ---------------------------------------------------------------------------
 # Morphisms
 # ---------------------------------------------------------------------------
+
+
+def image_of_monomial(source: SullivanAlgebra, target, images, m: Monomial) -> dict:
+    """Sparse coords of phi(m) in the target basis of its degree, for the
+    algebra map phi sending generator g to the coordinate vector
+    images[g]: the images of m's generators multiplied left to right."""
+    if not m:
+        return to_sparse(target.unit_coords())
+    acc, deg = to_sparse(images[m[0]]), source.degrees[m[0]]
+    for g in m[1:]:
+        if not acc:
+            break
+        acc = mul_elements(target, deg, acc, source.degrees[g], to_sparse(images[g]))
+        deg += source.degrees[g]
+    return acc
 
 
 class CDGAMorphism:
@@ -429,62 +461,32 @@ class CDGAMorphism:
 
     def _image_of_monomial(self, m: Monomial) -> dict:
         """Sparse coords of phi(m) in the target basis of its degree."""
-        if m in self._mono_image:
-            return self._mono_image[m]
-        if not m:
-            res = {i: c for i, c in enumerate(self.target.unit_coords()) if c != 0}
-            self._mono_image[m] = res
-            return res
-        head, tail = m[0], m[1:]
-        dh = self.source.degrees[head]
-        acc = {i: c for i, c in enumerate(self.images[head]) if c != 0}
-        deg = dh
-        for g in tail:
-            dg = self.source.degrees[g]
-            img = {i: c for i, c in enumerate(self.images[g]) if c != 0}
-            nxt: dict[int, Fraction] = {}
-            for i, ci in acc.items():
-                for j, cj in img.items():
-                    for t, v in self.target.mul_basis(deg, i, dg, j).items():
-                        nv = nxt.get(t, Fraction(0)) + ci * cj * v
-                        if nv == 0:
-                            nxt.pop(t, None)
-                        else:
-                            nxt[t] = nv
-            acc = nxt
-            deg += dg
-            if not acc:
-                break
-        self._mono_image[m] = acc
-        return acc
+        if m not in self._mono_image:
+            self._mono_image[m] = image_of_monomial(self.source, self.target, self.images, m)
+        return self._mono_image[m]
 
     def matrix(self, k: int) -> RatMatrix:
-        if k in self._mats:
-            return self._mats[k]
-        rows = self.target.dim(k)
-        cols = []
-        for m in self.source.monomials(k):
-            img = self._image_of_monomial(m)
-            col = [Fraction(0)] * rows
-            for i, c in img.items():
-                col[i] = c
-            cols.append(col)
-        mat = RatMatrix.from_columns(cols, rows=rows)
-        self._mats[k] = mat
-        return mat
+        if k not in self._mats:
+            rows = self.target.dim(k)
+            self._mats[k] = RatMatrix.from_columns(
+                [to_dense(self._image_of_monomial(m), rows) for m in self.source.monomials(k)],
+                rows=rows)
+        return self._mats[k]
 
     def apply_vec(self, k: int, vec: Sequence) -> list:
         return self.matrix(k).apply(vec)
 
-    def verify_chain_map(self, through: Optional[int] = None):
-        hi = self.max_checkable() - 1 if through is None else through
-        for k in range(hi + 1):
-            if self.source.dim(k) == 0 and self.source.dim(k + 1) == 0:
-                continue  # both sides are empty maps
-            lhs = self.matrix(k + 1).matmul(self.source.d_matrix(k))
-            rhs = self.target.d_matrix(k).matmul(self.matrix(k))
-            if lhs != rhs:
-                raise InputError(f"morphism does not commute with d at degree {k}")
+    def verify_chain_map(self):
+        """phi(d m) = d(phi(m)) for every source monomial m of degree k,
+        k = 0 .. max_checkable() - 1, compared as sparse columns."""
+        for k in range(self.max_checkable()):
+            up = self.source.monomials(k + 1)
+            tgt_d, _ = self.target.d_columns(k)
+            for m, dm in zip(self.source.monomials(k), self.source.d_columns(k)[0]):
+                lhs = combine((c, self._image_of_monomial(up[r])) for r, c in dm.items())
+                rhs = combine((c, tgt_d[t]) for t, c in self._image_of_monomial(m).items())
+                if lhs != rhs:
+                    raise InputError(f"morphism does not commute with d at degree {k}")
 
     def compose_after(self, inner: "CDGAMorphism") -> "CDGAMorphism":
         """self o inner, where inner's target is self's source."""

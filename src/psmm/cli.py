@@ -13,7 +13,8 @@ import json
 import math
 import sys
 
-from .cdga import make_sullivan
+from .cdga import sullivan_from_json
+from .cohomology import ring_from_json
 from .config import Config
 from .errors import CapExceeded, InputError, LiftError, TruncationError
 from .metric import gh_bruteforce, load_metric
@@ -39,7 +40,7 @@ EXIT_DEG1 = 4
 def _read_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError as e:
         raise InputError(f"no such file: {path}") from e
     except OSError as e:
@@ -48,6 +49,9 @@ def _read_json(path: str) -> dict:
         raise InputError(f"cannot decode {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise InputError(f"malformed JSON in {path}: {e}") from e
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: expected a JSON object at the top level")
+    return data
 
 
 def _emit(obj: dict, output: str | None):
@@ -77,7 +81,8 @@ def _add_common(p: argparse.ArgumentParser):
                    help="iterations for the degree-1 extension")
     p.add_argument("--simplex-cap", type=int, default=2_000_000)
     p.add_argument("--gh-cap", type=int, default=30,
-                   help="cap on |X|*|Y| for the brute-force Gromov-Hausdorff")
+                   help="cap on |X|*|Y| for the exact branch-and-bound "
+                        "Gromov-Hausdorff")
     p.add_argument("-o", "--output", default=None)
 
 
@@ -153,13 +158,12 @@ def cmd_minimal_model(args) -> int:
     cfg = _config_from_args(args)
     data = _read_json(args.input)
     if "cohomology_ring" in data:
-        from .cohomology import ring_from_json
-        alg = ring_from_json(data["cohomology_ring"],
-                             min_max_deg=cfg.max_degree + 1)
+        alg = ring_from_json(data["cohomology_ring"], min_max_deg=cfg.max_degree + 1)
+    elif "generators" in data:
+        alg = sullivan_from_json(data, min_trunc=cfg.max_degree + 2)
     else:
-        gens = [(g["name"], g["degree"]) for g in data.get("generators", [])]
-        trunc = max(int(data.get("truncation", 6)), cfg.max_degree + 2)
-        alg = make_sullivan(gens, data.get("differential", {}), trunc)
+        raise InputError(f"{args.input}: expected a 'generators' list or a "
+                         "'cohomology_ring' object")
     mm = minimal_model(alg, cfg.max_degree, cfg.deg1_cap)
     out = {
         "format": "psmm-minimal-model",
@@ -213,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--gh", action="store_true",
-                   help="include the brute-force 2*d_GH upper bound")
+                   help="include the exact branch-and-bound 2*d_GH upper bound")
     p.add_argument("--tolerance", type=float, default=0.0,
                    help="a finite number >= 0, echoed into the report for "
                         "downstream comparisons")
@@ -225,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_minimal_model)
 
-    p = sub.add_parser("gh", help="brute-force Gromov-Hausdorff distance")
+    p = sub.add_parser("gh", help="exact branch-and-bound Gromov-Hausdorff distance")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     _add_common(p)

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from .errors import InputError, TruncationError
 from .gvec import GradedLinearMap, GradedVectorSpace
 from .metric import SimplicialComplex
-from .ratlin import ColumnReducer, RatMatrix, to_dense
+from .ratlin import ColumnReducer, RatMatrix, combine, to_dense, to_sparse
 
 
 def coboundary_columns(cx: SimplicialComplex, p: int):
@@ -63,10 +63,7 @@ def cup_product(cx: SimplicialComplex, a, p: int, b, q: int):
         out[idx] = va * vb
     if isinstance(a, dict):
         return out
-    dense = [Fraction(0)] * len(cx.dim_simplices(p + q))
-    for i, v in out.items():
-        dense[i] = v
-    return dense
+    return to_dense(out, len(cx.dim_simplices(p + q)))
 
 
 class StageCohomology:
@@ -212,6 +209,13 @@ class StageCohomology:
 # ---------------------------------------------------------------------------
 
 
+def mul_elements(alg, p: int, a: dict, q: int, b: dict) -> dict:
+    """Product of sum_i a[i]·e^p_i and sum_j b[j]·e^q_j in any finite
+    CDGA, through its `mul_basis`; sparse in and out, no zero entries."""
+    return combine((ca * cb, alg.mul_basis(p, i, q, j))
+                   for i, ca in a.items() for j, cb in b.items())
+
+
 @dataclass
 class CohoClass:
     label: str
@@ -222,9 +226,10 @@ class CohomologyRing:
     """Graded basis of H* with representatives and structure constants.
 
     Doubles as a formal CDGA (zero differential) for minimal-model
-    construction: `dim`, `d_matrix`, `d_columns`, `mul_basis`,
-    `unit_coords` make up the finite-CDGA interface shared with Sullivan
-    algebras.
+    construction: `dim`, `d_columns`, `mul_basis`, `unit_coords` and
+    `trunc` (with `zero_differential` set) make up the finite-CDGA
+    interface shared with Sullivan algebras.  Its differential is the
+    zero column per basis class, with row count 0.
     """
 
     zero_differential = True
@@ -327,25 +332,12 @@ class CohomologyRing:
                     for i in range(self.dim(p)):
                         for j in range(self.dim(q)):
                             for t in range(self.dim(r)):
-                                left = self._mul_elem(p + q, self.mul_basis(p, i, q, j),
-                                                      r, {t: 1})
-                                right = self._mul_elem(p, {i: 1}, q + r,
-                                                       self.mul_basis(q, j, r, t))
+                                left = mul_elements(self, p + q, self.mul_basis(p, i, q, j),
+                                                    r, {t: 1})
+                                right = mul_elements(self, p, {i: 1}, q + r,
+                                                     self.mul_basis(q, j, r, t))
                                 if left != right:
                                     raise InputError("associativity fails")
-
-    def _mul_elem(self, p: int, a: dict, q: int, b: dict) -> dict:
-        """Product of sum_i a[i]·h^p_i and sum_j b[j]·h^q_j, both sparse."""
-        out: dict[int, Fraction] = {}
-        for i, ca in a.items():
-            for j, cb in b.items():
-                for t, v in self.mul_basis(p, i, q, j).items():
-                    nv = out.get(t, Fraction(0)) + ca * cb * v
-                    if nv == 0:
-                        out.pop(t, None)
-                    else:
-                        out[t] = nv
-        return out
 
     # -- finite-CDGA interface --------------------------------------------
 
@@ -360,10 +352,6 @@ class CohomologyRing:
     def labels(self, k: int) -> list:
         self.ensure_degree(k)
         return [c.label for c in self.basis.get(k, ())]
-
-    def d_matrix(self, k: int) -> RatMatrix:
-        n_next = self.dim(k + 1) if k + 1 <= self.max_deg else 0
-        return RatMatrix.zeros(n_next, self.dim(k))
 
     def d_columns(self, k: int) -> tuple:
         """Zero columns of d^k with row count 0: degree k + 1 is never
@@ -423,19 +411,6 @@ class CohomologyRing:
                 core.structure[(p, i, 0, 0)] = {i: Fraction(1)}
         return core
 
-    def dump(self) -> dict:
-        """Structured debug dump of everything materialized."""
-        return {
-            "max_deg": self.max_deg,
-            "dims": {k: len(v) for k, v in sorted(self.basis.items())},
-            "labels": {k: [c.label for c in v] for k, v in sorted(self.basis.items())},
-            "products": {
-                f"({p},{i})*({q},{j})": {str(t): str(c) for t, c in v.items()}
-                for (p, i, q, j), v in sorted(self.structure.items())
-                if v
-            },
-        }
-
 
 def cohomology_ring(cx: SimplicialComplex, max_deg: int) -> CohomologyRing:
     return CohomologyRing.from_complex(cx, max_deg)
@@ -446,6 +421,8 @@ def ring_from_json(data: dict, min_max_deg: int = 0) -> CohomologyRing:
     products of positive classes; omitted products are zero and the
     Koszul-symmetric counterpart of each listed product is filled in.
     """
+    if not isinstance(data, dict):
+        raise InputError("a cohomology ring must be a JSON object")
     classes = data.get("classes", [])
     max_deg = int(data.get("max_degree",
                            max([c["degree"] for c in classes] + [min_max_deg])))
@@ -491,7 +468,7 @@ def ring_from_json(data: dict, min_max_deg: int = 0) -> CohomologyRing:
 
 
 def induced_ring_map(ring_small: CohomologyRing, ring_big: CohomologyRing,
-                     max_deg: Optional[int] = None, verify: bool = True) -> GradedLinearMap:
+                     max_deg: Optional[int] = None) -> GradedLinearMap:
     """Map H*(big stage) -> H*(small stage) induced by the inclusion of
     the small stage, by restricting representative cocycles.
     """
@@ -520,34 +497,22 @@ def induced_ring_map(ring_small: CohomologyRing, ring_big: CohomologyRing,
         if not m.is_zero():
             mats[k] = m
     out = GradedLinearMap(ring_big.space(hi), ring_small.space(hi), mats)
-    if verify:
-        _verify_multiplicative(out, ring_small, ring_big, hi)
+    _verify_multiplicative(out, ring_small, ring_big, hi)
     return out
 
 
 def _verify_multiplicative(f: GradedLinearMap, ring_small: CohomologyRing,
                            ring_big: CohomologyRing, hi: int):
     for p in range(hi + 1):
+        fp = f.matrix(p)
         for q in range(hi + 1 - p):
+            fq, fpq = f.matrix(q), f.matrix(p + q)
             for i in range(ring_big.dim(p)):
                 for j in range(ring_big.dim(q)):
-                    prod = ring_big.mul_basis(p, i, q, j)
-                    lhs = [Fraction(0)] * ring_small.dim(p + q)
-                    for t, c in prod.items():
-                        col = f.matrix(p + q).column(t)
-                        for r in range(len(lhs)):
-                            lhs[r] += c * col[r]
-                    fi = f.matrix(p).column(i)
-                    fj = f.matrix(q).column(j)
-                    rhs = [Fraction(0)] * ring_small.dim(p + q)
-                    for a, ca in enumerate(fi):
-                        if ca == 0:
-                            continue
-                        for b, cb in enumerate(fj):
-                            if cb == 0:
-                                continue
-                            for t, c in ring_small.mul_basis(p, a, q, b).items():
-                                rhs[t] += ca * cb * c
+                    lhs = combine((c, to_sparse(fpq.column(t)))
+                                  for t, c in ring_big.mul_basis(p, i, q, j).items())
+                    rhs = mul_elements(ring_small, p, to_sparse(fp.column(i)),
+                                       q, to_sparse(fq.column(j)))
                     if lhs != rhs:
                         raise InputError(
                             f"induced map not multiplicative at ({p},{i})x({q},{j})")

@@ -16,12 +16,12 @@ stage lands in words of length two by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .cdga import CDGAMorphism, SullivanAlgebra, induced_cohomology_map
+from .cdga import CDGAMorphism, SullivanAlgebra, image_of_monomial, induced_cohomology_map
 from .cohomology import StageCohomology
 from .errors import CapExceeded, InputError, LiftError
-from .ratlin import RatMatrix, kernel_basis, quotient_basis, rank, solve, to_dense
+from .ratlin import (RatMatrix, combine, kernel_basis, quotient_basis, rank, solve, to_dense,
+                     to_sparse)
 
 
 @dataclass
@@ -73,14 +73,11 @@ def _add_killers(builder: "_Builder", a, alg: SullivanAlgebra, rho: CDGAMorphism
     d x = rho(zeta) in the input."""
     reps = h_model.h_reps(k)
     for j in range(ker.cols):
-        zeta_vec = [Fraction(0)] * alg.dim(k)
-        for i, c in enumerate(ker.column(j)):
-            if c != 0:
-                for r, v in reps[i].items():
-                    zeta_vec[r] += c * v
+        zeta_vec = to_dense(combine((c, reps[i]) for i, c in enumerate(ker.column(j)) if c),
+                            alg.dim(k))
         zeta = alg.vec_to_poly(zeta_vec, k)
         zeta_names = {tuple(alg.names[g] for g in m): c for m, c in zeta.items()}
-        x = solve(a.d_matrix(k - 1), rho.apply_vec(k, zeta_vec))
+        x = solve(a.d_columns(k - 1)[0], a.dim(k), rho.apply_vec(k, zeta_vec))
         if x is None:
             raise InputError("d x = rho(d z) unsolvable: invariant breach")
         builder.add(k - 1, zeta_names, x)
@@ -176,6 +173,10 @@ def verify_quasi_iso(mm: MinimalModel, max_deg: int) -> dict:
     return {"per_degree": per_degree, "verified_degree": verified}
 
 
+def _shifted(col: dict, n: int) -> dict:
+    return {n + i: c for i, c in col.items()}
+
+
 def sullivan_representative(f, mmA: MinimalModel, mmB: MinimalModel,
                             max_deg: int) -> CDGAMorphism:
     """Morphism mmA.model -> mmB.model covering f: A -> B.
@@ -196,65 +197,27 @@ def sullivan_representative(f, mmA: MinimalModel, mmB: MinimalModel,
     tgt = mmB.model
     B = mmB.input
     images = []
-    partial = {}
-
-    def apply_partial(poly: dict, deg: int) -> list:
-        out = [Fraction(0)] * tgt.dim(deg)
-        for mono, coeff in poly.items():
-            acc = {i: c for i, c in enumerate(tgt.unit_coords()) if c != 0}
-            acc_deg = 0
-            for g in mono:
-                img = partial[g]
-                dg = src.degrees[g]
-                nxt: dict[int, Fraction] = {}
-                for i, ci in acc.items():
-                    for j, cj in enumerate(img):
-                        if cj == 0:
-                            continue
-                        for t, v in tgt.mul_basis(acc_deg, i, dg, j).items():
-                            nv = nxt.get(t, Fraction(0)) + ci * cj * v
-                            if nv == 0:
-                                nxt.pop(t, None)
-                            else:
-                                nxt[t] = nv
-                acc = nxt
-                acc_deg += dg
-                if not acc:
-                    break
-            for i, c in acc.items():
-                out[i] += coeff * c
-        return out
-
     for gi in range(len(src.generators)):
         k = src.degrees[gi]
         dv = src.diff.get(gi, {})
         for mono in dv:
             if any(g >= gi for g in mono):
                 raise InputError("generator order violates the Sullivan filtration")
-        rhs1 = apply_partial(dv, k + 1)
-        rhs2 = f.matrix(k).apply(mmA.rho.images[gi])
-
-        n_y = tgt.dim(k)
-        n_eta = B.dim(k - 1) if k >= 1 else 0
-        d_mod = tgt.d_matrix(k)
+        # [d_model 0; mu_B d_input] (y; eta) = (phi(d v); f(mu_A(v))) as
+        # sparse columns, the lower block shifted down by dim tgt^{k+1}
+        nd = tgt.dim(k + 1)
         mu_b = mmB.rho.matrix(k)
-        d_inp = B.d_matrix(k - 1) if k >= 1 else RatMatrix.zeros(B.dim(0), 0)
-
-        top = d_mod.hstack(RatMatrix.zeros(d_mod.rows, n_eta))
-        bottom = mu_b.hstack(d_inp)
-        system = RatMatrix(
-            top.rows + bottom.rows, n_y + n_eta,
-            top.tolist() + bottom.tolist(),
-        )
-        rhs = rhs1 + rhs2
-        sol = solve(system, rhs)
+        system = [{**d_col, **_shifted(to_sparse(mu_b.column(j)), nd)}
+                  for j, d_col in enumerate(tgt.d_columns(k)[0])]
+        system += [_shifted(d_col, nd) for d_col in B.d_columns(k - 1)[0]]
+        phi_dv = combine((c, image_of_monomial(src, tgt, images, m)) for m, c in dv.items())
+        rhs = to_dense(phi_dv, nd) + f.matrix(k).apply(mmA.rho.images[gi])
+        sol = solve(system, nd + B.dim(k), rhs)
         if sol is None:
             raise LiftError(
                 f"no lift for generator {src.names[gi]} (degree {k}): "
                 "truncation too small or invariant breach")
-        y = sol[:n_y]
-        partial[gi] = y
-        images.append(y)
+        images.append(sol[:tgt.dim(k)])
 
     phi = CDGAMorphism(src, tgt, images, check=True)
     verify_representative(phi, f, mmA, mmB, max_deg)

@@ -31,7 +31,7 @@ from .cdga import (
     CDGAMorphism,
     induced_cohomology_map,
     linear_part_map,
-    make_sullivan,
+    sullivan_from_json,
 )
 from .cohomology import CohomologyRing, induced_ring_map
 from .config import Config
@@ -111,11 +111,7 @@ def persistent_cdga_from_json(data: dict, min_trunc: int = 0) -> PersistentCDGA:
         raise InputError("persistent CDGA needs at least one stage")
     if len(stage_specs) != len(grid) + 1:
         raise InputError("need exactly one stage per grid interval")
-    stages = []
-    for spec in stage_specs:
-        gens = [(g["name"], g["degree"]) for g in spec.get("generators", [])]
-        trunc = max(int(spec.get("truncation", 6)), min_trunc)
-        stages.append(make_sullivan(gens, spec.get("differential", {}), trunc))
+    stages = [sullivan_from_json(spec, min_trunc) for spec in stage_specs]
     maps_spec = data.get("maps", [])
     if len(maps_spec) != max(len(stages) - 1, 0):
         raise InputError("need one structure map per consecutive stage pair")
@@ -471,8 +467,8 @@ def _as_psm(x, cfg: Config) -> PersistentSullivanModel:
 def bounds_report(x, y, cfg: Optional[Config] = None,
                   with_gh: bool = True) -> BoundsReport:
     """Lower-bound chain between two inputs (metric spaces or persistent
-    CDGAs), with an optional brute-force 2*d_GH sandwich when both are
-    small metric spaces."""
+    CDGAs), with an optional exact branch-and-bound 2*d_GH sandwich when
+    both are small metric spaces."""
     cfg = cfg or Config()
     psm_x = _as_psm(x, cfg)
     psm_y = _as_psm(y, cfg)

@@ -6,19 +6,26 @@ floating point is forbidden here because quasi-isomorphism and
 minimality checks are rank statements.  Values that leave the module
 are `fractions.Fraction`.
 
-`RatMatrix` is the dense container the algebraic side passes around.
+Matrices come in two forms.  `RatMatrix` is the dense container of
+graded linear maps, dumps and barcodes; `rank`, `kernel_basis` and
+`quotient_basis` take one.  A differential is a list of sparse columns,
+{row: value} dicts as `SullivanAlgebra.d_columns` and
+`coboundary_columns` give them, with a row count; `solve` takes such
+columns (or dense ones) and the row count directly, and `combine` sums
+multiples of them.
+
 One engine eliminates: `ColumnReducer`, a sparse incremental column
 reducer that works on integer columns (each input column scaled by the
 lcm of its denominators, fraction-free steps, pivots divided by their
 content) and converts to `Fraction` only at its answers.
 `cohomology.StageCohomology` runs it over the coboundary matrices of
 Vietoris-Rips stages and the differentials of Sullivan algebras, and
-`rank`, `solve`, `kernel_basis` and `quotient_basis` feed it a
-matrix's columns left to right.  Their answers are the dense
-Gauss-Jordan ones: a column is a pivot column iff it is independent of
-the columns before it, so `solve` sets free variables to zero and each
-kernel vector is e_c minus the coefficients of column c over the
-pivot columns before it.
+`rank`, `solve`, `kernel_basis` and `quotient_basis` feed it their
+columns left to right.  Their answers are the dense Gauss-Jordan ones:
+a column is a pivot column iff it is independent of the columns before
+it, so `solve` sets free variables to zero and each kernel vector is
+e_c minus the coefficients of column c over the pivot columns before
+it.
 """
 
 from __future__ import annotations
@@ -29,8 +36,6 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch
-
-QQ = Fraction
 
 
 def _frac(x) -> Fraction:
@@ -135,22 +140,11 @@ class RatMatrix:
                         oi[j] += a * rk[j]
         return RatMatrix(self.rows, other.cols, out)
 
-    def __matmul__(self, other):
-        return self.matmul(other)
-
     def apply(self, vec: Sequence) -> list:
         if len(vec) != self.cols:
             raise DimensionMismatch(f"vector length {len(vec)} != {self.cols}")
         v = [_frac(x) for x in vec]
         return [sum((a * b for a, b in zip(row, v) if a != 0), Fraction(0)) for row in self._data]
-
-    def hstack(self, other: "RatMatrix") -> "RatMatrix":
-        if self.rows != other.rows:
-            raise DimensionMismatch("row counts differ")
-        return RatMatrix(
-            self.rows, self.cols + other.cols,
-            [list(self._data[i]) + list(other._data[i]) for i in range(self.rows)],
-        )
 
 
 def to_dense(col: dict, n: int) -> list:
@@ -161,33 +155,54 @@ def to_dense(col: dict, n: int) -> list:
     return out
 
 
-def _reducer(a: RatMatrix, record: bool = False) -> "ColumnReducer":
-    """A reducer holding the columns of `a`, added left to right."""
-    red = ColumnReducer(a.rows, record=record)
-    for j in range(a.cols):
-        red.add(a.column(j))
+def to_sparse(vec: Sequence) -> dict:
+    """Sparse {index: value} column of the nonzero entries of a vector."""
+    return {i: v for i, v in enumerate(vec) if v}
+
+
+def combine(terms) -> dict:
+    """Sparse column sum of c·col over (c, col) pairs of a coefficient and
+    a sparse column, with no zero entries."""
+    out: dict = {}
+    for c, col in terms:
+        for i, v in col.items():
+            nv = out.get(i, Fraction(0)) + c * v
+            if nv == 0:
+                out.pop(i, None)
+            else:
+                out[i] = nv
+    return out
+
+
+def _reducer(columns: Sequence, nrows: int, record: bool = False) -> "ColumnReducer":
+    """A reducer holding `columns`, added left to right."""
+    red = ColumnReducer(nrows, record=record)
+    for c in columns:
+        red.add(c)
     return red
 
 
 def rank(m: RatMatrix) -> int:
-    return _reducer(m).rank
+    return _reducer(m.columns(), m.rows).rank
 
 
-def solve(a: RatMatrix, b: Sequence) -> Optional[list]:
-    """Particular solution of a·x = b, or None when b is outside im(a).
+def solve(columns: Sequence, nrows: int, b: Sequence) -> Optional[list]:
+    """Particular solution x of sum_j x[j]·columns[j] = b, or None when b
+    is outside their span.  Each column is a sparse {row: value} dict or
+    a dense sequence; rows index 0..nrows-1, and b is dense.
 
     Deterministic: free variables are set to zero, so reruns agree
     bit for bit.
     """
-    if len(b) != a.rows:
-        raise DimensionMismatch(f"rhs length {len(b)} != {a.rows}")
-    x = _reducer(a, record=True).solve(b)
-    return None if x is None else to_dense(x, a.cols)
+    if len(b) != nrows:
+        raise DimensionMismatch(f"rhs length {len(b)} != {nrows}")
+    x = _reducer(columns, nrows, record=True).solve(b)
+    return None if x is None else to_dense(x, len(columns))
 
 
 def kernel_basis(a: RatMatrix) -> RatMatrix:
     """Columns spanning the null space; count = cols - rank."""
-    combos = _reducer(a, record=True).kernel_combos
+    combos = _reducer(a.columns(), a.rows, record=True).kernel_combos
     return RatMatrix.from_columns([to_dense(c, a.cols) for c in combos], rows=a.cols)
 
 

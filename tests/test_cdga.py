@@ -15,8 +15,9 @@ from psmm.cdga import (
     linear_part_map,
     make_sullivan,
 )
+from psmm.cohomology import CohomologyRing
 from psmm.errors import InputError
-from psmm.ratlin import RatMatrix
+from psmm.ratlin import RatMatrix, to_dense
 
 
 def sphere2_model(trunc=8):
@@ -46,7 +47,7 @@ def random_sullivan(rng, max_gens=5, trunc=8):
             continue
         partial = make_sullivan(gens[:i], diff, trunc)
         from psmm.ratlin import kernel_basis
-        ker = kernel_basis(partial.d_matrix(d + 1))
+        ker = kernel_basis(dense_d(partial, d + 1))
         if ker.cols == 0 or rng.random() < 0.3:
             continue
         coeffs = [Fraction(rng.randint(-2, 2)) for _ in range(ker.cols)]
@@ -61,6 +62,32 @@ def random_sullivan(rng, max_gens=5, trunc=8):
 
 def m_names(alg, mono):
     return tuple(alg.names[g] for g in mono)
+
+
+def dense_d(alg, k):
+    """Dense matrix of d: degree k -> k+1 of a finite CDGA, built from its
+    sparse columns; a zero differential gets dim(k+1) zero rows."""
+    rows = alg.dim(k + 1)
+    return RatMatrix.from_columns([to_dense(c, rows) for c in alg.d_columns(k)[0]],
+                                  rows=rows)
+
+
+def chain_map_failures(phi):
+    """Dense reference for CDGAMorphism.verify_chain_map: the degrees
+    k < max_checkable() where matrix(k+1)·d_src(k) != d_tgt(k)·matrix(k)."""
+    return [k for k in range(phi.max_checkable())
+            if phi.matrix(k + 1).matmul(dense_d(phi.source, k))
+            != dense_d(phi.target, k).matmul(phi.matrix(k))]
+
+
+def underlying_ring(alg, max_deg):
+    """The graded algebra of `alg` through max_deg as a cohomology ring:
+    its monomials as basis classes, its products, zero differential."""
+    labels = {k: alg.labels(k) for k in range(max_deg + 1)}
+    structure = {(p, i, q, j): alg.mul_basis(p, i, q, j)
+                 for p in range(max_deg + 1) for q in range(max_deg + 1 - p)
+                 for i in range(alg.dim(p)) for j in range(alg.dim(q))}
+    return CohomologyRing.from_data(max_deg, labels, structure)
 
 
 class TestConstruction:
@@ -213,6 +240,60 @@ class TestMorphisms:
             linear_part_map(g).compose(linear_part_map(f)))
 
 
+class TestSparseChainMapCheck:
+    """verify_chain_map (sparse columns) against the dense reference."""
+
+    @staticmethod
+    def _assert_agrees(src, tgt, images):
+        failures = chain_map_failures(CDGAMorphism(src, tgt, images, check=False))
+        if failures:
+            with pytest.raises(InputError, match=f"with d at degree {failures[0]}$"):
+                CDGAMorphism(src, tgt, images, check=True)
+        else:
+            CDGAMorphism(src, tgt, images, check=True)
+        return failures
+
+    @staticmethod
+    def _perturbed(rng, images):
+        slots = [(g, t) for g, vec in enumerate(images) for t in range(len(vec))]
+        if not slots:
+            return None
+        g, t = rng.choice(slots)
+        out = [list(vec) for vec in images]
+        out[g][t] += rng.choice([-2, -1, 1, 2])
+        return out
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_reference(self, seed):
+        rng = random.Random(seed)
+        src = random_sullivan(rng, max_gens=4, trunc=6)
+        identity = [src.poly_to_vec({(g,): Fraction(1)}, d) for g, d in enumerate(src.degrees)]
+        other = random_sullivan(rng, max_gens=4, trunc=6)
+        ring = underlying_ring(src, 4)
+        cases = [
+            (src, identity),
+            (other, [[0] * other.dim(d) for d in src.degrees]),
+            (ring, identity),
+            (ring, [[0] * ring.dim(d) for d in src.degrees]),
+        ]
+        for n, (tgt, images) in enumerate(cases):
+            failures = self._assert_agrees(src, tgt, images)
+            if n != 2:
+                assert failures == []  # identity and zero maps are chain maps
+            changed = self._perturbed(rng, images)
+            if changed is not None:
+                self._assert_agrees(src, tgt, changed)
+
+    def test_identity_into_ring_fails_where_d_is_nonzero(self):
+        # d(b) = a^2 is nonzero in degree 4, which the ring sends to zero
+        alg = sphere2_model(trunc=6)
+        identity = [alg.poly_to_vec({(0,): Fraction(1)}, 2),
+                    alg.poly_to_vec({(1,): Fraction(1)}, 3)]
+        ring = underlying_ring(alg, 4)
+        assert self._assert_agrees(alg, ring, identity) == [3]
+
+
 class TestHomotopyNecessary:
     def test_equal_maps_pass(self):
         alg = sphere2_model()
@@ -277,7 +358,7 @@ class TestAlgebraProperties:
     def test_d_squared_all_degrees(self, seed):
         alg = random_sullivan(random.Random(seed))
         for k in range(1, alg.trunc - 1):
-            lhs = alg.d_matrix(k + 1).matmul(alg.d_matrix(k))
+            lhs = dense_d(alg, k + 1).matmul(dense_d(alg, k))
             assert lhs.is_zero()
 
     @given(st.integers(0, 10 ** 6))

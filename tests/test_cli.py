@@ -71,6 +71,55 @@ class TestMinimalModelCommand:
         assert run_cli(["minimal-model", "--input", inp]) == 2
 
 
+    @staticmethod
+    def _assert_rejected(tmp_path, capsys, command, obj):
+        inp = write(tmp_path, "bad.json", obj)
+        assert run_cli([command, "--input", inp] + (
+            ["--invariant", "V"] if command == "barcode" else [])) == 2, obj
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: "), (obj, captured.err)
+
+    def test_not_a_cdga_exit_2(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        two = write(tmp_path, "two.json", {"distance_matrix": [[0, 1], [1, 0]]})
+        assert run_cli(["model", "--input", two, "--max-degree", "2",
+                        "-o", str(model)]) == 0
+        for obj in ({"distance_matrix": [[0, 1], [1, 0]]},
+                    json.loads(model.read_text()), {}):
+            self._assert_rejected(tmp_path, capsys, "minimal-model", obj)
+
+    def test_empty_generator_list_is_q(self, tmp_path, capsys):
+        inp = write(tmp_path, "q.json", {"generators": []})
+        out = tmp_path / "model.json"
+        assert run_cli(["minimal-model", "--input", inp, "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["model"]["generators"] == []
+
+    @pytest.mark.parametrize("command", ["minimal-model", "barcode"])
+    def test_non_object_top_level_exit_2(self, tmp_path, capsys, command):
+        self._assert_rejected(tmp_path, capsys, command, [1, 2])
+
+    MALFORMED = [
+        {"generators": [{"degree": 2}]},
+        {"generators": [1]},
+        {"generators": [{"name": "a", "degree": "two"}]},
+        {"generators": [{"name": "a", "degree": 2.5}]},
+        {"generators": [{"name": "a", "degree": 2}], "truncation": "six"},
+        {"generators": [{"name": "a", "degree": 2}], "truncation": 6.5},
+        {"generators": [{"name": "a", "degree": 2}], "differential": ["a"]},
+        {"generators": [{"name": "a", "degree": 2}, {"name": "b", "degree": 3}],
+         "differential": {"b": [{"coeff": 1}]}},
+        {"generators": [{"name": "a", "degree": 2}, {"name": "b", "degree": 3}],
+         "differential": {"b": [{"coeff": "x", "monomial": ["a", "a"]}]}},
+    ]
+
+    @pytest.mark.parametrize("spec", MALFORMED)
+    def test_malformed_generators_exit_2(self, tmp_path, capsys, spec):
+        self._assert_rejected(tmp_path, capsys, "minimal-model", spec)
+        self._assert_rejected(tmp_path, capsys, "model",
+                              {"grid": [], "maps": [], "stages": [spec]})
+
+
 class TestModelCommand:
     def test_two_point_model(self, tmp_path, capsys):
         inp = write(tmp_path, "two.json", {"distance_matrix": [[0, 1], [1, 0]]})

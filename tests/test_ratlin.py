@@ -14,6 +14,7 @@ from psmm.ratlin import (
     rank,
     solve,
     to_dense,
+    to_sparse,
 )
 
 
@@ -69,19 +70,19 @@ class TestRref:
 class TestSolve:
     def test_identity_case(self):
         b = [Fraction(3), Fraction(-7)]
-        assert solve(RatMatrix.identity(2), b) == b
+        assert solve(RatMatrix.identity(2).columns(), 2, b) == b
 
     def test_underdetermined(self):
-        x = solve(M([[1, 1]]), [3])
+        x = solve(M([[1, 1]]).columns(), 1, [3])
         assert x is not None
         assert x[0] + x[1] == 3
 
     def test_inconsistent(self):
-        assert solve(M([[1], [0]]), [0, 1]) is None
+        assert solve(M([[1], [0]]).columns(), 2, [0, 1]) is None
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            solve(M([[1, 1]]), [1, 2])
+            solve(M([[1, 1]]).columns(), 1, [1, 2])
 
     @given(small_matrices(), st.data())
     def test_solve_matches_dense(self, a, data):
@@ -91,7 +92,17 @@ class TestSolve:
             b = [data.draw(small_entries) for _ in range(a.rows)]
         else:
             b = a.apply([data.draw(small_entries) for _ in range(a.cols)])
-        assert solve(a, b) == dense_solve(a.tolist(), a.cols, b)
+        assert solve(a.columns(), a.rows, b) == dense_solve(a.tolist(), a.cols, b)
+
+    @given(small_matrices(), st.data())
+    def test_sparse_columns_match_dense(self, a, data):
+        # {row: value} columns and dense columns are the same system
+        if data.draw(st.booleans()):
+            b = [data.draw(small_entries) for _ in range(a.rows)]
+        else:
+            b = a.apply([data.draw(small_entries) for _ in range(a.cols)])
+        sparse = [to_sparse(col) for col in a.columns()]
+        assert solve(sparse, a.rows, b) == solve(a.columns(), a.rows, b)
 
     @given(small_matrices(max_dim=4), st.data())
     @settings(max_examples=60)
@@ -99,7 +110,7 @@ class TestSolve:
         # rhs constructed inside the image so a solution must exist
         coeffs = [data.draw(small_entries) for _ in range(a.cols)]
         b = a.apply(coeffs) if a.cols else [Fraction(0)] * a.rows
-        x = solve(a, b)
+        x = solve(a.columns(), a.rows, b)
         assert x is not None
         assert a.apply(x) == b
 
@@ -128,7 +139,8 @@ class TestKernel:
     def test_answers_are_fractions(self, a, data):
         k = kernel_basis(a)
         assert all(type(v) is Fraction for col in k.columns() for v in col)
-        x = solve(a, a.apply([data.draw(small_entries) for _ in range(a.cols)]))
+        b = a.apply([data.draw(small_entries) for _ in range(a.cols)])
+        x = solve(a.columns(), a.rows, b)
         assert all(type(v) is Fraction for v in x)
 
     @given(small_matrices())
