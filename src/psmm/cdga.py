@@ -20,6 +20,7 @@ from .cohomology import StageCohomology, mul_elements
 from .errors import DimensionMismatch, InputError, TruncationError
 from .gvec import GradedLinearMap, GradedVectorSpace
 from .ratlin import RatMatrix, combine, to_dense, to_sparse
+from .util import json_int
 
 Monomial = tuple  # sorted generator indices
 Poly = dict  # Monomial -> Fraction
@@ -133,21 +134,6 @@ class SullivanAlgebra:
         res = (tuple(merged), sign)
         self._mulcache[key] = res
         return res
-
-    def poly_mul(self, p: Poly, q: Poly) -> Poly:
-        out: Poly = {}
-        for m1, c1 in p.items():
-            for m2, c2 in q.items():
-                r = self.mul_monomials(m1, m2)
-                if r is None:
-                    continue
-                m, s = r
-                nc = out.get(m, Fraction(0)) + s * c1 * c2
-                if nc == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = nc
-        return out
 
     def d_monomial(self, m: Monomial) -> Poly:
         out: Poly = {}
@@ -324,12 +310,6 @@ class SullivanAlgebra:
             labels.setdefault(d, []).append(name)
         return GradedVectorSpace.from_dims(dims, {k: tuple(v) for k, v in labels.items()})
 
-    def gen_offset(self, i: int) -> tuple:
-        """(degree, position) of generator i within its degree block."""
-        d = self.degrees[i]
-        pos = sum(1 for j in range(i) if self.degrees[j] == d)
-        return d, pos
-
     def is_minimal(self) -> bool:
         """No linear term in any differential: im(d) in wedge^{>=2}."""
         return all(
@@ -355,12 +335,6 @@ def make_sullivan(generators, differential, truncation_degree) -> SullivanAlgebr
     return SullivanAlgebra(generators, differential, truncation_degree)
 
 
-def _json_int(value, what: str) -> int:
-    if type(value) is not int:
-        raise InputError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def sullivan_from_json(spec, min_trunc: int = 0) -> SullivanAlgebra:
     """Sullivan algebra from its file form: a `generators` list of
     {"name", "degree"} objects, an optional `differential` object
@@ -372,36 +346,13 @@ def sullivan_from_json(spec, min_trunc: int = 0) -> SullivanAlgebra:
     for g in spec["generators"]:
         if not isinstance(g, dict) or not isinstance(g.get("name"), str):
             raise InputError(f"generator {g!r} needs a string 'name' and a 'degree'")
-        gens.append((g["name"], _json_int(g.get("degree"), f"degree of {g['name']}")))
+        gens.append((g["name"], json_int(g.get("degree"), f"degree of {g['name']}")))
     differential = spec.get("differential", {})
     if not isinstance(differential, dict) or not all(
             isinstance(terms, list) for terms in differential.values()):
         raise InputError("'differential' must map generator names to term lists")
-    trunc = max(_json_int(spec.get("truncation", 6), "truncation"), min_trunc)
+    trunc = max(json_int(spec.get("truncation", 6), "truncation"), min_trunc)
     return SullivanAlgebra(gens, differential, trunc)
-
-
-def linear_part(alg: SullivanAlgebra):
-    """(V, Q(d)): the generator space and the word-length-1 component of
-    the differential as matrices V^k -> V^{k+1}."""
-    space = alg.generator_space()
-    by_deg: dict[int, list] = {}
-    for i, (_, d) in enumerate(alg.generators):
-        by_deg.setdefault(d, []).append(i)
-    qmats: dict[int, RatMatrix] = {}
-    for d, idxs in by_deg.items():
-        tgt = by_deg.get(d + 1, [])
-        cols = []
-        for i in idxs:
-            col = [Fraction(0)] * len(tgt)
-            for m, c in alg.diff.get(i, {}).items():
-                if len(m) == 1:
-                    col[tgt.index(m[0])] = c
-            cols.append(col)
-        m = RatMatrix.from_columns(cols, rows=len(tgt))
-        if not m.is_zero():
-            qmats[d] = m
-    return space, qmats
 
 
 def is_minimal(alg: SullivanAlgebra) -> bool:
@@ -528,22 +479,6 @@ def linear_part_map(phi: CDGAMorphism) -> GradedLinearMap:
     raise InputError("linear part of a morphism needs a free target")
 
 
-# ---------------------------------------------------------------------------
-# Cohomology of a finite CDGA, through the one cohomology engine
-# ---------------------------------------------------------------------------
-
-
-def cdga_cohomology(alg: SullivanAlgebra, max_deg: int):
-    """Graded vector space of H^* with representative polynomials."""
-    h = StageCohomology.of_cdga(alg, max_deg)
-    dims = {k: h.h_dim(k) for k in range(max_deg + 1)}
-    reps = {
-        k: [{alg.monomials(k)[i]: c for i, c in sorted(r.items())} for r in h.h_reps(k)]
-        for k in range(max_deg + 1) if dims[k]
-    }
-    return GradedVectorSpace.from_dims(dims), reps
-
-
 def induced_cohomology_map(phi: CDGAMorphism, h_src: StageCohomology,
                            h_tgt: StageCohomology, max_deg: int,
                            min_deg: int = 0) -> GradedLinearMap:
@@ -566,28 +501,3 @@ def induced_cohomology_map(phi: CDGAMorphism, h_src: StageCohomology,
         GradedVectorSpace.from_dims({k: h_tgt.h_dim(k) for k in degrees}),
         mats,
     )
-
-
-def check_homotopy_necessary(phi0: CDGAMorphism, phi1: CDGAMorphism,
-                             max_deg: Optional[int] = None) -> dict:
-    """Necessary conditions for phi0 ~ phi1: equal maps on cohomology,
-    and equal linear parts (the latter is only a valid necessary
-    condition when H^1(source) = 0).  Neither is claimed sufficient.
-    """
-    if phi0.source is not phi1.source or phi0.target is not phi1.target:
-        raise InputError("morphisms must share source and target")
-    hi = min(phi0.max_checkable(), phi1.max_checkable()) - 1 if max_deg is None else max_deg
-    h_src = StageCohomology.of_cdga(phi0.source, hi)
-    h_tgt = StageCohomology.of_cdga(phi0.target, hi)
-    h0 = induced_cohomology_map(phi0, h_src, h_tgt, hi)
-    h1 = induced_cohomology_map(phi1, h_src, h_tgt, hi)
-    h_equal = h0.equals(h1)
-    q_equal = None
-    if isinstance(phi0.target, SullivanAlgebra):
-        q_equal = linear_part_map(phi0).equals(linear_part_map(phi1))
-    return {
-        "h_equal": h_equal,
-        "q_equal": q_equal,
-        "h1_source_zero": h_src.h_dim(1) == 0,
-        "necessary_conditions_met": h_equal and (q_equal is not False),
-    }

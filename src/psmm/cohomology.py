@@ -7,6 +7,16 @@ the global vertex order; the ring is graded-commutative and associative
 after projection to cohomology, and both facts are asserted during
 construction.
 
+Products with a degree-0 factor are read off component labels instead,
+with no cup product and no class solve.  Each H^0 representative is the
+0/1 indicator of one connected component (the cone shortcut gives the
+constant 1), and the coboundary is block-diagonal over components, so
+every positive-degree representative lies in one component.  With each
+vertex labelled by the H^0 class containing it, 1_C . b and b . 1_C are
+b when b lies in C and 0 otherwise, and the unit is the sum of the H^0
+basis.  The labels are checked where they are built: a representative
+that breaks this raises InputError.
+
 `StageCohomology` computes the kernel mod image of every cochain
 complex in the package.  It eliminates each sparse coboundary once, in
 ascending degree and only up to the degrees asked for, and reads
@@ -24,6 +34,9 @@ from .errors import InputError, TruncationError
 from .gvec import GradedLinearMap, GradedVectorSpace
 from .metric import SimplicialComplex
 from .ratlin import ColumnReducer, RatMatrix, combine, to_dense, to_sparse
+from .util import json_int
+
+_ONE = Fraction(1)
 
 
 def coboundary_columns(cx: SimplicialComplex, p: int):
@@ -242,6 +255,8 @@ class CohomologyRing:
         self.structure: dict[tuple, dict] = {}
         self._materialized: set = set()
         self._unit: Optional[list] = None
+        self._labels: Optional[list] = None
+        self._comps: dict[int, list] = {}
 
     # -- construction ---------------------------------------------------
 
@@ -301,6 +316,9 @@ class CohomologyRing:
         if self.dim(p) == 0 or self.dim(q) == 0 or p + q > self.max_deg:
             return
         self.ensure_degree(p + q)
+        if p == 0 or q == 0:
+            self._degree0_structure(p, q)
+            return
         for i, ci in enumerate(self.basis[p]):
             for j, cj in enumerate(self.basis[q]):
                 if (p, i, q, j) in self.structure:
@@ -310,6 +328,55 @@ class CohomologyRing:
                     continue
                 prod = cup_product(self.engine.cx, ci.cocycle, p, cj.cocycle, q)
                 self.structure[(p, i, q, j)] = self.engine.class_of(p + q, prod)
+
+    def _degree0_structure(self, p: int, q: int):
+        """Products with a degree-0 factor, from component labels: the
+        H^0 rep i is the indicator 1_C of a vertex set C, so 1_C . b and
+        b . 1_C are b when b's support lies in C and 0 otherwise."""
+        k = p + q
+        comps = self._components(k)
+        for i in range(self.dim(0)):
+            for j, c in enumerate(comps):
+                key = (0, i, k, j) if p == 0 else (k, j, 0, i)
+                self.structure[key] = {j: _ONE} if c == i else {}
+
+    def _vertex_labels(self) -> list:
+        """The index of the H^0 rep holding each vertex.  Checks what the
+        degree-0 rules rest on: the reps are 0/1 indicators of disjoint
+        vertex sets covering every vertex, so they sum to the unit."""
+        if self._labels is None:
+            labels = [None] * self.engine.n_cochains(0)
+            for i, cls in enumerate(self.basis[0]):
+                for v, c in cls.cocycle.items():
+                    if c != 1 or labels[v] is not None:
+                        raise InputError("H^0 reps are not disjoint indicators: invariant breach")
+                    labels[v] = i
+            if None in labels:
+                raise InputError("H^0 reps miss a vertex: invariant breach")
+            self._labels = labels
+        return self._labels
+
+    def _components(self, k: int) -> list:
+        """For each degree-k rep, the H^0 rep whose vertex set holds its
+        whole support; one pass over the supports checks that there is
+        one."""
+        if k not in self._comps:
+            labels = self._vertex_labels()
+            if k == 0:
+                comps = list(range(len(self.basis[0])))
+            elif len(self.basis[0]) == 1:
+                comps = [0] * len(self.basis[k])
+            else:
+                simplices = self.engine.cx.dim_simplices(k)
+                comps = []
+                for cls in self.basis[k]:
+                    found = {labels[v] for s in cls.cocycle for v in simplices[s]}
+                    if len(found) != 1:
+                        raise InputError(
+                            f"a degree-{k} rep spans several components: invariant breach")
+                    comps.append(found.pop())
+            self._comps[k] = comps
+        return self._comps[k]
 
     # -- ring axioms -----------------------------------------------------
 
@@ -372,12 +439,12 @@ class CohomologyRing:
         return dict(self.structure.get(key, {}))
 
     def unit_coords(self) -> list:
-        if self._unit is not None:
-            return list(self._unit)
-        if self.engine is None:
+        if self.engine is not None:
+            n0 = self.dim(0)
+            self._vertex_labels()  # the H^0 reps sum to the constant 1
+            return [_ONE] * n0
+        if self._unit is None:
             raise InputError("abstract ring without unit")
-        one = {i: Fraction(1) for i in range(self.engine.n_cochains(0))}
-        self._unit = to_dense(self.engine.class_of(0, one), self.engine.h_dim(0))
         return list(self._unit)
 
     def space(self, through: Optional[int] = None) -> GradedVectorSpace:
@@ -391,24 +458,18 @@ class CohomologyRing:
 
         Collapses the degree-0 part to the unit line (the cohomology of
         the wedge of the stage's components); positive degrees and their
-        products are untouched.
+        products are untouched, and products with the unit follow from
+        its constant representative.
         """
-        if self.engine is not None and self.dim(0) == 1:
+        if self.dim(0) == 1:
             return self
         core = CohomologyRing(self.max_deg, self.engine)
         core.basis = dict(self.basis)
-        core.basis[0] = [CohoClass("one", None if self.engine is None else
-                                   {i: Fraction(1) for i in range(self.engine.n_cochains(0))})]
+        core.basis[0] = [CohoClass("one", {i: _ONE for i in range(self.engine.n_cochains(0))})]
         core._materialized = set(self._materialized) | {0}
-        core._unit = [Fraction(1)]
         for (p, i, q, j), v in self.structure.items():
             if p >= 1 and q >= 1:
                 core.structure[(p, i, q, j)] = dict(v)
-        for p in range(core.max_deg + 1):
-            ncells = len(core.basis.get(p, ()))
-            for i in range(ncells):
-                core.structure[(0, 0, p, i)] = {i: Fraction(1)}
-                core.structure[(p, i, 0, 0)] = {i: Fraction(1)}
         return core
 
 
@@ -417,46 +478,62 @@ def cohomology_ring(cx: SimplicialComplex, max_deg: int) -> CohomologyRing:
 
 
 def ring_from_json(data: dict, min_max_deg: int = 0) -> CohomologyRing:
-    """Abstract ring from its file form: named classes per degree and
-    products of positive classes; omitted products are zero and the
+    """Abstract ring from its file form: a `classes` list of {"name",
+    "degree"} objects, an optional integer `max_degree` and a `products`
+    list of {"left", "right", "result"} objects, each result a list of
+    {"class", "coeff"} terms; omitted products are zero and the
     Koszul-symmetric counterpart of each listed product is filled in.
     """
     if not isinstance(data, dict):
         raise InputError("a cohomology ring must be a JSON object")
     classes = data.get("classes", [])
-    max_deg = int(data.get("max_degree",
-                           max([c["degree"] for c in classes] + [min_max_deg])))
+    products = data.get("products", [])
+    if not isinstance(classes, list) or not isinstance(products, list):
+        raise InputError("'classes' and 'products' must be lists")
+    degrees = []
+    for c in classes:
+        if not isinstance(c, dict) or not isinstance(c.get("name"), str):
+            raise InputError(f"class {c!r} needs a string 'name' and a 'degree'")
+        degrees.append(json_int(c.get("degree"), f"degree of {c['name']}"))
+    max_deg = json_int(data.get("max_degree", max(degrees + [min_max_deg])), "max_degree")
     if max_deg < min_max_deg:
         raise InputError(
             f"ring file covers degrees <= {max_deg} but {min_max_deg} are needed")
     labels: dict[int, list] = {0: ["one"]}
     where = {}
-    for c in classes:
-        name, deg = str(c["name"]), int(c["degree"])
+    for c, deg in zip(classes, degrees):
+        name = c["name"]
         if deg < 1 or deg > max_deg:
             raise InputError(f"class {name} has degree {deg} outside 1..{max_deg}")
         if name in where:
             raise InputError(f"duplicate class name {name}")
         labels.setdefault(deg, []).append(name)
         where[name] = (deg, len(labels[deg]) - 1)
-    def lookup(name):
+
+    def lookup(entry, key):
         try:
-            return where[str(name)]
-        except KeyError:
-            raise InputError(f"unknown class name {name!r}") from None
+            return where[entry[key]]
+        except (KeyError, TypeError):
+            raise InputError(f"{entry!r} needs a known class name as {key!r}") from None
 
     structure = {}
-    for prod in data.get("products", []):
-        (p, i) = lookup(prod["left"])
-        (q, j) = lookup(prod["right"])
+    for prod in products:
+        (p, i) = lookup(prod, "left")
+        (q, j) = lookup(prod, "right")
         if p + q > max_deg:
             raise InputError("product lands beyond max_degree")
+        terms = prod.get("result", [])
+        if not isinstance(terms, list):
+            raise InputError(f"the result of {prod!r} must be a list of terms")
         result = {}
-        for term in prod.get("result", []):
-            (r, t) = lookup(term["class"])
+        for term in terms:
+            (r, t) = lookup(term, "class")
             if r != p + q:
                 raise InputError("product term has wrong degree")
-            result[t] = Fraction(str(term.get("coeff", 1)))
+            try:
+                result[t] = Fraction(str(term.get("coeff", 1)))
+            except (ValueError, ZeroDivisionError):
+                raise InputError(f"bad coefficient in {term!r}") from None
         structure[(p, i, q, j)] = result
     sign_filled = dict(structure)
     for (p, i, q, j), val in structure.items():

@@ -194,20 +194,6 @@ class SimplicialComplex:
     def simplex_count(self) -> int:
         return sum(len(s) for s in self.simplices.values())
 
-    def validate(self):
-        seen = {s for group in self.simplices.values() for s in group}
-        for d, group in self.simplices.items():
-            for s in group:
-                if len(s) != d + 1 or list(s) != sorted(set(s)):
-                    raise InputError(f"bad simplex {s} in dimension {d}")
-                if d > 0:
-                    for face in itertools.combinations(s, d):
-                        if face not in seen:
-                            raise InputError(f"missing face {face} of {s}")
-        for v in range(self.n_vertices):
-            if (v,) not in seen:
-                raise InputError(f"missing vertex ({v},)")
-
     def find_cone_apex(self) -> Optional[tuple]:
         """(apex, complete) when the complex is a cone over the apex,
         possibly truncated in its top dimension; None otherwise.

@@ -23,6 +23,7 @@ verbatim, which covers non-metric comparisons.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -101,28 +102,55 @@ class PersistentCDGA:
     maps: list  # CDGAMorphism per consecutive pair
 
 
+def _grid_value(x):
+    """A grid point: a JSON number (floats kept as floats) or an exact
+    "p/q" string."""
+    if isinstance(x, float) and math.isfinite(x):
+        return x
+    if type(x) is int or isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputError(f"grid value {x!r} is not a finite number or a 'p/q' string")
+
+
 def persistent_cdga_from_json(data: dict, min_trunc: int = 0) -> PersistentCDGA:
-    grid = tuple(float(x) if isinstance(x, float) else Fraction(str(x))
-                 for x in data.get("grid", ()))
+    """Persistent CDGA from its file form: a `grid` list, one Sullivan
+    algebra per grid interval in `stages`, and in `maps` one object per
+    consecutive pair whose `images` send each generator of stage k+1 to
+    a term list of its degree in stage k (omitted generators map to 0)."""
+    grid, maps_spec = data.get("grid", []), data.get("maps", [])
+    if not isinstance(grid, list) or not isinstance(maps_spec, list):
+        raise InputError("'grid' and 'maps' must be lists")
+    grid = tuple(_grid_value(x) for x in grid)
     if list(grid) != sorted(set(grid)) or any(g <= 0 for g in grid):
         raise InputError("grid must be strictly increasing positive values")
     stage_specs = data.get("stages")
-    if not stage_specs:
-        raise InputError("persistent CDGA needs at least one stage")
+    if not stage_specs or not isinstance(stage_specs, list):
+        raise InputError("persistent CDGA needs a list of at least one stage")
     if len(stage_specs) != len(grid) + 1:
         raise InputError("need exactly one stage per grid interval")
     stages = [sullivan_from_json(spec, min_trunc) for spec in stage_specs]
-    maps_spec = data.get("maps", [])
-    if len(maps_spec) != max(len(stages) - 1, 0):
+    if len(maps_spec) != len(stages) - 1:
         raise InputError("need one structure map per consecutive stage pair")
     maps = []
     for k, mp in enumerate(maps_spec):
+        img_spec = mp.get("images", {}) if isinstance(mp, dict) else None
+        if not isinstance(img_spec, dict):
+            raise InputError(f"map {k} must be an object with an 'images' object")
         src, tgt = stages[k + 1], stages[k]
+        unknown = sorted(set(img_spec) - set(src.names))
+        if unknown:
+            raise InputError(f"map {k}: {unknown} are not generators of stage {k + 1}")
         images = []
-        img_spec = mp.get("images", {})
-        for i, (name, d) in enumerate(src.generators):
+        for name, d in src.generators:
             terms = img_spec.get(name, [])
+            if not isinstance(terms, list):
+                raise InputError(f"map {k}: the image of {name} must be a term list")
             poly = tgt._canon_poly(terms)
+            if any(tgt.monomial_degree(m) != d for m in poly):
+                raise InputError(f"map {k}: the image of {name} is not of degree {d}")
             images.append(tgt.poly_to_vec(poly, d))
         maps.append(CDGAMorphism(src, tgt, images))
     return PersistentCDGA(grid, stages, maps)

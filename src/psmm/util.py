@@ -1,4 +1,5 @@
-"""Serialization of exact numbers and infinity to and from JSON."""
+"""Serialization of exact numbers and infinity to and from JSON, and the
+JSON-integer check the input parsers share."""
 
 from __future__ import annotations
 
@@ -6,6 +7,13 @@ import math
 from fractions import Fraction
 
 from .errors import InputError
+
+
+def json_int(value, what: str) -> int:
+    """A JSON integer (not a bool, float or string), else InputError."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def num_to_json(x):

@@ -5,7 +5,8 @@ written against the raw filtration data; dense Gauss-Jordan
 elimination; the barcode by inclusion-exclusion over the rank
 function; the cohomology engine's former kernel-mod-image algorithm;
 the elimination engine's former `Fraction` arithmetic; dense
-coboundary matrices; the bottleneck distance's former algorithm; and
+coboundary matrices; ring structure constants by the former cup route
+(every pair of representatives multiplied and solved for); the bottleneck distance's former algorithm; and
 the Gromov-Hausdorff distance by the package's former bisection and by
 exhaustive search over pairs of maps.  All deliberately share no code
 with the package: this module imports nothing from `psmm`.
@@ -335,6 +336,39 @@ def coboundaries(cx, max_deg):
     as a face of t."""
     return [_delta_dense(cx.dim_simplices(p), cx.dim_simplices(p + 1))
             for p in range(max_deg + 1)]
+
+
+def alexander_whitney(cx, a, p, b, q):
+    """Cup product of sparse cochains a (degree p) and b (degree q) on a
+    simplicial complex, from its simplex tuples: front p-face times back
+    q-face of every (p+q)-simplex."""
+    front = {s: i for i, s in enumerate(cx.dim_simplices(p))}
+    back = {s: i for i, s in enumerate(cx.dim_simplices(q))}
+    out = {}
+    for t, s in enumerate(cx.dim_simplices(p + q)):
+        va = a.get(front.get(s[:p + 1]), 0)
+        vb = b.get(back.get(s[p:]), 0)
+        if va and vb:
+            out[t] = va * vb
+    return out
+
+
+def cup_route_ring(cx, reps, class_of, max_deg):
+    """(structure, unit) of a complex's cohomology ring by the cup
+    route: every pair of representative cocycles (reps maps degree ->
+    list of sparse cocycles), in both orders, multiplied by
+    Alexander-Whitney and put into class coordinates by class_of(k,
+    cochain); the unit is the class of the constant 1 cochain, as a
+    dense coordinate list."""
+    structure = {}
+    for p, q in itertools.product(reps, repeat=2):
+        if p + q > max_deg:
+            continue
+        for (i, a), (j, b) in itertools.product(enumerate(reps[p]), enumerate(reps[q])):
+            structure[(p, i, q, j)] = class_of(p + q, alexander_whitney(cx, a, p, b, q))
+    one = {v: Fraction(1) for v in range(len(cx.dim_simplices(0)))}
+    coords = class_of(0, one)
+    return structure, [coords.get(i, 0) for i in range(len(reps.get(0, ())))]
 
 
 def _pair_cost(b1, b2):

@@ -13,7 +13,10 @@ followed by degree 3 on (7 pi/10, 8 pi/10] and three degree-4 bars on
 (8 pi/10, 9 pi/10]. So the clause pins the birth to the sample's first
 critical value 2 pi / n, which no tolerance of 0.15 around 0 admits at
 n = 20; a birth one stage earlier or later fails it. The death and
-degree-3 clauses keep their ideal-circle tolerances.
+degree-3 clauses keep their ideal-circle tolerances.  At n = 42 the
+first critical value 2 pi / 42 ~ 0.1496 lies within 0.15 of 0, so a
+second run there (max_degree 1, its own 10-s budget) checks the literal
+"degree-1 birth within 0.15 of 0" clause.
 """
 
 import json
@@ -22,6 +25,7 @@ import random
 import time
 from fractions import Fraction
 
+from helpers import gen_offset, poly_mul
 from interleaving import direct_sum, interleaving_check, interval_module
 from psmm.cdga import linear_part_map, make_sullivan, CDGAMorphism
 from psmm.cdga import poly_add, poly_scale
@@ -102,6 +106,13 @@ def test_criterion_2_circle_pipeline(capsys):
     birth, death = (v1[0][0], v1[0][1]) if v1 else (INF, INF)
     v3 = vb.degree(3)
     d3_birth_ok = any(abs(b - target) <= 0.2 for (b, e, m) in v3)
+    # at n = 42 the first critical value 2pi/42 ~ 0.1496 meets the ideal
+    # circle's tolerance itself
+    t42 = time.time()
+    psm42 = persistent_model(circle_space(42), Config(max_degree=1))
+    v42, h42 = v_barcode(psm42).degree(1), h_barcode(psm42).degree(1)
+    elapsed42 = time.time() - t42
+    birth42 = v42[0][0] if v42 else INF
     with capsys.disabled():
         report(2, "circle pipeline", [
             ("degree-1 V and H bars coincide exactly", coincide),
@@ -110,6 +121,10 @@ def test_criterion_2_circle_pipeline(capsys):
              math.isclose(birth, 2 * math.pi / n)),
             ("degree-1 death within 0.15 of 2pi/3", abs(death - target) <= 0.15),
             ("degree-3 V bar born within 0.2 of 2pi/3", d3_birth_ok),
+            ("n = 42, max_degree 1: degree-1 V and H bars coincide exactly",
+             v42 == h42 and len(v42) == 1),
+            ("n = 42: degree-1 birth within 0.15 of 0", abs(birth42 - 0) <= 0.15),
+            (f"n = 42: elapsed {elapsed42:.2f}s < 10s", elapsed42 < 10.0),
         ], elapsed, 120.0)
 
 
@@ -248,14 +263,14 @@ def test_criterion_7_algebra_property_suite(capsys):
                 continue
             m1, m2 = rng.choice(m1s), rng.choice(m2s)
             p1, p2 = {m1: Fraction(1)}, {m2: Fraction(1)}
-            prod = alg.poly_mul(p1, p2)
-            flip = alg.poly_mul(p2, p1)
+            prod = poly_mul(alg, p1, p2)
+            flip = poly_mul(alg, p2, p1)
             sign = -1 if (d1 % 2 and d2 % 2) else 1
             if prod != {m: sign * c for m, c in flip.items()}:
                 violations += 1
             lhs = alg.d_poly(prod)
-            rhs = poly_add(alg.poly_mul(alg.d_poly(p1), p2),
-                           poly_scale(alg.poly_mul(p1, alg.d_poly(p2)), (-1) ** d1))
+            rhs = poly_add(poly_mul(alg, alg.d_poly(p1), p2),
+                           poly_scale(poly_mul(alg, p1, alg.d_poly(p2)), (-1) ** d1))
             if lhs != rhs:
                 violations += 1
             if alg.d_poly(alg.d_poly(p1)):
@@ -290,7 +305,7 @@ def test_criterion_7_algebra_property_suite(capsys):
         # naturality: Q(wedge f) acts on generator slots exactly as f
         q = linear_part_map(f)
         for i in range(len(u.generators)):
-            d, pos = u.gen_offset(i)
+            d, pos = gen_offset(u, i)
             col = q.matrix(d).column(pos)
             expect = [f.images[i][j] for j, m in enumerate(v.monomials(d))
                       if len(m) == 1]

@@ -119,6 +119,45 @@ class TestMinimalModelCommand:
         self._assert_rejected(tmp_path, capsys, "model",
                               {"grid": [], "maps": [], "stages": [spec]})
 
+    G2 = {"name": "g", "degree": 2}
+    MALFORMED_RINGS = [
+        {"classes": [{"name": "g"}]},
+        {"classes": [{"name": "g", "degree": "x"}]},
+        {"classes": [{"name": "g", "degree": 2.0}]},
+        {"classes": [{"degree": 2}]},
+        {"classes": [G2], "max_degree": "7"},
+        {"classes": "g"},
+        {"classes": [G2], "products": [{"left": "g"}]},
+        {"classes": [G2], "products": [{"left": "g", "right": "h"}]},
+        {"classes": [G2], "products": [1]},
+        {"classes": [G2], "products": [{"left": "g", "right": "g", "result": [{}]}]},
+        {"classes": [G2], "products": [{"left": "g", "right": "g", "result": "g"}]},
+        {"classes": [G2, {"name": "u", "degree": 4}], "products": [
+            {"left": "g", "right": "g", "result": [{"class": "u", "coeff": "x"}]}]},
+    ]
+
+    @pytest.mark.parametrize("ring", MALFORMED_RINGS)
+    def test_malformed_ring_exit_2(self, tmp_path, capsys, ring):
+        self._assert_rejected(tmp_path, capsys, "minimal-model", {"cohomology_ring": ring})
+
+    S2_STAGES = {"stages": [S2_FILE, S2_FILE]}
+    MALFORMED_PERSISTENT = [
+        {"grid": [1], "stages": [{"generators": []}, {"generators": []}], "maps": [1]},
+        {"grid": "ab", "stages": [S2_FILE], "maps": []},
+        {"grid": [True], **S2_STAGES, "maps": [{}]},
+        {"grid": ["1/0"], **S2_STAGES, "maps": [{}]},
+        {"grid": [1], **S2_STAGES, "maps": {}},
+        {"grid": [1], **S2_STAGES, "maps": [{"images": []}]},
+        {"grid": [1], **S2_STAGES, "maps": [{"images": {"a": 1}}]},
+        {"grid": [1], **S2_STAGES, "maps": [{"images": {"aa": []}}]},
+        {"grid": [1], **S2_STAGES, "maps": [{"images": {
+            "a": [{"coeff": 1, "monomial": ["a", "a"]}]}}]},
+    ]
+
+    @pytest.mark.parametrize("spec", MALFORMED_PERSISTENT)
+    def test_malformed_persistent_cdga_exit_2(self, tmp_path, capsys, spec):
+        self._assert_rejected(tmp_path, capsys, "model", spec)
+
 
 class TestModelCommand:
     def test_two_point_model(self, tmp_path, capsys):

@@ -214,6 +214,67 @@ class TestEngineAgainstGreedyOracle:
             assert len(hits) == len(cols) - eng.rank_delta(k - 1)
 
 
+@st.composite
+def multi_component_complexes(draw):
+    """Disjoint unions of 2-4 small blocks, each a hollow polygon (a
+    degree-1 class) or random faces, on shuffled vertices so that the
+    components interleave in the vertex order."""
+    faces, n = [], 0
+    for _ in range(draw(st.integers(2, 4))):
+        m = draw(st.integers(1, 5))
+        if m >= 3 and draw(st.booleans()):
+            block = [[v, (v + 1) % m] for v in range(m)]
+        else:
+            block = draw(st.lists(st.lists(st.integers(0, m - 1), min_size=1, max_size=4),
+                                  max_size=4))
+        faces += [[n + v for v in f] for f in block]
+        n += m
+    perm = draw(st.permutations(range(n)))
+    return complex_from_simplices(n, [[perm[v] for v in f] for f in faces])
+
+
+class TestDegreeZeroProducts:
+    @given(multi_component_complexes())
+    @settings(max_examples=80, deadline=None)
+    def test_labels_match_cup_route(self, cx):
+        """Every structure constant and the unit of a complex-backed
+        ring, and the degree-0 products of its unital core, equal the
+        cup route's."""
+        max_deg = 3
+        ring = CohomologyRing.from_complex(cx, max_deg)
+        eng = ring.engine
+        reps = {k: eng.h_reps(k) for k in range(max_deg + 1) if eng.h_reps(k)}
+        structure, unit = oracles.cup_route_ring(cx, reps, eng.class_of, max_deg)
+        assert ring.structure == structure
+        assert ring.unit_coords() == unit
+        assert all(type(v) is Fraction for v in ring.unit_coords())
+        core = ring.unital_core()
+        # the core's H^0 is spanned by the constant 1, so the class of a
+        # degree-0 cocycle there is its value at any vertex
+        one = {0: [{v: Fraction(1) for v in range(cx.n_vertices)}]}
+        core_structure, core_unit = oracles.cup_route_ring(
+            cx, {**reps, **one}, lambda k, c: eng.class_of(k, c) if k else {0: c[0]},
+            max_deg)
+        for (p, i, q, j), val in core_structure.items():
+            if p == 0 or q == 0:
+                assert core.mul_basis(p, i, q, j) == val
+        assert core.unit_coords() == core_unit == [1]
+
+    def test_invariant_breach(self):
+        cx = complex_from_simplices(6, [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]])
+        eng = StageCohomology.of_complex(cx)
+        eng._reps[0] = [{v: 2 * c for v, c in rep.items()} for rep in eng.h_reps(0)]
+        with pytest.raises(InputError, match="invariant breach"):
+            CohomologyRing(1, eng).ensure_degree(0)
+        eng = StageCohomology.of_complex(cx)
+        a, b = eng.h_reps(1)
+        eng._reps[1] = [{**a, **b}, b]
+        ring = CohomologyRing(1, eng)
+        ring.ensure_degree(0)
+        with pytest.raises(InputError, match="invariant breach"):
+            ring.ensure_degree(1)
+
+
 class TestCupProduct:
     def test_unit_acts_as_identity(self):
         cx = torus7()
@@ -263,6 +324,7 @@ class TestAnswerTypes:
     def test_structure_and_unit_are_fractions(self):
         # reps and class coordinates are checked in
         # check_engine_against_oracle; the ring stores class_of's answers
+        # and, for a degree-0 factor, the component rules' Fraction(1)
         ring = cohomology_ring(torus7(), 2)
         assert ring.structure and all(type(v) is Fraction for val in ring.structure.values()
                                       for v in val.values())

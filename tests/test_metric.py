@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import validate_complex
 from oracles import gh_bisection, gh_exhaustive
 from psmm.errors import CapExceeded, InputError
 from psmm.metric import (
@@ -113,7 +114,7 @@ class TestFiltration:
         m = random_space(rng, 5)
         f = build_filtration(m, max_dim=3)
         for k in range(f.num_stages):
-            f.stages[k].validate()
+            validate_complex(f.stages[k])
             if k + 1 < f.num_stages:
                 late = {s for g in f.stages[k + 1].simplices.values() for s in g}
                 for g in f.stages[k].simplices.values():

@@ -189,7 +189,7 @@ class TestSullivanRepresentative:
         assert q.matrix(1) == RatMatrix.from_rows([[1, 1], [0, 1]])
 
     def test_reruns_identical_and_homotopy_necessary(self):
-        from psmm.cdga import check_homotopy_necessary
+        from helpers import check_homotopy_necessary
         ring = sphere2_ring()
         mm = minimal_model(ring, max_deg=6)
         ident = identity_map(ring, 7)
