@@ -331,10 +331,6 @@ class SullivanAlgebra:
         }
 
 
-def make_sullivan(generators, differential, truncation_degree) -> SullivanAlgebra:
-    return SullivanAlgebra(generators, differential, truncation_degree)
-
-
 def sullivan_from_json(spec, min_trunc: int = 0) -> SullivanAlgebra:
     """Sullivan algebra from its file form: a `generators` list of
     {"name", "degree"} objects, an optional `differential` object

@@ -472,9 +472,27 @@ class CohomologyRing:
                 core.structure[(p, i, q, j)] = dict(v)
         return core
 
+    def core_key(self, through: int) -> tuple:
+        """Hashable data on which the minimal model of this unital core
+        through degree `through` depends: dim(k) for k <= through, every
+        stored structure constant with both degrees >= 1, and
+        dim(through + 1) only when that degree is already materialized.
 
-def cohomology_ring(cx: SimplicialComplex, max_deg: int) -> CohomologyRing:
-    return CohomologyRing.from_complex(cx, max_deg)
+        dim(through + 1) is never called here, since on a large stage
+        that degree can cost more than the model itself.  Leaving an
+        unmaterialized top degree out is exact:
+        materializing degrees <= through computes every product landing
+        in through + 1 and materializes it when one can be nonzero, so no
+        product lands there, H^{through+1}(rho) is zero whatever its
+        dimension, and `minimal_model` finds the same kernel.
+        """
+        top = through + 1
+        dims = tuple(self.dim(k) for k in range(through + 1))
+        top_dim = self.dim(top) if top in self._materialized else None
+        products = tuple(sorted((key, tuple(sorted(v.items())))
+                                for key, v in self.structure.items()
+                                if key[0] >= 1 and key[2] >= 1))
+        return dims, top_dim, products
 
 
 def ring_from_json(data: dict, min_max_deg: int = 0) -> CohomologyRing:

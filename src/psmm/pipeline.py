@@ -17,6 +17,12 @@ Disconnected stages are modeled through their unital core Q.1 + H^+,
 the cohomology of the wedge of their components, so that every stage is
 path-connected as the model construction requires.
 
+A stage's minimal model depends only on its core's dims and structure
+constants, so within one `persistent_model` call stages with equal core
+data share one model object, and stage pairs with the same two models
+and the same core-map matrices share one representative.  The dump
+still lists every stage and pair, byte for byte as without sharing.
+
 A persistent-CDGA input mode takes per-grid CDGAs and structure maps
 verbatim, which covers non-metric comparisons.
 """
@@ -179,9 +185,9 @@ def _zero_representative(mm_src, mm_tgt) -> CDGAMorphism:
 
 
 def _representative_or_degrade(f, mm_src, mm_tgt, max_degree: int,
-                               pair: int, degraded: list) -> CDGAMorphism:
+                               pair: int, degraded: list, lift=None) -> CDGAMorphism:
     try:
-        return sullivan_representative(f, mm_src, mm_tgt, max_degree)
+        return (lift or sullivan_representative)(f, mm_src, mm_tgt, max_degree)
     except LiftError:
         if mm_src.deg1_converged and mm_tgt.deg1_converged:
             raise
@@ -189,11 +195,23 @@ def _representative_or_degrade(f, mm_src, mm_tgt, max_degree: int,
         return _zero_representative(mm_src, mm_tgt)
 
 
+def _maps_key(f: GradedLinearMap, max_deg: int) -> tuple:
+    return tuple(f.matrix(k) for k in range(max_deg + 1))
+
+
 def persistent_model(m: MetricSpace, cfg: Optional[Config] = None,
                      functoriality_check: bool = True) -> PersistentSullivanModel:
     """Formality pipeline for a metric space: Rips filtration, stage
     rings, formal minimal models, representatives of the consecutive
-    induced maps, with H- and Q-functoriality spot checks."""
+    induced maps, with H- and Q-functoriality spot checks.
+
+    A minimal model is a function of its core's dims and structure
+    constants (`CohomologyRing.core_key`), so stages with equal core data
+    share one `MinimalModel`.  Pairs with the same two model objects and
+    the same core-map matrices share one representative, and each
+    distinct span is checked once.  Only successful lifts are shared; a
+    pair with no lift is retried, and degraded as before.
+    """
     cfg = cfg or Config()
     filt = build_filtration(m, cfg.max_dim, cfg.simplex_cap)
     ring_deg = cfg.max_degree + 1
@@ -201,7 +219,21 @@ def persistent_model(m: MetricSpace, cfg: Optional[Config] = None,
     rings = [CohomologyRing.from_complex(cx, ring_deg, eager_through=cfg.max_degree)
              for cx in filt.stages]
     cores = [r.unital_core() for r in rings]
-    models = [minimal_model(core, cfg.max_degree, cfg.deg1_cap) for core in cores]
+    shared_models: dict = {}
+    models = []
+    for core in cores:
+        key = core.core_key(cfg.max_degree)
+        if key not in shared_models:
+            shared_models[key] = minimal_model(core, cfg.max_degree, cfg.deg1_cap)
+        models.append(shared_models[key])
+
+    shared_lifts: dict = {}
+
+    def lift(f, mm_src, mm_tgt, max_degree):
+        key = (id(mm_src), id(mm_tgt), _maps_key(f, max_degree))
+        if key not in shared_lifts:
+            shared_lifts[key] = sullivan_representative(f, mm_src, mm_tgt, max_degree)
+        return shared_lifts[key]
 
     n = len(filt.stages)
     ring_maps = [induced_ring_map(rings[k], rings[k + 1], cfg.max_degree)
@@ -210,7 +242,7 @@ def persistent_model(m: MetricSpace, cfg: Optional[Config] = None,
                  for k in range(n - 1)]
     degraded: list = []
     reps = [_representative_or_degrade(core_maps[k], models[k + 1], models[k],
-                                       cfg.max_degree, k, degraded)
+                                       cfg.max_degree, k, degraded, lift)
             for k in range(n - 1)]
 
     psm = PersistentSullivanModel(
@@ -226,23 +258,30 @@ def persistent_model(m: MetricSpace, cfg: Optional[Config] = None,
         source="metric",
     )
     if functoriality_check:
-        _check_functoriality(psm, core_maps)
+        _check_functoriality(psm, core_maps, lift)
     return psm
 
 
-def _check_functoriality(psm: PersistentSullivanModel, core_maps: list):
+def _check_functoriality(psm: PersistentSullivanModel, core_maps: list, lift):
     """Composites over length-2 spans: the representative of g o f must
     agree with rep(g) o rep(f) on cohomology and on linear parts.
     Spans touching non-converged or degraded stages are skipped; the
     functoriality guarantee does not extend to truncated degree-1
-    constructions."""
+    constructions.  A span with the same model and representative
+    objects and the same composite as one already checked is not
+    checked again; `lift` makes the direct representatives."""
     skip = set(psm.nonconverged_stages)
+    checked = set()
     for k in range(len(core_maps) - 1):
         if {k, k + 1, k + 2} & skip or {k, k + 1} & set(psm.degraded_pairs):
             continue
         composite = core_maps[k].compose(core_maps[k + 1])
-        direct = sullivan_representative(
-            composite, psm.models[k + 2], psm.models[k], psm.max_degree)
+        span = (*(id(mm) for mm in psm.models[k:k + 3]), id(psm.reps[k]),
+                id(psm.reps[k + 1]), _maps_key(composite, psm.max_degree))
+        if span in checked:
+            continue
+        checked.add(span)
+        direct = lift(composite, psm.models[k + 2], psm.models[k], psm.max_degree)
         chained = psm.reps[k].compose_after(psm.reps[k + 1])
         if not linear_part_map(direct).equals(linear_part_map(chained)):
             raise InputError(f"Q-functoriality fails across stages {k}..{k + 2}")

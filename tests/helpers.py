@@ -1,7 +1,9 @@
 """Test-only API built on psmm: whole-algebra linear parts and
 cohomology, polynomial products, generator offsets, a necessary test for
-homotopic morphisms and the simplicial-complex closure check.  The
-package itself never needs them, so they live beside the tests.
+homotopic morphisms, the simplicial-complex closure check, one-line
+constructors and a persistent model built with no sharing between
+stages.  The package itself never needs them, so they live beside the
+tests.
 """
 
 import itertools
@@ -14,10 +16,22 @@ from psmm.cdga import (
     induced_cohomology_map,
     linear_part_map,
 )
-from psmm.cohomology import StageCohomology
-from psmm.errors import InputError
-from psmm.gvec import GradedVectorSpace
+from psmm.cohomology import CohomologyRing, StageCohomology, induced_ring_map
+from psmm.config import Config
+from psmm.errors import InputError, LiftError
+from psmm.gvec import GradedLinearMap, GradedVectorSpace
+from psmm.metric import MetricSpace, SimplicialComplex, build_filtration
+from psmm.minmodel import minimal_model, sullivan_representative
+from psmm.pipeline import PersistentSullivanModel
 from psmm.ratlin import RatMatrix
+
+
+def make_sullivan(generators, differential, truncation_degree) -> SullivanAlgebra:
+    return SullivanAlgebra(generators, differential, truncation_degree)
+
+
+def cohomology_ring(cx: SimplicialComplex, max_deg: int) -> CohomologyRing:
+    return CohomologyRing.from_complex(cx, max_deg)
 
 
 def poly_mul(alg: SullivanAlgebra, p: dict, q: dict) -> dict:
@@ -120,3 +134,58 @@ def validate_complex(cx):
     for v in range(cx.n_vertices):
         if (v,) not in seen:
             raise InputError(f"missing vertex ({v},)")
+
+
+def unshared_persistent_model(m: MetricSpace, cfg: Config) -> PersistentSullivanModel:
+    """`pipeline.persistent_model` with nothing shared between stages:
+    one minimal model per stage, one lift per pair (a zero
+    representative where no lift exists between truncated degree-1
+    models) and the Q- and H-functoriality check on every span."""
+    deg = cfg.max_degree
+    filt = build_filtration(m, cfg.max_dim, cfg.simplex_cap)
+    rings = [CohomologyRing.from_complex(cx, deg + 1, eager_through=deg)
+             for cx in filt.stages]
+    cores = [r.unital_core() for r in rings]
+    models = [minimal_model(core, deg, cfg.deg1_cap) for core in cores]
+    ring_maps = [induced_ring_map(small, big, deg) for small, big in zip(rings, rings[1:])]
+    core_maps = []
+    for k, f in enumerate(ring_maps):
+        mats = {0: RatMatrix.identity(1)}
+        mats.update({d: f.matrix(d) for d in range(1, deg + 1) if not f.matrix(d).is_zero()})
+        core_maps.append(GradedLinearMap(cores[k + 1].space(deg), cores[k].space(deg), mats))
+    degraded, reps = [], []
+    for k, f in enumerate(core_maps):
+        src, tgt = models[k + 1], models[k]
+        try:
+            reps.append(sullivan_representative(f, src, tgt, deg))
+        except LiftError:
+            if src.deg1_converged and tgt.deg1_converged:
+                raise
+            degraded.append(k)
+            zero = [[Fraction(0)] * tgt.model.dim(d) for d in src.model.degrees]
+            reps.append(CDGAMorphism(src.model, tgt.model, zero))
+    nonconverged = [k for k, mm in enumerate(models) if not mm.deg1_converged]
+    for k in range(len(core_maps) - 1):
+        if {k, k + 1, k + 2} & set(nonconverged) or {k, k + 1} & set(degraded):
+            continue
+        direct = sullivan_representative(core_maps[k].compose(core_maps[k + 1]),
+                                         models[k + 2], models[k], deg)
+        chained = reps[k].compose_after(reps[k + 1])
+        if not linear_part_map(direct).equals(linear_part_map(chained)):
+            raise InputError(f"Q-functoriality fails across stages {k}..{k + 2}")
+        h_src, h_tgt = models[k + 2].h_model, models[k].h_model
+        if not induced_cohomology_map(direct, h_src, h_tgt, deg).equals(
+                induced_cohomology_map(chained, h_src, h_tgt, deg)):
+            raise InputError(f"H-functoriality fails across stages {k}..{k + 2}")
+    return PersistentSullivanModel(
+        grid=filt.critical_values,
+        models=models,
+        reps=reps,
+        h_spaces=[r.space(deg) for r in rings],
+        h_maps=ring_maps,
+        max_degree=deg,
+        h1_stages=[k for k, r in enumerate(rings) if r.dim(1) > 0],
+        nonconverged_stages=nonconverged,
+        degraded_pairs=degraded,
+        source="metric",
+    )

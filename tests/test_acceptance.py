@@ -25,12 +25,12 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import gen_offset, poly_mul
+from helpers import cohomology_ring, gen_offset, make_sullivan, poly_mul
 from interleaving import direct_sum, interleaving_check, interval_module
-from psmm.cdga import linear_part_map, make_sullivan, CDGAMorphism
+from psmm.cdga import linear_part_map, CDGAMorphism
 from psmm.cdga import poly_add, poly_scale
 from psmm.cli import main as cli_main
-from psmm.cohomology import StageCohomology, cohomology_ring
+from psmm.cohomology import StageCohomology
 from psmm.config import Config
 from psmm.metric import gh_bruteforce, metric_from_matrix
 from psmm.minmodel import minimal_model

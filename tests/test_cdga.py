@@ -5,13 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import cdga_cohomology, check_homotopy_necessary, gen_offset, linear_part, poly_mul
+from helpers import (
+    cdga_cohomology,
+    check_homotopy_necessary,
+    gen_offset,
+    linear_part,
+    make_sullivan,
+    poly_mul,
+)
 from psmm.cdga import (
     CDGAMorphism,
     induced_cohomology_map,
     is_minimal,
     linear_part_map,
-    make_sullivan,
 )
 from psmm.cohomology import CohomologyRing
 from psmm.errors import InputError

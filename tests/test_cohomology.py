@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -7,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from helpers import cohomology_ring
 from psmm.cohomology import (
     CohomologyRing,
     StageCohomology,
     coboundary_columns,
-    cohomology_ring,
     cup_product,
     induced_ring_map,
 )
@@ -386,6 +387,30 @@ class TestCohomologyRing:
         core = ring.unital_core()
         assert core.dim(0) == 1
         assert core.mul_basis(0, 0, 0, 0) == {0: Fraction(1)}
+
+    def test_core_key_sees_cup_products(self):
+        # S^1 v S^1 v S^2 has the torus's Betti numbers 1, 2, 1, but its
+        # degree-1 classes multiply to zero
+        sphere = itertools.combinations([0, 5, 6, 7], 3)
+        wedge = complex_from_simplices(
+            8, [[0, 1], [1, 2], [0, 2], [0, 3], [3, 4], [0, 4], *sphere])
+
+        def core(cx):
+            return CohomologyRing.from_complex(cx, 3, eager_through=2).unital_core()
+
+        torus, other = core(torus7()), core(wedge)
+        assert [other.dim(k) for k in range(3)] == [torus.dim(k) for k in range(3)] == [1, 2, 1]
+        assert torus.core_key(2) != other.core_key(2)
+        assert torus.core_key(2) == core(torus7()).core_key(2)
+
+    def test_core_key_leaves_top_degree_unmaterialized(self):
+        n = 13
+        rows = [[math.pi * min(abs(i - j), n - abs(i - j)) / (n / 2) for j in range(n)]
+                for i in range(n)]
+        last = build_filtration(metric_from_matrix(rows), max_dim=5).stages[-1]
+        core = CohomologyRing.from_complex(last, 5, eager_through=4).unital_core()
+        core.core_key(4)
+        assert 5 not in core._materialized
 
 
 class TestInducedMaps:

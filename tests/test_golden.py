@@ -1,4 +1,4 @@
-"""Golden dump digests for the two CDGA-side CLI paths.
+"""Golden dump digests.
 
 `psmm minimal-model` on a Sullivan algebra with a nonzero differential
 and `psmm model` on a persistent-CDGA input both run the cohomology
@@ -6,10 +6,17 @@ engine on CDGAs rather than on simplicial stages.  The sha256 of each
 dump was recorded before that engine was shared with the simplicial
 side; any change to a representative, a class coordinate or a generator
 shows up here as a changed digest.
+
+Two `psmm model` dumps of metric inputs, the 20-point geodesic circle
+at max degree 4 and 12 random planar points at max degree 3, were
+recorded before stages with equal core data shared one minimal model;
+both have many such stages.
 """
 
 import hashlib
 import json
+import math
+import random
 
 from psmm.cli import main
 
@@ -53,13 +60,16 @@ PERSISTENT = {
 
 MINIMAL_MODEL_SHA256 = "c00584dab272d1c4e9c2ad34aa20eaa3edba1be21f776a2f737fdcda5e4d003c"
 PERSISTENT_MODEL_SHA256 = "2b7f66f6d3781301c007f49d147b48f7e08e43de727337fea5137fda2501a191"
+CIRCLE20_MODEL_SHA256 = "55b08d8af8c6d43cd27fecdf57a069356fd3290221a2427ac1cfa42670a64c7d"
+PLANAR12_MODEL_SHA256 = "a8cb111e18b09796d4e29e510f4b5aac5905cb9b5644d1d0999fb45b8d6d9666"
 
 
-def dump_digest(tmp_path, command, data):
+def dump_digest(tmp_path, command, data, max_degree=4):
     inp = tmp_path / "input.json"
     inp.write_text(json.dumps(data))
     out = tmp_path / "dump.json"
-    assert main([command, "--input", str(inp), "--max-degree", "4", "-o", str(out)]) == 0
+    assert main([command, "--input", str(inp), "--max-degree", str(max_degree),
+                 "-o", str(out)]) == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
@@ -69,3 +79,18 @@ def test_minimal_model_dump_digest(tmp_path, capsys):
 
 def test_persistent_cdga_model_dump_digest(tmp_path, capsys):
     assert dump_digest(tmp_path, "model", PERSISTENT) == PERSISTENT_MODEL_SHA256
+
+
+def test_geodesic_circle_model_dump_digest(tmp_path, capsys):
+    n = 20
+    rows = [[math.pi * min(abs(i - j), n - abs(i - j)) / (n / 2) for j in range(n)]
+            for i in range(n)]
+    digest = dump_digest(tmp_path, "model", {"distance_matrix": rows})
+    assert digest == CIRCLE20_MODEL_SHA256
+
+
+def test_random_planar_model_dump_digest(tmp_path, capsys):
+    rng = random.Random(0)
+    points = [[rng.random(), rng.random()] for _ in range(12)]
+    digest = dump_digest(tmp_path, "model", {"points": points}, max_degree=3)
+    assert digest == PLANAR12_MODEL_SHA256

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from psmm.cdga import linear_part_map, make_sullivan
-from psmm.cohomology import CohomologyRing, StageCohomology, cohomology_ring
+from helpers import cohomology_ring, make_sullivan
+from psmm.cdga import linear_part_map
+from psmm.cohomology import CohomologyRing, StageCohomology
 from psmm.errors import InputError
 from psmm.gvec import GradedLinearMap
 from psmm.minmodel import (
