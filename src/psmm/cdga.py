@@ -351,10 +351,6 @@ def sullivan_from_json(spec, min_trunc: int = 0) -> SullivanAlgebra:
     return SullivanAlgebra(gens, differential, trunc)
 
 
-def is_minimal(alg: SullivanAlgebra) -> bool:
-    return alg.is_minimal()
-
-
 # ---------------------------------------------------------------------------
 # Morphisms
 # ---------------------------------------------------------------------------

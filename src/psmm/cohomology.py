@@ -9,8 +9,8 @@ construction.
 
 Products with a degree-0 factor are read off component labels instead,
 with no cup product and no class solve.  Each H^0 representative is the
-0/1 indicator of one connected component (the cone shortcut gives the
-constant 1), and the coboundary is block-diagonal over components, so
+0/1 indicator of one connected component (the constant 1 on a marked
+cone stage), and the coboundary is block-diagonal over components, so
 every positive-degree representative lies in one component.  With each
 vertex labelled by the H^0 class containing it, 1_C . b and b . 1_C are
 b when b lies in C and 0 otherwise, and the unit is the sum of the H^0
@@ -21,7 +21,8 @@ that breaks this raises InputError.
 complex in the package.  It eliminates each sparse coboundary once, in
 ascending degree and only up to the degrees asked for, and reads
 dimensions, representative cocycles and class coordinates off that one
-pass.
+pass.  On a Rips stage that `build_filtration` marks as a cone it
+eliminates nothing in the degrees below the mark.
 """
 
 from __future__ import annotations
@@ -98,28 +99,28 @@ class StageCohomology:
     a greedy pass modulo im d^{k-1} would have dropped.  `class_of`
     solves against the reduced pivots of d^{k-1} with the
     representatives added on top.  Degrees above `max_deg`, when given,
-    have zero cohomology.  On simplicial complexes a cone apex shortcut
-    skips the eliminations on contractible-through-truncation stages.
+    have zero cohomology.  On a complex with a cone mark
+    (`SimplicialComplex.cone_max_dim`, set on Rips stages at or past the
+    enclosing radius) H^0 = Q is spanned by the constant 1 and H^k = 0
+    for 1 <= k < the mark, with no elimination.
     """
 
     def __init__(self, n_cochains, columns, max_deg: Optional[int] = None,
-                 cx: Optional[SimplicialComplex] = None, cone=None):
+                 cx: Optional[SimplicialComplex] = None):
         self.n_cochains = n_cochains
         self._delta = columns
         self.max_deg = max_deg
         self.cx = cx
-        self._cone = cone
+        self._cone = None if cx is None else cx.cone_max_dim
         self._reduced = {}
         self._reps = {}
         self._class_red = {}
         self._h_dims = {}
 
     @staticmethod
-    def of_complex(cx: SimplicialComplex, use_cone_shortcut: bool = True) -> "StageCohomology":
-        return StageCohomology(
-            lambda k: len(cx.dim_simplices(k)),
-            lambda k: coboundary_columns(cx, k),
-            cx=cx, cone=cx.find_cone_apex() if use_cone_shortcut else None)
+    def of_complex(cx: SimplicialComplex) -> "StageCohomology":
+        return StageCohomology(lambda k: len(cx.dim_simplices(k)),
+                               lambda k: coboundary_columns(cx, k), cx=cx)
 
     @staticmethod
     def of_cdga(alg, max_deg: int) -> "StageCohomology":
@@ -153,13 +154,6 @@ class StageCohomology:
             return 0
         return self._reducer(k).rank
 
-    def _cone_trivial(self, k: int) -> bool:
-        """True if the cone shortcut certifies H^k = 0 (k >= 1)."""
-        if self._cone is None or k < 1:
-            return False
-        _, complete = self._cone
-        return complete or k < self.cx.top_dim
-
     def h_dim(self, k: int) -> int:
         if k not in self._h_dims:
             self._h_dims[k] = self._compute_h_dim(k)
@@ -168,10 +162,8 @@ class StageCohomology:
     def _compute_h_dim(self, k: int) -> int:
         if k < 0 or (self.max_deg is not None and k > self.max_deg):
             return 0
-        if k == 0 and self._cone is not None:
-            return 1
-        if self._cone_trivial(k):
-            return 0
+        if self._cone is not None and k < max(self._cone, 1):
+            return 1 if k == 0 else 0
         n = self.n_cochains(k)
         if n == 0:
             return 0

@@ -35,11 +35,6 @@ class GradedVectorSpace:
     def degrees(self) -> list:
         return [k for k, _ in self.dims]
 
-    def label(self, k: int, i: int) -> str:
-        if self.labels and k in self.labels:
-            return self.labels[k][i]
-        return f"e{k}_{i}"
-
 
 @dataclass
 class GradedLinearMap:

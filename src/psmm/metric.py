@@ -61,8 +61,15 @@ class MetricSpace:
         return sorted(vals)
 
     def enclosing_radius(self) -> Num:
-        """min_x max_y d(x, y): from this scale on every Rips stage is a
-        cone with apex any x attaining the minimum."""
+        """min_x max_y d(x, y) (Bauer, *Ripser*, 2021).
+
+        From this scale on every Rips stage is a cone over any x
+        attaining the minimum: x is joined to every point, and adding x
+        to a simplex keeps its diameter within the scale.  Truncated at
+        dimension max_dim the stage is a cone through dimension
+        max_dim - 1, so H^0 = Q and H^k = 0 for 1 <= k < max_dim.  With
+        max_dim = 0 a stage has no edges, so that holds only for n = 1.
+        """
         return min(max(row) for row in self.dist)
 
     def scaled(self, lam: Num) -> "MetricSpace":
@@ -169,17 +176,16 @@ class SimplicialComplex:
 
     Simplices are strictly increasing vertex tuples in the global
     vertex order; vertices run 0..n_vertices-1 and every singleton is
-    present.
+    present.  `cone_max_dim` is the mark `build_filtration` puts on a
+    Rips stage at or past the enclosing radius: the filtration's max_dim,
+    below which the stage is a cone (`MetricSpace.enclosing_radius`).
+    Other complexes carry None.
     """
 
     n_vertices: int
     simplices: dict = field(default_factory=dict)  # dim -> tuple of tuples
+    cone_max_dim: Optional[int] = field(default=None, compare=False)
     _index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def top_dim(self) -> int:
-        dims = [d for d, s in self.simplices.items() if s]
-        return max(dims) if dims else -1
 
     def dim_simplices(self, d: int) -> tuple:
         return self.simplices.get(d, ())
@@ -193,41 +199,6 @@ class SimplicialComplex:
 
     def simplex_count(self) -> int:
         return sum(len(s) for s in self.simplices.values())
-
-    def find_cone_apex(self) -> Optional[tuple]:
-        """(apex, complete) when the complex is a cone over the apex,
-        possibly truncated in its top dimension; None otherwise.
-
-        complete=True means sigma u {apex} is present for every simplex
-        avoiding the apex, so the complex is a genuine cone and all
-        reduced cohomology vanishes.  complete=False means only top-dim
-        simplices lack their coface, which still forces vanishing in
-        degrees < top_dim.
-        """
-        D = self.top_dim
-        if D < 0:
-            return None
-        edges = {frozenset(e) for e in self.dim_simplices(1)}
-        present = {s for group in self.simplices.values() for s in group}
-        for v in range(self.n_vertices):
-            if not all(v == u or frozenset((u, v)) in edges for u in range(self.n_vertices)):
-                continue
-            ok = True
-            complete = True
-            for d in range(0, D + 1):
-                for s in self.dim_simplices(d):
-                    if v in s:
-                        continue
-                    if tuple(sorted(s + (v,))) not in present:
-                        if d < D:
-                            ok = False
-                            break
-                        complete = False
-                if not ok:
-                    break
-            if ok:
-                return (v, complete)
-        return None
 
 
 def complex_from_simplices(n_vertices: int, maximal: Sequence[Sequence[int]]) -> SimplicialComplex:
@@ -290,10 +261,13 @@ def rips_simplices(m: MetricSpace, max_dim: int, simplex_cap: int = 2_000_000) -
 
 
 def build_filtration(m: MetricSpace, max_dim: int, simplex_cap: int = 2_000_000) -> FilteredComplex:
-    """The stages of `rips_simplices`, sliced by diameter."""
+    """The stages of `rips_simplices`, sliced by diameter.  Stages at or
+    past the enclosing radius carry `cone_max_dim = max_dim`, unless
+    max_dim = 0 and n > 1 (see `MetricSpace.enclosing_radius`)."""
     simplices = rips_simplices(m, max_dim, simplex_cap)
     crit = m.positive_distances()
     zero = Fraction(0) if m.exact else 0.0
+    radius = m.enclosing_radius() if max_dim >= 1 or m.n == 1 else None
     stages = []
     for k in range(len(crit) + 1):
         bound = zero if k == 0 else crit[k - 1]
@@ -302,7 +276,8 @@ def build_filtration(m: MetricSpace, max_dim: int, simplex_cap: int = 2_000_000)
             sel = tuple(s for s, diam in group if diam <= bound)
             if sel:
                 by_dim[d] = sel
-        stages.append(SimplicialComplex(m.n, by_dim))
+        cone = max_dim if radius is not None and bound >= radius else None
+        stages.append(SimplicialComplex(m.n, by_dim, cone))
     return FilteredComplex(tuple(crit), tuple(stages))
 
 

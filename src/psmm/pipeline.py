@@ -199,11 +199,13 @@ def _maps_key(f: GradedLinearMap, max_deg: int) -> tuple:
     return tuple(f.matrix(k) for k in range(max_deg + 1))
 
 
-def persistent_model(m: MetricSpace, cfg: Optional[Config] = None,
-                     functoriality_check: bool = True) -> PersistentSullivanModel:
+def persistent_model(m: MetricSpace, cfg: Optional[Config] = None) -> PersistentSullivanModel:
     """Formality pipeline for a metric space: Rips filtration, stage
     rings, formal minimal models, representatives of the consecutive
-    induced maps, with H- and Q-functoriality spot checks.
+    induced maps, with H- and Q-functoriality checks on length-2 spans
+    (`_check_functoriality`).  Stages at or past the enclosing radius
+    are cones (`MetricSpace.enclosing_radius`): their rings are read off
+    the filtration's mark, with no elimination below max_dim.
 
     A minimal model is a function of its core's dims and structure
     constants (`CohomologyRing.core_key`), so stages with equal core data
@@ -257,8 +259,7 @@ def persistent_model(m: MetricSpace, cfg: Optional[Config] = None,
         degraded_pairs=degraded,
         source="metric",
     )
-    if functoriality_check:
-        _check_functoriality(psm, core_maps, lift)
+    _check_functoriality(psm, core_maps, lift)
     return psm
 
 
@@ -346,10 +347,11 @@ def h_barcode(source, cfg: Optional[Config] = None) -> Barcode:
     reduction over the Rips simplices (`persistence.cohomology_barcode`),
     with no stages, rings or induced maps.  When max_degree < max_dim,
     simplices beyond the enclosing radius are left out: from there on
-    every stage is a cone through degree max_dim - 1, so no bar of a
-    reported degree lives past it.  Both paths give equal bars with
-    endpoints of equal types: a zero birth is `Fraction(0)` unless the
-    space has a positive float distance.
+    every stage is a cone through dimension max_dim - 1
+    (`MetricSpace.enclosing_radius`), so no bar of a reported degree
+    lives past it.  Both paths give equal bars with endpoints of equal
+    types: a zero birth is `Fraction(0)` unless the space has a positive
+    float distance.
     """
     if isinstance(source, MetricSpace):
         cfg = cfg or Config()

@@ -92,9 +92,6 @@ class RatMatrix:
         i, j = ij
         return self._data[i][j]
 
-    def row(self, i: int) -> tuple:
-        return self._data[i]
-
     def column(self, j: int) -> list:
         return [self._data[i][j] for i in range(self.rows)]
 

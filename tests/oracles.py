@@ -4,6 +4,7 @@ Persistent homology by straight boundary-matrix reduction over Q,
 written against the raw filtration data; dense Gauss-Jordan
 elimination; the barcode by inclusion-exclusion over the rank
 function; the cohomology engine's former kernel-mod-image algorithm;
+the general cone-apex search the enclosing-radius mark replaced;
 the elimination engine's former `Fraction` arithmetic; dense
 coboundary matrices; ring structure constants by the former cup route
 (every pair of representatives multiplied and solved for); the bottleneck distance's former algorithm; and
@@ -124,6 +125,30 @@ def complex_betti(cx, max_deg):
         rank_km1 = _dense_rank(_delta_dense(below, lower)) if k else 0
         out[k] = len(lower) - rank_k - rank_km1
     return out
+
+
+def find_cone_apex(cx):
+    """(apex, complete) when the complex is a cone over the apex,
+    possibly truncated in its top dimension; None otherwise.
+
+    complete=True means sigma u {apex} is present for every simplex
+    avoiding the apex, so the complex is a genuine cone and all reduced
+    cohomology vanishes.  complete=False means only top-dimensional
+    simplices lack their coface, which still forces vanishing below the
+    top dimension.
+    """
+    top = max((d for d, group in cx.simplices.items() if group), default=-1)
+    if top < 0:
+        return None
+    present = {s for group in cx.simplices.values() for s in group}
+    for v in range(cx.n_vertices):
+        if not all(tuple(sorted((u, v))) in present for u in range(cx.n_vertices) if u != v):
+            continue
+        missing = {len(s) - 1 for group in cx.simplices.values() for s in group
+                   if v not in s and tuple(sorted(s + (v,))) not in present}
+        if not missing - {top}:
+            return (v, not missing)
+    return None
 
 
 def _delta_dense(lower, upper):

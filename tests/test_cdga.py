@@ -16,7 +16,6 @@ from helpers import (
 from psmm.cdga import (
     CDGAMorphism,
     induced_cohomology_map,
-    is_minimal,
     linear_part_map,
 )
 from psmm.cohomology import CohomologyRing
@@ -98,11 +97,11 @@ class TestConstruction:
     def test_sphere_model_valid(self):
         alg = sphere2_model()
         assert alg.names == ("a", "b")
-        assert is_minimal(alg)
+        assert alg.is_minimal()
 
     def test_remark_pair_not_minimal(self):
         alg = remark_pair()
-        assert not is_minimal(alg)
+        assert not alg.is_minimal()
 
     def test_degree_violation(self):
         with pytest.raises(InputError):
@@ -184,7 +183,7 @@ class TestLinearPart:
     def test_minimality_two_routes_agree(self, seed):
         alg = random_sullivan(random.Random(seed))
         _, qmats = linear_part(alg)
-        assert is_minimal(alg) == (qmats == {})
+        assert alg.is_minimal() == (qmats == {})
 
 
 class TestMorphisms:

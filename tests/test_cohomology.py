@@ -62,7 +62,7 @@ def coboundaries(cx, max_deg):
 
 def cohomology_basis(cx, deg):
     """Representative cocycles of H^deg as dense vectors."""
-    eng = StageCohomology.of_complex(cx, use_cone_shortcut=False)
+    eng = StageCohomology.of_complex(cx)
     return [to_dense(rep, eng.n_cochains(deg)) for rep in eng.h_reps(deg)]
 
 
@@ -103,17 +103,17 @@ class TestCoboundaries:
 
 class TestCohomologyBasis:
     def test_hollow_triangle(self):
-        eng = StageCohomology.of_complex(hollow_triangle(), use_cone_shortcut=False)
+        eng = StageCohomology.of_complex(hollow_triangle())
         assert eng.h_dim(0) == 1
         assert eng.h_dim(1) == 1
         assert len(cohomology_basis(hollow_triangle(), 1)) == 1
 
     def test_solid_triangle(self):
-        eng = StageCohomology.of_complex(solid_triangle(), use_cone_shortcut=False)
+        eng = StageCohomology.of_complex(solid_triangle())
         assert eng.h_dim(1) == 0
 
     def test_octahedron_sphere(self):
-        eng = StageCohomology.of_complex(octahedron(), use_cone_shortcut=False)
+        eng = StageCohomology.of_complex(octahedron())
         assert [eng.h_dim(k) for k in range(3)] == [1, 0, 1]
 
     def test_betti_match_oracle_on_random_stages(self):
@@ -165,13 +165,28 @@ def small_complexes(draw):
 
 
 class TestEngineAgainstGreedyOracle:
-    @given(small_complexes(), st.booleans(), st.data())
+    @given(small_complexes(), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_random_complexes(self, cx, cone, data):
-        eng = StageCohomology.of_complex(cx, use_cone_shortcut=cone)
-        degrees = data.draw(st.permutations(range(cx.top_dim + 1)))
+    def test_random_complexes(self, cx, data):
+        eng = StageCohomology.of_complex(cx)
+        top = max(d for d, group in cx.simplices.items() if group)
+        degrees = data.draw(st.permutations(range(top + 1)))
         check_engine_against_oracle(eng, lambda k: coboundary_columns(cx, k), degrees,
                                     random.Random(data.draw(st.integers(0, 10 ** 6))))
+
+    @given(st.integers(1, 6), st.integers(1, 4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_marked_rips_stages(self, n, max_dim, data):
+        """Stages marked as cones skip elimination below the mark and
+        still give the oracle's reps, dimensions and coordinates."""
+        rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+        f = build_filtration(random_exact_space(rng, n), max_dim)
+        marked = [cx for cx in f.stages if cx.cone_max_dim is not None]
+        assert marked and marked[-1] is f.stages[-1]
+        for cx in marked:
+            eng = StageCohomology.of_complex(cx)
+            degrees = data.draw(st.permutations(range(max_dim + 1)))
+            check_engine_against_oracle(eng, lambda k: coboundary_columns(cx, k), degrees, rng)
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=30, deadline=None)

@@ -11,12 +11,19 @@ Two `psmm model` dumps of metric inputs, the 20-point geodesic circle
 at max degree 4 and 12 random planar points at max degree 3, were
 recorded before stages with equal core data shared one minimal model;
 both have many such stages.
+
+The 5-point bowtie, two triangles sharing vertex 0, was recorded while
+cone stages were still found by a general apex search.  Its stage 1 is
+a cone whose every top simplex holds the apex, where that search skipped
+the top degree's elimination that the enclosing-radius mark now runs.
 """
 
 import hashlib
 import json
 import math
 import random
+
+import pytest
 
 from psmm.cli import main
 
@@ -62,14 +69,19 @@ MINIMAL_MODEL_SHA256 = "c00584dab272d1c4e9c2ad34aa20eaa3edba1be21f776a2f737fdcda
 PERSISTENT_MODEL_SHA256 = "2b7f66f6d3781301c007f49d147b48f7e08e43de727337fea5137fda2501a191"
 CIRCLE20_MODEL_SHA256 = "55b08d8af8c6d43cd27fecdf57a069356fd3290221a2427ac1cfa42670a64c7d"
 PLANAR12_MODEL_SHA256 = "a8cb111e18b09796d4e29e510f4b5aac5905cb9b5644d1d0999fb45b8d6d9666"
+BOWTIE_MODEL_SHA256 = {
+    2: "54e761551c914283e7e1860d4b62469c5e1f5e055dd5fb066b3d199b1bb2bb57",
+    3: "5968658eedd825a30b9b07d5bd74b43fbe9279ea5602184eac76dca30cf51c67",
+}
 
 
-def dump_digest(tmp_path, command, data, max_degree=4):
+def dump_digest(tmp_path, command, data, max_degree=4, max_dim=None):
     inp = tmp_path / "input.json"
     inp.write_text(json.dumps(data))
     out = tmp_path / "dump.json"
+    dim_args = [] if max_dim is None else ["--max-dim", str(max_dim)]
     assert main([command, "--input", str(inp), "--max-degree", str(max_degree),
-                 "-o", str(out)]) == 0
+                 *dim_args, "-o", str(out)]) == 0
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
@@ -94,3 +106,11 @@ def test_random_planar_model_dump_digest(tmp_path, capsys):
     points = [[rng.random(), rng.random()] for _ in range(12)]
     digest = dump_digest(tmp_path, "model", {"points": points}, max_degree=3)
     assert digest == PLANAR12_MODEL_SHA256
+
+
+@pytest.mark.parametrize("max_degree", [2, 3])
+def test_bowtie_cone_stage_dump_digest(tmp_path, capsys, max_degree):
+    rows = [[0, 1, 1, 1, 1], [1, 0, 1, 2, 2], [1, 1, 0, 2, 2], [1, 2, 2, 0, 1], [1, 2, 2, 1, 0]]
+    digest = dump_digest(tmp_path, "model", {"distance_matrix": rows},
+                         max_degree=max_degree, max_dim=2)
+    assert digest == BOWTIE_MODEL_SHA256[max_degree]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import validate_complex
-from oracles import gh_bisection, gh_exhaustive
+from oracles import complex_betti, find_cone_apex, gh_bisection, gh_exhaustive
 from psmm.errors import CapExceeded, InputError
 from psmm.metric import (
     build_filtration,
@@ -182,22 +182,75 @@ class TestConeDetection:
     def test_full_simplex_is_cone(self):
         m = load_metric({"distance_matrix": [[0, 1], [1, 0]]})
         f = build_filtration(m, max_dim=1)
-        assert f.stages[1].find_cone_apex() == (0, True)
+        assert find_cone_apex(f.stages[1]) == (0, True)
 
     def test_hollow_triangle_is_truncated_cone_only(self):
-        # 1-skeleton of a cone; vanishing below top_dim is vacuous here
+        # 1-skeleton of a cone; vanishing below the top dimension is vacuous here
         k = complex_from_simplices(3, [[0, 1], [1, 2], [0, 2]])
-        assert k.find_cone_apex() == (0, False)
+        assert find_cone_apex(k) == (0, False)
 
     def test_cycle_not_cone(self):
         k = complex_from_simplices(4, [[0, 1], [1, 2], [2, 3], [0, 3]])
-        assert k.find_cone_apex() is None
+        assert find_cone_apex(k) is None
 
     def test_circle20_final_stage_cone(self):
         f = build_filtration(circle_space(20), max_dim=2)
-        apex = f.stages[-1].find_cone_apex()
+        apex = find_cone_apex(f.stages[-1])
         assert apex is not None and apex[1] is False  # capped at dim 2
-        assert f.stages[5].find_cone_apex() is None
+        assert find_cone_apex(f.stages[5]) is None
+        assert f.stages[-1].cone_max_dim == 2 and f.stages[5].cone_max_dim is None
+
+
+@st.composite
+def rips_spaces(draw):
+    """1-7 points: an exact matrix with ties and zero distances, or float
+    planar points."""
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = Fraction(draw(st.integers(0, 4)), 2)
+        return metric_from_matrix(rows)
+    coord = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
+    return metric_from_points([[draw(coord), draw(coord)] for _ in range(n)])
+
+
+class TestConeMark:
+    """`build_filtration` marks the stages at or past the enclosing
+    radius; the mark must agree with the general apex search."""
+
+    @given(rips_spaces(), st.integers(0, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_mark_matches_apex_search(self, m, max_dim):
+        f = build_filtration(m, max_dim)
+        for cx in f.stages:
+            assert (cx.cone_max_dim is not None) == (find_cone_apex(cx) is not None)
+            if cx.cone_max_dim is not None:
+                assert cx.cone_max_dim == max_dim
+                betti = complex_betti(cx, max(max_dim - 1, 0))
+                assert betti == {k: int(k == 0) for k in betti}
+
+    def test_no_mark_without_edges(self):
+        m = metric_from_matrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        assert all(cx.cone_max_dim is None for cx in build_filtration(m, 0).stages)
+        assert [cx.cone_max_dim for cx in build_filtration(m, 1).stages] == [None, 1, 1]
+
+    def test_one_point_marked_at_stage_zero(self):
+        for max_dim in (0, 2):
+            f = build_filtration(metric_from_matrix([[0]]), max_dim)
+            assert [cx.cone_max_dim for cx in f.stages] == [max_dim]
+
+    def test_coincident_points(self):
+        # all points coincide: the one stage is a full simplex
+        f = build_filtration(metric_from_matrix([[0] * 3] * 3), 2)
+        assert [cx.cone_max_dim for cx in f.stages] == [2]
+        # two coincide, the third is apart: stage 0 is not a cone
+        f = build_filtration(metric_from_matrix([[0, 0, 1], [0, 0, 1], [1, 1, 0]]), 2)
+        assert [cx.cone_max_dim for cx in f.stages] == [None, 2]
+
+    def test_hand_built_complexes_carry_no_mark(self):
+        assert complex_from_simplices(3, [[0, 1, 2]]).cone_max_dim is None
 
 
 @st.composite

@@ -176,9 +176,8 @@ class TestPersistentModel:
                 rows[i][j] = rows[j][i] = Fraction(1) if frozenset((i, j)) in adj \
                     else Fraction(big)
         m = metric_from_matrix(rows)
-        psm = persistent_model(m, Config(max_degree=2, max_dim=3, deg1_cap=2),
-                               functoriality_check=False)
-        assert psm.nonconverged_stages
+        psm = persistent_model(m, Config(max_degree=2, max_dim=3, deg1_cap=2))
+        assert psm.nonconverged_stages == [1]
         assert any("did not converge" in c for c in psm.caveats())
 
 

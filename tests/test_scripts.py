@@ -33,3 +33,20 @@ def test_stability_audit_rejects_bad_arguments(args):
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert proc.stderr.startswith("usage: stability_audit.py")
     assert "violations" not in proc.stdout
+
+
+@pytest.mark.parametrize("args", [("13", "2"), ("1", "0")])
+def test_circle_experiment_smoke(args):
+    # one point has no positive distance, so its bars have exact Fraction ends
+    proc = run_script("circle_experiment.py", *args)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert "\nV barcode:\n" in proc.stdout and "\nH barcode:\n" in proc.stdout
+
+
+@pytest.mark.parametrize("args", [("abc",), ("0",), ("5", "-1"), ("5", "two"),
+                                  ("5", "1", "extra")])
+def test_circle_experiment_rejects_bad_arguments(args):
+    proc = run_script("circle_experiment.py", *args)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stderr.startswith("usage: circle_experiment.py")
+    assert "barcode" not in proc.stdout
