@@ -57,8 +57,11 @@ def _read_json(path: str) -> dict:
 def _emit(obj: dict, output: str | None):
     blob = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if output:
-        with open(output, "w") as fh:
-            fh.write(blob)
+        try:
+            with open(output, "w") as fh:
+                fh.write(blob)
+        except OSError as e:
+            raise InputError(f"cannot write {output}: {e.strerror or e}") from e
     else:
         sys.stdout.write(blob)
 

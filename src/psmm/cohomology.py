@@ -22,7 +22,11 @@ complex in the package.  It eliminates each sparse coboundary once, in
 ascending degree and only up to the degrees asked for, and reads
 dimensions, representative cocycles and class coordinates off that one
 pass.  On a Rips stage that `build_filtration` marks as a cone it
-eliminates nothing in the degrees below the mark.
+eliminates nothing in the degrees below the mark.  Past the enclosing
+radius a filtration cut for degrees below the mark holds one shared
+vertices-only cone stage; it answers those degrees off the mark, and
+asking it for the mark's degree or above raises an invariant breach,
+since the simplices that degree needs were never enumerated.
 """
 
 from __future__ import annotations
@@ -102,7 +106,8 @@ class StageCohomology:
     have zero cohomology.  On a complex with a cone mark
     (`SimplicialComplex.cone_max_dim`, set on Rips stages at or past the
     enclosing radius) H^0 = Q is spanned by the constant 1 and H^k = 0
-    for 1 <= k < the mark, with no elimination.
+    for 1 <= k < the mark, with no elimination; on a vertices-only cone
+    stage any degree at or above the mark raises InputError.
     """
 
     def __init__(self, n_cochains, columns, max_deg: Optional[int] = None,

@@ -9,6 +9,7 @@ of distinct positive pairwise distances.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -69,6 +70,9 @@ class MetricSpace:
         dimension max_dim the stage is a cone through dimension
         max_dim - 1, so H^0 = Q and H^k = 0 for 1 <= k < max_dim.  With
         max_dim = 0 a stage has no edges, so that holds only for n = 1.
+        A caller that reads only degrees below max_dim therefore needs
+        no simplex of diameter above the radius, and no simplex but the
+        vertices at or past it (`build_filtration`).
         """
         return min(max(row) for row in self.dist)
 
@@ -179,15 +183,22 @@ class SimplicialComplex:
     present.  `cone_max_dim` is the mark `build_filtration` puts on a
     Rips stage at or past the enclosing radius: the filtration's max_dim,
     below which the stage is a cone (`MetricSpace.enclosing_radius`).
-    Other complexes carry None.
+    Other complexes carry None.  A `vertices_only` stage is such a cone
+    with every simplex above dimension 0 left out; it answers degrees
+    below the mark off the mark alone, and reading any of its missing
+    simplices raises instead of seeing none.
     """
 
     n_vertices: int
     simplices: dict = field(default_factory=dict)  # dim -> tuple of tuples
     cone_max_dim: Optional[int] = field(default=None, compare=False)
+    vertices_only: bool = field(default=False, compare=False)
     _index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def dim_simplices(self, d: int) -> tuple:
+        if d > 0 and self.vertices_only:
+            raise InputError(f"the {d}-simplices of a vertices-only cone stage were "
+                             "never enumerated: invariant breach")
         return self.simplices.get(d, ())
 
     def index(self, d: int) -> dict:
@@ -230,13 +241,17 @@ class FilteredComplex:
         return len(self.stages)
 
 
-def rips_simplices(m: MetricSpace, max_dim: int, simplex_cap: int = 2_000_000) -> dict:
-    """Every simplex of dimension <= max_dim with its diameter: per
-    dimension, the lexicographic list of (simplex, diameter).
+def rips_simplices(m: MetricSpace, max_dim: int, simplex_cap: int = 2_000_000,
+                   max_diameter: Optional[Num] = None) -> dict:
+    """Every simplex of dimension <= max_dim with its diameter, or only
+    those of diameter <= max_diameter: per dimension, the lexicographic
+    list of (simplex, diameter).
 
-    The final Rips stage is the full simplex on the points, so the
-    count, and with it the cap, is known before anything is enumerated.
-    The vertices alone are never capped.
+    Only kept simplices are extended, which is exact since every face of
+    a kept simplex is kept, and keeps the order.  The final Rips stage is
+    the full simplex on the points, so the count, and with it the cap, is
+    known before anything is enumerated; it is checked on that full
+    count whatever the bound.  The vertices alone are never capped.
     """
     if max_dim < 0:
         raise InputError("max_dim must be >= 0")
@@ -255,29 +270,47 @@ def rips_simplices(m: MetricSpace, max_dim: int, simplex_cap: int = 2_000_000) -
                     duv = dist[u][v]
                     if duv > nd:
                         nd = duv
-                cur.append((s + (v,), nd))
+                if max_diameter is None or nd <= max_diameter:
+                    cur.append((s + (v,), nd))
         simplices[d] = cur
     return simplices
 
 
-def build_filtration(m: MetricSpace, max_dim: int, simplex_cap: int = 2_000_000) -> FilteredComplex:
+def build_filtration(m: MetricSpace, max_dim: int, simplex_cap: int = 2_000_000,
+                     max_degree: Optional[int] = None) -> FilteredComplex:
     """The stages of `rips_simplices`, sliced by diameter.  Stages at or
     past the enclosing radius carry `cone_max_dim = max_dim`, unless
-    max_dim = 0 and n > 1 (see `MetricSpace.enclosing_radius`)."""
-    simplices = rips_simplices(m, max_dim, simplex_cap)
+    max_dim = 0 and n > 1 (see `MetricSpace.enclosing_radius`).
+
+    `max_degree` is the highest cohomology degree the caller reads; by
+    default every stage is complete.  When it is below max_dim, the
+    marked stages are answered off the mark, so only simplices of
+    diameter up to the last grid value below the radius (0 when the
+    radius is 0) are enumerated, and every marked stage is one shared
+    vertices-only complex.
+    """
     crit = m.positive_distances()
     zero = Fraction(0) if m.exact else 0.0
+    bounds = [zero, *crit]
     radius = m.enclosing_radius() if max_dim >= 1 or m.n == 1 else None
+    # the first marked stage: the radius is 0 or one of the distances
+    cone_from = len(bounds) if radius is None else bisect.bisect_left(bounds, radius)
+    cut = radius is not None and max_degree is not None and max_degree < max_dim
+    simplices = rips_simplices(m, max_dim, simplex_cap,
+                               bounds[max(cone_from - 1, 0)] if cut else None)
+    shared = SimplicialComplex(m.n, {0: tuple((v,) for v in range(m.n))}, max_dim,
+                               vertices_only=True) if cut else None
     stages = []
-    for k in range(len(crit) + 1):
-        bound = zero if k == 0 else crit[k - 1]
+    for k, bound in enumerate(bounds):
+        if k >= cone_from and cut:
+            stages.append(shared)
+            continue
         by_dim = {}
         for d, group in simplices.items():
             sel = tuple(s for s, diam in group if diam <= bound)
             if sel:
                 by_dim[d] = sel
-        cone = max_dim if radius is not None and bound >= radius else None
-        stages.append(SimplicialComplex(m.n, by_dim, cone))
+        stages.append(SimplicialComplex(m.n, by_dim, max_dim if k >= cone_from else None))
     return FilteredComplex(tuple(crit), tuple(stages))
 
 

@@ -20,8 +20,11 @@ path-connected as the model construction requires.
 A stage's minimal model depends only on its core's dims and structure
 constants, so within one `persistent_model` call stages with equal core
 data share one model object, and stage pairs with the same two models
-and the same core-map matrices share one representative.  The dump
-still lists every stage and pair, byte for byte as without sharing.
+and the same core-map matrices share one representative.  When the
+model reads only degrees below max_dim, every stage at or past the
+enclosing radius is one vertices-only cone, with one ring and one
+induced map between its copies.  The dump still lists every stage and
+pair, byte for byte as without sharing.
 
 A persistent-CDGA input mode takes per-grid CDGAs and structure maps
 verbatim, which covers non-metric comparisons.
@@ -205,40 +208,47 @@ def persistent_model(m: MetricSpace, cfg: Optional[Config] = None) -> Persistent
     induced maps, with H- and Q-functoriality checks on length-2 spans
     (`_check_functoriality`).  Stages at or past the enclosing radius
     are cones (`MetricSpace.enclosing_radius`): their rings are read off
-    the filtration's mark, with no elimination below max_dim.
+    the filtration's mark, with no elimination below max_dim.  When the
+    degrees read, 0..max(max_degree, 1), lie below max_dim, the
+    filtration stops enumerating below the radius and those stages are
+    one vertices-only complex (`build_filtration`), so they share one
+    ring and one induced map.
 
-    A minimal model is a function of its core's dims and structure
-    constants (`CohomologyRing.core_key`), so stages with equal core data
-    share one `MinimalModel`.  Pairs with the same two model objects and
-    the same core-map matrices share one representative, and each
-    distinct span is checked once.  Only successful lifts are shared; a
-    pair with no lift is retried, and degraded as before.
+    One ring is built per distinct stage object and one induced map per
+    distinct pair of rings.  A minimal model is a function of its core's
+    dims and structure constants (`CohomologyRing.core_key`), so stages
+    with equal core data share one `MinimalModel`.  Pairs with the same
+    two model objects and the same core-map matrices share one
+    representative, and each distinct span is checked once.  Only
+    successful lifts are shared; a pair with no lift is retried, and
+    degraded as before.
     """
     cfg = cfg or Config()
-    filt = build_filtration(m, cfg.max_dim, cfg.simplex_cap)
+    # the degrees read: 0..max_degree, and 1 for `h1_stages` even at max_degree 0
+    filt = build_filtration(m, cfg.max_dim, cfg.simplex_cap,
+                            max_degree=max(cfg.max_degree, 1))
     ring_deg = cfg.max_degree + 1
 
-    rings = [CohomologyRing.from_complex(cx, ring_deg, eager_through=cfg.max_degree)
+    shared_rings: dict = {}
+    rings = [_shared(shared_rings, id(cx), lambda: CohomologyRing.from_complex(
+                 cx, ring_deg, eager_through=cfg.max_degree))
              for cx in filt.stages]
     cores = [r.unital_core() for r in rings]
     shared_models: dict = {}
-    models = []
-    for core in cores:
-        key = core.core_key(cfg.max_degree)
-        if key not in shared_models:
-            shared_models[key] = minimal_model(core, cfg.max_degree, cfg.deg1_cap)
-        models.append(shared_models[key])
+    models = [_shared(shared_models, core.core_key(cfg.max_degree),
+                      lambda: minimal_model(core, cfg.max_degree, cfg.deg1_cap))
+              for core in cores]
 
     shared_lifts: dict = {}
 
     def lift(f, mm_src, mm_tgt, max_degree):
-        key = (id(mm_src), id(mm_tgt), _maps_key(f, max_degree))
-        if key not in shared_lifts:
-            shared_lifts[key] = sullivan_representative(f, mm_src, mm_tgt, max_degree)
-        return shared_lifts[key]
+        return _shared(shared_lifts, (id(mm_src), id(mm_tgt), _maps_key(f, max_degree)),
+                       lambda: sullivan_representative(f, mm_src, mm_tgt, max_degree))
 
     n = len(filt.stages)
-    ring_maps = [induced_ring_map(rings[k], rings[k + 1], cfg.max_degree)
+    shared_maps: dict = {}
+    ring_maps = [_shared(shared_maps, (id(rings[k]), id(rings[k + 1])),
+                         lambda: induced_ring_map(rings[k], rings[k + 1], cfg.max_degree))
                  for k in range(n - 1)]
     core_maps = [_core_map(ring_maps[k], cores[k], cores[k + 1], cfg.max_degree)
                  for k in range(n - 1)]
@@ -261,6 +271,13 @@ def persistent_model(m: MetricSpace, cfg: Optional[Config] = None) -> Persistent
     )
     _check_functoriality(psm, core_maps, lift)
     return psm
+
+
+def _shared(cache: dict, key, build):
+    """The value cached under `key`, built by `build()` on first use."""
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
 
 
 def _check_functoriality(psm: PersistentSullivanModel, core_maps: list, lift):
@@ -346,8 +363,9 @@ def h_barcode(source, cfg: Optional[Config] = None) -> Barcode:
     and the induced-map matrices.  From a MetricSpace it is one
     reduction over the Rips simplices (`persistence.cohomology_barcode`),
     with no stages, rings or induced maps.  When max_degree < max_dim,
-    simplices beyond the enclosing radius are left out: from there on
-    every stage is a cone through dimension max_dim - 1
+    simplices of diameter above the enclosing radius are never
+    enumerated (`rips_simplices`' bound): from the radius on every stage
+    is a cone through dimension max_dim - 1
     (`MetricSpace.enclosing_radius`), so no bar of a reported degree
     lives past it.  Both paths give equal bars with endpoints of equal
     types: a zero birth is `Fraction(0)` unless the space has a positive
@@ -355,11 +373,8 @@ def h_barcode(source, cfg: Optional[Config] = None) -> Barcode:
     """
     if isinstance(source, MetricSpace):
         cfg = cfg or Config()
-        simplices = rips_simplices(source, cfg.max_dim, cfg.simplex_cap)
-        if cfg.max_degree < cfg.max_dim:
-            radius = source.enclosing_radius()
-            simplices = {d: [sv for sv in group if sv[1] <= radius]
-                         for d, group in simplices.items()}
+        radius = source.enclosing_radius() if cfg.max_degree < cfg.max_dim else None
+        simplices = rips_simplices(source, cfg.max_dim, cfg.simplex_cap, radius)
         zero = 0.0 if not source.exact and source.positive_distances() else Fraction(0)
         return cohomology_barcode(simplices, cfg.max_degree, zero)
     psm = source

@@ -414,6 +414,33 @@ class TestGhCommand:
         assert data["gh"] == 599.5 and data["gh2"] == 1199.0
 
 
+class TestUnwritableOutput:
+    """An -o path that is a directory or lies in a missing directory
+    ends in exit 2 with one error line, for every subcommand."""
+
+    @staticmethod
+    def commands(tmp_path):
+        two = write(tmp_path, "two.json", {"distance_matrix": [[0, 1], [1, 0]]})
+        s2 = write(tmp_path, "s2.json", S2_FILE)
+        return [
+            ["model", "--input", two, "--max-degree", "1"],
+            ["barcode", "--input", two, "--invariant", "H"],
+            ["barcode", "--input", two, "--invariant", "V", "--max-degree", "1"],
+            ["compare", "--left", two, "--right", two, "--max-degree", "1"],
+            ["minimal-model", "--input", s2],
+            ["gh", "--left", two, "--right", two],
+        ]
+
+    @pytest.mark.parametrize("where", ["directory", "missing-directory"])
+    def test_exit_2(self, tmp_path, capsys, where):
+        out = tmp_path if where == "directory" else tmp_path / "nonexistent" / "dir" / "x.json"
+        for args in self.commands(tmp_path):
+            assert run_cli([*args, "-o", str(out)]) == 2, args
+            err = capsys.readouterr().err
+            assert err.splitlines()[-1].startswith(f"error: cannot write {out}: "), args
+        assert not (tmp_path / "nonexistent").exists()
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         one = write(tmp_path, "one.json", {"distance_matrix": [[0]]})

@@ -427,6 +427,24 @@ class TestCohomologyRing:
         core.core_key(4)
         assert 5 not in core._materialized
 
+    def test_vertices_only_cone_stage_fails_closed(self):
+        # circle-13 cut for degrees <= 4 of max_dim 5: the last stage keeps
+        # its 13 vertices, answers degrees 0-4 off the mark and raises on
+        # degree 5, the ring's lazy top degree, rather than reading 0
+        n = 13
+        rows = [[math.pi * min(abs(i - j), n - abs(i - j)) / (n / 2) for j in range(n)]
+                for i in range(n)]
+        last = build_filtration(metric_from_matrix(rows), 5, max_degree=4).stages[-1]
+        assert last.vertices_only and last.simplex_count() == n
+        ring = CohomologyRing.from_complex(last, 5, eager_through=4)
+        assert [ring.dim(k) for k in range(5)] == [1, 0, 0, 0, 0]
+        assert ring.unit_coords() == [1]
+        for ask in (lambda: ring.dim(5), lambda: StageCohomology.of_complex(last).h_dim(5),
+                    lambda: StageCohomology.of_complex(last).rank_delta(5),
+                    lambda: CohomologyRing.from_complex(last, 5)):
+            with pytest.raises(InputError, match="invariant breach"):
+                ask()
+
 
 class TestInducedMaps:
     def test_identity_inclusion(self):

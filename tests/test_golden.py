@@ -16,6 +16,11 @@ The 5-point bowtie, two triangles sharing vertex 0, was recorded while
 cone stages were still found by a general apex search.  Its stage 1 is
 a cone whose every top simplex holds the apex, where that search skipped
 the top degree's elimination that the enclosing-radius mark now runs.
+
+The same circle and planar points at max degree 2 and max_dim 4 were
+recorded while every stage past the enclosing radius still held all its
+simplices; a model that reads only degrees below max_dim now enumerates
+none of them.
 """
 
 import hashlib
@@ -69,6 +74,8 @@ MINIMAL_MODEL_SHA256 = "c00584dab272d1c4e9c2ad34aa20eaa3edba1be21f776a2f737fdcda
 PERSISTENT_MODEL_SHA256 = "2b7f66f6d3781301c007f49d147b48f7e08e43de727337fea5137fda2501a191"
 CIRCLE20_MODEL_SHA256 = "55b08d8af8c6d43cd27fecdf57a069356fd3290221a2427ac1cfa42670a64c7d"
 PLANAR12_MODEL_SHA256 = "a8cb111e18b09796d4e29e510f4b5aac5905cb9b5644d1d0999fb45b8d6d9666"
+CIRCLE20_DEG2_DIM4_SHA256 = "5be47f1daaefeb3583bd763d39d95f2101a3c848a1195b56fb49ca0f352109a2"
+PLANAR12_DEG2_DIM4_SHA256 = "0133e9265c98978515f365816cd5a09ed8f46421630f9221641a33e4d064a2e3"
 BOWTIE_MODEL_SHA256 = {
     2: "54e761551c914283e7e1860d4b62469c5e1f5e055dd5fb066b3d199b1bb2bb57",
     3: "5968658eedd825a30b9b07d5bd74b43fbe9279ea5602184eac76dca30cf51c67",
@@ -93,19 +100,34 @@ def test_persistent_cdga_model_dump_digest(tmp_path, capsys):
     assert dump_digest(tmp_path, "model", PERSISTENT) == PERSISTENT_MODEL_SHA256
 
 
+def geodesic_circle(n):
+    return {"distance_matrix": [[math.pi * min(abs(i - j), n - abs(i - j)) / (n / 2)
+                                 for j in range(n)] for i in range(n)]}
+
+
+def random_planar(n):
+    rng = random.Random(0)
+    return {"points": [[rng.random(), rng.random()] for _ in range(n)]}
+
+
 def test_geodesic_circle_model_dump_digest(tmp_path, capsys):
-    n = 20
-    rows = [[math.pi * min(abs(i - j), n - abs(i - j)) / (n / 2) for j in range(n)]
-            for i in range(n)]
-    digest = dump_digest(tmp_path, "model", {"distance_matrix": rows})
+    digest = dump_digest(tmp_path, "model", geodesic_circle(20))
     assert digest == CIRCLE20_MODEL_SHA256
 
 
 def test_random_planar_model_dump_digest(tmp_path, capsys):
-    rng = random.Random(0)
-    points = [[rng.random(), rng.random()] for _ in range(12)]
-    digest = dump_digest(tmp_path, "model", {"points": points}, max_degree=3)
+    digest = dump_digest(tmp_path, "model", random_planar(12), max_degree=3)
     assert digest == PLANAR12_MODEL_SHA256
+
+
+def test_geodesic_circle_cut_past_radius_dump_digest(tmp_path, capsys):
+    digest = dump_digest(tmp_path, "model", geodesic_circle(20), max_degree=2, max_dim=4)
+    assert digest == CIRCLE20_DEG2_DIM4_SHA256
+
+
+def test_random_planar_cut_past_radius_dump_digest(tmp_path, capsys):
+    digest = dump_digest(tmp_path, "model", random_planar(12), max_degree=2, max_dim=4)
+    assert digest == PLANAR12_DEG2_DIM4_SHA256
 
 
 @pytest.mark.parametrize("max_degree", [2, 3])

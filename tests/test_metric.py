@@ -172,6 +172,16 @@ class TestFiltration:
         # the vertices alone are never capped
         assert len(rips_simplices(m, 0, simplex_cap=0)[0]) == 6
 
+    def test_bounded_cap_is_still_the_final_count(self):
+        import random
+        # a bound that keeps only the vertices still counts all 41 simplices
+        m = random_space(random.Random(1), 6)
+        assert sum(map(len, rips_simplices(m, 2, max_diameter=Fraction(0)).values())) == 6
+        with pytest.raises(CapExceeded):
+            rips_simplices(m, 2, simplex_cap=40, max_diameter=Fraction(0))
+        with pytest.raises(CapExceeded):
+            build_filtration(m, 2, simplex_cap=40, max_degree=1)
+
     def test_enclosing_radius(self):
         m = metric_from_matrix([[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]])
         assert m.enclosing_radius() == 2
@@ -216,6 +226,20 @@ def rips_spaces(draw):
     return metric_from_points([[draw(coord), draw(coord)] for _ in range(n)])
 
 
+@given(rips_spaces(), st.integers(0, 4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_bounded_rips_simplices_filter_the_full_list(m, max_dim, data):
+    """The diameter bound keeps exactly the simplices the full list has
+    within it, in the same order, at a tie, a zero or a gap."""
+    values = [m.d(0, 0), *m.positive_distances()]
+    bound = data.draw(st.sampled_from(values))
+    if data.draw(st.booleans()):
+        bound = bound + type(bound)(1) / 4  # between grid values
+    full = rips_simplices(m, max_dim)
+    assert rips_simplices(m, max_dim, max_diameter=bound) == {
+        d: [sv for sv in group if sv[1] <= bound] for d, group in full.items()}
+
+
 class TestConeMark:
     """`build_filtration` marks the stages at or past the enclosing
     radius; the mark must agree with the general apex search."""
@@ -248,6 +272,34 @@ class TestConeMark:
         # two coincide, the third is apart: stage 0 is not a cone
         f = build_filtration(metric_from_matrix([[0, 0, 1], [0, 0, 1], [1, 1, 0]]), 2)
         assert [cx.cone_max_dim for cx in f.stages] == [None, 2]
+
+    @given(rips_spaces(), st.integers(0, 5), st.integers(0, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_cut_for_lower_degrees(self, m, max_dim, max_degree):
+        """Cut for degrees below max_dim, the unmarked stages are the full
+        ones, and every marked stage is one vertices-only complex that
+        raises on any missing simplex; otherwise nothing changes."""
+        full = build_filtration(m, max_dim)
+        cut = build_filtration(m, max_dim, max_degree=max_degree)
+        assert cut.critical_values == full.critical_values
+        marked = [cx for cx in cut.stages if cx.cone_max_dim is not None]
+        if max_degree >= max_dim:
+            assert cut.stages == full.stages
+            assert [cx.cone_max_dim for cx in cut.stages] == \
+                [cx.cone_max_dim for cx in full.stages]
+            assert not any(cx.vertices_only for cx in cut.stages)
+            return
+        assert marked  # max_dim >= 1, and the last stage reaches the radius
+        for a, b in zip(cut.stages, full.stages):
+            assert a.cone_max_dim == b.cone_max_dim
+            if a.cone_max_dim is None:
+                assert a == b and not a.vertices_only
+        assert all(cx is marked[0] for cx in marked)
+        shared = marked[0]
+        assert shared.vertices_only and shared.simplices == {0: tuple((v,) for v in range(m.n))}
+        for d in range(1, max_dim + 1):
+            with pytest.raises(InputError, match="invariant breach"):
+                shared.dim_simplices(d)
 
     def test_hand_built_complexes_carry_no_mark(self):
         assert complex_from_simplices(3, [[0, 1, 2]]).cone_max_dim is None

@@ -431,19 +431,33 @@ class TestSharedModels:
     # grow without bound at the default cap (ROADMAP item 2); caps 0-2
     # keep them small and also reach non-converged stages.  A model can
     # still pass the generator cap, and then both builds must fail alike.
+    # max_dim runs from max_degree - 1 to max_degree + 2, so both the
+    # filtration cut past the enclosing radius (max_degree < max_dim) and
+    # the full stages are compared with the unshared build, which always
+    # keeps the full stages.  With max_dim = 1 the stages are graphs,
+    # wedges of circles whose models outgrow 1 GiB at cap 2 and 7 points,
+    # or at cap 1 and 5 points in degree 2, so those draws take cap 0 and
+    # at most 6 points.
     @given(seed=st.integers(0, 10**6), n=st.integers(4, 7), max_degree=st.integers(1, 3),
-           deg1_cap=st.integers(0, 2), exact=st.booleans())
+           deg1_cap=st.integers(0, 2), exact=st.booleans(), data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_random_spaces_match_unshared(self, seed, n, max_degree, deg1_cap, exact):
+    def test_random_spaces_match_unshared(self, seed, n, max_degree, deg1_cap, exact, data):
+        max_dim = data.draw(st.integers(max(0, max_degree - 1), max_degree + 2))
+        if max_dim == 1:
+            n, deg1_cap = min(n, 6), 0
         rng = random.Random(seed)
         m = (random_exact_space(rng, n) if exact
              else metric_from_points([[rng.random(), rng.random()] for _ in range(n)]))
-        self.assert_same_dump(m, Config(max_degree=max_degree, deg1_cap=deg1_cap))
+        self.assert_same_dump(m, Config(max_degree=max_degree, max_dim=max_dim,
+                                        deg1_cap=deg1_cap))
 
-    @given(seed=st.integers(0, 10**6))
+    # max_dim from max_degree on: at max_dim 1 every 8-point annulus has
+    # graph stages, and the default degree-1 cap exhausts memory there
+    @given(seed=st.integers(0, 10**6), max_dim=st.integers(2, 4))
     @settings(max_examples=4, deadline=None)
-    def test_noisy_annuli_match_unshared(self, seed):
-        self.assert_same_dump(noisy_annulus(random.Random(seed)), Config(max_degree=2))
+    def test_noisy_annuli_match_unshared(self, seed, max_dim):
+        self.assert_same_dump(noisy_annulus(random.Random(seed)),
+                              Config(max_degree=2, max_dim=max_dim))
 
     def test_equal_dims_with_other_products_match_unshared(self):
         # At 1 two 4-cycles and an octahedron (S^1 v S^1 v S^2 in the
