@@ -272,9 +272,6 @@ class SullivanAlgebra:
             return 0
         return len(self.monomials(k))
 
-    def labels(self, k: int) -> list:
-        return [self.monomial_label(m) for m in self.monomials(k)]
-
     def d_columns(self, k: int) -> tuple:
         """Sparse columns of d: degree k -> k+1, one per degree-k
         monomial, with their row count (0 past the truncation)."""
@@ -304,11 +301,9 @@ class SullivanAlgebra:
 
     def generator_space(self) -> GradedVectorSpace:
         dims: dict[int, int] = {}
-        labels: dict[int, list] = {}
-        for name, d in self.generators:
+        for _, d in self.generators:
             dims[d] = dims.get(d, 0) + 1
-            labels.setdefault(d, []).append(name)
-        return GradedVectorSpace.from_dims(dims, {k: tuple(v) for k, v in labels.items()})
+        return GradedVectorSpace.from_dims(dims)
 
     def is_minimal(self) -> bool:
         """No linear term in any differential: im(d) in wedge^{>=2}."""

@@ -9,29 +9,23 @@ construction.
 
 Products with a degree-0 factor are read off component labels instead,
 with no cup product and no class solve.  Each H^0 representative is the
-0/1 indicator of one connected component (the constant 1 on a marked
-cone stage), and the coboundary is block-diagonal over components, so
-every positive-degree representative lies in one component.  With each
-vertex labelled by the H^0 class containing it, 1_C . b and b . 1_C are
-b when b lies in C and 0 otherwise, and the unit is the sum of the H^0
-basis.  The labels are checked where they are built: a representative
-that breaks this raises InputError.
+0/1 indicator of one connected component, and the coboundary is
+block-diagonal over components, so every positive-degree representative
+lies in one component.  With each vertex labelled by the H^0 class
+containing it, 1_C . b and b . 1_C are b when b lies in C and 0
+otherwise, and the unit is the sum of the H^0 basis.  The labels are
+checked where they are built: a representative that breaks this raises
+InputError.
 
 `StageCohomology` computes the kernel mod image of every cochain
 complex in the package.  It eliminates each sparse coboundary once, in
 ascending degree and only up to the degrees asked for, and reads
 dimensions, representative cocycles and class coordinates off that one
-pass.  On a Rips stage that `build_filtration` marks as a cone it
-eliminates nothing in the degrees below the mark.  Past the enclosing
-radius a filtration cut for degrees below the mark holds one shared
-vertices-only cone stage; it answers those degrees off the mark, and
-asking it for the mark's degree or above raises an invariant breach,
-since the simplices that degree needs were never enumerated.
+pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -103,11 +97,7 @@ class StageCohomology:
     a greedy pass modulo im d^{k-1} would have dropped.  `class_of`
     solves against the reduced pivots of d^{k-1} with the
     representatives added on top.  Degrees above `max_deg`, when given,
-    have zero cohomology.  On a complex with a cone mark
-    (`SimplicialComplex.cone_max_dim`, set on Rips stages at or past the
-    enclosing radius) H^0 = Q is spanned by the constant 1 and H^k = 0
-    for 1 <= k < the mark, with no elimination; on a vertices-only cone
-    stage any degree at or above the mark raises InputError.
+    have zero cohomology.
     """
 
     def __init__(self, n_cochains, columns, max_deg: Optional[int] = None,
@@ -116,7 +106,6 @@ class StageCohomology:
         self._delta = columns
         self.max_deg = max_deg
         self.cx = cx
-        self._cone = None if cx is None else cx.cone_max_dim
         self._reduced = {}
         self._reps = {}
         self._class_red = {}
@@ -167,8 +156,6 @@ class StageCohomology:
     def _compute_h_dim(self, k: int) -> int:
         if k < 0 or (self.max_deg is not None and k > self.max_deg):
             return 0
-        if self._cone is not None and k < max(self._cone, 1):
-            return 1 if k == 0 else 0
         n = self.n_cochains(k)
         if n == 0:
             return 0
@@ -182,9 +169,6 @@ class StageCohomology:
             return self._reps[k]
         if self.h_dim(k) == 0:
             self._reps[k] = []
-        elif k == 0 and self._cone is not None:
-            # connected: the constant-1 cochain spans H^0
-            self._reps[0] = [{i: Fraction(1) for i in range(self.n_cochains(0))}]
         else:
             self._reps[k] = list(self._reducer(k).kernel_combos)
         return self._reps[k]
@@ -226,15 +210,11 @@ def mul_elements(alg, p: int, a: dict, q: int, b: dict) -> dict:
                    for i, ca in a.items() for j, cb in b.items())
 
 
-@dataclass
-class CohoClass:
-    label: str
-    cocycle: Optional[dict]  # sparse rep over simplex indices; None for abstract rings
-
-
 class CohomologyRing:
     """Graded basis of H* with representatives and structure constants.
 
+    `basis[k]` holds the representative cocycle of each degree-k class,
+    sparse over simplex indices, or None per class in an abstract ring.
     Doubles as a formal CDGA (zero differential) for minimal-model
     construction: `dim`, `d_columns`, `mul_basis`, `unit_coords` and
     `trunc` (with `zero_differential` set) make up the finite-CDGA
@@ -270,11 +250,12 @@ class CohomologyRing:
     @staticmethod
     def from_data(max_deg: int, labels: dict, structure: dict,
                   unit: Optional[Sequence] = None) -> "CohomologyRing":
-        """Abstract ring: labels maps degree -> list of names; structure
-        maps (p, i, q, j) -> {index: coeff} in degree p+q."""
+        """Abstract ring: labels maps degree -> list of class names, of
+        which only the count is kept; structure maps (p, i, q, j) ->
+        {index: coeff} in degree p+q."""
         ring = CohomologyRing(max_deg)
         for k, names in labels.items():
-            ring.basis[k] = [CohoClass(str(n), None) for n in names]
+            ring.basis[k] = [None] * len(names)
         for key, val in structure.items():
             ring.structure[tuple(key)] = {i: Fraction(c) for i, c in val.items() if c}
         ring._materialized = set(range(max_deg + 1))
@@ -298,8 +279,7 @@ class CohomologyRing:
             self._materialized.add(k)
             self.basis.setdefault(k, [])
             return
-        reps = self.engine.h_reps(k)
-        self.basis[k] = [CohoClass(f"h{k}_{i}", rep) for i, rep in enumerate(reps)]
+        self.basis[k] = list(self.engine.h_reps(k))
         self._materialized.add(k)
         # structure constants against all previously materialized degrees
         for p in sorted(self._materialized):
@@ -323,7 +303,7 @@ class CohomologyRing:
                 if self.dim(p + q) == 0:
                     self.structure[(p, i, q, j)] = {}
                     continue
-                prod = cup_product(self.engine.cx, ci.cocycle, p, cj.cocycle, q)
+                prod = cup_product(self.engine.cx, ci, p, cj, q)
                 self.structure[(p, i, q, j)] = self.engine.class_of(p + q, prod)
 
     def _degree0_structure(self, p: int, q: int):
@@ -343,8 +323,8 @@ class CohomologyRing:
         vertex sets covering every vertex, so they sum to the unit."""
         if self._labels is None:
             labels = [None] * self.engine.n_cochains(0)
-            for i, cls in enumerate(self.basis[0]):
-                for v, c in cls.cocycle.items():
+            for i, rep in enumerate(self.basis[0]):
+                for v, c in rep.items():
                     if c != 1 or labels[v] is not None:
                         raise InputError("H^0 reps are not disjoint indicators: invariant breach")
                     labels[v] = i
@@ -366,8 +346,8 @@ class CohomologyRing:
             else:
                 simplices = self.engine.cx.dim_simplices(k)
                 comps = []
-                for cls in self.basis[k]:
-                    found = {labels[v] for s in cls.cocycle for v in simplices[s]}
+                for rep in self.basis[k]:
+                    found = {labels[v] for s in rep for v in simplices[s]}
                     if len(found) != 1:
                         raise InputError(
                             f"a degree-{k} rep spans several components: invariant breach")
@@ -413,10 +393,6 @@ class CohomologyRing:
         self.ensure_degree(k)
         return len(self.basis.get(k, ()))
 
-    def labels(self, k: int) -> list:
-        self.ensure_degree(k)
-        return [c.label for c in self.basis.get(k, ())]
-
     def d_columns(self, k: int) -> tuple:
         """Zero columns of d^k with row count 0: degree k + 1 is never
         touched, so asking for it materializes no cup products."""
@@ -446,9 +422,7 @@ class CohomologyRing:
 
     def space(self, through: Optional[int] = None) -> GradedVectorSpace:
         hi = self.max_deg if through is None else through
-        dims = {k: self.dim(k) for k in range(hi + 1)}
-        labels = {k: tuple(self.labels(k)) for k in range(hi + 1) if dims[k]}
-        return GradedVectorSpace.from_dims(dims, labels)
+        return GradedVectorSpace.from_dims({k: self.dim(k) for k in range(hi + 1)})
 
     def unital_core(self) -> "CohomologyRing":
         """The subring Q.1 + H^+, used as the formal CDGA of a stage.
@@ -462,7 +436,7 @@ class CohomologyRing:
             return self
         core = CohomologyRing(self.max_deg, self.engine)
         core.basis = dict(self.basis)
-        core.basis[0] = [CohoClass("one", {i: _ONE for i in range(self.engine.n_cochains(0))})]
+        core.basis[0] = [{i: _ONE for i in range(self.engine.n_cochains(0))}]
         core._materialized = set(self._materialized) | {0}
         for (p, i, q, j), v in self.structure.items():
             if p >= 1 and q >= 1:
@@ -578,9 +552,9 @@ def induced_ring_map(ring_small: CohomologyRing, ring_big: CohomologyRing,
         small_index = small.cx.index(k)
         big_simplices = big.cx.dim_simplices(k)
         cols = []
-        for cls in ring_big.basis[k]:
+        for rep in ring_big.basis[k]:
             restricted = {}
-            for bi, c in cls.cocycle.items():
+            for bi, c in rep.items():
                 si = small_index.get(big_simplices[bi])
                 if si is not None:
                     restricted[si] = c

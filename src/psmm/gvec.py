@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .errors import DimensionMismatch
 from .ratlin import RatMatrix
@@ -13,18 +12,17 @@ from .ratlin import RatMatrix
 class GradedVectorSpace:
     """Nonnegatively graded vector space given by its dimensions.
 
-    Only nonzero degrees are stored; labels are optional basis names.
+    Only nonzero degrees are stored.
     """
 
     dims: tuple = ()  # tuple of (degree, dim) pairs, sorted
-    labels: Optional[dict] = None
 
     @staticmethod
-    def from_dims(dims: dict, labels: Optional[dict] = None) -> "GradedVectorSpace":
+    def from_dims(dims: dict) -> "GradedVectorSpace":
         items = tuple(sorted((k, d) for k, d in dims.items() if d))
         if any(k < 0 or d < 0 for k, d in items):
             raise DimensionMismatch("negative degree or dimension")
-        return GradedVectorSpace(items, labels)
+        return GradedVectorSpace(items)
 
     def dim(self, k: int) -> int:
         for deg, d in self.dims:

@@ -4,7 +4,9 @@ Gromov-Hausdorff distance of small spaces.
 Distances are either exact rationals or binary64 floats, tracked per
 instance.  The Rips convention is the open one, diam < t, realized as
 left-open right-closed constancy intervals (d_k, d_{k+1}] over the grid
-of distinct positive pairwise distances.
+of distinct positive pairwise distances.  A filtration read only below
+its max_dim puts one shared star at and past the enclosing radius
+(`build_filtration`).
 """
 
 from __future__ import annotations
@@ -68,11 +70,11 @@ class MetricSpace:
         attaining the minimum: x is joined to every point, and adding x
         to a simplex keeps its diameter within the scale.  Truncated at
         dimension max_dim the stage is a cone through dimension
-        max_dim - 1, so H^0 = Q and H^k = 0 for 1 <= k < max_dim.  With
-        max_dim = 0 a stage has no edges, so that holds only for n = 1.
-        A caller that reads only degrees below max_dim therefore needs
-        no simplex of diameter above the radius, and no simplex but the
-        vertices at or past it (`build_filtration`).
+        max_dim - 1, so H^0 = Q and H^k = 0 for 1 <= k < max_dim.  A
+        caller that reads only degrees below max_dim therefore needs no
+        simplex of diameter above the radius, and one cone on the same
+        points can stand in for every stage at or past it
+        (`build_filtration`).
         """
         return min(max(row) for row in self.dist)
 
@@ -180,25 +182,14 @@ class SimplicialComplex:
 
     Simplices are strictly increasing vertex tuples in the global
     vertex order; vertices run 0..n_vertices-1 and every singleton is
-    present.  `cone_max_dim` is the mark `build_filtration` puts on a
-    Rips stage at or past the enclosing radius: the filtration's max_dim,
-    below which the stage is a cone (`MetricSpace.enclosing_radius`).
-    Other complexes carry None.  A `vertices_only` stage is such a cone
-    with every simplex above dimension 0 left out; it answers degrees
-    below the mark off the mark alone, and reading any of its missing
-    simplices raises instead of seeing none.
+    present.
     """
 
     n_vertices: int
     simplices: dict = field(default_factory=dict)  # dim -> tuple of tuples
-    cone_max_dim: Optional[int] = field(default=None, compare=False)
-    vertices_only: bool = field(default=False, compare=False)
     _index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def dim_simplices(self, d: int) -> tuple:
-        if d > 0 and self.vertices_only:
-            raise InputError(f"the {d}-simplices of a vertices-only cone stage were "
-                             "never enumerated: invariant breach")
         return self.simplices.get(d, ())
 
     def index(self, d: int) -> dict:
@@ -278,39 +269,38 @@ def rips_simplices(m: MetricSpace, max_dim: int, simplex_cap: int = 2_000_000,
 
 def build_filtration(m: MetricSpace, max_dim: int, simplex_cap: int = 2_000_000,
                      max_degree: Optional[int] = None) -> FilteredComplex:
-    """The stages of `rips_simplices`, sliced by diameter.  Stages at or
-    past the enclosing radius carry `cone_max_dim = max_dim`, unless
-    max_dim = 0 and n > 1 (see `MetricSpace.enclosing_radius`).
+    """The stages of `rips_simplices`, sliced by diameter.
 
     `max_degree` is the highest cohomology degree the caller reads; by
-    default every stage is complete.  When it is below max_dim, the
-    marked stages are answered off the mark, so only simplices of
-    diameter up to the last grid value below the radius (0 when the
-    radius is 0) are enumerated, and every marked stage is one shared
-    vertices-only complex.
+    default every stage is complete.  When it is below max_dim, every
+    stage at or past the enclosing radius is one shared star, vertex 0
+    joined to every other vertex.  The star is a cone like the stages it
+    stands in for (`MetricSpace.enclosing_radius`), so it has the same
+    cohomology below max_dim, H^0 spanned by the constant 1, and the same
+    restriction to earlier stages.  Only simplices of diameter up to the
+    last grid value below the radius (0 when the radius is 0) are then
+    enumerated.
     """
     crit = m.positive_distances()
     zero = Fraction(0) if m.exact else 0.0
     bounds = [zero, *crit]
-    radius = m.enclosing_radius() if max_dim >= 1 or m.n == 1 else None
-    # the first marked stage: the radius is 0 or one of the distances
-    cone_from = len(bounds) if radius is None else bisect.bisect_left(bounds, radius)
-    cut = radius is not None and max_degree is not None and max_degree < max_dim
+    cut = max_degree is not None and max_degree < max_dim
+    # the first cone stage: the radius is 0 or one of the distances
+    cone_from = bisect.bisect_left(bounds, m.enclosing_radius()) if cut else len(bounds)
     simplices = rips_simplices(m, max_dim, simplex_cap,
                                bounds[max(cone_from - 1, 0)] if cut else None)
-    shared = SimplicialComplex(m.n, {0: tuple((v,) for v in range(m.n))}, max_dim,
-                               vertices_only=True) if cut else None
+    star = complex_from_simplices(m.n, [(0, v) for v in range(1, m.n)])
     stages = []
     for k, bound in enumerate(bounds):
-        if k >= cone_from and cut:
-            stages.append(shared)
+        if k >= cone_from:
+            stages.append(star)
             continue
         by_dim = {}
         for d, group in simplices.items():
             sel = tuple(s for s, diam in group if diam <= bound)
             if sel:
                 by_dim[d] = sel
-        stages.append(SimplicialComplex(m.n, by_dim, max_dim if k >= cone_from else None))
+        stages.append(SimplicialComplex(m.n, by_dim))
     return FilteredComplex(tuple(crit), tuple(stages))
 
 

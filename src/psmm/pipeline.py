@@ -22,9 +22,9 @@ constants, so within one `persistent_model` call stages with equal core
 data share one model object, and stage pairs with the same two models
 and the same core-map matrices share one representative.  When the
 model reads only degrees below max_dim, every stage at or past the
-enclosing radius is one vertices-only cone, with one ring and one
-induced map between its copies.  The dump still lists every stage and
-pair, byte for byte as without sharing.
+enclosing radius is one shared star (`build_filtration`), with one
+ring and one induced map between its copies.  The dump still lists
+every stage and pair, byte for byte as without sharing.
 
 A persistent-CDGA input mode takes per-grid CDGAs and structure maps
 verbatim, which covers non-metric comparisons.
@@ -45,7 +45,7 @@ from .cdga import (
 )
 from .cohomology import CohomologyRing, induced_ring_map
 from .config import Config
-from .errors import CapExceeded, InputError, LiftError
+from .errors import CapExceeded, DimensionMismatch, InputError, LiftError
 from .gvec import GradedLinearMap, GradedVectorSpace
 from .metric import MetricSpace, build_filtration, gh_bruteforce, rips_simplices
 from .minmodel import minimal_model, sullivan_representative
@@ -124,17 +124,24 @@ def _grid_value(x):
     raise InputError(f"grid value {x!r} is not a finite number or a 'p/q' string")
 
 
+def _grid_from_json(values) -> tuple:
+    """A list of strictly increasing positive grid values."""
+    if not isinstance(values, list):
+        raise InputError("'grid' must be a list")
+    grid = tuple(_grid_value(x) for x in values)
+    if list(grid) != sorted(set(grid)) or any(g <= 0 for g in grid):
+        raise InputError("grid must be strictly increasing positive values")
+    return grid
+
+
 def persistent_cdga_from_json(data: dict, min_trunc: int = 0) -> PersistentCDGA:
     """Persistent CDGA from its file form: a `grid` list, one Sullivan
     algebra per grid interval in `stages`, and in `maps` one object per
     consecutive pair whose `images` send each generator of stage k+1 to
     a term list of its degree in stage k (omitted generators map to 0)."""
-    grid, maps_spec = data.get("grid", []), data.get("maps", [])
-    if not isinstance(grid, list) or not isinstance(maps_spec, list):
-        raise InputError("'grid' and 'maps' must be lists")
-    grid = tuple(_grid_value(x) for x in grid)
-    if list(grid) != sorted(set(grid)) or any(g <= 0 for g in grid):
-        raise InputError("grid must be strictly increasing positive values")
+    grid, maps_spec = _grid_from_json(data.get("grid", [])), data.get("maps", [])
+    if not isinstance(maps_spec, list):
+        raise InputError("'maps' must be a list")
     stage_specs = data.get("stages")
     if not stage_specs or not isinstance(stage_specs, list):
         raise InputError("persistent CDGA needs a list of at least one stage")
@@ -206,13 +213,10 @@ def persistent_model(m: MetricSpace, cfg: Optional[Config] = None) -> Persistent
     """Formality pipeline for a metric space: Rips filtration, stage
     rings, formal minimal models, representatives of the consecutive
     induced maps, with H- and Q-functoriality checks on length-2 spans
-    (`_check_functoriality`).  Stages at or past the enclosing radius
-    are cones (`MetricSpace.enclosing_radius`): their rings are read off
-    the filtration's mark, with no elimination below max_dim.  When the
-    degrees read, 0..max(max_degree, 1), lie below max_dim, the
-    filtration stops enumerating below the radius and those stages are
-    one vertices-only complex (`build_filtration`), so they share one
-    ring and one induced map.
+    (`_check_functoriality`).  When the degrees read, 0..max_degree, lie
+    below max_dim, the filtration stops enumerating below the enclosing
+    radius and every stage from it on is one shared star
+    (`build_filtration`), so they share one ring and one induced map.
 
     One ring is built per distinct stage object and one induced map per
     distinct pair of rings.  A minimal model is a function of its core's
@@ -224,9 +228,7 @@ def persistent_model(m: MetricSpace, cfg: Optional[Config] = None) -> Persistent
     degraded as before.
     """
     cfg = cfg or Config()
-    # the degrees read: 0..max_degree, and 1 for `h1_stages` even at max_degree 0
-    filt = build_filtration(m, cfg.max_dim, cfg.simplex_cap,
-                            max_degree=max(cfg.max_degree, 1))
+    filt = build_filtration(m, cfg.max_dim, cfg.simplex_cap, max_degree=cfg.max_degree)
     ring_deg = cfg.max_degree + 1
 
     shared_rings: dict = {}
@@ -264,7 +266,7 @@ def persistent_model(m: MetricSpace, cfg: Optional[Config] = None) -> Persistent
         h_spaces=[r.space(cfg.max_degree) for r in rings],
         h_maps=ring_maps,
         max_degree=cfg.max_degree,
-        h1_stages=[k for k, r in enumerate(rings) if r.dim(1) > 0],
+        h1_stages=[k for k, r in enumerate(rings) if cfg.max_degree >= 1 and r.dim(1) > 0],
         nonconverged_stages=[k for k, mm in enumerate(models) if not mm.deg1_converged],
         degraded_pairs=degraded,
         source="metric",
@@ -337,7 +339,8 @@ def persistent_model_from_cdgas(pc: PersistentCDGA,
         h_spaces=h_spaces,
         h_maps=h_maps,
         max_degree=cfg.max_degree,
-        h1_stages=[k for k, mm in enumerate(models) if mm.h_input.h_dim(1) > 0],
+        h1_stages=[k for k, mm in enumerate(models)
+                   if cfg.max_degree >= 1 and mm.h_input.h_dim(1) > 0],
         nonconverged_stages=[k for k, mm in enumerate(models)
                              if not mm.deg1_converged],
         degraded_pairs=degraded,
@@ -521,18 +524,25 @@ def _gmap_from_json(data: dict, src: GradedVectorSpace,
 
 
 def barcodes_from_json(data: dict):
-    """(V barcode, H barcode) rebuilt from a model dump."""
+    """(V barcode, H barcode) rebuilt from a model dump.  A dump missing
+    a field, with the wrong number of stages or maps, or with a matrix of
+    the wrong shape raises InputError."""
     if data.get("format") != "psmm-model":
         raise InputError("not a model dump")
-    grid = tuple(num_from_json(g) for g in data["grid"])
-    v_spaces = [_space_from_dims(s["v_dims"]) for s in data["stages"]]
-    h_spaces = [_space_from_dims(s["h_dims"]) for s in data["stages"]]
-    v_maps = []
-    h_maps = []
-    for k, rep in enumerate(data["representatives"]):
-        v_maps.append(_gmap_from_json(rep["q_matrices"], v_spaces[k + 1], v_spaces[k]))
-    for k, hm in enumerate(data["h_maps"]):
-        h_maps.append(_gmap_from_json(hm, h_spaces[k + 1], h_spaces[k]))
+    try:
+        grid = _grid_from_json(data["grid"])
+        stages, reps, h_dumps = data["stages"], data["representatives"], data["h_maps"]
+        if not len(stages) == len(grid) + 1 == len(reps) + 1 == len(h_dumps) + 1:
+            raise InputError("a model dump needs one stage per grid interval and "
+                             "one representative and one H map per consecutive pair")
+        v_spaces = [_space_from_dims(s["v_dims"]) for s in stages]
+        h_spaces = [_space_from_dims(s["h_dims"]) for s in stages]
+        v_maps = [_gmap_from_json(rep["q_matrices"], v_spaces[k + 1], v_spaces[k])
+                  for k, rep in enumerate(reps)]
+        h_maps = [_gmap_from_json(hm, h_spaces[k + 1], h_spaces[k])
+                  for k, hm in enumerate(h_dumps)]
+    except (KeyError, TypeError, AttributeError, ValueError, DimensionMismatch) as e:
+        raise InputError(f"malformed model dump: {type(e).__name__}: {e}") from e
     v_module = PersistentGVec.from_contravariant(grid, v_spaces, v_maps)
     h_module = PersistentGVec.from_contravariant(grid, h_spaces, h_maps)
     return v_module.barcode(), h_module.barcode()

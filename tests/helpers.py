@@ -184,7 +184,7 @@ def unshared_persistent_model(m: MetricSpace, cfg: Config) -> PersistentSullivan
         h_spaces=[r.space(deg) for r in rings],
         h_maps=ring_maps,
         max_degree=deg,
-        h1_stages=[k for k, r in enumerate(rings) if r.dim(1) > 0],
+        h1_stages=[k for k, r in enumerate(rings) if deg >= 1 and r.dim(1) > 0],
         nonconverged_stages=nonconverged,
         degraded_pairs=degraded,
         source="metric",

@@ -4,7 +4,7 @@ Persistent homology by straight boundary-matrix reduction over Q,
 written against the raw filtration data; dense Gauss-Jordan
 elimination; the barcode by inclusion-exclusion over the rank
 function; the cohomology engine's former kernel-mod-image algorithm;
-the general cone-apex search the enclosing-radius mark replaced;
+the general cone-apex search the enclosing radius is checked against;
 the elimination engine's former `Fraction` arithmetic; dense
 coboundary matrices; ring structure constants by the former cup route
 (every pair of representatives multiplied and solved for); the bottleneck distance's former algorithm; and

@@ -86,7 +86,7 @@ def chain_map_failures(phi):
 def underlying_ring(alg, max_deg):
     """The graded algebra of `alg` through max_deg as a cohomology ring:
     its monomials as basis classes, its products, zero differential."""
-    labels = {k: alg.labels(k) for k in range(max_deg + 1)}
+    labels = {k: [alg.monomial_label(m) for m in alg.monomials(k)] for k in range(max_deg + 1)}
     structure = {(p, i, q, j): alg.mul_basis(p, i, q, j)
                  for p in range(max_deg + 1) for q in range(max_deg + 1 - p)
                  for i in range(alg.dim(p)) for j in range(alg.dim(q))}

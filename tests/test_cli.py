@@ -322,6 +322,21 @@ class TestBarcodeCommand:
         deg1 = next(d for d in json.loads(out.out)["barcode"] if d["degree"] == 1)
         assert deg1["bars"] == [{"birth": "1", "death": "4", "mult": 2}]
 
+    @pytest.mark.parametrize("broken", ["no grid", "h map shape", "stage count"])
+    def test_malformed_dump_exit_2(self, tmp_path, capsys, broken):
+        if broken == "no grid":
+            dump = {"format": "psmm-model"}
+        else:
+            out = tmp_path / "model.json"
+            two = write(tmp_path, "two.json", {"distance_matrix": [[0, 1], [1, 0]]})
+            assert run_cli(["model", "--input", two, "-o", str(out)]) == 0
+            dump = json.loads(out.read_text())
+            if broken == "h map shape":
+                dump["h_maps"][0]["0"] = [[1, 0]]  # H^0 of both stages is Q
+            else:
+                dump["stages"].pop()
+        TestMinimalModelCommand._assert_rejected(tmp_path, capsys, "barcode", dump)
+
     def test_determinism_repeat_runs(self, tmp_path, capsys):
         inp = circle_file(tmp_path)
         a = tmp_path / "a.json"

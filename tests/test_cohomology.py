@@ -16,6 +16,7 @@ from psmm.cohomology import (
     cup_product,
     induced_ring_map,
 )
+from psmm.config import Config
 from psmm.errors import InputError
 from psmm.metric import (
     build_filtration,
@@ -23,6 +24,7 @@ from psmm.metric import (
     metric_from_matrix,
     metric_from_points,
 )
+from psmm.pipeline import persistent_model
 from psmm.ratlin import ColumnReducer, RatMatrix, to_dense
 from test_cdga import random_sullivan
 
@@ -176,14 +178,17 @@ class TestEngineAgainstGreedyOracle:
 
     @given(st.integers(1, 6), st.integers(1, 4), st.data())
     @settings(max_examples=40, deadline=None)
-    def test_marked_rips_stages(self, n, max_dim, data):
-        """Stages marked as cones skip elimination below the mark and
-        still give the oracle's reps, dimensions and coordinates."""
+    def test_cone_rips_stages(self, n, max_dim, data):
+        """Full Rips stages at or past the enclosing radius, the ones a
+        cut filtration replaces by the star, give the oracle's reps,
+        dimensions and coordinates by plain elimination."""
         rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
-        f = build_filtration(random_exact_space(rng, n), max_dim)
-        marked = [cx for cx in f.stages if cx.cone_max_dim is not None]
-        assert marked and marked[-1] is f.stages[-1]
-        for cx in marked:
+        m = random_exact_space(rng, n)
+        f = build_filtration(m, max_dim)
+        bounds = [0, *f.critical_values]
+        cones = [cx for bound, cx in zip(bounds, f.stages) if bound >= m.enclosing_radius()]
+        assert cones and cones[-1] is f.stages[-1]
+        for cx in cones:
             eng = StageCohomology.of_complex(cx)
             degrees = data.draw(st.permutations(range(max_dim + 1)))
             check_engine_against_oracle(eng, lambda k: coboundary_columns(cx, k), degrees, rng)
@@ -427,23 +432,26 @@ class TestCohomologyRing:
         core.core_key(4)
         assert 5 not in core._materialized
 
-    def test_vertices_only_cone_stage_fails_closed(self):
-        # circle-13 cut for degrees <= 4 of max_dim 5: the last stage keeps
-        # its 13 vertices, answers degrees 0-4 off the mark and raises on
-        # degree 5, the ring's lazy top degree, rather than reading 0
+    def test_star_ring_leaves_top_degree_unmaterialized(self, monkeypatch):
+        # circle-13 at degree 4 of max_dim 5: the star stands in for the
+        # last stage, whose truncation at dimension 5 gives it an H^5 the
+        # star lacks; the model must never ask the star's ring for it
         n = 13
         rows = [[math.pi * min(abs(i - j), n - abs(i - j)) / (n / 2) for j in range(n)]
                 for i in range(n)]
-        last = build_filtration(metric_from_matrix(rows), 5, max_degree=4).stages[-1]
-        assert last.vertices_only and last.simplex_count() == n
-        ring = CohomologyRing.from_complex(last, 5, eager_through=4)
-        assert [ring.dim(k) for k in range(5)] == [1, 0, 0, 0, 0]
-        assert ring.unit_coords() == [1]
-        for ask in (lambda: ring.dim(5), lambda: StageCohomology.of_complex(last).h_dim(5),
-                    lambda: StageCohomology.of_complex(last).rank_delta(5),
-                    lambda: CohomologyRing.from_complex(last, 5)):
-            with pytest.raises(InputError, match="invariant breach"):
-                ask()
+        built = []
+        from_complex = CohomologyRing.from_complex
+
+        def record(cx, max_deg, eager_through=None):
+            built.append(from_complex(cx, max_deg, eager_through))
+            return built[-1]
+
+        monkeypatch.setattr(CohomologyRing, "from_complex", staticmethod(record))
+        psm = persistent_model(metric_from_matrix(rows), Config(max_degree=4))
+        star = built[-1]  # one ring per distinct stage, the star's last
+        assert star.engine.cx == complex_from_simplices(n, [(0, v) for v in range(1, n)])
+        assert psm.h_spaces[-1].dims == ((0, 1),)
+        assert star.max_deg == 5 and 5 not in star._materialized
 
 
 class TestInducedMaps:

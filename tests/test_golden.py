@@ -15,7 +15,7 @@ both have many such stages.
 The 5-point bowtie, two triangles sharing vertex 0, was recorded while
 cone stages were still found by a general apex search.  Its stage 1 is
 a cone whose every top simplex holds the apex, where that search skipped
-the top degree's elimination that the enclosing-radius mark now runs.
+the top degree's elimination that plain elimination now runs.
 
 The same circle and planar points at max degree 2 and max_dim 4 were
 recorded while every stage past the enclosing radius still held all its

@@ -208,7 +208,15 @@ class TestConeDetection:
         apex = find_cone_apex(f.stages[-1])
         assert apex is not None and apex[1] is False  # capped at dim 2
         assert find_cone_apex(f.stages[5]) is None
-        assert f.stages[-1].cone_max_dim == 2 and f.stages[5].cone_max_dim is None
+        cut = build_filtration(circle_space(20), max_dim=2, max_degree=1)
+        assert cut.stages[5] == f.stages[5]
+        assert cut.stages[-1] == star(20)
+
+
+def star(n):
+    """The complex a filtration cut below max_dim puts at and past the
+    enclosing radius: vertex 0 joined to every other vertex."""
+    return complex_from_simplices(n, [(0, v) for v in range(1, n)])
 
 
 @st.composite
@@ -241,68 +249,78 @@ def test_bounded_rips_simplices_filter_the_full_list(m, max_dim, data):
 
 
 class TestConeMark:
-    """`build_filtration` marks the stages at or past the enclosing
-    radius; the mark must agree with the general apex search."""
+    """The enclosing radius marks the Rips stages that are cones, and a
+    filtration cut for degrees below max_dim puts one shared star there,
+    which has the same cohomology below max_dim."""
 
     @given(rips_spaces(), st.integers(0, 5))
     @settings(max_examples=150, deadline=None)
     def test_mark_matches_apex_search(self, m, max_dim):
+        """A full stage has an apex exactly when it lies at or past the
+        radius (with edges, or on one point), and then it is acyclic
+        below max_dim."""
         f = build_filtration(m, max_dim)
-        for cx in f.stages:
-            assert (cx.cone_max_dim is not None) == (find_cone_apex(cx) is not None)
-            if cx.cone_max_dim is not None:
-                assert cx.cone_max_dim == max_dim
+        radius = m.enclosing_radius()
+        for bound, cx in zip([m.d(0, 0), *f.critical_values], f.stages):
+            cone = bound >= radius and (max_dim >= 1 or m.n == 1)
+            assert (find_cone_apex(cx) is not None) == cone
+            if cone:
                 betti = complex_betti(cx, max(max_dim - 1, 0))
                 assert betti == {k: int(k == 0) for k in betti}
 
     def test_no_mark_without_edges(self):
+        # at max_dim 0 no degree lies below max_dim, so nothing is cut
         m = metric_from_matrix([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-        assert all(cx.cone_max_dim is None for cx in build_filtration(m, 0).stages)
-        assert [cx.cone_max_dim for cx in build_filtration(m, 1).stages] == [None, 1, 1]
+        full = build_filtration(m, 0)
+        assert not any(find_cone_apex(cx) for cx in full.stages)
+        assert build_filtration(m, 0, max_degree=0).stages == full.stages
+        full = build_filtration(m, 1)
+        assert [find_cone_apex(cx) is not None for cx in full.stages] == [False, True, True]
+        cut = build_filtration(m, 1, max_degree=0)
+        assert cut.stages[0] == full.stages[0]
+        assert cut.stages[1] is cut.stages[2] and cut.stages[1] == star(3)
 
     def test_one_point_marked_at_stage_zero(self):
+        m = metric_from_matrix([[0]])
         for max_dim in (0, 2):
-            f = build_filtration(metric_from_matrix([[0]]), max_dim)
-            assert [cx.cone_max_dim for cx in f.stages] == [max_dim]
+            f = build_filtration(m, max_dim)
+            assert [find_cone_apex(cx) for cx in f.stages] == [(0, True)]
+        assert build_filtration(m, 2, max_degree=1).stages == (star(1),)
 
     def test_coincident_points(self):
         # all points coincide: the one stage is a full simplex
-        f = build_filtration(metric_from_matrix([[0] * 3] * 3), 2)
-        assert [cx.cone_max_dim for cx in f.stages] == [2]
+        m = metric_from_matrix([[0] * 3] * 3)
+        assert find_cone_apex(build_filtration(m, 2).stages[0]) == (0, True)
+        assert build_filtration(m, 2, max_degree=1).stages == (star(3),)
         # two coincide, the third is apart: stage 0 is not a cone
-        f = build_filtration(metric_from_matrix([[0, 0, 1], [0, 0, 1], [1, 1, 0]]), 2)
-        assert [cx.cone_max_dim for cx in f.stages] == [None, 2]
+        m = metric_from_matrix([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+        full = build_filtration(m, 2)
+        assert [find_cone_apex(cx) is not None for cx in full.stages] == [False, True]
+        assert build_filtration(m, 2, max_degree=1).stages == (full.stages[0], star(3))
 
     @given(rips_spaces(), st.integers(0, 5), st.integers(0, 5))
     @settings(max_examples=150, deadline=None)
     def test_cut_for_lower_degrees(self, m, max_dim, max_degree):
-        """Cut for degrees below max_dim, the unmarked stages are the full
-        ones, and every marked stage is one vertices-only complex that
-        raises on any missing simplex; otherwise nothing changes."""
+        """Cut for degrees below max_dim, the stages before the radius
+        are the full ones, and every stage from it on is one star with
+        the full stage's Betti numbers below max_dim; otherwise nothing
+        changes."""
         full = build_filtration(m, max_dim)
         cut = build_filtration(m, max_dim, max_degree=max_degree)
         assert cut.critical_values == full.critical_values
-        marked = [cx for cx in cut.stages if cx.cone_max_dim is not None]
         if max_degree >= max_dim:
             assert cut.stages == full.stages
-            assert [cx.cone_max_dim for cx in cut.stages] == \
-                [cx.cone_max_dim for cx in full.stages]
-            assert not any(cx.vertices_only for cx in cut.stages)
             return
-        assert marked  # max_dim >= 1, and the last stage reaches the radius
-        for a, b in zip(cut.stages, full.stages):
-            assert a.cone_max_dim == b.cone_max_dim
-            if a.cone_max_dim is None:
-                assert a == b and not a.vertices_only
-        assert all(cx is marked[0] for cx in marked)
-        shared = marked[0]
-        assert shared.vertices_only and shared.simplices == {0: tuple((v,) for v in range(m.n))}
-        for d in range(1, max_dim + 1):
-            with pytest.raises(InputError, match="invariant breach"):
-                shared.dim_simplices(d)
-
-    def test_hand_built_complexes_carry_no_mark(self):
-        assert complex_from_simplices(3, [[0, 1, 2]]).cone_max_dim is None
+        radius = m.enclosing_radius()
+        bounds = [m.d(0, 0), *full.critical_values]
+        cones = [k for k, bound in enumerate(bounds) if bound >= radius]
+        assert cones and cones[-1] == len(bounds) - 1
+        assert cut.stages[:cones[0]] == full.stages[:cones[0]]
+        shared = cut.stages[cones[0]]
+        assert shared == star(m.n) and all(cut.stages[k] is shared for k in cones)
+        for k in cones:
+            assert complex_betti(shared, max_dim - 1) == complex_betti(full.stages[k],
+                                                                       max_dim - 1)
 
 
 @st.composite

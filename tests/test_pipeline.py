@@ -505,6 +505,20 @@ class TestSharedModels:
         psm = persistent_model(circle_space(13), Config(max_degree=4))
         assert len(psm.models) == 7 and len({id(mm) for mm in psm.models}) == 3
 
+    @pytest.mark.parametrize("max_dim", [1, 2])
+    def test_degree_zero_reads_no_h1(self, max_dim):
+        # At max_dim 1 the triangle's last stage is truncated to a hollow
+        # triangle with H^1 = Q, and the unit square's stage 1, below the
+        # radius sqrt(2), is a 4-cycle at any max_dim; degree 1 is not
+        # reported at degree 0.
+        for m in (metric_from_matrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
+                  metric_from_points([[0, 0], [1, 0], [1, 1], [0, 1]])):
+            cfg = Config(max_degree=0, max_dim=max_dim)
+            psm = persistent_model(m, cfg)
+            assert psm.h1_stages == [] and psm.caveats() == []
+            self.assert_same_dump(m, cfg)
+        assert persistent_model(m, Config(max_degree=1, max_dim=2)).h1_stages == [1]
+
 
 class TestCdgaMode:
     def test_strictness_separation(self):
@@ -554,6 +568,13 @@ class TestCdgaMode:
         assert vb.degree(2) == ((Fraction(0), Fraction(1), 1), (Fraction(1), INF, 1))
         hb = h_barcode(psm)
         assert hb.degree(2) == ((Fraction(0), Fraction(1), 1), (Fraction(1), INF, 1))
+
+    def test_h1_stages_only_from_degree_one(self):
+        circle = {"grid": [], "maps": [], "stages": [
+            {"generators": [{"name": "x", "degree": 1}], "truncation": 3}]}
+        pc = persistent_cdga_from_json(circle)
+        assert persistent_model_from_cdgas(pc, Config(max_degree=1)).h1_stages == [0]
+        assert persistent_model_from_cdgas(pc, Config(max_degree=0)).h1_stages == []
 
     def test_bad_grid_rejected(self):
         with pytest.raises(InputError):
