@@ -12,7 +12,6 @@ the d^2 = 0 check) is exact and truncation-free.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -242,15 +241,6 @@ class SullivanAlgebra:
         self._mono_index[deg] = {m: i for i, m in enumerate(out)}
         return out
 
-    def monomial_label(self, m: Monomial) -> str:
-        if not m:
-            return "1"
-        parts = []
-        for g, grp in itertools.groupby(m):
-            k = len(list(grp))
-            parts.append(self.names[g] if k == 1 else f"{self.names[g]}^{k}")
-        return "*".join(parts)
-
     def poly_to_vec(self, p: Poly, deg: int) -> list:
         self.monomials(deg)
         idx = self._mono_index[deg]
@@ -260,10 +250,6 @@ class SullivanAlgebra:
                 raise DimensionMismatch("inhomogeneous polynomial")
             vec[idx[m]] = c
         return vec
-
-    def vec_to_poly(self, vec: Sequence, deg: int) -> Poly:
-        basis = self.monomials(deg)
-        return {basis[i]: Fraction(c) for i, c in enumerate(vec) if c != 0}
 
     # -- finite-CDGA interface -------------------------------------------
 
@@ -353,15 +339,15 @@ def sullivan_from_json(spec, min_trunc: int = 0) -> SullivanAlgebra:
 
 def image_of_monomial(source: SullivanAlgebra, target, images, m: Monomial) -> dict:
     """Sparse coords of phi(m) in the target basis of its degree, for the
-    algebra map phi sending generator g to the coordinate vector
+    algebra map phi sending generator g to the sparse coordinate vector
     images[g]: the images of m's generators multiplied left to right."""
     if not m:
         return to_sparse(target.unit_coords())
-    acc, deg = to_sparse(images[m[0]]), source.degrees[m[0]]
+    acc, deg = images[m[0]], source.degrees[m[0]]
     for g in m[1:]:
         if not acc:
             break
-        acc = mul_elements(target, deg, acc, source.degrees[g], to_sparse(images[g]))
+        acc = mul_elements(target, deg, acc, source.degrees[g], images[g])
         deg += source.degrees[g]
     return acc
 
@@ -371,8 +357,10 @@ class CDGAMorphism:
     finite CDGA (another Sullivan algebra or a cohomology ring).
 
     Images are coordinate vectors in the target's degree basis, one per
-    source generator; monomial images are folded out of products in the
-    target and cached.
+    source generator, kept dense in `images` and sparse in
+    `sparse_images`; monomial images are folded out of products in the
+    target and cached as sparse columns, which `matrix` and `apply_vec`
+    read.
     """
 
     def __init__(self, source: SullivanAlgebra, target, images: Sequence,
@@ -384,11 +372,12 @@ class CDGAMorphism:
         self.images = []
         for i, vec in enumerate(images):
             d = source.degrees[i]
-            vec = [Fraction(x) for x in vec]
+            vec = [x if type(x) is Fraction else Fraction(x) for x in vec]
             if len(vec) != target.dim(d):
                 raise DimensionMismatch(
                     f"image of {source.names[i]} has wrong length at degree {d}")
             self.images.append(vec)
+        self.sparse_images = [to_sparse(vec) for vec in self.images]
         self._mono_image: dict = {}
         self._mats: dict[int, RatMatrix] = {}
         if check:
@@ -400,19 +389,22 @@ class CDGAMorphism:
     def _image_of_monomial(self, m: Monomial) -> dict:
         """Sparse coords of phi(m) in the target basis of its degree."""
         if m not in self._mono_image:
-            self._mono_image[m] = image_of_monomial(self.source, self.target, self.images, m)
+            self._mono_image[m] = image_of_monomial(self.source, self.target,
+                                                    self.sparse_images, m)
         return self._mono_image[m]
 
     def matrix(self, k: int) -> RatMatrix:
         if k not in self._mats:
-            rows = self.target.dim(k)
             self._mats[k] = RatMatrix.from_columns(
-                [to_dense(self._image_of_monomial(m), rows) for m in self.source.monomials(k)],
-                rows=rows)
+                [self._image_of_monomial(m) for m in self.source.monomials(k)],
+                rows=self.target.dim(k))
         return self._mats[k]
 
-    def apply_vec(self, k: int, vec: Sequence) -> list:
-        return self.matrix(k).apply(vec)
+    def apply_vec(self, k: int, vec: dict) -> dict:
+        """phi of a sparse degree-k vector {monomial index: coeff}, as a
+        sparse target vector: the monomial images over its entries."""
+        basis = self.source.monomials(k)
+        return combine((c, self._image_of_monomial(basis[j])) for j, c in vec.items())
 
     def verify_chain_map(self):
         """phi(d m) = d(phi(m)) for every source monomial m of degree k,
@@ -431,9 +423,9 @@ class CDGAMorphism:
         if inner.target is not self.source:
             raise InputError("composition mismatch")
         images = []
-        for i in range(len(inner.source.generators)):
-            d = inner.source.degrees[i]
-            images.append(self.apply_vec(d, inner.images[i]))
+        for i, d in enumerate(inner.source.degrees):
+            images.append(to_dense(self.apply_vec(d, inner.sparse_images[i]),
+                                   self.target.dim(d)))
         return CDGAMorphism(inner.source, self.target, images, check=False)
 
 
@@ -450,16 +442,11 @@ def linear_part_map(phi: CDGAMorphism) -> GradedLinearMap:
         for i, (_, d) in enumerate(phi.source.generators):
             src_by_deg.setdefault(d, []).append(i)
         for d, idxs in src_by_deg.items():
-            tgt = by_deg.get(d, [])
+            pos = {g: r for r, g in enumerate(by_deg.get(d, []))}
             mono = phi.target.monomials(d)
-            cols = []
-            for i in idxs:
-                col = [Fraction(0)] * len(tgt)
-                for mi, c in enumerate(phi.images[i]):
-                    if c != 0 and len(mono[mi]) == 1:
-                        col[tgt.index(mono[mi][0])] = c
-                cols.append(col)
-            m = RatMatrix.from_columns(cols, rows=len(tgt))
+            cols = [{pos[mono[t][0]]: c for t, c in phi.sparse_images[i].items()
+                     if len(mono[t]) == 1} for i in idxs]
+            m = RatMatrix.from_columns(cols, rows=len(pos))
             if not m.is_zero():
                 mats[d] = m
         return GradedLinearMap(src, tgt_space, mats)
@@ -476,10 +463,7 @@ def induced_cohomology_map(phi: CDGAMorphism, h_src: StageCohomology,
     for k in degrees:
         if h_src.h_dim(k) == 0 or h_tgt.h_dim(k) == 0:
             continue
-        n = phi.source.dim(k)
-        cols = [to_dense(h_tgt.class_of(k, phi.apply_vec(k, to_dense(rep, n))),
-                         h_tgt.h_dim(k))
-                for rep in h_src.h_reps(k)]
+        cols = [h_tgt.class_of(k, phi.apply_vec(k, rep)) for rep in h_src.h_reps(k)]
         m = RatMatrix.from_columns(cols, rows=h_tgt.h_dim(k))
         if not m.is_zero():
             mats[k] = m

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 from .errors import InputError, TruncationError
 from .gvec import GradedLinearMap, GradedVectorSpace
 from .metric import SimplicialComplex
-from .ratlin import ColumnReducer, RatMatrix, combine, to_dense, to_sparse
+from .ratlin import ColumnReducer, RatMatrix, combine, to_dense
 from .util import json_int
 
 _ONE = Fraction(1)
@@ -558,7 +558,7 @@ def induced_ring_map(ring_small: CohomologyRing, ring_big: CohomologyRing,
                 si = small_index.get(big_simplices[bi])
                 if si is not None:
                     restricted[si] = c
-            cols.append(to_dense(small.class_of(k, restricted), small.h_dim(k)))
+            cols.append(small.class_of(k, restricted))
         m = RatMatrix.from_columns(cols, rows=ns)
         if not m.is_zero():
             mats[k] = m
@@ -569,16 +569,14 @@ def induced_ring_map(ring_small: CohomologyRing, ring_big: CohomologyRing,
 
 def _verify_multiplicative(f: GradedLinearMap, ring_small: CohomologyRing,
                            ring_big: CohomologyRing, hi: int):
+    cols = [f.matrix(k).sparse_columns() for k in range(hi + 1)]
     for p in range(hi + 1):
-        fp = f.matrix(p)
         for q in range(hi + 1 - p):
-            fq, fpq = f.matrix(q), f.matrix(p + q)
             for i in range(ring_big.dim(p)):
                 for j in range(ring_big.dim(q)):
-                    lhs = combine((c, to_sparse(fpq.column(t)))
+                    lhs = combine((c, cols[p + q][t])
                                   for t, c in ring_big.mul_basis(p, i, q, j).items())
-                    rhs = mul_elements(ring_small, p, to_sparse(fp.column(i)),
-                                       q, to_sparse(fq.column(j)))
+                    rhs = mul_elements(ring_small, p, cols[p][i], q, cols[q][j])
                     if lhs != rhs:
                         raise InputError(
                             f"induced map not multiplicative at ({p},{i})x({q},{j})")

@@ -69,8 +69,7 @@ class GradedLinearMap:
 
     @staticmethod
     def identity(space: GradedVectorSpace) -> "GradedLinearMap":
-        from .ratlin import RatMatrix as RM
-        return GradedLinearMap(space, space, {k: RM.identity(d) for k, d in space.dims})
+        return GradedLinearMap(space, space, {k: RatMatrix.identity(d) for k, d in space.dims})
 
     def equals(self, other: "GradedLinearMap") -> bool:
         degrees = {k for k, _ in self.source.dims} | {k for k, _ in other.source.dims}

@@ -72,12 +72,11 @@ def _add_killers(builder: "_Builder", a, alg: SullivanAlgebra, rho: CDGAMorphism
     is the model cocycle zeta it names, rho(z) a solution x of
     d x = rho(zeta) in the input."""
     reps = h_model.h_reps(k)
-    for j in range(ker.cols):
-        zeta_vec = to_dense(combine((c, reps[i]) for i, c in enumerate(ker.column(j)) if c),
-                            alg.dim(k))
-        zeta = alg.vec_to_poly(zeta_vec, k)
-        zeta_names = {tuple(alg.names[g] for g in m): c for m, c in zeta.items()}
-        x = solve(a.d_columns(k - 1)[0], a.dim(k), rho.apply_vec(k, zeta_vec))
+    basis = alg.monomials(k)
+    for col in ker.sparse_columns():
+        zeta = combine((c, reps[i]) for i, c in col.items())
+        zeta_names = {tuple(alg.names[g] for g in basis[t]): c for t, c in sorted(zeta.items())}
+        x = solve(a.d_columns(k - 1)[0], a.dim(k), to_dense(rho.apply_vec(k, zeta), a.dim(k)))
         if x is None:
             raise InputError("d x = rho(d z) unsolvable: invariant breach")
         builder.add(k - 1, zeta_names, x)
@@ -196,7 +195,7 @@ def sullivan_representative(f, mmA: MinimalModel, mmB: MinimalModel,
     src = mmA.model
     tgt = mmB.model
     B = mmB.input
-    images = []
+    images, sparse_images = [], []
     for gi in range(len(src.generators)):
         k = src.degrees[gi]
         dv = src.diff.get(gi, {})
@@ -206,18 +205,21 @@ def sullivan_representative(f, mmA: MinimalModel, mmB: MinimalModel,
         # [d_model 0; mu_B d_input] (y; eta) = (phi(d v); f(mu_A(v))) as
         # sparse columns, the lower block shifted down by dim tgt^{k+1}
         nd = tgt.dim(k + 1)
-        mu_b = mmB.rho.matrix(k)
-        system = [{**d_col, **_shifted(to_sparse(mu_b.column(j)), nd)}
-                  for j, d_col in enumerate(tgt.d_columns(k)[0])]
+        system = [{**d_col, **_shifted(mu_col, nd)}
+                  for d_col, mu_col in zip(tgt.d_columns(k)[0],
+                                           mmB.rho.matrix(k).sparse_columns())]
         system += [_shifted(d_col, nd) for d_col in B.d_columns(k - 1)[0]]
-        phi_dv = combine((c, image_of_monomial(src, tgt, images, m)) for m, c in dv.items())
-        rhs = to_dense(phi_dv, nd) + f.matrix(k).apply(mmA.rho.images[gi])
+        phi_dv = combine((c, image_of_monomial(src, tgt, sparse_images, m))
+                         for m, c in dv.items())
+        fk = f.matrix(k)
+        rhs = to_dense(phi_dv, nd) + to_dense(fk.apply_sparse(mmA.rho.sparse_images[gi]), fk.rows)
         sol = solve(system, nd + B.dim(k), rhs)
         if sol is None:
             raise LiftError(
                 f"no lift for generator {src.names[gi]} (degree {k}): "
                 "truncation too small or invariant breach")
         images.append(sol[:tgt.dim(k)])
+        sparse_images.append(to_sparse(images[-1]))
 
     phi = CDGAMorphism(src, tgt, images, check=True)
     verify_representative(phi, f, mmA, mmB, max_deg)
@@ -233,8 +235,7 @@ def verify_representative(phi: CDGAMorphism, f, mmA: MinimalModel,
         if mmA.h_model.h_dim(k) == 0 or h_b.h_dim(k) == 0:
             continue  # one side is the zero space, nothing to compare
         for rep in mmA.h_model.h_reps(k):
-            rep = to_dense(rep, mmA.model.dim(k))
             lhs_vec = mmB.rho.apply_vec(k, phi.apply_vec(k, rep))
-            rhs_vec = f.matrix(k).apply(mmA.rho.apply_vec(k, rep))
+            rhs_vec = f.matrix(k).apply_sparse(mmA.rho.apply_vec(k, rep))
             if h_b.class_of(k, lhs_vec) != h_b.class_of(k, rhs_vec):
                 raise LiftError(f"representative breaks H-contract at degree {k}")

@@ -32,7 +32,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, InputError
 from .gvec import GradedLinearMap, GradedVectorSpace
-from .ratlin import ColumnReducer
+from .ratlin import ColumnReducer, combine
 from .util import num_to_json
 
 INF = math.inf
@@ -163,7 +163,8 @@ class PersistentGVec:
         """Interval decomposition with explicit bases (elder rule).
 
         Returns a list of bars {birth, death, vecs} where vecs[k] is the
-        bar's basis vector at stage k (alive for birth <= k < death) and
+        bar's basis vector at stage k (alive for birth <= k < death), a
+        sparse {index: coeff} dict with no zeros, and
         death = num_stages for bars that never die.  Verified against
         the raw matrices before returning.
         """
@@ -177,7 +178,7 @@ class PersistentGVec:
             survivors = []
             if k > 0:
                 for b in active:
-                    vec = mats[k - 1].apply(bars[b]["vecs"][k - 1])
+                    vec = mats[k - 1].apply_sparse(bars[b]["vecs"][k - 1])
                     added_bars.append(b)
                     if red.add(vec):
                         bars[b]["vecs"][k] = vec
@@ -187,17 +188,15 @@ class PersistentGVec:
                     # adding the kernel combination's older bars to b's
                     # history makes its last vector map to zero.
                     bars[b]["death"] = k
+                    vecs = bars[b]["vecs"]
                     for idx, c in red.kernel_combos[-1].items():
                         sb = added_bars[idx]
                         if sb == b:
                             continue
                         for st in range(bars[b]["birth"], k):
-                            cur = bars[b]["vecs"][st]
-                            corr = bars[sb]["vecs"][st]
-                            bars[b]["vecs"][st] = [x + c * y for x, y in zip(cur, corr)]
+                            vecs[st] = combine(((1, vecs[st]), (c, bars[sb]["vecs"][st])))
             for e in range(dims[k]):
-                unit = [Fraction(0)] * dims[k]
-                unit[e] = Fraction(1)
+                unit = {e: 1}
                 if red.add(unit):
                     added_bars.append(len(bars))
                     survivors.append(len(bars))
@@ -221,11 +220,11 @@ class PersistentGVec:
                 raise InputError("decomposition basis incomplete")
         for bar in bars:
             for k in range(bar["birth"], min(bar["death"], m - 1)):
-                img = mats[k].apply(bar["vecs"][k])
+                img = mats[k].apply_sparse(bar["vecs"][k])
                 if k + 1 < bar["death"]:
                     if img != bar["vecs"][k + 1]:
                         raise InputError("decomposition not map-compatible")
-                elif any(c != 0 for c in img):
+                elif img:
                     raise InputError("dying bar has nonzero image")
 
 

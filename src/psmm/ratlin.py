@@ -6,10 +6,12 @@ floating point is forbidden here because quasi-isomorphism and
 minimality checks are rank statements.  Values that leave the module
 are `fractions.Fraction`.
 
-Matrices come in two forms.  `RatMatrix` is the dense container of
-graded linear maps, dumps and barcodes; `rank`, `kernel_basis` and
-`quotient_basis` take one.  A differential is a list of sparse columns,
-{row: value} dicts as `SullivanAlgebra.d_columns` and
+A linear map is sparse columns.  `RatMatrix` holds the maps of graded
+linear maps, morphisms, dumps and barcodes as canonical sparse columns
+(sorted, no zeros) and applies them over the nonzero entries of a
+vector; `tolist` is its dense form for dumps, and `rank`, `kernel_basis`
+and `quotient_basis` take one.  A differential is a list of sparse
+columns, {row: value} dicts as `SullivanAlgebra.d_columns` and
 `coboundary_columns` give them, with a row count; `solve` takes such
 columns (or dense ones) and the row count directly, and `combine` sums
 multiples of them.
@@ -38,6 +40,9 @@ from typing import Mapping, Optional, Sequence
 from .errors import DimensionMismatch
 
 
+_ONE = Fraction(1)
+
+
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -48,19 +53,55 @@ def _frac(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-class RatMatrix:
-    """Immutable dense matrix of rationals in lowest terms."""
+def _canonical(col, rows: int) -> tuple:
+    """Sorted (row, Fraction) pairs of the nonzero entries of a column
+    over `rows` rows, given as a sparse {row: value} dict or a dense
+    sequence of length `rows`."""
+    if isinstance(col, dict):
+        items = sorted(col.items())
+        if items and (items[0][0] < 0 or items[-1][0] >= rows):
+            raise DimensionMismatch(f"row index out of range {rows}")
+    elif len(col) != rows:
+        raise DimensionMismatch(f"column length {len(col)} != {rows}")
+    else:
+        items = enumerate(col)
+    return tuple((i, v) for i, v in ((i, _frac(x)) for i, x in items) if v)
 
-    __slots__ = ("rows", "cols", "_data")
+
+def _add_scaled(out: dict, c, items):
+    """out += c·v over (index, v) pairs, in place, dropping zeros."""
+    for i, v in items:
+        old = out.get(i)
+        nv = c * v if old is None else old + c * v
+        if nv:
+            out[i] = nv
+        else:
+            out.pop(i, None)
+
+
+class RatMatrix:
+    """Immutable matrix of rationals, stored as canonical sparse columns:
+    per column a tuple of (row, Fraction) pairs sorted by row, with no
+    zero entries, so equal matrices have equal columns and hashes."""
+
+    __slots__ = ("rows", "cols", "_cols")
 
     def __init__(self, rows: int, cols: int, data: Sequence[Sequence]):
-        if rows < 0 or cols < 0:
-            raise DimensionMismatch("negative dimensions")
         if len(data) != rows or any(len(r) != cols for r in data):
             raise DimensionMismatch("data shape does not match (rows, cols)")
-        self.rows = rows
-        self.cols = cols
-        self._data = tuple(tuple(_frac(x) for x in row) for row in data)
+        self._set(rows, tuple(_canonical([data[i][j] for i in range(rows)], rows)
+                              for j in range(cols)))
+
+    def _set(self, rows: int, columns: tuple) -> "RatMatrix":
+        if rows < 0:
+            raise DimensionMismatch("negative dimensions")
+        self.rows, self.cols, self._cols = rows, len(columns), columns
+        return self
+
+    @staticmethod
+    def _of(rows: int, columns: tuple) -> "RatMatrix":
+        """The matrix of already canonical columns."""
+        return RatMatrix.__new__(RatMatrix)._set(rows, columns)
 
     # -- constructors -------------------------------------------------
 
@@ -71,77 +112,86 @@ class RatMatrix:
         return RatMatrix(rows, cols, data)
 
     @staticmethod
-    def from_columns(cols: Sequence[Sequence], rows: Optional[int] = None) -> "RatMatrix":
-        if not cols:
-            return RatMatrix(rows or 0, 0, [[] for _ in range(rows or 0)])
-        n = len(cols[0])
-        data = [[cols[j][i] for j in range(len(cols))] for i in range(n)]
-        return RatMatrix(n, len(cols), data)
+    def from_columns(cols: Sequence, rows: Optional[int] = None) -> "RatMatrix":
+        """Matrix of columns given as sparse {row: value} dicts or dense
+        sequences.  `rows` defaults to the first column's length and
+        must be given for sparse columns."""
+        if rows is None:
+            if any(isinstance(c, dict) for c in cols):
+                raise DimensionMismatch("sparse columns need a row count")
+            rows = len(cols[0]) if cols else 0
+        return RatMatrix._of(rows, tuple(_canonical(c, rows) for c in cols))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "RatMatrix":
-        return RatMatrix(rows, cols, [[0] * cols for _ in range(rows)])
+        if cols < 0:
+            raise DimensionMismatch("negative dimensions")
+        return RatMatrix._of(rows, ((),) * cols)
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return RatMatrix(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return RatMatrix._of(n, tuple(((i, _ONE),) for i in range(n)))
 
     # -- access -------------------------------------------------------
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
-        return self._data[i][j]
+        return dict(self._cols[j]).get(i, Fraction(0))
+
+    def sparse_columns(self) -> list:
+        """The columns as {row: Fraction} dicts sorted by row, no zeros."""
+        return [dict(col) for col in self._cols]
 
     def column(self, j: int) -> list:
-        return [self._data[i][j] for i in range(self.rows)]
-
-    def columns(self) -> list:
-        return [self.column(j) for j in range(self.cols)]
+        return to_dense(dict(self._cols[j]), self.rows)
 
     def tolist(self) -> list:
-        return [list(r) for r in self._data]
+        out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self._cols):
+            for i, v in col:
+                out[i][j] = v
+        return out
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RatMatrix)
             and self.rows == other.rows
-            and self.cols == other.cols
-            and self._data == other._data
+            and self._cols == other._cols
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._data))
+        return hash((self.rows, self._cols))
 
     def __repr__(self):
         return f"RatMatrix({self.rows}x{self.cols})"
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self._data for x in row)
+        return not any(self._cols)
 
     # -- arithmetic ---------------------------------------------------
 
-    def matmul(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch(f"{self.cols} != {other.rows}")
-        out = [[Fraction(0)] * other.cols for _ in range(self.rows)]
-        for i in range(self.rows):
-            ri = self._data[i]
-            for k in range(self.cols):
-                a = ri[k]
-                if a == 0:
-                    continue
-                rk = other._data[k]
-                oi = out[i]
-                for j in range(other.cols):
-                    if rk[j] != 0:
-                        oi[j] += a * rk[j]
-        return RatMatrix(self.rows, other.cols, out)
+    def _image(self, items) -> dict:
+        out: dict = {}
+        for j, c in items:
+            _add_scaled(out, c, self._cols[j])
+        return out
+
+    def apply_sparse(self, vec: Mapping) -> dict:
+        """Image of a sparse {column: value} vector as a {row: Fraction}
+        dict with no zeros: the sum of c·column j over its entries."""
+        return self._image(vec.items())
 
     def apply(self, vec: Sequence) -> list:
         if len(vec) != self.cols:
             raise DimensionMismatch(f"vector length {len(vec)} != {self.cols}")
-        v = [_frac(x) for x in vec]
-        return [sum((a * b for a, b in zip(row, v) if a != 0), Fraction(0)) for row in self._data]
+        return to_dense(self._image((j, x) for j, x in enumerate(map(_frac, vec)) if x),
+                        self.rows)
+
+    def matmul(self, other: "RatMatrix") -> "RatMatrix":
+        if self.cols != other.rows:
+            raise DimensionMismatch(f"{self.cols} != {other.rows}")
+        return RatMatrix._of(self.rows, tuple(tuple(sorted(self._image(col).items()))
+                                              for col in other._cols))
 
 
 def to_dense(col: dict, n: int) -> list:
@@ -162,12 +212,7 @@ def combine(terms) -> dict:
     a sparse column, with no zero entries."""
     out: dict = {}
     for c, col in terms:
-        for i, v in col.items():
-            nv = out.get(i, Fraction(0)) + c * v
-            if nv == 0:
-                out.pop(i, None)
-            else:
-                out[i] = nv
+        _add_scaled(out, c, col.items())
     return out
 
 
@@ -180,7 +225,7 @@ def _reducer(columns: Sequence, nrows: int, record: bool = False) -> "ColumnRedu
 
 
 def rank(m: RatMatrix) -> int:
-    return _reducer(m.columns(), m.rows).rank
+    return _reducer(m.sparse_columns(), m.rows).rank
 
 
 def solve(columns: Sequence, nrows: int, b: Sequence) -> Optional[list]:
@@ -199,8 +244,8 @@ def solve(columns: Sequence, nrows: int, b: Sequence) -> Optional[list]:
 
 def kernel_basis(a: RatMatrix) -> RatMatrix:
     """Columns spanning the null space; count = cols - rank."""
-    combos = _reducer(a.columns(), a.rows, record=True).kernel_combos
-    return RatMatrix.from_columns([to_dense(c, a.cols) for c in combos], rows=a.cols)
+    combos = _reducer(a.sparse_columns(), a.rows, record=True).kernel_combos
+    return RatMatrix.from_columns(combos, rows=a.cols)
 
 
 def quotient_basis(ambient_dim: int, subspace: RatMatrix, vectors: RatMatrix) -> list:
@@ -215,13 +260,9 @@ def quotient_basis(ambient_dim: int, subspace: RatMatrix, vectors: RatMatrix) ->
     if vectors.cols and vectors.rows != ambient_dim:
         raise DimensionMismatch("vectors ambient dimension mismatch")
     red = ColumnReducer(ambient_dim)
-    for j in range(subspace.cols):
-        red.add(subspace.column(j))
-    kept = []
-    for j in range(vectors.cols):
-        if red.add(vectors.column(j)):
-            kept.append(j)
-    return kept
+    for col in subspace.sparse_columns():
+        red.add(col)
+    return [j for j, col in enumerate(vectors.sparse_columns()) if red.add(col)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Test-only API built on psmm: whole-algebra linear parts and
-cohomology, polynomial products, generator offsets, a necessary test for
+cohomology, polynomial products, monomial labels, generator offsets, a necessary test for
 homotopic morphisms, the simplicial-complex closure check, one-line
 constructors and a persistent model built with no sharing between
 stages.  The package itself never needs them, so they live beside the
@@ -50,6 +50,18 @@ def poly_mul(alg: SullivanAlgebra, p: dict, q: dict) -> dict:
             else:
                 out[m] = nc
     return out
+
+
+def monomial_label(alg: SullivanAlgebra, m: tuple) -> str:
+    """A monomial as a product of generator names with powers, such as
+    "a^2*b"; "1" for the empty monomial."""
+    if not m:
+        return "1"
+    parts = []
+    for g, grp in itertools.groupby(m):
+        k = len(list(grp))
+        parts.append(alg.names[g] if k == 1 else f"{alg.names[g]}^{k}")
+    return "*".join(parts)
 
 
 def gen_offset(alg: SullivanAlgebra, i: int) -> tuple:

@@ -3,7 +3,8 @@
 Persistent homology by straight boundary-matrix reduction over Q,
 written against the raw filtration data; dense Gauss-Jordan
 elimination; the barcode by inclusion-exclusion over the rank
-function; the cohomology engine's former kernel-mod-image algorithm;
+function; the former dense matrix-vector and matrix products; the
+cohomology engine's former kernel-mod-image algorithm;
 the general cone-apex search the enclosing radius is checked against;
 the elimination engine's former `Fraction` arithmetic; dense
 coboundary matrices; ring structure constants by the former cup route
@@ -239,10 +240,10 @@ def rank_function_barcode(grid, degree_data, contravariant=False):
             r[i, i] = dims[i]
             for j in range(i + 1, n):
                 if contravariant:
-                    comp = _matmul(comp, mats[j - 1], dims[j])
+                    comp = dense_matmul(comp, mats[j - 1], dims[j])
                     r[i, j] = _dense_rank(comp, dims[j])
                 else:
-                    comp = _matmul(mats[j - 1], comp, dims[i])
+                    comp = dense_matmul(mats[j - 1], comp, dims[i])
                     r[i, j] = _dense_rank(comp, dims[i])
         bars = []
         for i in range(n):
@@ -259,10 +260,18 @@ def rank_function_barcode(grid, degree_data, contravariant=False):
     return tuple(out)
 
 
-def _matmul(a, b, ncols):
+def dense_matmul(a, b, ncols):
     """Dense product of row lists; `ncols` is b's column count."""
     return [[sum((x * row[c] for x, row in zip(ar, b)), Fraction(0))
              for c in range(ncols)] for ar in a]
+
+
+def dense_apply(rows, vec):
+    """The package's former dense `RatMatrix.apply`: each row's products
+    with the vector's entries, summed from Fraction(0), skipping the
+    row's zero entries."""
+    v = [Fraction(x) for x in vec]
+    return [sum((a * b for a, b in zip(row, v) if a != 0), Fraction(0)) for row in rows]
 
 
 class FractionColumnReducer:

@@ -11,6 +11,7 @@ from helpers import (
     gen_offset,
     linear_part,
     make_sullivan,
+    monomial_label,
     poly_mul,
 )
 from psmm.cdga import (
@@ -56,7 +57,7 @@ def random_sullivan(rng, max_gens=5, trunc=8):
         coeffs = [Fraction(rng.randint(-2, 2)) for _ in range(ker.cols)]
         vec = [sum(ker[r, c] * coeffs[c] for c in range(ker.cols))
                for r in range(ker.rows)]
-        poly = partial.vec_to_poly(vec, d + 1)
+        poly = {partial.monomials(d + 1)[i]: c for i, c in enumerate(vec) if c}
         if poly:
             diff[name] = {m_names(partial, m): c for m, c in poly.items()}
     return make_sullivan(gens, {k: [(c, list(names)) for names, c in v.items()]
@@ -86,7 +87,7 @@ def chain_map_failures(phi):
 def underlying_ring(alg, max_deg):
     """The graded algebra of `alg` through max_deg as a cohomology ring:
     its monomials as basis classes, its products, zero differential."""
-    labels = {k: [alg.monomial_label(m) for m in alg.monomials(k)] for k in range(max_deg + 1)}
+    labels = {k: [monomial_label(alg, m) for m in alg.monomials(k)] for k in range(max_deg + 1)}
     structure = {(p, i, q, j): alg.mul_basis(p, i, q, j)
                  for p in range(max_deg + 1) for q in range(max_deg + 1 - p)
                  for i in range(alg.dim(p)) for j in range(alg.dim(q))}
@@ -129,20 +130,20 @@ class TestConstruction:
 class TestMonomialBasis:
     def test_sphere_deg4(self):
         alg = sphere2_model()
-        assert [alg.monomial_label(m) for m in alg.monomials(4)] == ["a^2"]
+        assert [monomial_label(alg, m) for m in alg.monomials(4)] == ["a^2"]
 
     def test_sphere_deg5(self):
         alg = sphere2_model()
-        assert [alg.monomial_label(m) for m in alg.monomials(5)] == ["a*b"]
+        assert [monomial_label(alg, m) for m in alg.monomials(5)] == ["a*b"]
 
     def test_degree_zero_is_unit(self):
         alg = sphere2_model()
         assert alg.monomials(0) == [()]
-        assert alg.monomial_label(()) == "1"
+        assert monomial_label(alg, ()) == "1"
 
     def test_odd_squares_absent(self):
         alg = free_algebra([("x", 1), ("y", 1)], trunc=4)
-        labels = [alg.monomial_label(m) for m in alg.monomials(2)]
+        labels = [monomial_label(alg, m) for m in alg.monomials(2)]
         assert labels == ["x*y"]
 
 

@@ -21,6 +21,11 @@ The same circle and planar points at max degree 2 and max_dim 4 were
 recorded while every stage past the enclosing radius still held all its
 simplices; a model that reads only degrees below max_dim now enumerates
 none of them.
+
+The 10-point geodesic circle at max degree 2 and max_dim 2 reads every
+degree it enumerates, so no stage is cut past the radius and its top
+degrees hold hundreds of monomials; it was recorded while morphisms
+were still applied as dense matrices.
 """
 
 import hashlib
@@ -76,6 +81,7 @@ CIRCLE20_MODEL_SHA256 = "55b08d8af8c6d43cd27fecdf57a069356fd3290221a2427ac1cfa42
 PLANAR12_MODEL_SHA256 = "a8cb111e18b09796d4e29e510f4b5aac5905cb9b5644d1d0999fb45b8d6d9666"
 CIRCLE20_DEG2_DIM4_SHA256 = "5be47f1daaefeb3583bd763d39d95f2101a3c848a1195b56fb49ca0f352109a2"
 PLANAR12_DEG2_DIM4_SHA256 = "0133e9265c98978515f365816cd5a09ed8f46421630f9221641a33e4d064a2e3"
+CIRCLE10_DEG2_NO_CUT_SHA256 = "544dfabbf9836fcbeb4625a418d6ab4a85cdea49ae083ca19c78ad30d1488540"
 BOWTIE_MODEL_SHA256 = {
     2: "54e761551c914283e7e1860d4b62469c5e1f5e055dd5fb066b3d199b1bb2bb57",
     3: "5968658eedd825a30b9b07d5bd74b43fbe9279ea5602184eac76dca30cf51c67",
@@ -128,6 +134,11 @@ def test_geodesic_circle_cut_past_radius_dump_digest(tmp_path, capsys):
 def test_random_planar_cut_past_radius_dump_digest(tmp_path, capsys):
     digest = dump_digest(tmp_path, "model", random_planar(12), max_degree=2, max_dim=4)
     assert digest == PLANAR12_DEG2_DIM4_SHA256
+
+
+def test_geodesic_circle_no_cut_dump_digest(tmp_path, capsys):
+    digest = dump_digest(tmp_path, "model", geodesic_circle(10), max_degree=2, max_dim=2)
+    assert digest == CIRCLE10_DEG2_NO_CUT_SHA256
 
 
 @pytest.mark.parametrize("max_degree", [2, 3])

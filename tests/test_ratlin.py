@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import FractionColumnReducer, dense_kernel, dense_rref, dense_solve
+from oracles import (
+    FractionColumnReducer,
+    dense_apply,
+    dense_kernel,
+    dense_matmul,
+    dense_rref,
+    dense_solve,
+)
 from psmm.errors import DimensionMismatch
 from psmm.ratlin import (
     ColumnReducer,
@@ -20,6 +27,10 @@ from psmm.ratlin import (
 
 def M(rows):
     return RatMatrix.from_rows(rows)
+
+
+def dense_columns(m):
+    return [m.column(j) for j in range(m.cols)]
 
 
 small_entries = st.integers(min_value=-4, max_value=4)
@@ -70,19 +81,19 @@ class TestRref:
 class TestSolve:
     def test_identity_case(self):
         b = [Fraction(3), Fraction(-7)]
-        assert solve(RatMatrix.identity(2).columns(), 2, b) == b
+        assert solve(dense_columns(RatMatrix.identity(2)), 2, b) == b
 
     def test_underdetermined(self):
-        x = solve(M([[1, 1]]).columns(), 1, [3])
+        x = solve(dense_columns(M([[1, 1]])), 1, [3])
         assert x is not None
         assert x[0] + x[1] == 3
 
     def test_inconsistent(self):
-        assert solve(M([[1], [0]]).columns(), 2, [0, 1]) is None
+        assert solve(dense_columns(M([[1], [0]])), 2, [0, 1]) is None
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            solve(M([[1, 1]]).columns(), 1, [1, 2])
+            solve(dense_columns(M([[1, 1]])), 1, [1, 2])
 
     @given(small_matrices(), st.data())
     def test_solve_matches_dense(self, a, data):
@@ -92,7 +103,7 @@ class TestSolve:
             b = [data.draw(small_entries) for _ in range(a.rows)]
         else:
             b = a.apply([data.draw(small_entries) for _ in range(a.cols)])
-        assert solve(a.columns(), a.rows, b) == dense_solve(a.tolist(), a.cols, b)
+        assert solve(dense_columns(a), a.rows, b) == dense_solve(a.tolist(), a.cols, b)
 
     @given(small_matrices(), st.data())
     def test_sparse_columns_match_dense(self, a, data):
@@ -101,8 +112,8 @@ class TestSolve:
             b = [data.draw(small_entries) for _ in range(a.rows)]
         else:
             b = a.apply([data.draw(small_entries) for _ in range(a.cols)])
-        sparse = [to_sparse(col) for col in a.columns()]
-        assert solve(sparse, a.rows, b) == solve(a.columns(), a.rows, b)
+        sparse = [to_sparse(col) for col in dense_columns(a)]
+        assert solve(sparse, a.rows, b) == solve(dense_columns(a), a.rows, b)
 
     @given(small_matrices(max_dim=4), st.data())
     @settings(max_examples=60)
@@ -110,7 +121,7 @@ class TestSolve:
         # rhs constructed inside the image so a solution must exist
         coeffs = [data.draw(small_entries) for _ in range(a.cols)]
         b = a.apply(coeffs) if a.cols else [Fraction(0)] * a.rows
-        x = solve(a.columns(), a.rows, b)
+        x = solve(dense_columns(a), a.rows, b)
         assert x is not None
         assert a.apply(x) == b
 
@@ -138,9 +149,9 @@ class TestKernel:
     @given(small_matrices(), st.data())
     def test_answers_are_fractions(self, a, data):
         k = kernel_basis(a)
-        assert all(type(v) is Fraction for col in k.columns() for v in col)
+        assert all(type(v) is Fraction for col in dense_columns(k) for v in col)
         b = a.apply([data.draw(small_entries) for _ in range(a.cols)])
-        x = solve(a.columns(), a.rows, b)
+        x = solve(dense_columns(a), a.rows, b)
         assert all(type(v) is Fraction for v in x)
 
     @given(small_matrices())
@@ -184,10 +195,10 @@ class TestSparseEngine:
         # vector for vector and in order, the dense RREF kernel: the
         # cohomology engine's representatives rest on this identity
         red = ColumnReducer(a.rows, record=True)
-        for c in a.columns():
+        for c in dense_columns(a):
             red.add(c)
         assert [to_dense(c, a.cols) for c in red.kernel_combos] == \
-            dense_kernel(a.tolist(), a.cols) == kernel_basis(a).columns()
+            dense_kernel(a.tolist(), a.cols) == dense_columns(kernel_basis(a))
 
     def test_solve_coefficients(self):
         red = ColumnReducer(2, record=True)
@@ -321,3 +332,106 @@ class TestAgainstFractionEngine:
         assert red2.kernel_combos == ref2.kernel_combos
         for col in probes():
             self._solve_both(red2, ref2, col)
+
+
+class TestFromColumns:
+    def test_longer_column_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            RatMatrix.from_columns([[1], [2, 3]])
+
+    def test_shorter_column_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            RatMatrix.from_columns([[1, 2], [3]])
+
+    def test_row_count_must_match(self):
+        with pytest.raises(DimensionMismatch):
+            RatMatrix.from_columns([[1, 2]], rows=3)
+
+    def test_sparse_columns_need_rows_in_range(self):
+        with pytest.raises(DimensionMismatch):
+            RatMatrix.from_columns([{0: 1}])
+        with pytest.raises(DimensionMismatch):
+            RatMatrix.from_columns([{2: 1}], rows=2)
+        assert RatMatrix.from_columns([{1: 1}, {}], rows=2) == M([[0, 0], [1, 0]])
+
+    def test_no_columns(self):
+        assert RatMatrix.from_columns([]) == RatMatrix.zeros(0, 0)
+        assert RatMatrix.from_columns([], rows=3) == RatMatrix.zeros(3, 0)
+
+
+@st.composite
+def dense_rows(draw, nrows, ncols):
+    return [[draw(engine_entries) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _fractions(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def _builds(rows, nrows, ncols, data):
+    """The matrix of `rows` built every way the class allows: explicit
+    zero entries stay in, and sparse columns may list them."""
+    cols = [[rows[i][j] for i in range(nrows)] for j in range(ncols)]
+    sparse = [{i: v for i, v in enumerate(col) if Fraction(v) or data.draw(st.booleans())}
+              for col in cols]
+    out = [RatMatrix(nrows, ncols, rows), RatMatrix.from_columns(cols, rows=nrows),
+           RatMatrix.from_columns(sparse, rows=nrows)]
+    if nrows:
+        out.append(RatMatrix.from_rows(rows))
+    if ncols:
+        out.append(RatMatrix.from_columns(cols))
+    return out
+
+
+class TestSparseStoreAgainstDense:
+    """The sparse-column store answers what the former dense rows did,
+    and equal entries give equal, equally hashed matrices however the
+    matrix was built."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_against_dense_oracle(self, data):
+        r, c, s = (data.draw(st.integers(0, 5)) for _ in range(3))
+        rows = data.draw(dense_rows(r, c))
+        want = _fractions(rows)
+        builds = _builds(rows, r, c, data)
+        m = builds[0]
+        for other in builds[1:]:
+            assert other == m and hash(other) == hash(m)
+        assert m.rows == r and m.cols == c
+        assert m.tolist() == want
+        assert all(type(x) is Fraction for row in m.tolist() for x in row)
+        assert [m.column(j) for j in range(c)] == [[row[j] for row in want] for j in range(c)]
+        assert m.sparse_columns() == [to_sparse(col) for col in dense_columns(m)]
+        assert m.is_zero() == all(x == 0 for row in want for x in row)
+
+        vec = [data.draw(engine_entries) for _ in range(c)]
+        image = m.apply(vec)
+        assert image == dense_apply(want, vec)
+        assert all(type(x) is Fraction for x in image)
+        sparse_vec = {j: Fraction(v) for j, v in enumerate(vec) if Fraction(v)}
+        assert m.apply_sparse(sparse_vec) == to_sparse(image)
+
+        other_rows = data.draw(dense_rows(c, s))
+        prod = m.matmul(RatMatrix(c, s, other_rows))
+        assert (prod.rows, prod.cols) == (r, s)
+        assert prod.tolist() == dense_matmul(want, _fractions(other_rows), s)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equal_iff_same_entries(self, data):
+        shapes = [(data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))) for _ in range(2)]
+        small = st.sampled_from([0, 1, "0", Fraction(2, 4), "1/2"])
+        a, b = ([[data.draw(small) for _ in range(nc)] for _ in range(nr)] for nr, nc in shapes)
+        same = shapes[0] == shapes[1] and _fractions(a) == _fractions(b)
+        ma, mb = RatMatrix(*shapes[0], a), RatMatrix(*shapes[1], b)
+        assert (ma == mb) == same
+        if same:
+            assert hash(ma) == hash(mb)
+
+    @given(st.integers(0, 5), st.integers(0, 5))
+    def test_zeros_and_identity(self, r, c):
+        assert RatMatrix.zeros(r, c) == RatMatrix(r, c, [["0"] * c for _ in range(r)])
+        assert RatMatrix.zeros(r, c).is_zero()
+        ident = RatMatrix(r, r, [[1 if i == j else "-0/3" for j in range(r)] for i in range(r)])
+        assert RatMatrix.identity(r) == ident and hash(RatMatrix.identity(r)) == hash(ident)
