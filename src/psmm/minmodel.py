@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from .cdga import CDGAMorphism, SullivanAlgebra, image_of_monomial, induced_cohomology_map
 from .cohomology import StageCohomology
 from .errors import CapExceeded, InputError, LiftError
-from .ratlin import (RatMatrix, combine, kernel_basis, quotient_basis, rank, solve, to_dense,
-                     to_sparse)
+from .ratlin import (ColumnReducer, RatMatrix, combine, kernel_basis, quotient_basis, rank,
+                     solve, to_dense, to_sparse)
 
 
 @dataclass
@@ -196,6 +196,7 @@ def sullivan_representative(f, mmA: MinimalModel, mmB: MinimalModel,
     tgt = mmB.model
     B = mmB.input
     images, sparse_images = [], []
+    lifts: dict = {}  # degree -> record-mode reducer of its lift system
     for gi in range(len(src.generators)):
         k = src.degrees[gi]
         dv = src.diff.get(gi, {})
@@ -203,22 +204,28 @@ def sullivan_representative(f, mmA: MinimalModel, mmB: MinimalModel,
             if any(g >= gi for g in mono):
                 raise InputError("generator order violates the Sullivan filtration")
         # [d_model 0; mu_B d_input] (y; eta) = (phi(d v); f(mu_A(v))) as
-        # sparse columns, the lower block shifted down by dim tgt^{k+1}
+        # sparse columns, the lower block shifted down by dim tgt^{k+1}.
+        # Every generator of degree k has the same system, and `solve`
+        # leaves the reducer as it was, so one elimination serves them all.
         nd = tgt.dim(k + 1)
-        system = [{**d_col, **_shifted(mu_col, nd)}
-                  for d_col, mu_col in zip(tgt.d_columns(k)[0],
-                                           mmB.rho.matrix(k).sparse_columns())]
-        system += [_shifted(d_col, nd) for d_col in B.d_columns(k - 1)[0]]
+        red = lifts.get(k)
+        if red is None:
+            red = lifts[k] = ColumnReducer(nd + B.dim(k), record=True)
+            for d_col, mu_col in zip(tgt.d_columns(k)[0], mmB.rho.matrix(k).sparse_columns()):
+                red.add({**d_col, **_shifted(mu_col, nd)})
+            for d_col in B.d_columns(k - 1)[0]:
+                red.add(_shifted(d_col, nd))
         phi_dv = combine((c, image_of_monomial(src, tgt, sparse_images, m))
                          for m, c in dv.items())
         fk = f.matrix(k)
         rhs = to_dense(phi_dv, nd) + to_dense(fk.apply_sparse(mmA.rho.sparse_images[gi]), fk.rows)
-        sol = solve(system, nd + B.dim(k), rhs)
+        sol = red.solve(rhs)
         if sol is None:
             raise LiftError(
                 f"no lift for generator {src.names[gi]} (degree {k}): "
                 "truncation too small or invariant breach")
-        images.append(sol[:tgt.dim(k)])
+        dk = tgt.dim(k)
+        images.append(to_dense({j: c for j, c in sol.items() if j < dk}, dk))
         sparse_images.append(to_sparse(images[-1]))
 
     phi = CDGAMorphism(src, tgt, images, check=True)

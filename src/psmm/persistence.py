@@ -19,7 +19,11 @@ over the whole filtration, with clearing, pairs the simplices.
 
 The bottleneck distance between barcodes is exact: a binary search over
 the ranks of the candidate costs, each computed once, with a
-Hopcroft-Karp perfect-matching test per probe.
+Hopcroft-Karp perfect-matching test per probe.  The search runs between
+the least rank at which every bar has a partner and the cost of one
+matching known in advance (finite bars to the diagonal, essential bars
+paired in birth order), and each probe starts from the matching of the
+probe before it.
 """
 
 from __future__ import annotations
@@ -289,13 +293,24 @@ def cohomology_barcode(simplices: dict, max_degree: int, zero) -> Barcode:
 # a delta-matching: matched bars differ by at most delta at each end,
 # and every unmatched bar is at most 2 delta long (it goes to the
 # diagonal at its half-length).  That delta is a candidate cost: 0, the
-# cost of a pair of bars or a half-length.  `_CostTable` computes each
-# candidate once and labels the matching graph's edges with the integer
-# ranks of their costs; `_bottleneck_degree` binary-searches the ranks,
-# and each probe asks Hopcroft-Karp (`_max_matching`) for a perfect
-# matching of the edges at or below the probed rank (Efrat-Itai-Katz
-# 2001; Kerber-Morozov-Nigmetov, "Geometry helps to compare persistence
-# diagrams", 2017).
+# cost of a pair of bars or a half-length.  One delta-matching is known
+# before any search, the cap matching: every finite bar goes to the
+# diagonal and the essential bars of the two lists are paired in birth
+# order.  Its cost, the cap, bounds the distance, so `_CostTable` keeps
+# only the candidates at or below it.  It computes each candidate once
+# and labels the matching graph's edges with the integer ranks of their
+# costs.  `_bottleneck_degree` searches the ranks from the floor, the
+# least rank at which every vertex has an edge, to the cap's, and each
+# probe asks Hopcroft-Karp (`_max_matching`) for a perfect matching of
+# the edges at or below the probed rank (Efrat-Itai-Katz 2001;
+# Kerber-Morozov-Nigmetov, "Geometry helps to compare persistence
+# diagrams", 2017).  The probes gallop up from the floor until one
+# succeeds, then bisect, so the dense graphs of high ranks are probed
+# only when the distance is near the cap.  No probe starts from an
+# empty matching: the search starts from the cap matching, a failed
+# probe hands its maximum matching to the next, higher probe as it is,
+# and a successful probe hands its perfect matching to the next, lower
+# probe without the pairs whose edges rank above that probe.
 # ---------------------------------------------------------------------------
 
 
@@ -316,9 +331,16 @@ def _half_length(b):
     return (b[1] - b[0]) / 2
 
 
+def _essential(e) -> bool:
+    """Is e the death of an essential bar?  Tested by type first: a
+    `Fraction` compared with a float is slow, and is never infinite."""
+    return type(e) is float and e == INF
+
+
 def _scaled_endpoints(bars):
     """(2L, the bars with every finite endpoint times 2L), where L is the
-    lcm of the endpoints' denominators; None when an endpoint is a float.
+    lcm of the endpoints' denominators; None when an endpoint is a
+    finite float.  An essential bar keeps its death INF.
 
     The scaled endpoints are ints, so their pair costs and half-lengths
     are exact ints that order and equate as the bars' costs do, at a
@@ -327,25 +349,55 @@ def _scaled_endpoints(bars):
     arithmetic; so do ints from 2**52 on, since an int bar's half-length
     is the float (e - b) / 2.
     """
-    rational = (int, Fraction)
-    if not all(type(x) is Fraction or (type(x) is int and abs(x) < 2 ** 52)
-               or x == INF for bar in bars for x in bar):
-        return None
-    scale = 2 * math.lcm(1, *(x.denominator for bar in bars for x in bar
-                              if type(x) in rational))
-    return scale, [tuple(x.numerator * (scale // x.denominator)
-                         if type(x) in rational else INF for x in bar)
-                   for bar in bars]
+    ratios = []
+    for bar in bars:
+        for x in bar:
+            t = type(x)
+            if t is Fraction or (t is int and abs(x) < 2 ** 52):
+                ratios.append(x.as_integer_ratio())
+            elif _essential(x):
+                ratios.append(None)
+            else:
+                return None
+    scale = 2 * math.lcm(1, *(r[1] for r in ratios if r))
+    ends = [INF if r is None else r[0] * (scale // r[1]) for r in ratios]
+    return scale, list(zip(ends[::2], ends[1::2]))
+
+
+def _int_pair_costs(pts1, pts2):
+    """The pair costs of scaled bars (`_scaled_endpoints`), one row per
+    bar of pts1: max(|b1 - b2|, |e1 - e2|) for two finite bars,
+    |b1 - b2| for two essential bars and INF for one of each."""
+    ess2 = [j for j, (_, e) in enumerate(pts2) if type(e) is float]
+    # an essential column's death is a stand-in; its cost is set below
+    fin2 = [(b, 0) if type(e) is float else (b, e) for b, e in pts2] if ess2 else pts2
+    rows = []
+    for b1, e1 in pts1:
+        if type(e1) is float:
+            row = [INF] * len(pts2)
+            for j in ess2:
+                row[j] = abs(b1 - pts2[j][0])
+        else:
+            row = [x if (x := abs(b1 - b2)) > (y := abs(e1 - e2)) else y for b2, e2 in fin2]
+            for j in ess2:
+                row[j] = INF
+        rows.append(row)
+    return rows
 
 
 class _CostTable:
-    """The candidate costs of two bar lists, each computed once, and the
-    matching graph with its edges labelled by their costs' ranks.
+    """The candidate costs of two bar lists up to the cap, each computed
+    once, and the matching graph with its edges labelled by their costs'
+    ranks.
 
-    `keys` are the sorted distinct finite costs and 0 (scaled ints when
-    `_scaled_endpoints` applies, the costs themselves otherwise); a
-    cost's rank is its index in `keys`, and an infinite cost has rank
-    `len(keys)`, above every probe.
+    `keys` are the sorted distinct finite costs at or below the cap, and
+    0 (scaled ints when `_scaled_endpoints` applies, the costs
+    themselves otherwise); a cost's rank is its index in `keys`, and a
+    cost above the cap or infinite has rank `len(keys)`.  `cap` is the
+    rank of the cap, the cost of the cap matching `cap_matching` (the
+    `match_r` of `_max_matching`): the last key's rank.  When the lists
+    hold different numbers of essential bars no matching has a finite
+    cost; then `cap` is `len(keys)` and `cap_matching` is None.
 
     The graph is Kerber-Morozov-Nigmetov's.  Left vertices are bars1
     (0..n-1) and diagonal copies of bars2 (n..n+m-1); right vertices are
@@ -354,8 +406,11 @@ class _CostTable:
     copy n+j meets bar j at its half-length and copy m+i at the cost of
     the pair (i, j), which is what the copies of a matched pair pay to
     meet.  At any delta it has a perfect matching iff the bars admit a
-    delta-matching.  Each vertex's edges are sorted by rank, so the graph
-    at rank k keeps a prefix of every list.
+    delta-matching.  Only the edges of rank at most `cap` are kept, since
+    the graph at rank `cap` already has a perfect matching.  Each
+    vertex's edges are sorted by rank, so the graph at rank k keeps a
+    prefix of every list.  Below rank `floor` some vertex has no edge,
+    so the graph has no perfect matching there.
     """
 
     def __init__(self, bars1, bars2):
@@ -365,42 +420,78 @@ class _CostTable:
         if scaled is None:
             self.scale, pts = None, self.bars
             halves = [_half_length(b) for b in pts]
+            pairs = [[_pair_cost(p1, p2) for p2 in pts[n:]] for p1 in pts[:n]]
         else:
             self.scale, pts = scaled
-            halves = [INF if e == INF else (e - b) // 2 for b, e in pts]
-        pairs = [[_pair_cost(p1, p2) for p2 in pts[n:]] for p1 in pts[:n]]
+            halves = [INF if type(e) is float else (e - b) // 2 for b, e in pts]
+            pairs = _int_pair_costs(pts[:n], pts[n:])
+        # The cap matching: bar i to its copy m+i, copy n+j to bar j, except
+        # that the essential bars are paired in birth order, i with j and
+        # copy n+j with copy m+i.
+        ess = {t for t, (_, e) in enumerate(self.bars) if _essential(e)}
+        ess1 = sorted((t for t in ess if t < n), key=lambda t: pts[t][0])
+        ess2 = sorted((t - n for t in ess if t >= n), key=lambda j: pts[n + j][0])
+        match_r = [n + j for j in range(m)] + list(range(n))
+        for i, j in zip(ess1, ess2):
+            match_r[j], match_r[m + i] = i, n + j
+        costs = [h for t, h in enumerate(halves) if t not in ess]
+        costs += [pairs[i][j] for i, j in zip(ess1, ess2)]
+        cap = max(costs, default=0) if len(ess1) == len(ess2) else INF
         keys = {0}
         for row in pairs:
             keys.update(row)
         keys.update(halves)
         keys.discard(INF)
-        self.keys = sorted(keys)
+        self.keys = sorted(c for c in keys if c <= cap)
         top = len(self.keys)
-        index = {c: k for k, c in enumerate(self.keys)}
-        # Every rank is the one int object that `index` holds for it, and
-        # every vertex number the one in `vertex`: the lists below share
-        # them instead of holding a new int per pair.
-        self.ranks = [[index.get(c, top) for c in row] for row in pairs]
-        self.half_ranks = [index.get(h, top) for h in halves]
+        self.cap = top if cap == INF else top - 1
+        self.cap_matching = None if cap == INF else match_r
+        # Every cost above the cap, INF among them, has rank top.  Every
+        # rank is the one int object that `index` holds for it, and every
+        # vertex number the one in `vertex`: the lists below share them
+        # instead of holding a new int per pair.
+        index = dict.fromkeys(keys, top)
+        index.update((c, k) for k, c in enumerate(self.keys))
+        index[INF] = top
+        rank = index.__getitem__
+        self.ranks = [list(map(rank, row)) for row in pairs]
+        self.half_ranks = list(map(rank, halves))
         del pairs
         vertex = list(range(n + m))
         self.size = n + m
         self._ranks, self._nbrs = [], []
         for i, row in enumerate(self.ranks):
             self._add_vertex(row + [self.half_ranks[i]], vertex[:m] + [vertex[m + i]])
-        for j in range(m):
-            self._add_vertex([row[j] for row in self.ranks] + [self.half_ranks[n + j]],
-                             vertex[m:] + [vertex[j]])
+        columns = zip(*self.ranks) if n else [()] * m
+        for j, col in enumerate(columns):
+            self._add_vertex(list(col) + [self.half_ranks[n + j]], vertex[m:] + [vertex[j]])
+        # A right vertex meets the left ones at the ranks its mirror on the
+        # left does (bar j and copy n+j, copy m+i and bar i), so below the
+        # floor some vertex of either side has no edge.
+        self.floor = max((ranks[0] for ranks in self._ranks), default=0)
 
     def _add_vertex(self, ranks, nbrs):
         order = sorted(range(len(ranks)), key=ranks.__getitem__)
-        self._ranks.append([ranks[t] for t in order])
-        self._nbrs.append([nbrs[t] for t in order])
+        ranks = list(map(ranks.__getitem__, order))
+        kept = bisect_right(ranks, self.cap)
+        del ranks[kept:], order[kept:]
+        self._ranks.append(ranks)
+        self._nbrs.append(list(map(nbrs.__getitem__, order)))
 
     def adjacency(self, k):
         """The matching graph with the edges of rank at most k."""
         return [nbrs[:bisect_right(ranks, k)]
                 for ranks, nbrs in zip(self._ranks, self._nbrs)]
+
+    def matched_ranks(self, match_r):
+        """The rank of each right vertex's edge in the perfect matching
+        `match_r` (as `_max_matching` returns it)."""
+        ranks, halves = self.ranks, self.half_ranks
+        n = len(ranks)
+        m = self.size - n
+        return [(ranks[u][v] if v < m else halves[u]) if u < n else
+                (halves[u] if v < m else ranks[v - m][u - n])
+                for v, u in enumerate(match_r)]
 
     def value(self, k):
         """The cost of rank k as the bars' own number: the first equal
@@ -417,11 +508,13 @@ class _CostTable:
         return _half_length(self.bars[self.half_ranks.index(k)])
 
 
-def _max_matching(adj, size):
+def _max_matching(adj, size, match_r=None):
     """Maximum matching by Hopcroft-Karp; returns (size of the matching,
     match_r) with match_r[v] the left vertex matched to right vertex v,
     or -1.  `adj[u]` lists the right neighbours of left vertex u; both
-    sides are numbered 0..size-1.
+    sides are numbered 0..size-1.  A given `match_r`, a matching of
+    this graph in the same form, is where the search starts; it is not
+    modified.
 
     Each phase layers the graph by a breadth-first search from the free
     left vertices, then augments along vertex-disjoint shortest paths
@@ -430,8 +523,14 @@ def _max_matching(adj, size):
     recursion limit.
     """
     match_l = [-1] * size
-    match_r = [-1] * size
-    matched = 0
+    if match_r is None:
+        match_r = [-1] * size
+    else:
+        match_r = list(match_r)
+        for v, u in enumerate(match_r):
+            if u != -1:
+                match_l[u] = v
+    matched = size - match_r.count(-1)
     while True:
         free = [u for u in range(size) if match_l[u] == -1]
         dist = [-1] * size
@@ -486,21 +585,34 @@ def _max_matching(adj, size):
 def _bottleneck_degree(bars1, bars2):
     if not bars1 and not bars2:
         return 0
-    inf1 = sum(1 for b in bars1 if b[1] == INF)
-    inf2 = sum(1 for b in bars2 if b[1] == INF)
-    if inf1 != inf2:
+    if sum(_essential(e) for _, e in bars1) != sum(_essential(e) for _, e in bars2):
         return INF
     table = _CostTable(bars1, bars2)
-    top = len(table.keys)
-    lo, hi = 0, top  # rank top is an infinite cost and is never probed
+    # The answer is the least rank whose graph has a perfect matching, at
+    # least `table.floor` and at most `table.cap`.  The probes gallop up
+    # from the floor (floor, floor + 1, floor + 3, floor + 7, ...) until
+    # one succeeds, then bisect.  Each probe starts from the last probe's
+    # matching.  After a success `held[v]` is the rank of right vertex
+    # v's matched edge, and the next, lower probe drops the pairs above
+    # it; after a failure `held` is None, and the maximum matching holds
+    # as it is at the next, higher probe.
+    match_r = table.cap_matching
+    held = table.matched_ranks(match_r)
+    lo, hi = table.floor, table.cap
+    mid, step = lo, 1  # step: the gallop's next stride, 0 once a probe succeeded
     while lo < hi:
-        mid = (lo + hi) // 2
-        matched, _ = _max_matching(table.adjacency(mid), table.size)
+        if held is not None:
+            match_r = [u if r <= mid else -1 for u, r in zip(match_r, held)]
+        matched, match_r = _max_matching(table.adjacency(mid), table.size, match_r)
         if matched == table.size:
-            hi = mid
+            hi, step = mid, 0
+            held = table.matched_ranks(match_r)
         else:
             lo = mid + 1
-    return INF if lo == top else table.value(lo)
+            held = None
+        mid = min(lo + step - 1, hi - 1) if step else (lo + hi) // 2
+        step *= 2
+    return table.value(lo)
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,10 @@ def json_int(value, what: str) -> int:
 def num_to_json(x):
     if x is None:
         return None
+    if isinstance(x, Fraction):  # before the inf test: never inf, and slow to compare
+        return str(x.numerator) if x.denominator == 1 else str(x)
     if x == math.inf:
         return "inf"
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else str(x)
     return x
 
 

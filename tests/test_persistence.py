@@ -10,7 +10,8 @@ import oracles
 from interleaving import direct_sum, interleaving_check, interval_module
 from psmm.errors import InputError
 from psmm.gvec import GradedLinearMap, GradedVectorSpace
-from psmm.persistence import INF, Barcode, PersistentGVec, _max_matching, bottleneck
+from psmm.persistence import (INF, Barcode, PersistentGVec, _CostTable, _max_matching,
+                               bottleneck)
 from psmm.ratlin import RatMatrix
 
 GRID2 = (Fraction(1), Fraction(2))
@@ -234,7 +235,8 @@ class TestBottleneck:
         # The distance is one of the candidate cost objects, so equal
         # costs of different types (Fraction(1, 2) and 0.5) must resolve
         # to the reference's choice; all-rational, all-float and mixed
-        # barcodes take different arithmetic.
+        # barcodes take different arithmetic.  Up to 60 bars a side in
+        # degree 0, with equal essential counts or counts one apart.
         rng = random.Random(seed)
 
         def endpoint(kind, x):
@@ -242,24 +244,29 @@ class TestBottleneck:
                 return float(x)
             return x if x.denominator != 1 or rng.random() < 0.5 else int(x)
 
-        def random_bars(kind, essential):
-            bars = [(endpoint(kind, Fraction(rng.randint(0, 40), 4)), INF, rng.randint(1, 2))
+        def random_bars(kind, essential, size):
+            bars = [(endpoint(kind, Fraction(rng.randint(0, 40), 4)), INF, 1)
                     for _ in range(essential)]
-            for _ in range(rng.randint(0, 40 - essential)):
+            count = essential
+            while count < size:
                 b = Fraction(rng.randint(0, 40), 4)
                 e = b + Fraction(rng.randint(1, 24), rng.choice((2, 4, 8)))
-                bars.append((endpoint(kind, b), endpoint(kind, e), rng.choice((1, 1, 1, 2, 3))))
+                mult = min(rng.choice((1, 1, 1, 2, 3)), size - count)
+                bars.append((endpoint(kind, b), endpoint(kind, e), mult))
+                count += mult
             return bars
 
-        def random_barcode(essentials):
+        def random_barcode(essentials, sizes):
             kind = rng.choice(("rational", "float", "mixed"))
-            return Barcode.from_dict({d: random_bars(kind, k) for d, k in essentials.items()})
+            return Barcode.from_dict({d: random_bars(kind, essentials[d], sizes[d])
+                                      for d in essentials})
 
-        essentials = {0: rng.randint(0, 2), 1: rng.randint(0, 2)}
-        a = random_barcode(essentials)
-        if rng.random() < 0.2:
-            essentials[1] += 1
-        b = random_barcode(essentials)
+        essentials = {0: rng.randint(0, 3), 1: rng.randint(0, 2)}
+        a = random_barcode(essentials, {0: rng.randint(0, 60), 1: rng.randint(0, 8)})
+        if rng.random() < 0.3:
+            d = rng.choice((0, 1))
+            essentials[d] = max(essentials[d] + rng.choice((-1, 1)), 0)
+        b = random_barcode(essentials, {0: rng.randint(0, 60), 1: rng.randint(0, 8)})
         got = bottleneck(a, b).per_degree
         assert set(got) == set(a.degrees()) | set(b.degrees())
         for d, value in got.items():
@@ -281,11 +288,66 @@ class TestBottleneck:
             return max([best(u + 1, used)] + [1 + best(u + 1, used | 1 << v)
                                                for v in adj[u] if not used >> v & 1])
 
-        matched, match_r = _max_matching(adj, size)
-        pairs = [(u, v) for v, u in enumerate(match_r) if u != -1]
-        assert all(v in adj[u] for u, v in pairs)
-        assert len({u for u, _ in pairs}) == len(pairs) == matched
-        assert matched == best(0, 0)
+        # from an empty matching, and from a random valid partial one
+        start = [-1] * size
+        edges = [(u, v) for u in range(size) for v in adj[u]]
+        rng.shuffle(edges)
+        for u, v in edges[:rng.randint(0, len(edges))]:
+            if start[v] == -1 and u not in start:
+                start[v] = u
+        given_start = list(start)
+        for run in ((adj, size), (adj, size, start)):
+            matched, match_r = _max_matching(*run)
+            pairs = [(u, v) for v, u in enumerate(match_r) if u != -1]
+            assert all(v in adj[u] for u, v in pairs)
+            assert len({u for u, _ in pairs}) == len(pairs) == matched
+            assert matched == best(0, 0)
+        assert start == given_start
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=40, deadline=None)
+    def test_cost_table_cap(self, seed):
+        # The cap matching (finite bars to the diagonal, essential bars
+        # paired in birth order) is perfect at the cap's rank, the cap is
+        # its cost, and no key exceeds it; below the floor no matching is
+        # perfect.  With essential counts apart there is no cap and
+        # nothing is cut.
+        rng = random.Random(seed)
+        kind = rng.choice((Fraction, float))
+
+        def random_bars(essential):
+            bars = [(kind(rng.randint(0, 20)) / 4, INF) for _ in range(essential)]
+            for _ in range(rng.randint(0, 12)):
+                b = kind(rng.randint(0, 20)) / 4
+                bars.append((b, b + kind(rng.randint(1, 16)) / 4))
+            return bars
+
+        essential = rng.randint(0, 3)
+        bars1 = random_bars(essential)
+        bars2 = random_bars(essential if rng.random() < 0.8 else essential + 1)
+        if not bars1 and not bars2:
+            return
+        table = _CostTable(bars1, bars2)
+        if essential != sum(1 for _, e in bars2 if e == INF):
+            assert table.cap == len(table.keys) and table.cap_matching is None
+            return
+        births1 = sorted(b for b, e in bars1 if e == INF)
+        births2 = sorted(b for b, e in bars2 if e == INF)
+        cap = max([(e - b) / 2 for b, e in bars1 + bars2 if e != INF]
+                  + [abs(x - y) for x, y in zip(births1, births2)], default=0)
+        assert table.cap == len(table.keys) - 1
+        assert table.value(table.cap) == cap
+        assert all(table.value(k) <= cap for k in range(len(table.keys)))
+        adj = table.adjacency(table.cap)
+        match_r = table.cap_matching
+        assert sorted(match_r) == list(range(table.size))
+        assert all(v in adj[u] for v, u in enumerate(match_r))
+        assert max(table.matched_ranks(match_r)) == table.cap
+        assert _max_matching(adj, table.size)[0] == table.size
+        assert 0 <= table.floor <= table.cap
+        if table.floor:
+            below = table.adjacency(table.floor - 1)
+            assert _max_matching(below, table.size)[0] < table.size
 
     def test_long_augmenting_path(self):
         # the last vertex's augmenting path runs through all n vertices,
