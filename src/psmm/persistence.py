@@ -17,19 +17,21 @@ The persistent-cohomology barcode of a simplicial filtration
 (`cohomology_barcode`) needs no module: one reduction of the coboundary
 over the whole filtration, with clearing, pairs the simplices.
 
-The bottleneck distance between barcodes is exact: a binary search over
-the ranks of the candidate costs, each computed once, with a
-Hopcroft-Karp perfect-matching test per probe.  The search runs between
-the least rank at which every bar has a partner and the cost of one
-matching known in advance (finite bars to the diagonal, essential bars
-paired in birth order), and each probe starts from the matching of the
-probe before it.
+The bottleneck distance between barcodes is exact: a search over the
+candidate costs with a Hopcroft-Karp perfect-matching test per probe.
+It runs between the least cost at which every bar has a partner and the
+cost of one matching known in advance (finite bars to the diagonal,
+essential bars paired in birth order).  Each probe reads only the pairs
+within a bound, found by range queries on the bars sorted by one
+endpoint; the bound starts at the floor and doubles until a probe
+succeeds, then the costs below it are bisected.  Each probe starts from
+the matching of the probe before it.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -293,42 +295,41 @@ def cohomology_barcode(simplices: dict, max_degree: int, zero) -> Barcode:
 # a delta-matching: matched bars differ by at most delta at each end,
 # and every unmatched bar is at most 2 delta long (it goes to the
 # diagonal at its half-length).  That delta is a candidate cost: 0, the
-# cost of a pair of bars or a half-length.  One delta-matching is known
-# before any search, the cap matching: every finite bar goes to the
-# diagonal and the essential bars of the two lists are paired in birth
-# order.  Its cost, the cap, bounds the distance, so `_CostTable` keeps
-# only the candidates at or below it.  It computes each candidate once
-# and labels the matching graph's edges with the integer ranks of their
-# costs.  `_bottleneck_degree` searches the ranks from the floor, the
-# least rank at which every vertex has an edge, to the cap's, and each
-# probe asks Hopcroft-Karp (`_max_matching`) for a perfect matching of
-# the edges at or below the probed rank (Efrat-Itai-Katz 2001;
-# Kerber-Morozov-Nigmetov, "Geometry helps to compare persistence
-# diagrams", 2017).  The probes gallop up from the floor until one
-# succeeds, then bisect, so the dense graphs of high ranks are probed
-# only when the distance is near the cap.  No probe starts from an
-# empty matching: the search starts from the cap matching, a failed
-# probe hands its maximum matching to the next, higher probe as it is,
-# and a successful probe hands its perfect matching to the next, lower
-# probe without the pairs whose edges rank above that probe.
+# cost of a pair of bars or a half-length.  Two bounds on it are known
+# before any search.  The cap matching sends every finite bar to the
+# diagonal and pairs the essential bars of the two lists in birth
+# order; its cost, the cap, bounds the distance from above.  The floor,
+# the least cost at which every bar has a partner (a bar of the other
+# list, or the diagonal), bounds it from below.
+#
+# `_CostTable` keeps the candidates at or below a bound R and labels the
+# matching graph's edges with the integer ranks of their costs.  It
+# finds the pairs of cost at most R by range queries (Kerber-Morozov-
+# Nigmetov, "Geometry helps to compare persistence diagrams", 2017): a
+# pair costs at least the difference of its bars' endpoints on either
+# axis, so a bar meets only the bars of the other list whose endpoint
+# lies within R of its own, one window of that list sorted by endpoint.
+# The floor comes from the same sorted lists, by nearest neighbours.
+# `_bottleneck_degree` asks Hopcroft-Karp (`_max_matching`) for a
+# perfect matching of the graph at R (Efrat-Itai-Katz 2001): first at
+# the floor, then at twice the last R, never past the cap, until one
+# exists; then it bisects the costs between the last failed R and R.
+# No probe starts from an empty matching: the first starts from the cap
+# matching without its edges above the floor, a failed probe hands its
+# maximum matching to the next, higher probe as it is, and a successful
+# probe hands its perfect matching to the next, lower probe without the
+# pairs whose edges rank above that probe.
 # ---------------------------------------------------------------------------
 
 
-def _pair_cost(b1, b2):
-    db = abs(b1[0] - b2[0])
-    if b1[1] == INF and b2[1] == INF:
-        de = 0
-    elif b1[1] == INF or b2[1] == INF:
-        return INF
-    else:
-        de = abs(b1[1] - b2[1])
-    return max(db, de)
-
-
-def _half_length(b):
-    if b[1] == INF:
-        return INF
-    return (b[1] - b[0]) / 2
+def _finite_cost(p, q):
+    """The pair cost of two finite bars: the larger of the two computed
+    endpoint differences, the first of two equal ones, as `max` picks.
+    It is at least each of them.  A pair of essential bars costs the
+    difference of its births, and a finite bar paired with an essential
+    one costs INF."""
+    db, de = abs(p[0] - q[0]), abs(p[1] - q[1])
+    return de if de > db else db
 
 
 def _essential(e) -> bool:
@@ -364,40 +365,20 @@ def _scaled_endpoints(bars):
     return scale, list(zip(ends[::2], ends[1::2]))
 
 
-def _int_pair_costs(pts1, pts2):
-    """The pair costs of scaled bars (`_scaled_endpoints`), one row per
-    bar of pts1: max(|b1 - b2|, |e1 - e2|) for two finite bars,
-    |b1 - b2| for two essential bars and INF for one of each."""
-    ess2 = [j for j, (_, e) in enumerate(pts2) if type(e) is float]
-    # an essential column's death is a stand-in; its cost is set below
-    fin2 = [(b, 0) if type(e) is float else (b, e) for b, e in pts2] if ess2 else pts2
-    rows = []
-    for b1, e1 in pts1:
-        if type(e1) is float:
-            row = [INF] * len(pts2)
-            for j in ess2:
-                row[j] = abs(b1 - pts2[j][0])
-        else:
-            row = [x if (x := abs(b1 - b2)) > (y := abs(e1 - e2)) else y for b2, e2 in fin2]
-            for j in ess2:
-                row[j] = INF
-        rows.append(row)
-    return rows
-
-
 class _CostTable:
-    """The candidate costs of two bar lists up to the cap, each computed
-    once, and the matching graph with its edges labelled by their costs'
-    ranks.
+    """The matching graph of two bar lists with its edges of cost at most
+    `bound`, each labelled by its cost's rank.
 
-    `keys` are the sorted distinct finite costs at or below the cap, and
-    0 (scaled ints when `_scaled_endpoints` applies, the costs
-    themselves otherwise); a cost's rank is its index in `keys`, and a
-    cost above the cap or infinite has rank `len(keys)`.  `cap` is the
-    rank of the cap, the cost of the cap matching `cap_matching` (the
-    `match_r` of `_max_matching`): the last key's rank.  When the lists
-    hold different numbers of essential bars no matching has a finite
-    cost; then `cap` is `len(keys)` and `cap_matching` is None.
+    `bound` is a number in the bars' own terms; None means the cap.
+    `keys` are the sorted distinct costs at or below the bound, and 0
+    (scaled ints when `_scaled_endpoints` applies, the costs themselves
+    otherwise); a cost's rank is its index in `keys`, and a cost above
+    the bound or infinite has rank `len(keys)`.  `cap` is the rank of
+    the cap, the cost of the cap matching `cap_matching` (the `match_r`
+    of `_max_matching`), and `floor` the rank of the floor; each is
+    `len(keys)` when it lies above the bound.  When the lists hold
+    different numbers of essential bars no matching has a finite cost;
+    then the cap is infinite and `cap_matching` is None.
 
     The graph is Kerber-Morozov-Nigmetov's.  Left vertices are bars1
     (0..n-1) and diagonal copies of bars2 (n..n+m-1); right vertices are
@@ -405,78 +386,160 @@ class _CostTable:
     bar j at their pair cost and its own copy m+i at its half-length;
     copy n+j meets bar j at its half-length and copy m+i at the cost of
     the pair (i, j), which is what the copies of a matched pair pay to
-    meet.  At any delta it has a perfect matching iff the bars admit a
-    delta-matching.  Only the edges of rank at most `cap` are kept, since
-    the graph at rank `cap` already has a perfect matching.  Each
-    vertex's edges are sorted by rank, so the graph at rank k keeps a
-    prefix of every list.  Below rank `floor` some vertex has no edge,
-    so the graph has no perfect matching there.
+    meet.  At any delta up to the bound it has a perfect matching iff
+    the bars admit a delta-matching.  Each vertex's edges are sorted by
+    rank, so the graph at rank k keeps a prefix of every list.  Below
+    rank `floor` some vertex has no edge, so the graph has no perfect
+    matching there.
+
+    The finite bars are sorted by their endpoint on one axis, the one
+    with more distinct values among them: the death for degree-0 Rips
+    bars, which are all born at 0.  `widen` finds the finite pairs
+    within the bound by one window of bars2 per finite bar of bars1,
+    and pairs the essential bars of the two lists in full.
     """
 
-    def __init__(self, bars1, bars2):
+    def __init__(self, bars1, bars2, bound=None):
+        self._prepare(bars1, bars2)
+        if bound is None:
+            bound = self.cap_cost
+        elif self.scale is not None and bound != INF:
+            bound = math.floor(Fraction(bound) * self.scale)
+        self.widen(bound)
+
+    @classmethod
+    def at_floor(cls, bars1, bars2):
+        """The table of the pairs within the floor, the search's first
+        bound."""
+        table = cls.__new__(cls)
+        table._prepare(bars1, bars2)
+        table.widen(table.floor_cost)
+        return table
+
+    def _prepare(self, bars1, bars2):
+        """What no bound changes: the endpoints in the table's arithmetic,
+        the half-lengths, the sorted finite bars, the essential pairs,
+        the cap matching, and the costs of the cap and the floor."""
         n, m = len(bars1), len(bars2)
+        self.n, self.size = n, n + m
         self.bars = list(bars1) + list(bars2)
         scaled = _scaled_endpoints(self.bars)
         if scaled is None:
             self.scale, pts = None, self.bars
-            halves = [_half_length(b) for b in pts]
-            pairs = [[_pair_cost(p1, p2) for p2 in pts[n:]] for p1 in pts[:n]]
+            halves = [INF if _essential(e) else (e - b) / 2 for b, e in pts]
         else:
             self.scale, pts = scaled
             halves = [INF if type(e) is float else (e - b) // 2 for b, e in pts]
-            pairs = _int_pair_costs(pts[:n], pts[n:])
+        self.pts, self.halves = pts, halves
+        essential = [_essential(e) for _, e in pts]
+        fin = [t for t in range(n + m) if not essential[t]]
+        self.axis = axis = int(len({pts[t][1] for t in fin}) > len({pts[t][0] for t in fin}))
+        fin1 = sorted((t for t in fin if t < n), key=lambda t: pts[t][axis])
+        fin2 = sorted((t for t in fin if t >= n), key=lambda t: pts[t][axis])
+        self._fin1, self._fin2 = fin1, fin2
+        self._xs2 = [pts[t][axis] for t in fin2]
+        ess1 = sorted((t for t in range(n) if essential[t]), key=lambda t: pts[t][0])
+        ess2 = sorted((t for t in range(n, n + m) if essential[t]), key=lambda t: pts[t][0])
+        self._ess_pairs = [(i, t, abs(pts[i][0] - pts[t][0])) for i in ess1 for t in ess2]
         # The cap matching: bar i to its copy m+i, copy n+j to bar j, except
         # that the essential bars are paired in birth order, i with j and
         # copy n+j with copy m+i.
-        ess = {t for t, (_, e) in enumerate(self.bars) if _essential(e)}
-        ess1 = sorted((t for t in ess if t < n), key=lambda t: pts[t][0])
-        ess2 = sorted((t - n for t in ess if t >= n), key=lambda j: pts[n + j][0])
         match_r = [n + j for j in range(m)] + list(range(n))
-        for i, j in zip(ess1, ess2):
-            match_r[j], match_r[m + i] = i, n + j
-        costs = [h for t, h in enumerate(halves) if t not in ess]
-        costs += [pairs[i][j] for i, j in zip(ess1, ess2)]
-        cap = max(costs, default=0) if len(ess1) == len(ess2) else INF
-        keys = {0}
-        for row in pairs:
-            keys.update(row)
-        keys.update(halves)
-        keys.discard(INF)
-        self.keys = sorted(c for c in keys if c <= cap)
-        top = len(self.keys)
-        self.cap = top if cap == INF else top - 1
-        self.cap_matching = None if cap == INF else match_r
-        # Every cost above the cap, INF among them, has rank top.  Every
-        # rank is the one int object that `index` holds for it, and every
-        # vertex number the one in `vertex`: the lists below share them
-        # instead of holding a new int per pair.
-        index = dict.fromkeys(keys, top)
-        index.update((c, k) for k, c in enumerate(self.keys))
-        index[INF] = top
-        rank = index.__getitem__
-        self.ranks = [list(map(rank, row)) for row in pairs]
-        self.half_ranks = list(map(rank, halves))
-        del pairs
-        vertex = list(range(n + m))
-        self.size = n + m
-        self._ranks, self._nbrs = [], []
-        for i, row in enumerate(self.ranks):
-            self._add_vertex(row + [self.half_ranks[i]], vertex[:m] + [vertex[m + i]])
-        columns = zip(*self.ranks) if n else [()] * m
-        for j, col in enumerate(columns):
-            self._add_vertex(list(col) + [self.half_ranks[n + j]], vertex[m:] + [vertex[j]])
-        # A right vertex meets the left ones at the ranks its mirror on the
-        # left does (bar j and copy n+j, copy m+i and bar i), so below the
-        # floor some vertex of either side has no edge.
-        self.floor = max((ranks[0] for ranks in self._ranks), default=0)
+        for i, t in zip(ess1, ess2):
+            match_r[t - n], match_r[m + i] = i, t
+        if len(ess1) == len(ess2):
+            costs = [halves[t] for t in fin]
+            costs += [abs(pts[i][0] - pts[t][0]) for i, t in zip(ess1, ess2)]
+            self.cap_cost, self.cap_matching = max(costs, default=0), match_r
+        else:
+            self.cap_cost, self.cap_matching = INF, None
+        # A right vertex's edges cost what its mirror's on the left do (bar
+        # j and copy n+j, copy m+i and bar i), so the floor is the dearest
+        # of the bars' cheapest edges.
+        cheapest = self._cheapest_edges(fin1, fin2, self._xs2)
+        cheapest += self._cheapest_edges(fin2, fin1, [pts[t][axis] for t in fin1])
+        for t, others in [(i, ess2) for i in ess1] + [(t, ess1) for t in ess2]:
+            cheapest.append(min((abs(pts[t][0] - pts[u][0]) for u in others), default=INF))
+        self.floor_cost = max(cheapest, default=0)
 
-    def _add_vertex(self, ranks, nbrs):
-        order = sorted(range(len(ranks)), key=ranks.__getitem__)
-        ranks = list(map(ranks.__getitem__, order))
-        kept = bisect_right(ranks, self.cap)
-        del ranks[kept:], order[kept:]
-        self._ranks.append(ranks)
-        self._nbrs.append(list(map(nbrs.__getitem__, order)))
+    def _cheapest_edges(self, rows, others, xs):
+        """For each finite bar t of `rows`, the cost of its cheapest edge:
+        the least of its half-length and its pair costs with the finite
+        bars `others`, sorted by their endpoints on the axis, `xs`.  The
+        search walks out from t's place in `others`, and each side stops
+        where the computed endpoint difference exceeds the best cost so
+        far: that difference only grows further out, and bounds every
+        pair cost beyond."""
+        pts, axis = self.pts, self.axis
+        out = []
+        for t in rows:
+            p = pts[t]
+            x, best = p[axis], self.halves[t]
+            start = k = bisect_left(xs, x)
+            while k < len(xs) and abs(x - xs[k]) <= best:
+                c = _finite_cost(p, pts[others[k]])
+                if c < best:
+                    best = c
+                k += 1
+            k = start - 1
+            while k >= 0 and abs(x - xs[k]) <= best:
+                c = _finite_cost(p, pts[others[k]])
+                if c < best:
+                    best = c
+                k -= 1
+            out.append(best)
+        return out
+
+    def widen(self, bound):
+        """Rebuild the graph with the edges of cost at most `bound`, given
+        in the table's arithmetic (a scaled int when `scale` is set)."""
+        n, m, pts, axis = self.n, self.size - self.n, self.pts, self.axis
+        xs, fin2 = self._xs2, self._fin2
+        edges = []  # (cost, left vertex, right vertex)
+        for i, t, c in self._ess_pairs:
+            if c <= bound:
+                edges.append((c, i, t - n))
+                edges.append((c, t, m + i))
+        for i in self._fin1:
+            p = pts[i]
+            x = p[axis]
+            lo, hi = bisect_left(xs, x - bound), bisect_right(xs, x + bound)
+            # For floats x - bound and x + bound are rounded.  The computed
+            # |x - x_j| only grows with x_j's distance from x, so each end
+            # walks out while it is within the bound.
+            while lo and abs(x - xs[lo - 1]) <= bound:
+                lo -= 1
+            while hi < len(xs) and abs(x - xs[hi]) <= bound:
+                hi += 1
+            for t in fin2[lo:hi]:
+                c = _finite_cost(p, pts[t])
+                if c <= bound:
+                    edges.append((c, i, t - n))
+                    edges.append((c, t, m + i))
+        for t in self._fin1 + fin2:
+            if self.halves[t] <= bound:
+                edges.append((self.halves[t], t, m + t if t < n else t - n))
+        # Sorted by cost, the edges fill each vertex's list in rank order
+        # and meet the distinct costs in turn.
+        edges.sort()
+        self.bound = bound
+        self.keys = keys = [0]
+        self._ranks = [[] for _ in range(self.size)]
+        self._nbrs = [[] for _ in range(self.size)]
+        half_ranks = [None] * self.size
+        for c, u, v in edges:
+            if c != keys[-1]:
+                keys.append(c)
+            r = len(keys) - 1
+            self._ranks[u].append(r)
+            self._nbrs[u].append(v)
+            if (u < n) == (v >= m):
+                half_ranks[u] = r
+        top = len(keys)
+        self.half_ranks = [top if r is None else r for r in half_ranks]
+        # Each is an edge's cost when it is at most the bound.
+        self.cap = bisect_left(keys, self.cap_cost)
+        self.floor = bisect_left(keys, self.floor_cost)
 
     def adjacency(self, k):
         """The matching graph with the edges of rank at most k."""
@@ -485,27 +548,32 @@ class _CostTable:
 
     def matched_ranks(self, match_r):
         """The rank of each right vertex's edge in the perfect matching
-        `match_r` (as `_max_matching` returns it)."""
-        ranks, halves = self.ranks, self.half_ranks
-        n = len(ranks)
-        m = self.size - n
-        return [(ranks[u][v] if v < m else halves[u]) if u < n else
-                (halves[u] if v < m else ranks[v - m][u - n])
-                for v, u in enumerate(match_r)]
+        `match_r` (as `_max_matching` returns it), `len(keys)` for an
+        edge above the bound."""
+        top = len(self.keys)
+        out = []
+        for v, u in enumerate(match_r):
+            nbrs = self._nbrs[u]
+            out.append(self._ranks[u][nbrs.index(v)] if v in nbrs else top)
+        return out
 
     def value(self, k):
         """The cost of rank k as the bars' own number: the first equal
         cost met in the order 0, pair costs row by row, half-lengths of
-        bars1, then of bars2.  Equal costs of different types
-        (`Fraction(1, 2)` and `0.5`) are told apart only by this order,
-        and the type shows in the JSON reports."""
+        bars1, then of bars2.  Every pair of cost at most the bound is in
+        the graph, so its row order is that of all pairs.  Equal costs of
+        different types (`Fraction(1, 2)` and `0.5`) are told apart only
+        by this order, and the type shows in the JSON reports."""
         if self.keys[k] == 0:
             return 0
-        n = len(self.ranks)
-        for i, row in enumerate(self.ranks):
-            if k in row:
-                return _pair_cost(self.bars[i], self.bars[n + row.index(k)])
-        return _half_length(self.bars[self.half_ranks.index(k)])
+        n, m = self.n, self.size - self.n
+        for i in range(n):
+            js = [v for r, v in zip(self._ranks[i], self._nbrs[i]) if r == k and v < m]
+            if js:
+                b1, b2 = self.bars[i], self.bars[n + min(js)]
+                return abs(b1[0] - b2[0]) if _essential(b1[1]) else _finite_cost(b1, b2)
+        b, e = self.bars[self.half_ranks.index(k)]
+        return (e - b) / 2
 
 
 def _max_matching(adj, size, match_r=None):
@@ -587,31 +655,42 @@ def _bottleneck_degree(bars1, bars2):
         return 0
     if sum(_essential(e) for _, e in bars1) != sum(_essential(e) for _, e in bars2):
         return INF
-    table = _CostTable(bars1, bars2)
-    # The answer is the least rank whose graph has a perfect matching, at
-    # least `table.floor` and at most `table.cap`.  The probes gallop up
-    # from the floor (floor, floor + 1, floor + 3, floor + 7, ...) until
-    # one succeeds, then bisect.  Each probe starts from the last probe's
-    # matching.  After a success `held[v]` is the rank of right vertex
-    # v's matched edge, and the next, lower probe drops the pairs above
-    # it; after a failure `held` is None, and the maximum matching holds
-    # as it is at the next, higher probe.
-    match_r = table.cap_matching
-    held = table.matched_ranks(match_r)
-    lo, hi = table.floor, table.cap
-    mid, step = lo, 1  # step: the gallop's next stride, 0 once a probe succeeded
+    table = _CostTable.at_floor(bars1, bars2)
+    # The answer is the least cost whose graph has a perfect matching, at
+    # least the floor and at most the cap.  The first probes read the
+    # whole graph at their bound: the floor, then twice the last bound
+    # (the least positive half-length after 0), never past the cap, until
+    # one succeeds; the graph only grows, so a failed probe's maximum
+    # matching starts the next one as it is.  The first probe starts from
+    # the cap matching without its edges above the floor.  Then the
+    # probes bisect the ranks of the costs above the last failed bound.
+    # After a success `held[v]` is the rank of right vertex v's matched
+    # edge, and the next, lower probe drops the pairs above it; after a
+    # failure `held` is None, and the maximum matching holds as it is at
+    # the next, higher probe.
+    top = len(table.keys) - 1
+    match_r = [u if r <= top else -1
+               for u, r in zip(table.cap_matching, table.matched_ranks(table.cap_matching))]
+    failed = None
+    while -1 in match_r:
+        matched, match_r = _max_matching(table.adjacency(top), table.size, match_r)
+        if matched < table.size:
+            failed = table.bound
+            grown = 2 * failed if failed else min(
+                (h for h in table.halves if 0 < h <= table.cap_cost), default=table.cap_cost)
+            table.widen(min(grown, table.cap_cost))
+            top = len(table.keys) - 1
+    lo, hi = (top if failed is None else bisect_right(table.keys, failed)), top
+    held = table.matched_ranks(match_r) if lo < hi else None
     while lo < hi:
+        mid = (lo + hi) // 2
         if held is not None:
             match_r = [u if r <= mid else -1 for u, r in zip(match_r, held)]
         matched, match_r = _max_matching(table.adjacency(mid), table.size, match_r)
         if matched == table.size:
-            hi, step = mid, 0
-            held = table.matched_ranks(match_r)
+            hi, held = mid, table.matched_ranks(match_r)
         else:
-            lo = mid + 1
-            held = None
-        mid = min(lo + step - 1, hi - 1) if step else (lo + hi) // 2
-        step *= 2
+            lo, held = mid + 1, None
     return table.value(lo)
 
 

@@ -17,6 +17,13 @@ from psmm.ratlin import RatMatrix
 GRID2 = (Fraction(1), Fraction(2))
 
 
+def near_tie(rng, lo, hi):
+    """k * 0.1 for a k in lo..hi, as a float, sometimes nudged by an ulp
+    or so: the differences of such numbers round to either side of a
+    tenth."""
+    return rng.randint(lo, hi) * 0.1 + rng.choice((0.0, 0.0, 1e-16, -1e-16, 2e-16, 5.5e-17))
+
+
 def module_from_dims(grid, dims, mats, deg=0):
     spaces = [GradedVectorSpace.from_dims({deg: d} if d else {}) for d in dims]
     maps = []
@@ -171,6 +178,18 @@ class TestBottleneck:
         b2 = Barcode.from_dict({0: [(0, Fraction(4), 1)]})
         assert bottleneck(b1, b2).sup == Fraction(2)
 
+    def test_equal_costs_of_two_types_resolve_in_row_order(self):
+        # both bars of b1 are matched at cost 1/2, to a bar with Fraction
+        # ends or to one with float ends: the first pair in row order names
+        # the distance, as in the reference
+        b1 = Barcode.from_dict({0: [(Fraction(0), Fraction(2), 2)]})
+        ends = [(Fraction(1, 2), Fraction(2)), (0.5, 2.0)]
+        for order in (ends, ends[::-1]):
+            b2 = Barcode.from_dict({0: [(b, e, 1) for b, e in order]})
+            got = bottleneck(b1, b2).degree(0)
+            want = oracles.bottleneck_reference(b1.expanded(0), b2.expanded(0))
+            assert got == want == Fraction(1, 2) and type(got) is type(want)
+
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=40, deadline=None)
     def test_against_exhaustive_matching_oracle(self, seed):
@@ -237,31 +256,41 @@ class TestBottleneck:
         # to the reference's choice; all-rational, all-float and mixed
         # barcodes take different arithmetic.  Up to 60 bars a side in
         # degree 0, with equal essential counts or counts one apart.
+        # Two shapes besides the grid: float near ties, whose computed
+        # differences round either side of the costs the windows are cut
+        # at, and degree-0 Rips barcodes (births all 0, one essential bar).
         rng = random.Random(seed)
+        shape = rng.choice(("grid", "grid", "near ties", "degree 0"))
 
         def endpoint(kind, x):
             if kind == "float" or (kind == "mixed" and rng.random() < 0.5):
                 return float(x)
             return x if x.denominator != 1 or rng.random() < 0.5 else int(x)
 
-        def random_bars(kind, essential, size):
-            bars = [(endpoint(kind, Fraction(rng.randint(0, 40), 4)), INF, 1)
-                    for _ in range(essential)]
+        def random_bar(kind, deg):
+            if shape == "near ties":
+                b = near_tie(rng, 0, 40)
+                return b, b + near_tie(rng, 1, 24)
+            b = Fraction(0) if shape == "degree 0" and deg == 0 else \
+                Fraction(rng.randint(0, 40), 4)
+            e = b + Fraction(rng.randint(1, 24), rng.choice((2, 4, 8)))
+            return endpoint(kind, b), endpoint(kind, e)
+
+        def random_bars(kind, deg, essential, size):
+            bars = [(random_bar(kind, deg)[0], INF, 1) for _ in range(essential)]
             count = essential
             while count < size:
-                b = Fraction(rng.randint(0, 40), 4)
-                e = b + Fraction(rng.randint(1, 24), rng.choice((2, 4, 8)))
                 mult = min(rng.choice((1, 1, 1, 2, 3)), size - count)
-                bars.append((endpoint(kind, b), endpoint(kind, e), mult))
+                bars.append(random_bar(kind, deg) + (mult,))
                 count += mult
             return bars
 
         def random_barcode(essentials, sizes):
             kind = rng.choice(("rational", "float", "mixed"))
-            return Barcode.from_dict({d: random_bars(kind, essentials[d], sizes[d])
+            return Barcode.from_dict({d: random_bars(kind, d, essentials[d], sizes[d])
                                       for d in essentials})
 
-        essentials = {0: rng.randint(0, 3), 1: rng.randint(0, 2)}
+        essentials = {0: 1 if shape == "degree 0" else rng.randint(0, 3), 1: rng.randint(0, 2)}
         a = random_barcode(essentials, {0: rng.randint(0, 60), 1: rng.randint(0, 8)})
         if rng.random() < 0.3:
             d = rng.choice((0, 1))
@@ -348,6 +377,114 @@ class TestBottleneck:
         if table.floor:
             below = table.adjacency(table.floor - 1)
             assert _max_matching(below, table.size)[0] < table.size
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=60, deadline=None)
+    def test_cost_table_keeps_the_edges_within_its_bound(self, seed):
+        # The windows find every pair of cost at most the bound and no
+        # other, each edge labelled with its cost's rank, on rational,
+        # float and mixed bars, on float near ties (where a window cut at
+        # the rounded x - bound, x + bound misses pairs) and with every
+        # birth or every death equal (one axis all ties).  The floor is
+        # the dearest of the bars' cheapest edges.
+        rng = random.Random(seed)
+        kind = rng.choice(("rational", "float", "mixed", "near ties"))
+        shape = rng.choice(("free", "births equal", "deaths equal"))
+
+        def number(k):
+            if kind == "near ties":
+                return near_tie(rng, k, k)
+            if kind == "float" or (kind == "mixed" and rng.random() < 0.5):
+                return k / 4
+            return Fraction(k, 4)
+
+        def random_bars(essential):
+            birth = rng.randint(0, 10)
+            first, last = number(birth), number(rng.randint(31, 40))
+            bars = [(number(rng.randint(0, 30)), INF) for _ in range(essential)]
+            for _ in range(rng.randint(0, 14)):
+                if shape == "births equal":
+                    bars.append((first, number(birth + rng.randint(1, 20))))
+                elif shape == "deaths equal":
+                    bars.append((number(rng.randint(0, 30)), last))
+                else:
+                    b = rng.randint(0, 30)
+                    bars.append((number(b), number(b + rng.randint(1, 20))))
+            return bars
+
+        essential = rng.randint(0, 2)
+        bars1 = random_bars(essential)
+        bars2 = random_bars(essential if rng.random() < 0.8 else essential + 1)
+        bars, n, m = bars1 + bars2, len(bars1), len(bars2)
+        if not bars:
+            return
+        cost = {(i, j): oracles._pair_cost(bars1[i], bars2[j]) for i in range(n) for j in range(m)}
+        half = [oracles._half_length(b) for b in bars]
+        finite = [c for c in list(cost.values()) + half if c != INF]
+        bound = rng.choice(finite + [0, INF, number(rng.randint(0, 12))])
+        table = _CostTable(bars1, bars2, bound)
+
+        def edges(k):
+            adj = table.adjacency(k)
+            pairs = {(i, v) for i in range(n) for v in adj[i] if v < m}
+            assert pairs == {(v - m, j) for j in range(m) for v in adj[n + j] if v >= m}
+            halves = {i for i in range(n) if m + i in adj[i]}
+            return pairs, halves | {n + j for j in range(m) if j in adj[n + j]}
+
+        def within(delta):
+            return ({p for p, c in cost.items() if c != INF and c <= delta},
+                    {t for t, h in enumerate(half) if h != INF and h <= delta})
+
+        assert edges(len(table.keys)) == within(bound)
+        values = [table.value(k) for k in range(len(table.keys))]
+        assert values == sorted({0} | {c for c in finite if c <= bound})
+        for k, delta in enumerate(values):
+            assert edges(k) == within(delta)
+        floor = max(min([half[t]] + [cost[t, j] for j in range(m)]) for t in range(n)) \
+            if n else 0
+        floor = max([floor] + [min([half[n + j]] + [cost[i, j] for i in range(n)])
+                               for j in range(m)])
+        if floor <= bound and floor != INF:
+            assert values[table.floor] == floor
+        else:
+            assert table.floor == len(table.keys)
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_large_matches_bisection_over_the_cap_table(self, case):
+        # Barcodes of 300 to 500 bars, too many for the reference: the
+        # search's answer is the least rank of the table at the cap whose
+        # graph has a perfect matching, found by plain bisection from
+        # empty matchings, as the same number of the same type.
+        rng = random.Random(case)
+        size = rng.randint(300, 500)
+        kind = (Fraction, float)[case % 2]
+        if case < 2:
+            # a degree-0 barcode against its perturbation
+            deaths = [rng.randint(20, 400) for _ in range(size - 1)]
+            bars1 = [(kind(0), INF)] + [(kind(0), kind(k) / 40) for k in deaths]
+            bars2 = [(kind(0), INF)] + [(kind(0), kind(k + rng.randint(-8, 8)) / 40)
+                                        for k in deaths]
+        else:
+            # two unrelated barcodes, one with float ends and one with rational ones
+            def random_bars(kind):
+                out = []
+                for _ in range(size):
+                    b = kind(rng.randint(0, 200)) / 40
+                    out.append((b, b + kind(rng.randint(1, 400)) / 40))
+                return out
+            bars1, bars2 = random_bars(kind), random_bars((float, Fraction)[case % 2])
+        table = _CostTable(bars1, bars2)
+        lo, hi = 0, table.cap
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _max_matching(table.adjacency(mid), table.size)[0] == table.size:
+                hi = mid
+            else:
+                lo = mid + 1
+        want = table.value(lo)
+        got = bottleneck(Barcode.from_dict({0: [(b, e, 1) for b, e in bars1]}),
+                         Barcode.from_dict({0: [(b, e, 1) for b, e in bars2]})).degree(0)
+        assert got == want and type(got) is type(want), (got, want)
 
     def test_long_augmenting_path(self):
         # the last vertex's augmenting path runs through all n vertices,

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -50,3 +51,21 @@ def test_circle_experiment_rejects_bad_arguments(args):
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert proc.stderr.startswith("usage: circle_experiment.py")
     assert "barcode" not in proc.stdout
+
+
+def test_bottleneck_scale_smoke():
+    proc = run_script("bottleneck_scale.py", "200")
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = dict(line.split(": ", 1) for line in proc.stdout.splitlines())
+    assert lines["bars"] == "200"
+    assert 0 <= Fraction(lines["distance"]) <= Fraction(1, 5)
+    assert float(lines["seconds"]) >= 0
+    assert lines["ru_maxrss growth"].endswith(" MiB")
+
+
+@pytest.mark.parametrize("args", [(), ("0",), ("-3",), ("2.5",), ("many",), ("5", "extra")])
+def test_bottleneck_scale_rejects_bad_arguments(args):
+    proc = run_script("bottleneck_scale.py", *args)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stderr.startswith("usage: bottleneck_scale.py")
+    assert "distance" not in proc.stdout
