@@ -7,15 +7,17 @@ the global vertex order; the ring is graded-commutative and associative
 after projection to cohomology, and both facts are asserted during
 construction.
 
-Products with a degree-0 factor are read off component labels instead,
-with no cup product and no class solve.  Each H^0 representative is the
-0/1 indicator of one connected component, and the coboundary is
+Everything in degree 0 is read off component labels instead, with no
+cup product and no class solve.  Each H^0 representative is the 0/1
+indicator of one connected component, and the coboundary is
 block-diagonal over components, so every positive-degree representative
 lies in one component.  With each vertex labelled by the H^0 class
 containing it, 1_C . b and b . 1_C are b when b lies in C and 0
-otherwise, and the unit is the sum of the H^0 basis.  The labels are
-checked where they are built: a representative that breaks this raises
-InputError.
+otherwise (`mul_basis`, which stores none of them), and the unit is the
+sum of the H^0 basis.  An induced map sends 1_C to the sum of the small
+components inside C, and its multiplicativity against degree 0 is one
+label lookup per nonzero entry.  The labels are checked where they are
+built: a representative that breaks them raises InputError.
 
 `StageCohomology` computes the kernel mod image of every cochain
 complex in the package.  It eliminates each sparse coboundary once, in
@@ -215,6 +217,8 @@ class CohomologyRing:
 
     `basis[k]` holds the representative cocycle of each degree-k class,
     sparse over simplex indices, or None per class in an abstract ring.
+    `structure` stores products; those with a degree-0 factor only in an
+    abstract ring, as unit entries (a complex-backed ring reads labels).
     Doubles as a formal CDGA (zero differential) for minimal-model
     construction: `dim`, `d_columns`, `mul_basis`, `unit_coords` and
     `trunc` (with `zero_differential` set) make up the finite-CDGA
@@ -294,7 +298,7 @@ class CohomologyRing:
             return
         self.ensure_degree(p + q)
         if p == 0 or q == 0:
-            self._degree0_structure(p, q)
+            self._components(p + q)  # mul_basis reads these products off it
             return
         for i, ci in enumerate(self.basis[p]):
             for j, cj in enumerate(self.basis[q]):
@@ -305,17 +309,6 @@ class CohomologyRing:
                     continue
                 prod = cup_product(self.engine.cx, ci, p, cj, q)
                 self.structure[(p, i, q, j)] = self.engine.class_of(p + q, prod)
-
-    def _degree0_structure(self, p: int, q: int):
-        """Products with a degree-0 factor, from component labels: the
-        H^0 rep i is the indicator 1_C of a vertex set C, so 1_C . b and
-        b . 1_C are b when b's support lies in C and 0 otherwise."""
-        k = p + q
-        comps = self._components(k)
-        for i in range(self.dim(0)):
-            for j, c in enumerate(comps):
-                key = (0, i, k, j) if p == 0 else (k, j, 0, i)
-                self.structure[key] = {j: _ONE} if c == i else {}
 
     def _vertex_labels(self) -> list:
         """The index of the H^0 rep holding each vertex.  Checks what the
@@ -358,9 +351,11 @@ class CohomologyRing:
     # -- ring axioms -----------------------------------------------------
 
     def _check_ring_axioms(self, through: int):
-        # graded commutativity with exact Koszul signs
-        for p in range(through + 1):
-            for q in range(through + 1 - p):
+        # graded commutativity with exact Koszul signs; the label rule
+        # for degree 0 is symmetric, its invariants checked by _components
+        low = 0 if self.engine is None else 1
+        for p in range(low, through + 1):
+            for q in range(low, through + 1 - p):
                 sign = -1 if (p % 2 and q % 2) else 1
                 for i in range(self.dim(p)):
                     for j in range(self.dim(q)):
@@ -403,6 +398,10 @@ class CohomologyRing:
             return {}
         self.ensure_degree(p)
         self.ensure_degree(q)
+        if self.engine is not None and (p == 0 or q == 0):
+            # 1_C . b and b . 1_C are b when b lies in C, else 0
+            c, k, b = (i, q, j) if p == 0 else (j, p, i)
+            return {b: _ONE} if self._components(k)[b] == c else {}
         key = (p, i, q, j)
         if key not in self.structure:
             if self.engine is not None:
@@ -438,15 +437,13 @@ class CohomologyRing:
         core.basis = dict(self.basis)
         core.basis[0] = [{i: _ONE for i in range(self.engine.n_cochains(0))}]
         core._materialized = set(self._materialized) | {0}
-        for (p, i, q, j), v in self.structure.items():
-            if p >= 1 and q >= 1:
-                core.structure[(p, i, q, j)] = dict(v)
+        core.structure = dict(self.structure)  # products of positive degrees
         return core
 
     def core_key(self, through: int) -> tuple:
         """Hashable data on which the minimal model of this unital core
         through degree `through` depends: dim(k) for k <= through, every
-        stored structure constant with both degrees >= 1, and
+        stored structure constant (both degrees >= 1), and
         dim(through + 1) only when that degree is already materialized.
 
         dim(through + 1) is never called here, since on a large stage
@@ -461,8 +458,7 @@ class CohomologyRing:
         dims = tuple(self.dim(k) for k in range(through + 1))
         top_dim = self.dim(top) if top in self._materialized else None
         products = tuple(sorted((key, tuple(sorted(v.items())))
-                                for key, v in self.structure.items()
-                                if key[0] >= 1 and key[2] >= 1))
+                                for key, v in self.structure.items()))
         return dims, top_dim, products
 
 
@@ -537,6 +533,11 @@ def induced_ring_map(ring_small: CohomologyRing, ring_big: CohomologyRing,
                      max_deg: Optional[int] = None) -> GradedLinearMap:
     """Map H*(big stage) -> H*(small stage) induced by the inclusion of
     the small stage, by restricting representative cocycles.
+
+    The H^0 block is read off the labels (`_h0_columns`): restricted,
+    1_C is the sum of the small components inside C.  A small component
+    meeting two big ones, or one and a vertex outside the big stage,
+    restricts to no cocycle and raises InputError, as `class_of` would.
     """
     if ring_small.engine is None or ring_big.engine is None:
         raise InputError("induced maps need complex-backed rings")
@@ -549,16 +550,19 @@ def induced_ring_map(ring_small: CohomologyRing, ring_big: CohomologyRing,
         ns = ring_small.dim(k)
         if nb == 0 or ns == 0:
             continue
-        small_index = small.cx.index(k)
-        big_simplices = big.cx.dim_simplices(k)
-        cols = []
-        for rep in ring_big.basis[k]:
-            restricted = {}
-            for bi, c in rep.items():
-                si = small_index.get(big_simplices[bi])
-                if si is not None:
-                    restricted[si] = c
-            cols.append(small.class_of(k, restricted))
+        if k == 0:
+            cols = _h0_columns(ring_small, ring_big)
+        else:
+            small_index = small.cx.index(k)
+            big_simplices = big.cx.dim_simplices(k)
+            cols = []
+            for rep in ring_big.basis[k]:
+                restricted = {}
+                for bi, c in rep.items():
+                    si = small_index.get(big_simplices[bi])
+                    if si is not None:
+                        restricted[si] = c
+                cols.append(small.class_of(k, restricted))
         m = RatMatrix.from_columns(cols, rows=ns)
         if not m.is_zero():
             mats[k] = m
@@ -567,11 +571,47 @@ def induced_ring_map(ring_small: CohomologyRing, ring_big: CohomologyRing,
     return out
 
 
+def _h0_columns(ring_small: CohomologyRing, ring_big: CohomologyRing) -> list:
+    """Per big component, the 0/1 column of the small components whose
+    vertices it holds."""
+    big_labels = ring_big._vertex_labels()
+    big_index = ring_big.engine.cx.index(0)
+    owner = {}  # small component -> big component, None outside the big stage
+    for vertex, s in zip(ring_small.engine.cx.dim_simplices(0), ring_small._vertex_labels()):
+        bv = big_index.get(vertex)
+        c = None if bv is None else big_labels[bv]
+        if owner.setdefault(s, c) != c:
+            raise InputError("a component of the small stage is split in the big stage")
+    cols = [{} for _ in range(ring_big.dim(0))]
+    for s, c in owner.items():
+        if c is not None:
+            cols[c][s] = _ONE
+    return cols
+
+
 def _verify_multiplicative(f: GradedLinearMap, ring_small: CohomologyRing,
                            ring_big: CohomologyRing, hi: int):
+    """Check f(a . b) = f(a) . f(b) on basis pairs of degrees p + q <= hi,
+    bilinearly where both degrees are >= 1.  With 1_C . b = b for b in C
+    and 0 otherwise, in either ring, the pairs with a degree-0 factor say
+    exactly: the H^0 columns are 0/1 with disjoint supports (1_C
+    idempotent, 1_C . 1_D = 0), and each small class in f(b), b in C,
+    lies in a small component of f(1_C)'s support."""
     cols = [f.matrix(k).sparse_columns() for k in range(hi + 1)]
-    for p in range(hi + 1):
-        for q in range(hi + 1 - p):
+    owner = {}  # small component -> the big component whose image holds it
+    for c, col in enumerate(cols[0]):
+        for s, v in col.items():
+            if v != 1 or s in owner:
+                raise InputError(
+                    f"induced map not multiplicative at (0,{owner.get(s, c)})x(0,{c})")
+            owner[s] = c
+    for k in range(1, hi + 1):
+        comps = ring_small._components(k)
+        for j, (col, c) in enumerate(zip(cols[k], ring_big._components(k))):
+            if any(owner.get(comps[t]) != c for t in col):
+                raise InputError(f"induced map not multiplicative at (0,{c})x({k},{j})")
+    for p in range(1, hi + 1):
+        for q in range(1, hi + 1 - p):
             for i in range(ring_big.dim(p)):
                 for j in range(ring_big.dim(q)):
                     lhs = combine((c, cols[p + q][t])

@@ -625,8 +625,8 @@ def _max_matching(adj, size, match_r=None):
             while stack:
                 u = stack[-1]
                 nbrs, i, d = adj[u], pos[u], dist[u]
-                v = -1
-                while i < len(nbrs):
+                end, v = len(nbrs), -1
+                while i < end:
                     x = nbrs[i]
                     i += 1
                     w = match_r[x]

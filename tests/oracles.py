@@ -8,7 +8,10 @@ cohomology engine's former kernel-mod-image algorithm;
 the general cone-apex search the enclosing radius is checked against;
 the elimination engine's former `Fraction` arithmetic; dense
 coboundary matrices; ring structure constants by the former cup route
-(every pair of representatives multiplied and solved for); the bottleneck distance's former algorithm; and
+(every pair of representatives multiplied and solved for); induced
+maps by the former restriction route (every representative restricted
+and solved for) and the former bilinear multiplicativity check over
+every pair of degrees; the bottleneck distance's former algorithm; and
 the Gromov-Hausdorff distance by the package's former bisection and by
 exhaustive search over pairs of maps.  All deliberately share no code
 with the package: this module imports nothing from `psmm`.
@@ -403,6 +406,45 @@ def cup_route_ring(cx, reps, class_of, max_deg):
     one = {v: Fraction(1) for v in range(len(cx.dim_simplices(0)))}
     coords = class_of(0, one)
     return structure, [coords.get(i, 0) for i in range(len(reps.get(0, ())))]
+
+
+def restriction_route_columns(small_cx, big_cx, reps, class_of, k):
+    """Degree-k columns of the map induced by including small_cx in
+    big_cx: each big representative (reps, sparse over big_cx's
+    k-simplices) restricted to small_cx's k-simplices and put into
+    class coordinates by the small stage's class_of(k, cochain)."""
+    small_index = {s: i for i, s in enumerate(small_cx.dim_simplices(k))}
+    big = big_cx.dim_simplices(k)
+    return [class_of(k, {small_index[big[b]]: c for b, c in rep.items()
+                         if big[b] in small_index})
+            for rep in reps]
+
+
+def bilinear_multiplicative(cols, ring_small, ring_big, hi) -> bool:
+    """Is f(a.b) = f(a).f(b) for every pair of big basis classes of
+    degrees p + q <= hi, degree 0 included?  f's degree-k block is given
+    as sparse columns cols[k]; products come from the rings'
+    `mul_basis`."""
+    def add(out, c, vec):
+        for t, v in vec.items():
+            out[t] = out.get(t, 0) + c * v
+
+    def nonzero(vec):
+        return {t: v for t, v in vec.items() if v}
+
+    for p in range(hi + 1):
+        for q in range(hi + 1 - p):
+            for i in range(ring_big.dim(p)):
+                for j in range(ring_big.dim(q)):
+                    lhs, rhs = {}, {}
+                    for t, c in ring_big.mul_basis(p, i, q, j).items():
+                        add(lhs, c, cols[p + q][t])
+                    for s, a in cols[p][i].items():
+                        for t, b in cols[q][j].items():
+                            add(rhs, a * b, ring_small.mul_basis(p, s, q, t))
+                    if nonzero(lhs) != nonzero(rhs):
+                        return False
+    return True
 
 
 def _pair_cost(b1, b2):

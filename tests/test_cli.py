@@ -464,3 +464,11 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["gh"] == "0"
+
+    def test_package_invocation(self):
+        src = str(Path(psmm.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "psmm", "--help"],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: psmm ")

@@ -12,12 +12,15 @@ from helpers import cohomology_ring
 from psmm.cohomology import (
     CohomologyRing,
     StageCohomology,
+    _h0_columns,
+    _verify_multiplicative,
     coboundary_columns,
     cup_product,
     induced_ring_map,
 )
 from psmm.config import Config
 from psmm.errors import InputError
+from psmm.gvec import GradedLinearMap
 from psmm.metric import (
     build_filtration,
     complex_from_simplices,
@@ -258,15 +261,23 @@ class TestDegreeZeroProducts:
     @given(multi_component_complexes())
     @settings(max_examples=80, deadline=None)
     def test_labels_match_cup_route(self, cx):
-        """Every structure constant and the unit of a complex-backed
-        ring, and the degree-0 products of its unital core, equal the
-        cup route's."""
+        """Every product of basis classes of a complex-backed ring, the
+        degree-0 ones read off the labels, its unit, and the degree-0
+        products of its unital core equal the cup route's; the ring
+        stores only products of positive degrees."""
         max_deg = 3
         ring = CohomologyRing.from_complex(cx, max_deg)
         eng = ring.engine
         reps = {k: eng.h_reps(k) for k in range(max_deg + 1) if eng.h_reps(k)}
         structure, unit = oracles.cup_route_ring(cx, reps, eng.class_of, max_deg)
-        assert ring.structure == structure
+        keys = {(p, i, q, j) for p in range(max_deg + 1) for q in range(max_deg + 1 - p)
+                for i in range(ring.dim(p)) for j in range(ring.dim(q))}
+        assert keys == set(structure)
+        for key, val in structure.items():
+            got = ring.mul_basis(*key)
+            assert got == val and all(type(v) is Fraction for v in got.values())
+        assert all(p and q and structure[(p, i, q, j)] == val
+                   for (p, i, q, j), val in ring.structure.items())
         assert ring.unit_coords() == unit
         assert all(type(v) is Fraction for v in ring.unit_coords())
         core = ring.unital_core()
@@ -294,6 +305,131 @@ class TestDegreeZeroProducts:
         ring.ensure_degree(0)
         with pytest.raises(InputError, match="invariant breach"):
             ring.ensure_degree(1)
+
+
+def corrupted_columns(cols, rng):
+    """A copy of an induced map's sparse columns with one entry set to a
+    random value, or two columns of one degree swapped."""
+    cols = [[dict(c) for c in block] for block in cols]
+    k = rng.choice([k for k, block in enumerate(cols) if block])
+    block = cols[k]
+    if len(block) > 1 and rng.random() < 0.25:
+        a, b = rng.sample(range(len(block)), 2)
+        block[a], block[b] = block[b], block[a]
+        return cols
+    rows = {t for c in block for t in c} | {rng.randint(0, 3)}
+    col, t = rng.choice(block), rng.choice(sorted(rows))
+    col[t] = rng.choice([0, 1, 1, 2, -1, Fraction(1, 2)])
+    return cols
+
+
+def linear_map(cols, ring_small, ring_big, hi):
+    """The graded map with the given sparse columns (None if a row index
+    lies outside the small ring's degree)."""
+    mats = {}
+    for k, block in enumerate(cols):
+        ns = ring_small.dim(k)
+        if any(t >= ns for c in block for t in c):
+            return None
+        if block:
+            mats[k] = RatMatrix.from_columns(block, rows=ns)
+    return GradedLinearMap(ring_big.space(hi), ring_small.space(hi), mats)
+
+
+def multiplicative(f, ring_small, ring_big, hi) -> bool:
+    try:
+        _verify_multiplicative(f, ring_small, ring_big, hi)
+    except InputError:
+        return False
+    return True
+
+
+def map_columns(f, hi):
+    return [f.matrix(k).sparse_columns() for k in range(hi + 1)]
+
+
+def h0_route(small_ring, big_ring):
+    """(columns, None) of the H^0 block by the restriction route, or
+    (None, the InputError it raised)."""
+    try:
+        return oracles.restriction_route_columns(
+            small_ring.engine.cx, big_ring.engine.cx, big_ring.basis[0],
+            small_ring.engine.class_of, 0), None
+    except InputError as e:
+        return None, e
+
+
+def two_triangles():
+    return complex_from_simplices(6, [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]])
+
+
+class TestDegreeZeroInducedMaps:
+    @given(multi_component_complexes(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_labels_match_restriction_route(self, cx, data):
+        """For a random subcomplex on the same vertices, the H^0 block
+        read off the labels equals the restriction route's, and so does
+        the map on pairs the route refuses: the subcomplex as the big
+        stage, or with extra vertices the big stage lacks.  The
+        degree-0 multiplicativity check agrees with the bilinear loop
+        on the true map and on corrupted copies of it."""
+        rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+        n, hi = cx.n_vertices, 2
+        faces = [s for d, group in cx.simplices.items() if d for s in group
+                 if rng.random() < 0.6]
+        sub = complex_from_simplices(n, faces)
+        big, small = (CohomologyRing.from_complex(c, hi) for c in (cx, sub))
+        f = induced_ring_map(small, big, hi)
+        assert f.matrix(0).sparse_columns() == h0_route(small, big)[0]
+        cols = map_columns(f, hi)
+        assert oracles.bilinear_multiplicative(cols, small, big, hi)
+        for _ in range(8):
+            g = linear_map(corrupted_columns(cols, rng), small, big, hi)
+            if g is not None:
+                assert multiplicative(g, small, big, hi) == \
+                    oracles.bilinear_multiplicative(map_columns(g, hi), small, big, hi)
+        extra = rng.randint(1, 3)
+        ties = [[n + e, rng.randrange(n + e)] for e in range(extra) if rng.random() < 0.5]
+        odd_pairs = [(big, small),
+                     (CohomologyRing.from_complex(complex_from_simplices(
+                         n + extra, faces + ties), hi), big)]
+        for s_ring, b_ring in odd_pairs:
+            want, error = h0_route(s_ring, b_ring)
+            if error is None:
+                assert _h0_columns(s_ring, b_ring) == want
+            else:
+                with pytest.raises(InputError):
+                    _h0_columns(s_ring, b_ring)
+
+    @pytest.mark.parametrize("case", ["entry of 2", "under two components",
+                                      "degree 1 on another component"])
+    def test_corrupted_map_raises(self, case):
+        """Each corruption of the identity on two disjoint hollow
+        triangles fails the induced-map check and the bilinear loop."""
+        ring = CohomologyRing.from_complex(two_triangles(), 2)
+        cols = map_columns(induced_ring_map(ring, ring, 2), 2)
+        assert ring.dim(0) == ring.dim(1) == 2
+        if case == "entry of 2":
+            cols[0][0] = {0: Fraction(2)}
+        elif case == "under two components":
+            cols[0][1] = {0: Fraction(1), 1: Fraction(1)}
+        else:
+            cols[1] = cols[1][::-1]
+        f = linear_map(cols, ring, ring, 2)
+        assert not oracles.bilinear_multiplicative(cols, ring, ring, 2)
+        with pytest.raises(InputError, match="not multiplicative"):
+            _verify_multiplicative(f, ring, ring, 2)
+
+    @pytest.mark.parametrize("small_faces, big_faces", [
+        ((3, [[0, 1]]), (3, [[1, 2]])),               # {0, 1} split in the big stage
+        ((4, [[0, 3]]), (3, [[0, 1], [1, 2]])),       # vertex 3 missing from it
+    ])
+    def test_split_small_component_raises(self, small_faces, big_faces):
+        small, big = (CohomologyRing.from_complex(complex_from_simplices(*faces), 1)
+                      for faces in (small_faces, big_faces))
+        assert h0_route(small, big)[1] is not None
+        with pytest.raises(InputError):
+            induced_ring_map(small, big)
 
 
 class TestCupProduct:
@@ -385,6 +521,14 @@ class TestCohomologyRing:
                 {0: ["one"], 1: ["x", "y"], 2: ["z"]},
                 {(1, 0, 1, 1): {0: 1}, (1, 1, 1, 0): {0: 1}},
             )
+
+    def test_abstract_ring_unit_entries(self):
+        # an abstract ring stores its unit products, and a one-sided
+        # change to one of them breaks graded commutativity
+        ring = CohomologyRing.from_data(1, {0: ["one"], 1: ["x"]}, {})
+        assert ring.structure[(0, 0, 1, 0)] == ring.structure[(1, 0, 0, 0)] == {0: 1}
+        with pytest.raises(InputError, match="commutativity"):
+            CohomologyRing.from_data(1, {0: ["one"], 1: ["x"]}, {(0, 0, 1, 0): {0: 2}})
 
     def test_abstract_ring_associativity_checked(self):
         # Q[a]/(a^4), |a| = 2, on the scaled basis a, u = a^2/2, w = a^3/6:
