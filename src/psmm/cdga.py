@@ -3,7 +3,9 @@
 Monomials in named generators (degrees >= 1) are kept in a canonical
 form: generator indices sorted by (degree, name), odd generators at
 most once, Koszul signs normalized away during sorting.  Polynomials
-are sparse dicts {monomial: Fraction}.
+are sparse dicts {monomial: Fraction}; a homogeneous one has sparse
+coordinates {monomial index: Fraction} in its degree's basis
+(`poly_to_vec`), the one vector format of the package.
 
 Degree bases are materialized through an explicit truncation degree;
 symbolic polynomial arithmetic (multiplication, Leibniz differential,
@@ -18,7 +20,7 @@ from typing import Optional, Sequence
 from .cohomology import StageCohomology, mul_elements
 from .errors import DimensionMismatch, InputError, TruncationError
 from .gvec import GradedLinearMap, GradedVectorSpace
-from .ratlin import RatMatrix, combine, to_dense, to_sparse
+from .ratlin import RatMatrix, combine
 from .util import json_int
 
 Monomial = tuple  # sorted generator indices
@@ -165,21 +167,9 @@ class SullivanAlgebra:
         return out
 
     def _canon_poly(self, terms) -> Poly:
-        """Accepts {'coeff','monomial'} dicts, (coeff, names) pairs, or an
-        already-canonical {index-tuple: Fraction} dict."""
-        if isinstance(terms, dict):
-            out: Poly = {}
-            for m, c in terms.items():
-                idxs = [self.index[g] if isinstance(g, str) else g for g in m]
-                res = self.sort_monomial(idxs)
-                if res is None:
-                    raise InputError(f"odd generator squared in monomial {m}")
-                mono, sign = res
-                c = sign * Fraction(c)
-                if c != 0:
-                    out[mono] = out.get(mono, Fraction(0)) + c
-            return {m: c for m, c in out.items() if c != 0}
-        out = {}
+        """The polynomial of a list of terms, each a {'coeff', 'monomial'}
+        dict or a (coeff, names) pair."""
+        out: Poly = {}
         for term in terms:
             try:
                 coeff, names = ((term["coeff"], term["monomial"]) if isinstance(term, dict)
@@ -241,15 +231,14 @@ class SullivanAlgebra:
         self._mono_index[deg] = {m: i for i, m in enumerate(out)}
         return out
 
-    def poly_to_vec(self, p: Poly, deg: int) -> list:
+    def poly_to_vec(self, p: Poly, deg: int) -> dict:
+        """Sparse coordinates {monomial index: coeff} of a polynomial of
+        degree deg."""
         self.monomials(deg)
         idx = self._mono_index[deg]
-        vec = [Fraction(0)] * len(idx)
-        for m, c in p.items():
-            if self.monomial_degree(m) != deg:
-                raise DimensionMismatch("inhomogeneous polynomial")
-            vec[idx[m]] = c
-        return vec
+        if any(self.monomial_degree(m) != deg for m in p):
+            raise DimensionMismatch("inhomogeneous polynomial")
+        return {idx[m]: c for m, c in p.items()}
 
     # -- finite-CDGA interface -------------------------------------------
 
@@ -280,8 +269,8 @@ class SullivanAlgebra:
         self.monomials(p + q)
         return {self._mono_index[p + q][r[0]]: Fraction(r[1])}
 
-    def unit_coords(self) -> list:
-        return [Fraction(1)]
+    def unit_coords(self) -> dict:
+        return {0: Fraction(1)}
 
     # -- linear part and minimality ----------------------------------------
 
@@ -342,7 +331,7 @@ def image_of_monomial(source: SullivanAlgebra, target, images, m: Monomial) -> d
     algebra map phi sending generator g to the sparse coordinate vector
     images[g]: the images of m's generators multiplied left to right."""
     if not m:
-        return to_sparse(target.unit_coords())
+        return target.unit_coords()
     acc, deg = images[m[0]], source.degrees[m[0]]
     for g in m[1:]:
         if not acc:
@@ -356,28 +345,24 @@ class CDGAMorphism:
     """Degree-preserving algebra map from a Sullivan algebra into any
     finite CDGA (another Sullivan algebra or a cohomology ring).
 
-    Images are coordinate vectors in the target's degree basis, one per
-    source generator, kept dense in `images` and sparse in
-    `sparse_images`; monomial images are folded out of products in the
-    target and cached as sparse columns, which `matrix` and `apply_vec`
-    read.
+    `images` holds one sparse coordinate dict {basis index: Fraction}
+    per source generator, in the target's basis of the generator's
+    degree; monomial images are folded out of products in the target
+    and cached as sparse columns, which `matrix` and `apply_vec` read.
     """
 
-    def __init__(self, source: SullivanAlgebra, target, images: Sequence,
+    def __init__(self, source: SullivanAlgebra, target, images: Sequence[dict],
                  check: bool = True):
         self.source = source
         self.target = target
         if len(images) != len(source.generators):
             raise InputError("one image per generator required")
-        self.images = []
         for i, vec in enumerate(images):
             d = source.degrees[i]
-            vec = [x if type(x) is Fraction else Fraction(x) for x in vec]
-            if len(vec) != target.dim(d):
+            if vec and (min(vec) < 0 or max(vec) >= target.dim(d)):
                 raise DimensionMismatch(
-                    f"image of {source.names[i]} has wrong length at degree {d}")
-            self.images.append(vec)
-        self.sparse_images = [to_sparse(vec) for vec in self.images]
+                    f"image of {source.names[i]} has an index out of range at degree {d}")
+        self.images = list(images)
         self._mono_image: dict = {}
         self._mats: dict[int, RatMatrix] = {}
         if check:
@@ -390,7 +375,7 @@ class CDGAMorphism:
         """Sparse coords of phi(m) in the target basis of its degree."""
         if m not in self._mono_image:
             self._mono_image[m] = image_of_monomial(self.source, self.target,
-                                                    self.sparse_images, m)
+                                                    self.images, m)
         return self._mono_image[m]
 
     def matrix(self, k: int) -> RatMatrix:
@@ -422,10 +407,7 @@ class CDGAMorphism:
         """self o inner, where inner's target is self's source."""
         if inner.target is not self.source:
             raise InputError("composition mismatch")
-        images = []
-        for i, d in enumerate(inner.source.degrees):
-            images.append(to_dense(self.apply_vec(d, inner.sparse_images[i]),
-                                   self.target.dim(d)))
+        images = [self.apply_vec(d, vec) for vec, d in zip(inner.images, inner.source.degrees)]
         return CDGAMorphism(inner.source, self.target, images, check=False)
 
 
@@ -444,7 +426,7 @@ def linear_part_map(phi: CDGAMorphism) -> GradedLinearMap:
         for d, idxs in src_by_deg.items():
             pos = {g: r for r, g in enumerate(by_deg.get(d, []))}
             mono = phi.target.monomials(d)
-            cols = [{pos[mono[t][0]]: c for t, c in phi.sparse_images[i].items()
+            cols = [{pos[mono[t][0]]: c for t, c in phi.images[i].items()
                      if len(mono[t]) == 1} for i in idxs]
             m = RatMatrix.from_columns(cols, rows=len(pos))
             if not m.is_zero():

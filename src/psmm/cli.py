@@ -20,12 +20,12 @@ from .errors import CapExceeded, InputError, LiftError, TruncationError
 from .metric import gh_bruteforce, load_metric
 from .minmodel import minimal_model
 from .pipeline import (
+    _as_psm,
     barcodes_from_json,
     bounds_report,
     h_barcode,
+    minimal_model_to_json,
     persistent_cdga_from_json,
-    persistent_model,
-    persistent_model_from_cdgas,
     psm_to_json,
     v_barcode,
 )
@@ -90,22 +90,18 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def _load_comparand(path: str, cfg: Config):
+    """The metric space or persistent CDGA in a file; a model dump, which
+    also has `stages`, is neither."""
     data = _read_json(path)
     if "points" in data or "distance_matrix" in data:
         return load_metric(data)
-    if "stages" in data:
+    if "stages" in data and data.get("format") != "psmm-model":
         return persistent_cdga_from_json(data, min_trunc=cfg.max_degree + 2)
     raise InputError(f"{path}: expected a metric space or a persistent CDGA")
 
 
 def _build_psm(path: str, cfg: Config):
-    data = _read_json(path)
-    if "points" in data or "distance_matrix" in data:
-        return persistent_model(load_metric(data), cfg)
-    if "stages" in data and data.get("format") != "psmm-model":
-        pc = persistent_cdga_from_json(data, min_trunc=cfg.max_degree + 2)
-        return persistent_model_from_cdgas(pc, cfg)
-    raise InputError(f"{path}: expected a metric space or a persistent CDGA")
+    return _as_psm(_load_comparand(path, cfg), cfg)
 
 
 def cmd_model(args) -> int:
@@ -168,18 +164,8 @@ def cmd_minimal_model(args) -> int:
         raise InputError(f"{args.input}: expected a 'generators' list or a "
                          "'cohomology_ring' object")
     mm = minimal_model(alg, cfg.max_degree, cfg.deg1_cap)
-    out = {
-        "format": "psmm-minimal-model",
-        "model": mm.model.dump(),
-        "rho": {
-            name: [num_to_json(c) for c in mm.rho.images[i]]
-            for i, (name, _) in enumerate(mm.model.generators)
-        },
-        "verification": mm.report,
-        "is_minimal": mm.model.is_minimal(),
-        "deg1_converged": mm.deg1_converged,
-    }
-    _emit(out, args.output)
+    _emit({"format": "psmm-minimal-model", "is_minimal": mm.model.is_minimal(),
+           **minimal_model_to_json(mm)}, args.output)
     if not mm.deg1_converged:
         print("warning: degree-1 construction did not converge", file=sys.stderr)
         return EXIT_DEG1

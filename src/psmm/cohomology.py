@@ -29,12 +29,12 @@ pass.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import InputError, TruncationError
 from .gvec import GradedLinearMap, GradedVectorSpace
 from .metric import SimplicialComplex
-from .ratlin import ColumnReducer, RatMatrix, combine, to_dense
+from .ratlin import ColumnReducer, RatMatrix, combine
 from .util import json_int
 
 _ONE = Fraction(1)
@@ -55,29 +55,24 @@ def coboundary_columns(cx: SimplicialComplex, p: int):
     return cols, len(upper)
 
 
-def cup_product(cx: SimplicialComplex, a, p: int, b, q: int):
+def cup_product(cx: SimplicialComplex, a: dict, p: int, b: dict, q: int) -> dict:
     """Alexander-Whitney product of cochains: front face times back face.
 
-    Cochains are dicts over simplex indices or dense sequences over the
-    ordered simplices of their degree; the result matches the input
-    style of `a`.
+    Cochains are sparse {simplex index: Fraction} dicts over the ordered
+    simplices of their degree, and so is the product.
     """
-    sa = a if isinstance(a, dict) else {i: Fraction(v) for i, v in enumerate(a) if v}
-    sb = b if isinstance(b, dict) else {i: Fraction(v) for i, v in enumerate(b) if v}
     ip = cx.index(p)
     iq = cx.index(q)
     out = {}
     for idx, s in enumerate(cx.dim_simplices(p + q)):
-        va = sa.get(ip.get(s[: p + 1], -1))
+        va = a.get(ip.get(s[: p + 1], -1))
         if not va:
             continue
-        vb = sb.get(iq.get(s[p:], -1))
+        vb = b.get(iq.get(s[p:], -1))
         if not vb:
             continue
         out[idx] = va * vb
-    if isinstance(a, dict):
-        return out
-    return to_dense(out, len(cx.dim_simplices(p + q)))
+    return out
 
 
 class StageCohomology:
@@ -187,11 +182,10 @@ class StageCohomology:
             self._class_red[k] = red
         return self._class_red[k]
 
-    def class_of(self, k: int, cochain) -> dict:
-        """Coordinates of a cocycle's class in the chosen H^k basis, as a
-        sparse dict {rep index: Fraction} sorted by index with no zeros;
-        the cocycle is a sparse dict or a dense sequence.  `to_dense(...,
-        h_dim(k))` gives the coordinate vector."""
+    def class_of(self, k: int, cochain: dict) -> dict:
+        """Coordinates of the class of a sparse cocycle in the chosen H^k
+        basis, as a sparse dict {rep index: Fraction} sorted by index
+        with no zeros."""
         if self.h_dim(k) == 0:
             return {}
         sol = self._class_reducer(k).solve(cochain)
@@ -223,7 +217,8 @@ class CohomologyRing:
     construction: `dim`, `d_columns`, `mul_basis`, `unit_coords` and
     `trunc` (with `zero_differential` set) make up the finite-CDGA
     interface shared with Sullivan algebras.  Its differential is the
-    zero column per basis class, with row count 0.
+    zero column per basis class, with row count 0, and its unit is the
+    sparse coordinate dict of 1 in the H^0 basis.
     """
 
     zero_differential = True
@@ -235,7 +230,6 @@ class CohomologyRing:
         self.basis: dict[int, list] = {}
         self.structure: dict[tuple, dict] = {}
         self._materialized: set = set()
-        self._unit: Optional[list] = None
         self._labels: Optional[list] = None
         self._comps: dict[int, list] = {}
 
@@ -252,21 +246,18 @@ class CohomologyRing:
         return ring
 
     @staticmethod
-    def from_data(max_deg: int, labels: dict, structure: dict,
-                  unit: Optional[Sequence] = None) -> "CohomologyRing":
+    def from_data(max_deg: int, labels: dict, structure: dict) -> "CohomologyRing":
         """Abstract ring: labels maps degree -> list of class names, of
         which only the count is kept; structure maps (p, i, q, j) ->
-        {index: coeff} in degree p+q."""
+        {index: coeff} in degree p+q.  H^0 is Q, spanned by the unit."""
         ring = CohomologyRing(max_deg)
         for k, names in labels.items():
             ring.basis[k] = [None] * len(names)
         for key, val in structure.items():
             ring.structure[tuple(key)] = {i: Fraction(c) for i, c in val.items() if c}
         ring._materialized = set(range(max_deg + 1))
-        n0 = len(ring.basis.get(0, ()))
-        if n0 != 1 or (unit is not None and list(unit) != [1]):
+        if len(ring.basis.get(0, ())) != 1:
             raise InputError("abstract rings must have H^0 = Q with the unit as basis")
-        ring._unit = [Fraction(1)]
         for p in range(ring.max_deg + 1):
             for i in range(len(ring.basis.get(p, ()))):
                 ring.structure.setdefault((0, 0, p, i), {i: Fraction(1)})
@@ -410,14 +401,12 @@ class CohomologyRing:
                 return {}
         return dict(self.structure.get(key, {}))
 
-    def unit_coords(self) -> list:
-        if self.engine is not None:
-            n0 = self.dim(0)
-            self._vertex_labels()  # the H^0 reps sum to the constant 1
-            return [_ONE] * n0
-        if self._unit is None:
-            raise InputError("abstract ring without unit")
-        return list(self._unit)
+    def unit_coords(self) -> dict:
+        if self.engine is None:
+            return {0: _ONE}  # from_data: H^0 is Q, spanned by the unit
+        n0 = self.dim(0)
+        self._vertex_labels()  # the H^0 reps sum to the constant 1
+        return {i: _ONE for i in range(n0)}
 
     def space(self, through: Optional[int] = None) -> GradedVectorSpace:
         hi = self.max_deg if through is None else through

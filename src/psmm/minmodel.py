@@ -20,8 +20,10 @@ from dataclasses import dataclass
 from .cdga import CDGAMorphism, SullivanAlgebra, image_of_monomial, induced_cohomology_map
 from .cohomology import StageCohomology
 from .errors import CapExceeded, InputError, LiftError
-from .ratlin import (ColumnReducer, RatMatrix, combine, kernel_basis, quotient_basis, rank,
-                     solve, to_dense, to_sparse)
+from .ratlin import ColumnReducer, RatMatrix, combine, kernel_basis, quotient_basis, rank, solve
+
+# Cap on the generators of one minimal model; CapExceeded past it.
+GEN_CAP = 512
 
 
 @dataclass
@@ -43,14 +45,14 @@ class _Builder:
 
     def __init__(self, target):
         self.target = target
-        self.entries = []  # (name, degree, diff poly in name-tuples, rho coords)
+        self.entries = []  # (name, degree, diff poly in name-tuples, sparse rho coords)
         self.counters: dict[int, int] = {}
 
-    def add(self, degree: int, diff_poly: dict, rho_vec) -> str:
+    def add(self, degree: int, diff_poly: dict, rho_vec: dict) -> str:
         c = self.counters.get(degree, 0)
         self.counters[degree] = c + 1
         name = f"v{degree}_{c:03d}"
-        self.entries.append((name, degree, diff_poly, list(rho_vec)))
+        self.entries.append((name, degree, diff_poly, rho_vec))
         return name
 
     def build(self, trunc: int):
@@ -76,14 +78,13 @@ def _add_killers(builder: "_Builder", a, alg: SullivanAlgebra, rho: CDGAMorphism
     for col in ker.sparse_columns():
         zeta = combine((c, reps[i]) for i, c in col.items())
         zeta_names = {tuple(alg.names[g] for g in basis[t]): c for t, c in sorted(zeta.items())}
-        x = solve(a.d_columns(k - 1)[0], a.dim(k), to_dense(rho.apply_vec(k, zeta), a.dim(k)))
+        x = solve(a.d_columns(k - 1)[0], a.dim(k), rho.apply_vec(k, zeta))
         if x is None:
             raise InputError("d x = rho(d z) unsolvable: invariant breach")
         builder.add(k - 1, zeta_names, x)
 
 
-def minimal_model(a, max_deg: int, deg1_cap: int = 8,
-                  gen_cap: int = 512) -> MinimalModel:
+def minimal_model(a, max_deg: int, deg1_cap: int = 8) -> MinimalModel:
     """Minimal Sullivan model of a path-connected finite CDGA, with a
     quasi-isomorphism onto it verified degreewise through max_deg."""
     h_input = StageCohomology.of_cdga(a, max_deg + 1)
@@ -99,7 +100,7 @@ def minimal_model(a, max_deg: int, deg1_cap: int = 8,
     # -- degree 1: iterated extension ---------------------------------
     if max_deg >= 1 and h_input.h_dim(1) > 0:
         for rep in h_input.h_reps(1):
-            builder.add(1, {}, to_dense(rep, a.dim(1)))
+            builder.add(1, {}, rep)
         deg1_converged = False
         for iteration in range(deg1_cap + 1):
             alg, rho = builder.build(trunc=3)
@@ -114,8 +115,8 @@ def minimal_model(a, max_deg: int, deg1_cap: int = 8,
                 break
             if iteration == deg1_cap:
                 break
-            if total_gens() + ker.cols > gen_cap:
-                raise CapExceeded(f"generator cap {gen_cap} exceeded in degree 1")
+            if total_gens() + ker.cols > GEN_CAP:
+                raise CapExceeded(f"generator cap {GEN_CAP} exceeded in degree 1")
             _add_killers(builder, a, alg, rho, h_model, ker, 2)
 
     # -- degrees 2..max_deg: one pass each ------------------------------
@@ -126,10 +127,10 @@ def minimal_model(a, max_deg: int, deg1_cap: int = 8,
         if h_input.h_dim(k) > 0:
             hk = induced_cohomology_map(rho, h_model, h_input, k, min_deg=k).matrix(k)
             coker = quotient_basis(h_input.h_dim(k), hk, RatMatrix.identity(h_input.h_dim(k)))
-            if total_gens() + len(coker) > gen_cap:
-                raise CapExceeded(f"generator cap {gen_cap} exceeded at degree {k}")
+            if total_gens() + len(coker) > GEN_CAP:
+                raise CapExceeded(f"generator cap {GEN_CAP} exceeded at degree {k}")
             for idx in coker:
-                builder.add(k, {}, to_dense(h_input.h_reps(k)[idx], a.dim(k)))
+                builder.add(k, {}, h_input.h_reps(k)[idx])
             if coker:
                 alg, rho = builder.build(trunc=k + 2)
                 h_model = StageCohomology.of_cdga(alg, k + 1)
@@ -137,8 +138,8 @@ def minimal_model(a, max_deg: int, deg1_cap: int = 8,
         if h_model.h_dim(k + 1) > 0:
             hk1 = induced_cohomology_map(rho, h_model, h_input, k + 1, min_deg=k + 1)
             ker = kernel_basis(hk1.matrix(k + 1))
-            if total_gens() + ker.cols > gen_cap:
-                raise CapExceeded(f"generator cap {gen_cap} exceeded at degree {k}")
+            if total_gens() + ker.cols > GEN_CAP:
+                raise CapExceeded(f"generator cap {GEN_CAP} exceeded at degree {k}")
             _add_killers(builder, a, alg, rho, h_model, ker, k + 1)
 
     alg, rho = builder.build(trunc=max_deg + 2)
@@ -195,7 +196,7 @@ def sullivan_representative(f, mmA: MinimalModel, mmB: MinimalModel,
     src = mmA.model
     tgt = mmB.model
     B = mmB.input
-    images, sparse_images = [], []
+    images = []
     lifts: dict = {}  # degree -> record-mode reducer of its lift system
     for gi in range(len(src.generators)):
         k = src.degrees[gi]
@@ -215,18 +216,16 @@ def sullivan_representative(f, mmA: MinimalModel, mmB: MinimalModel,
                 red.add({**d_col, **_shifted(mu_col, nd)})
             for d_col in B.d_columns(k - 1)[0]:
                 red.add(_shifted(d_col, nd))
-        phi_dv = combine((c, image_of_monomial(src, tgt, sparse_images, m))
+        phi_dv = combine((c, image_of_monomial(src, tgt, images, m))
                          for m, c in dv.items())
-        fk = f.matrix(k)
-        rhs = to_dense(phi_dv, nd) + to_dense(fk.apply_sparse(mmA.rho.sparse_images[gi]), fk.rows)
-        sol = red.solve(rhs)
+        f_mu = f.matrix(k).apply_sparse(mmA.rho.images[gi])
+        sol = red.solve({**phi_dv, **_shifted(f_mu, nd)})
         if sol is None:
             raise LiftError(
                 f"no lift for generator {src.names[gi]} (degree {k}): "
                 "truncation too small or invariant breach")
         dk = tgt.dim(k)
-        images.append(to_dense({j: c for j, c in sol.items() if j < dk}, dk))
-        sparse_images.append(to_sparse(images[-1]))
+        images.append({j: c for j, c in sol.items() if j < dk})
 
     phi = CDGAMorphism(src, tgt, images, check=True)
     verify_representative(phi, f, mmA, mmB, max_deg)

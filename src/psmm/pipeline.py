@@ -48,7 +48,7 @@ from .config import Config
 from .errors import CapExceeded, DimensionMismatch, InputError, LiftError
 from .gvec import GradedLinearMap, GradedVectorSpace
 from .metric import MetricSpace, build_filtration, gh_bruteforce, rips_simplices
-from .minmodel import minimal_model, sullivan_representative
+from .minmodel import MinimalModel, minimal_model, sullivan_representative
 from .persistence import (
     INF,
     Barcode,
@@ -57,8 +57,8 @@ from .persistence import (
     bottleneck,
     cohomology_barcode,
 )
-from .ratlin import RatMatrix
-from .util import num_from_json, num_to_json
+from .ratlin import RatMatrix, to_dense
+from .util import json_int, num_from_json, num_to_json
 
 
 @dataclass
@@ -189,9 +189,7 @@ def _zero_representative(mm_src, mm_tgt) -> CDGAMorphism:
     decomposable.  Fallback when no lift exists within truncated
     degree-1 models."""
     src, tgt = mm_src.model, mm_tgt.model
-    images = [[Fraction(0)] * tgt.dim(src.degrees[i])
-              for i in range(len(src.generators))]
-    return CDGAMorphism(src, tgt, images)
+    return CDGAMorphism(src, tgt, [{} for _ in src.generators])
 
 
 def _representative_or_degrade(f, mm_src, mm_tgt, max_degree: int,
@@ -467,6 +465,25 @@ def _gmap_to_json(f: GradedLinearMap, max_deg: int) -> dict:
     return out
 
 
+def _images_to_json(phi: CDGAMorphism) -> dict:
+    """Each source generator's image as the dense coordinate list of its
+    degree in the target basis."""
+    return {name: [num_to_json(c) for c in to_dense(vec, phi.target.dim(d))]
+            for (name, d), vec in zip(phi.source.generators, phi.images)}
+
+
+def minimal_model_to_json(mm: MinimalModel) -> dict:
+    """The model, its rho images, the verification report and the
+    degree-1 convergence flag, as `psmm model` and `psmm minimal-model`
+    write them."""
+    return {
+        "model": mm.model.dump(),
+        "rho": _images_to_json(mm.rho),
+        "verification": mm.report,
+        "deg1_converged": mm.deg1_converged,
+    }
+
+
 def psm_to_json(psm: PersistentSullivanModel) -> dict:
     """Full dump: per-stage models with rho images and verification,
     plus the matrices needed to rebuild both barcodes exactly."""
@@ -474,13 +491,7 @@ def psm_to_json(psm: PersistentSullivanModel) -> dict:
     for k, mm in enumerate(psm.models):
         vspace = mm.model.generator_space()
         stages.append({
-            "model": mm.model.dump(),
-            "rho": {
-                name: [num_to_json(c) for c in mm.rho.images[i]]
-                for i, (name, _) in enumerate(mm.model.generators)
-            },
-            "verification": mm.report,
-            "deg1_converged": mm.deg1_converged,
+            **minimal_model_to_json(mm),
             "v_dims": {str(d): vspace.dim(d) for d in vspace.degrees()},
             "h_dims": {str(d): psm.h_spaces[k].dim(d)
                        for d in psm.h_spaces[k].degrees()},
@@ -488,10 +499,7 @@ def psm_to_json(psm: PersistentSullivanModel) -> dict:
     reps = []
     for rep in psm.reps:
         reps.append({
-            "images": {
-                name: [num_to_json(c) for c in rep.images[i]]
-                for i, (name, _) in enumerate(rep.source.generators)
-            },
+            "images": _images_to_json(rep),
             "q_matrices": _gmap_to_json(linear_part_map(rep), psm.max_degree),
         })
     return {
@@ -509,7 +517,10 @@ def psm_to_json(psm: PersistentSullivanModel) -> dict:
 
 
 def _space_from_dims(dims: dict) -> GradedVectorSpace:
-    return GradedVectorSpace.from_dims({int(k): v for k, v in dims.items()})
+    """The space of a dump's {"degree": dim} object; degrees and dims are
+    integers >= 0, the dims JSON integers."""
+    return GradedVectorSpace.from_dims({int(k): json_int(v, f"the dim of degree {k}")
+                                        for k, v in dims.items()})
 
 
 def _gmap_from_json(data: dict, src: GradedVectorSpace,
@@ -525,8 +536,9 @@ def _gmap_from_json(data: dict, src: GradedVectorSpace,
 
 def barcodes_from_json(data: dict):
     """(V barcode, H barcode) rebuilt from a model dump.  A dump missing
-    a field, with the wrong number of stages or maps, or with a matrix of
-    the wrong shape raises InputError."""
+    a field, with the wrong number of stages or maps, a dim that is not
+    a JSON integer >= 0, or a matrix of the wrong shape raises
+    InputError."""
     if data.get("format") != "psmm-model":
         raise InputError("not a model dump")
     try:
@@ -541,6 +553,8 @@ def barcodes_from_json(data: dict):
                   for k, rep in enumerate(reps)]
         h_maps = [_gmap_from_json(hm, h_spaces[k + 1], h_spaces[k])
                   for k, hm in enumerate(h_dumps)]
+    except InputError as e:
+        raise InputError(f"malformed model dump: {e}") from e
     except (KeyError, TypeError, AttributeError, ValueError, DimensionMismatch) as e:
         raise InputError(f"malformed model dump: {type(e).__name__}: {e}") from e
     v_module = PersistentGVec.from_contravariant(grid, v_spaces, v_maps)

@@ -9,12 +9,15 @@ are `fractions.Fraction`.
 A linear map is sparse columns.  `RatMatrix` holds the maps of graded
 linear maps, morphisms, dumps and barcodes as canonical sparse columns
 (sorted, no zeros) and applies them over the nonzero entries of a
-vector; `tolist` is its dense form for dumps, and `rank`, `kernel_basis`
-and `quotient_basis` take one.  A differential is a list of sparse
-columns, {row: value} dicts as `SullivanAlgebra.d_columns` and
-`coboundary_columns` give them, with a row count; `solve` takes such
-columns (or dense ones) and the row count directly, and `combine` sums
-multiples of them.
+vector; `rank`, `kernel_basis` and `quotient_basis` take one.
+
+A vector is a sparse {index: Fraction} dict with no zero entries, from
+input parsing to the dump writer.  A differential is a list of such
+columns, as `SullivanAlgebra.d_columns` and `coboundary_columns` give
+them, with a row count; `solve` takes such columns, the row count and a
+sparse right-hand side, and `combine` sums multiples of them.  Dense
+lists appear only where a dump is read or written: `RatMatrix.from_rows`
+and `tolist` for matrices, `to_dense` for vectors.
 
 One engine eliminates: `ColumnReducer`, a sparse incremental column
 reducer that works on integer columns (each input column scaled by the
@@ -53,18 +56,12 @@ def _frac(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-def _canonical(col, rows: int) -> tuple:
-    """Sorted (row, Fraction) pairs of the nonzero entries of a column
-    over `rows` rows, given as a sparse {row: value} dict or a dense
-    sequence of length `rows`."""
-    if isinstance(col, dict):
-        items = sorted(col.items())
-        if items and (items[0][0] < 0 or items[-1][0] >= rows):
-            raise DimensionMismatch(f"row index out of range {rows}")
-    elif len(col) != rows:
-        raise DimensionMismatch(f"column length {len(col)} != {rows}")
-    else:
-        items = enumerate(col)
+def _canonical(col: Mapping, rows: int) -> tuple:
+    """Sorted (row, Fraction) pairs of the nonzero entries of a sparse
+    {row: value} column over `rows` rows."""
+    items = sorted(col.items())
+    if items and (items[0][0] < 0 or items[-1][0] >= rows):
+        raise DimensionMismatch(f"row index out of range {rows}")
     return tuple((i, v) for i, v in ((i, _frac(x)) for i, x in items) if v)
 
 
@@ -89,7 +86,7 @@ class RatMatrix:
     def __init__(self, rows: int, cols: int, data: Sequence[Sequence]):
         if len(data) != rows or any(len(r) != cols for r in data):
             raise DimensionMismatch("data shape does not match (rows, cols)")
-        self._set(rows, tuple(_canonical([data[i][j] for i in range(rows)], rows)
+        self._set(rows, tuple(_canonical({i: data[i][j] for i in range(rows)}, rows)
                               for j in range(cols)))
 
     def _set(self, rows: int, columns: tuple) -> "RatMatrix":
@@ -112,14 +109,8 @@ class RatMatrix:
         return RatMatrix(rows, cols, data)
 
     @staticmethod
-    def from_columns(cols: Sequence, rows: Optional[int] = None) -> "RatMatrix":
-        """Matrix of columns given as sparse {row: value} dicts or dense
-        sequences.  `rows` defaults to the first column's length and
-        must be given for sparse columns."""
-        if rows is None:
-            if any(isinstance(c, dict) for c in cols):
-                raise DimensionMismatch("sparse columns need a row count")
-            rows = len(cols[0]) if cols else 0
+    def from_columns(cols: Sequence[Mapping], rows: int) -> "RatMatrix":
+        """Matrix of `rows` rows with sparse {row: value} columns."""
         return RatMatrix._of(rows, tuple(_canonical(c, rows) for c in cols))
 
     @staticmethod
@@ -134,16 +125,9 @@ class RatMatrix:
 
     # -- access -------------------------------------------------------
 
-    def __getitem__(self, ij) -> Fraction:
-        i, j = ij
-        return dict(self._cols[j]).get(i, Fraction(0))
-
     def sparse_columns(self) -> list:
         """The columns as {row: Fraction} dicts sorted by row, no zeros."""
         return [dict(col) for col in self._cols]
-
-    def column(self, j: int) -> list:
-        return to_dense(dict(self._cols[j]), self.rows)
 
     def tolist(self) -> list:
         out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
@@ -181,12 +165,6 @@ class RatMatrix:
         dict with no zeros: the sum of c·column j over its entries."""
         return self._image(vec.items())
 
-    def apply(self, vec: Sequence) -> list:
-        if len(vec) != self.cols:
-            raise DimensionMismatch(f"vector length {len(vec)} != {self.cols}")
-        return to_dense(self._image((j, x) for j, x in enumerate(map(_frac, vec)) if x),
-                        self.rows)
-
     def matmul(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.cols} != {other.rows}")
@@ -200,11 +178,6 @@ def to_dense(col: dict, n: int) -> list:
     for i, v in col.items():
         out[i] = v
     return out
-
-
-def to_sparse(vec: Sequence) -> dict:
-    """Sparse {index: value} column of the nonzero entries of a vector."""
-    return {i: v for i, v in enumerate(vec) if v}
 
 
 def combine(terms) -> dict:
@@ -228,18 +201,17 @@ def rank(m: RatMatrix) -> int:
     return _reducer(m.sparse_columns(), m.rows).rank
 
 
-def solve(columns: Sequence, nrows: int, b: Sequence) -> Optional[list]:
+def solve(columns: Sequence[Mapping], nrows: int, b: Mapping) -> Optional[dict]:
     """Particular solution x of sum_j x[j]·columns[j] = b, or None when b
-    is outside their span.  Each column is a sparse {row: value} dict or
-    a dense sequence; rows index 0..nrows-1, and b is dense.
+    is outside their span.  The columns and b are sparse {row: value}
+    dicts over rows 0..nrows-1; x is a sparse {column: Fraction} dict.
 
     Deterministic: free variables are set to zero, so reruns agree
     bit for bit.
     """
-    if len(b) != nrows:
-        raise DimensionMismatch(f"rhs length {len(b)} != {nrows}")
-    x = _reducer(columns, nrows, record=True).solve(b)
-    return None if x is None else to_dense(x, len(columns))
+    if any(not 0 <= r < nrows for r in b):
+        raise DimensionMismatch(f"rhs row index out of range {nrows}")
+    return _reducer(columns, nrows, record=True).solve(b)
 
 
 def kernel_basis(a: RatMatrix) -> RatMatrix:
@@ -285,11 +257,11 @@ class ColumnReducer:
 
     Each column is reduced against the stored echelon columns by its
     lowest nonzero row, and `rank` counts the stored ones.  Inside the
-    reducer every column is a sparse dict {row: int}: an input column
-    (entries int, `Fraction` or a string `Fraction` accepts) is scaled
-    by the lcm of its entries' denominators, and a reduction step
-    cross-multiplies, c <- (p[low]/g)*c - (c[low]/g)*p with g the gcd of
-    the two leading entries, so no step divides.  A stored pivot column
+    reducer every column is a sparse dict {row: int}: an input column, a
+    sparse dict with entries int, `Fraction` or a string `Fraction`
+    accepts, is scaled by the lcm of its entries' denominators, and a
+    reduction step cross-multiplies, c <- (p[low]/g)*c - (c[low]/g)*p
+    with g the gcd of the two leading entries, so no step divides.  A stored pivot column
     is divided by its content, the gcd of its entries (and of its
     combination's), with the sign that makes its leading entry
     positive.  Scaling a column by a nonzero integer changes neither its
@@ -356,13 +328,12 @@ class ColumnReducer:
         return self._ncols - 1
 
     @staticmethod
-    def _scaled(col) -> tuple:
-        """(integer column, scale): the nonzero entries of `col`, a dict
-        or a dense sequence, times the lcm of their denominators."""
-        items = col.items() if isinstance(col, dict) else enumerate(col)
+    def _scaled(col: Mapping) -> tuple:
+        """(integer column, scale): the nonzero entries of the sparse
+        column `col` times the lcm of their denominators."""
         c = {}
         exact = True
-        for i, v in items:
+        for i, v in col.items():
             t = type(v)
             if t is not int:
                 exact = False
@@ -414,7 +385,7 @@ class ColumnReducer:
                         del combo[k]
         return c, combo, None, mult
 
-    def add(self, col) -> bool:
+    def add(self, col: Mapping) -> bool:
         """Add one column; True iff it was independent of those stored."""
         c, scale = self._scaled(col)
         for r in c:
@@ -442,7 +413,7 @@ class ColumnReducer:
             self._combos[low] = combo
         return True
 
-    def solve(self, col) -> Optional[dict]:
+    def solve(self, col: Mapping) -> Optional[dict]:
         """Coefficients {column_index: coeff} expressing col over the
         independent stored columns, or None if outside their span.
         Requires record=True."""

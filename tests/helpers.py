@@ -1,9 +1,10 @@
-"""Test-only API built on psmm: whole-algebra linear parts and
-cohomology, polynomial products, monomial labels, generator offsets, a necessary test for
-homotopic morphisms, the simplicial-complex closure check, one-line
-constructors and a persistent model built with no sharing between
-stages.  The package itself never needs them, so they live beside the
-tests.
+"""Test-only API built on psmm: the dense/sparse vector pair (psmm
+itself takes sparse {index: Fraction} dicts), whole-algebra linear
+parts and cohomology, polynomial products, monomial labels, generator
+offsets, a necessary test for homotopic morphisms, the
+simplicial-complex closure check, one-line constructors and a
+persistent model built with no sharing between stages.  The package
+itself never needs them, so they live beside the tests.
 """
 
 import itertools
@@ -24,6 +25,21 @@ from psmm.metric import MetricSpace, SimplicialComplex, build_filtration
 from psmm.minmodel import minimal_model, sullivan_representative
 from psmm.pipeline import PersistentSullivanModel
 from psmm.ratlin import RatMatrix
+
+
+def sparse(vec) -> dict:
+    """The {index: Fraction} dict of the nonzero entries of a dense
+    vector, the vector format psmm takes."""
+    return {i: Fraction(v) for i, v in enumerate(vec) if v}
+
+
+def dense(col: dict, n: int) -> list:
+    """The dense length-n list of a sparse {index: value} vector, with
+    Fraction(0) where it has no entry."""
+    out = [Fraction(0)] * n
+    for i, v in col.items():
+        out[i] = v
+    return out
 
 
 def make_sullivan(generators, differential, truncation_degree) -> SullivanAlgebra:
@@ -87,7 +103,7 @@ def linear_part(alg: SullivanAlgebra):
             for m, c in alg.diff.get(i, {}).items():
                 if len(m) == 1:
                     col[tgt.index(m[0])] = c
-            cols.append(col)
+            cols.append(sparse(col))
         m = RatMatrix.from_columns(cols, rows=len(tgt))
         if not m.is_zero():
             qmats[d] = m
@@ -174,8 +190,7 @@ def unshared_persistent_model(m: MetricSpace, cfg: Config) -> PersistentSullivan
             if src.deg1_converged and tgt.deg1_converged:
                 raise
             degraded.append(k)
-            zero = [[Fraction(0)] * tgt.model.dim(d) for d in src.model.degrees]
-            reps.append(CDGAMorphism(src.model, tgt.model, zero))
+            reps.append(CDGAMorphism(src.model, tgt.model, [{} for _ in src.model.degrees]))
     nonconverged = [k for k, mm in enumerate(models) if not mm.deg1_converged]
     for k in range(len(core_maps) - 1):
         if {k, k + 1, k + 2} & set(nonconverged) or {k, k + 1} & set(degraded):

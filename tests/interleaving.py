@@ -73,9 +73,8 @@ def direct_sum(modules: Sequence[PersistentGVec]) -> PersistentGVec:
             data = [[Fraction(0)] * cols for _ in range(rows)]
             r0 = c0 = 0
             for bm in blocks:
-                for i in range(bm.rows):
-                    for j in range(bm.cols):
-                        data[r0 + i][c0 + j] = bm[i, j]
+                for i, row in enumerate(bm.tolist()):
+                    data[r0 + i][c0:c0 + bm.cols] = row
                 r0 += bm.rows
                 c0 += bm.cols
             mat = RatMatrix(rows, cols, data)

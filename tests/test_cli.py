@@ -79,6 +79,7 @@ class TestMinimalModelCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: "), (obj, captured.err)
+        return captured.err
 
     def test_not_a_cdga_exit_2(self, tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -322,7 +323,8 @@ class TestBarcodeCommand:
         deg1 = next(d for d in json.loads(out.out)["barcode"] if d["degree"] == 1)
         assert deg1["bars"] == [{"birth": "1", "death": "4", "mult": 2}]
 
-    @pytest.mark.parametrize("broken", ["no grid", "h map shape", "stage count"])
+    @pytest.mark.parametrize("broken", ["no grid", "h map shape", "stage count",
+                                        "float dim", "bool dim"])
     def test_malformed_dump_exit_2(self, tmp_path, capsys, broken):
         if broken == "no grid":
             dump = {"format": "psmm-model"}
@@ -333,9 +335,12 @@ class TestBarcodeCommand:
             dump = json.loads(out.read_text())
             if broken == "h map shape":
                 dump["h_maps"][0]["0"] = [[1, 0]]  # H^0 of both stages is Q
-            else:
+            elif broken == "stage count":
                 dump["stages"].pop()
-        TestMinimalModelCommand._assert_rejected(tmp_path, capsys, "barcode", dump)
+            else:
+                dump["stages"][1]["v_dims"]["2"] = 1.5 if broken == "float dim" else True
+        err = TestMinimalModelCommand._assert_rejected(tmp_path, capsys, "barcode", dump)
+        assert "malformed model dump" in err
 
     def test_determinism_repeat_runs(self, tmp_path, capsys):
         inp = circle_file(tmp_path)
@@ -395,6 +400,18 @@ class TestCompareCommand:
         assert run_cli(["compare", "--left", inp, "--right", inp,
                         "--tolerance", "0.5", "-o", str(out)]) == 0
         assert json.loads(out.read_text())["tolerance"] == 0.5
+
+    def test_model_dump_rejected(self, tmp_path, capsys):
+        # a dump has `stages` too, but is not a persistent CDGA
+        two = write(tmp_path, "two.json", {"distance_matrix": [[0, 1], [1, 0]]})
+        dump = tmp_path / "model.json"
+        assert run_cli(["model", "--input", two, "-o", str(dump)]) == 0
+        for left, right in ((str(dump), two), (two, str(dump))):
+            assert run_cli(["compare", "--left", left, "--right", right]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: {dump}: expected a metric space or a "
+                                    "persistent CDGA\n")
 
     def test_gh_cap_warning_code_0(self, tmp_path, capsys):
         inp = circle_file(tmp_path, n=8)

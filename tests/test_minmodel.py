@@ -113,7 +113,7 @@ class TestVerifyQuasiIso:
         mm = minimal_model(sphere2_ring(), max_deg=6)
         broken_alg = make_sullivan([("a", 2)], {}, 8)
         from psmm.cdga import CDGAMorphism
-        rho = CDGAMorphism(broken_alg, mm.input, [[Fraction(1)]])
+        rho = CDGAMorphism(broken_alg, mm.input, [{0: Fraction(1)}])
         broken = MinimalModel(
             broken_alg, rho, mm.input, -1, True, {},
             mm.h_input, StageCohomology.of_cdga(broken_alg, 7),
@@ -218,7 +218,7 @@ class TestCircleStageRepresentatives:
         # must be +1 or -1
         q = linear_part_map(psm.reps[1])
         m = q.matrix(1)
-        assert m.rows == m.cols == 1 and m[0, 0] in (1, -1)
+        assert m.rows == m.cols == 1 and m.tolist()[0][0] in (1, -1)
 
     def test_transition_sends_generators_to_zero(self):
         psm = self._circle_psm()

@@ -392,7 +392,7 @@ class TestDegradedRepresentatives:
         degraded = []
         rep = _representative_or_degrade(ident, deep, shallow, 2, 0, degraded)
         assert degraded == [0]
-        assert all(all(c == 0 for c in img) for img in rep.images)
+        assert all(all(c == 0 for c in img.values()) for img in rep.images)
 
 
 def graph_space(n, far, pairs):

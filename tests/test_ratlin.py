@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import dense, sparse
 from oracles import (
     FractionColumnReducer,
     dense_apply,
@@ -20,8 +21,6 @@ from psmm.ratlin import (
     quotient_basis,
     rank,
     solve,
-    to_dense,
-    to_sparse,
 )
 
 
@@ -30,7 +29,19 @@ def M(rows):
 
 
 def dense_columns(m):
-    return [m.column(j) for j in range(m.cols)]
+    return [dense(col, m.rows) for col in m.sparse_columns()]
+
+
+def dense_image(a, vec):
+    """a times a dense vector, as a dense list."""
+    return dense(a.apply_sparse(sparse([Fraction(x) for x in vec])), a.rows)
+
+
+def solve_dense(a, b):
+    """`solve` on a's columns and the dense right-hand side b, with the
+    answer as a dense list (or None)."""
+    x = solve(a.sparse_columns(), a.rows, sparse(b))
+    return None if x is None else dense(x, a.cols)
 
 
 small_entries = st.integers(min_value=-4, max_value=4)
@@ -75,25 +86,26 @@ class TestRref:
 
     def test_fraction_normalization(self):
         m = M([["2/4", 1]])
-        assert m[0, 0] == Fraction(1, 2)
+        assert m.tolist()[0][0] == Fraction(1, 2)
 
 
 class TestSolve:
     def test_identity_case(self):
         b = [Fraction(3), Fraction(-7)]
-        assert solve(dense_columns(RatMatrix.identity(2)), 2, b) == b
+        assert solve_dense(RatMatrix.identity(2), b) == b
 
     def test_underdetermined(self):
-        x = solve(dense_columns(M([[1, 1]])), 1, [3])
+        x = solve_dense(M([[1, 1]]), [3])
         assert x is not None
         assert x[0] + x[1] == 3
 
     def test_inconsistent(self):
-        assert solve(dense_columns(M([[1], [0]])), 2, [0, 1]) is None
+        assert solve_dense(M([[1], [0]]), [0, 1]) is None
 
     def test_dimension_mismatch(self):
+        # a right-hand side with an entry past the last row
         with pytest.raises(DimensionMismatch):
-            solve(dense_columns(M([[1, 1]])), 1, [1, 2])
+            solve(M([[1, 1]]).sparse_columns(), 1, sparse([1, 2]))
 
     @given(small_matrices(), st.data())
     def test_solve_matches_dense(self, a, data):
@@ -102,28 +114,30 @@ class TestSolve:
         if data.draw(st.booleans()):
             b = [data.draw(small_entries) for _ in range(a.rows)]
         else:
-            b = a.apply([data.draw(small_entries) for _ in range(a.cols)])
-        assert solve(dense_columns(a), a.rows, b) == dense_solve(a.tolist(), a.cols, b)
+            b = dense_image(a, [data.draw(small_entries) for _ in range(a.cols)])
+        assert solve_dense(a, b) == dense_solve(a.tolist(), a.cols, b)
 
     @given(small_matrices(), st.data())
     def test_sparse_columns_match_dense(self, a, data):
-        # {row: value} columns and dense columns are the same system
+        # columns and right-hand sides that list every row, zeros
+        # included, are the same system as their nonzero entries alone
         if data.draw(st.booleans()):
             b = [data.draw(small_entries) for _ in range(a.rows)]
         else:
-            b = a.apply([data.draw(small_entries) for _ in range(a.cols)])
-        sparse = [to_sparse(col) for col in dense_columns(a)]
-        assert solve(sparse, a.rows, b) == solve(dense_columns(a), a.rows, b)
+            b = dense_image(a, [data.draw(small_entries) for _ in range(a.cols)])
+        full = [dict(enumerate(col)) for col in dense_columns(a)]
+        assert solve(full, a.rows, dict(enumerate(b))) == \
+            solve(a.sparse_columns(), a.rows, sparse(b))
 
     @given(small_matrices(max_dim=4), st.data())
     @settings(max_examples=60)
     def test_exact_residual(self, a, data):
         # rhs constructed inside the image so a solution must exist
         coeffs = [data.draw(small_entries) for _ in range(a.cols)]
-        b = a.apply(coeffs) if a.cols else [Fraction(0)] * a.rows
-        x = solve(dense_columns(a), a.rows, b)
+        b = a.apply_sparse(sparse(coeffs))
+        x = solve(a.sparse_columns(), a.rows, b)
         assert x is not None
-        assert a.apply(x) == b
+        assert a.apply_sparse(x) == b
 
 
 class TestKernel:
@@ -134,7 +148,7 @@ class TestKernel:
     def test_line(self):
         k = kernel_basis(M([[1, 2]]))
         assert k.cols == 1
-        v = k.column(0)
+        v = dense_columns(k)[0]
         assert v[0] * 1 + v[1] * 2 == 0
         assert v != [0, 0]
 
@@ -150,15 +164,15 @@ class TestKernel:
     def test_answers_are_fractions(self, a, data):
         k = kernel_basis(a)
         assert all(type(v) is Fraction for col in dense_columns(k) for v in col)
-        b = a.apply([data.draw(small_entries) for _ in range(a.cols)])
-        x = solve(dense_columns(a), a.rows, b)
-        assert all(type(v) is Fraction for v in x)
+        b = a.apply_sparse(sparse([data.draw(small_entries) for _ in range(a.cols)]))
+        x = solve(a.sparse_columns(), a.rows, b)
+        assert all(type(v) is Fraction for v in x.values())
 
     @given(small_matrices())
     def test_kernel_annihilated(self, a):
         k = kernel_basis(a)
-        for j in range(k.cols):
-            assert all(x == 0 for x in a.apply(k.column(j)))
+        for col in k.sparse_columns():
+            assert a.apply_sparse(col) == {}
 
 
 class TestQuotientBasis:
@@ -167,7 +181,7 @@ class TestQuotientBasis:
         assert idx == [0, 1, 2]
 
     def test_kills_subspace_vector(self):
-        e1 = RatMatrix.from_columns([[1, 0]], rows=2)
+        e1 = RatMatrix.from_columns([{0: 1}], rows=2)
         vecs = RatMatrix.identity(2)
         assert quotient_basis(2, e1, vecs) == [1]
 
@@ -182,7 +196,7 @@ class TestQuotientBasis:
 class TestSparseEngine:
     @given(small_matrices())
     def test_sparse_rank_matches_dense(self, a):
-        cols = [dict(enumerate(a.column(j))) for j in range(a.cols)]
+        cols = [dict(enumerate(col)) for col in dense_columns(a)]
         for record in (False, True):
             red = ColumnReducer(a.rows, record=record)
             for c in cols:
@@ -195,36 +209,36 @@ class TestSparseEngine:
         # vector for vector and in order, the dense RREF kernel: the
         # cohomology engine's representatives rest on this identity
         red = ColumnReducer(a.rows, record=True)
-        for c in dense_columns(a):
+        for c in a.sparse_columns():
             red.add(c)
-        assert [to_dense(c, a.cols) for c in red.kernel_combos] == \
+        assert [dense(c, a.cols) for c in red.kernel_combos] == \
             dense_kernel(a.tolist(), a.cols) == dense_columns(kernel_basis(a))
 
     def test_solve_coefficients(self):
         red = ColumnReducer(2, record=True)
-        red.add([1, 0])
-        red.add([1, 1])
-        sol = red.solve([3, 2])
+        red.add({0: 1})
+        red.add({0: 1, 1: 1})
+        sol = red.solve({0: 3, 1: 2})
         # 3*e0 + 2*e1 = 1*(1,0) + 2*(1,1)
         assert sol == {0: Fraction(1), 1: Fraction(2)}
-        assert red.solve([0, 0]) == {}
+        assert red.solve({}) == {}
 
     def test_seeded_pivots_and_skip(self):
         image = ColumnReducer(3)
-        image.add([1, 1, 0])
+        image.add({0: 1, 1: 1})
         red = ColumnReducer.from_pivots(3, image.pivots)
         assert red.rank == 1
         assert red.skip() == 0
-        red.add([0, 0, 1])
+        red.add({2: 1})
         # solved modulo the seeded span: only the added column, index 1, counts
-        assert red.solve([2, 2, 5]) == {1: Fraction(5)}
-        assert red.solve([1, 0, 0]) is None
+        assert red.solve({0: 2, 1: 2, 2: 5}) == {1: Fraction(5)}
+        assert red.solve({0: 1}) is None
         assert image.rank == 1 and len(image.pivots) == 1
 
     def test_solve_outside_span(self):
         red = ColumnReducer(2, record=True)
-        red.add([1, 0])
-        assert red.solve([0, 1]) is None
+        red.add({0: 1})
+        assert red.solve({1: 1}) is None
 
     def test_last_low_is_the_stored_pivot_row(self):
         red = ColumnReducer(3)
@@ -241,8 +255,8 @@ class TestSparseEngine:
         # "0" is converted before zeros are dropped, so it never becomes a
         # zero leading entry of a stored pivot
         red = ColumnReducer(2, record=True)
-        assert red.add([1, "0"])
-        assert red.add([0, 1])
+        assert red.add({0: 1, 1: "0"})
+        assert red.add({0: 0, 1: 1})
         assert red.rank == 2 and sorted(red.pivots) == [0, 1]
         assert red.solve({0: "1/2", 1: "0"}) == {0: Fraction(1, 2)}
 
@@ -258,19 +272,16 @@ engine_entries = st.one_of(
 
 @st.composite
 def engine_column(draw, nrows):
-    """A column over `nrows` rows, as a sparse dict or a dense list."""
+    """A column over `nrows` rows: a dict listing every row, or some."""
     if draw(st.booleans()):
-        return [draw(engine_entries) for _ in range(nrows)]
+        return dict(enumerate(draw(engine_entries) for _ in range(nrows)))
     rows = draw(st.lists(st.integers(0, nrows - 1), max_size=nrows, unique=True)) \
         if nrows else []
     return {r: draw(engine_entries) for r in rows}
 
 
 def _dense(col, nrows):
-    out = [Fraction(0)] * nrows
-    for i, v in (col.items() if isinstance(col, dict) else enumerate(col)):
-        out[i] = Fraction(v)
-    return out
+    return dense({i: Fraction(v) for i, v in col.items()}, nrows)
 
 
 def _all_fractions(combos):
@@ -314,8 +325,8 @@ class TestAgainstFractionEngine:
             yield data.draw(engine_column(nrows))
             if added:
                 coeffs = [data.draw(st.integers(-3, 3)) for _ in added]
-                yield [sum((c * v[i] for c, v in zip(coeffs, added)), Fraction(0))
-                       for i in range(nrows)]
+                yield {i: sum((c * v[i] for c, v in zip(coeffs, added)), Fraction(0))
+                       for i in range(nrows)}
         if record:
             for col in probes():
                 self._solve_both(red, ref, col)
@@ -336,26 +347,29 @@ class TestAgainstFractionEngine:
 
 class TestFromColumns:
     def test_longer_column_rejected(self):
+        # the second column reaches past the one row
         with pytest.raises(DimensionMismatch):
-            RatMatrix.from_columns([[1], [2, 3]])
+            RatMatrix.from_columns([{0: 1}, {0: 2, 1: 3}], rows=1)
 
-    def test_shorter_column_rejected(self):
+    def test_negative_row_rejected(self):
         with pytest.raises(DimensionMismatch):
-            RatMatrix.from_columns([[1, 2], [3]])
+            RatMatrix.from_columns([{0: 1, 1: 2}, {-1: 3}], rows=2)
 
     def test_row_count_must_match(self):
+        # the row count bounds the entries, and rows past them are zero
         with pytest.raises(DimensionMismatch):
-            RatMatrix.from_columns([[1, 2]], rows=3)
+            RatMatrix.from_columns([{0: 1, 1: 2}], rows=1)
+        assert RatMatrix.from_columns([{0: 1, 1: 2}], rows=3) == M([[1], [2], [0]])
 
     def test_sparse_columns_need_rows_in_range(self):
-        with pytest.raises(DimensionMismatch):
-            RatMatrix.from_columns([{0: 1}])
+        with pytest.raises(TypeError):
+            RatMatrix.from_columns([{0: 1}])  # the row count is required
         with pytest.raises(DimensionMismatch):
             RatMatrix.from_columns([{2: 1}], rows=2)
         assert RatMatrix.from_columns([{1: 1}, {}], rows=2) == M([[0, 0], [1, 0]])
 
     def test_no_columns(self):
-        assert RatMatrix.from_columns([]) == RatMatrix.zeros(0, 0)
+        assert RatMatrix.from_columns([], rows=0) == RatMatrix.zeros(0, 0)
         assert RatMatrix.from_columns([], rows=3) == RatMatrix.zeros(3, 0)
 
 
@@ -372,14 +386,13 @@ def _builds(rows, nrows, ncols, data):
     """The matrix of `rows` built every way the class allows: explicit
     zero entries stay in, and sparse columns may list them."""
     cols = [[rows[i][j] for i in range(nrows)] for j in range(ncols)]
-    sparse = [{i: v for i, v in enumerate(col) if Fraction(v) or data.draw(st.booleans())}
-              for col in cols]
-    out = [RatMatrix(nrows, ncols, rows), RatMatrix.from_columns(cols, rows=nrows),
-           RatMatrix.from_columns(sparse, rows=nrows)]
+    some = [{i: v for i, v in enumerate(col) if Fraction(v) or data.draw(st.booleans())}
+            for col in cols]
+    out = [RatMatrix(nrows, ncols, rows),
+           RatMatrix.from_columns([dict(enumerate(col)) for col in cols], rows=nrows),
+           RatMatrix.from_columns(some, rows=nrows)]
     if nrows:
         out.append(RatMatrix.from_rows(rows))
-    if ncols:
-        out.append(RatMatrix.from_columns(cols))
     return out
 
 
@@ -401,16 +414,14 @@ class TestSparseStoreAgainstDense:
         assert m.rows == r and m.cols == c
         assert m.tolist() == want
         assert all(type(x) is Fraction for row in m.tolist() for x in row)
-        assert [m.column(j) for j in range(c)] == [[row[j] for row in want] for j in range(c)]
-        assert m.sparse_columns() == [to_sparse(col) for col in dense_columns(m)]
+        assert dense_columns(m) == [[row[j] for row in want] for j in range(c)]
+        assert m.sparse_columns() == [sparse(col) for col in dense_columns(m)]
         assert m.is_zero() == all(x == 0 for row in want for x in row)
 
         vec = [data.draw(engine_entries) for _ in range(c)]
-        image = m.apply(vec)
-        assert image == dense_apply(want, vec)
-        assert all(type(x) is Fraction for x in image)
-        sparse_vec = {j: Fraction(v) for j, v in enumerate(vec) if Fraction(v)}
-        assert m.apply_sparse(sparse_vec) == to_sparse(image)
+        image = m.apply_sparse({j: Fraction(v) for j, v in enumerate(vec) if Fraction(v)})
+        assert dense(image, r) == dense_apply(want, vec)
+        assert all(type(x) is Fraction and x for x in image.values())
 
         other_rows = data.draw(dense_rows(c, s))
         prod = m.matmul(RatMatrix(c, s, other_rows))

@@ -1,5 +1,6 @@
 """The runnable scripts under scripts/, run as a user runs them."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -69,3 +70,23 @@ def test_bottleneck_scale_rejects_bad_arguments(args):
     assert proc.returncode == 2, proc.stderr[-2000:]
     assert proc.stderr.startswith("usage: bottleneck_scale.py")
     assert "distance" not in proc.stdout
+
+
+def test_trace_hooks_resolve():
+    """Every function or method the benchmark's tracer wraps is still
+    where `perfbench/tracing.py` looks it up; one that a refactor moved
+    would only print `trace: ... not found` and read 0."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import tracing
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    missing = []
+    for name, owner, attr in tracing.SPANS:
+        mod_name, _, cls_name = owner.partition(":")
+        target = importlib.import_module(mod_name)
+        if cls_name:
+            target = getattr(target, cls_name, None)
+        if target is None or vars(target).get(attr) is None:
+            missing.append(f"{owner}.{attr}")
+    assert len(tracing.SPANS) == 20 and missing == []
