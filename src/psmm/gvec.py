@@ -57,7 +57,7 @@ class GradedLinearMap:
             return RatMatrix.zeros(self.target.dim(k), self.source.dim(k))
         return m
 
-    def compose(self, other: "GradedLinearMap") -> "GradedLinearMap":
+    def compose_after(self, other: "GradedLinearMap") -> "GradedLinearMap":
         """self after other."""
         degrees = set(k for k, _ in self.source.dims) | set(k for k, _ in other.source.dims)
         mats = {}

@@ -17,22 +17,20 @@ Disconnected stages are modeled through their unital core Q.1 + H^+,
 the cohomology of the wedge of their components, so that every stage is
 path-connected as the model construction requires.
 
-A stage's minimal model depends only on its core's dims and structure
-constants, so within one `persistent_model` call stages with equal core
-data share one model object, and stage pairs with the same two models
-and the same core-map matrices share one representative.  When the
-model reads only degrees below max_dim, every stage at or past the
-enclosing radius is one shared star (`build_filtration`), with one
-ring and one induced map between its copies.  The dump still lists
-every stage and pair, byte for byte as without sharing.
-
-A persistent-CDGA input mode takes per-grid CDGAs and structure maps
-verbatim, which covers non-metric comparisons.
+A persistent-CDGA input takes per-grid CDGAs and structure maps
+verbatim, which covers non-metric comparisons.  Both input forms hand
+their stage algebras, sharing keys and structure maps to one driver,
+`_models_and_reps`: stages with equal keys (for a metric stage, equal
+core dims and structure constants) share one model object, pairs with
+the same two models and map matrices share one representative, and
+every length-2 span is checked for Q- and H-functoriality.  The dump
+still lists every stage and pair, byte for byte as without sharing.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -75,14 +73,22 @@ class PersistentSullivanModel:
     h_spaces: list
     h_maps: list
     max_degree: int
-    h1_stages: list
-    nonconverged_stages: list
     degraded_pairs: list = field(default_factory=list)
     source: str = "metric"
 
     @property
     def num_stages(self) -> int:
         return len(self.models)
+
+    @property
+    def h1_stages(self) -> list:
+        """Stages with H^1 != 0; none at max_degree 0, where the H
+        spaces stop at degree 0."""
+        return [k for k, h in enumerate(self.h_spaces) if h.dim(1) > 0]
+
+    @property
+    def nonconverged_stages(self) -> list:
+        return [k for k, mm in enumerate(self.models) if not mm.deg1_converged]
 
     def caveats(self) -> list:
         out = []
@@ -184,46 +190,97 @@ def _core_map(ring_map: GradedLinearMap, core_small: CohomologyRing,
     return GradedLinearMap(core_big.space(max_deg), core_small.space(max_deg), mats)
 
 
-def _zero_representative(mm_src, mm_tgt) -> CDGAMorphism:
-    """Zero on generators; a chain map since minimal differentials are
-    decomposable.  Fallback when no lift exists within truncated
-    degree-1 models."""
-    src, tgt = mm_src.model, mm_tgt.model
-    return CDGAMorphism(src, tgt, [{} for _ in src.generators])
-
-
 def _representative_or_degrade(f, mm_src, mm_tgt, max_degree: int,
                                pair: int, degraded: list, lift=None) -> CDGAMorphism:
+    """The representative of f, or, where no lift exists within truncated
+    degree-1 models, the zero one (a chain map, since minimal
+    differentials are decomposable) with `pair` added to `degraded`."""
     try:
         return (lift or sullivan_representative)(f, mm_src, mm_tgt, max_degree)
     except LiftError:
         if mm_src.deg1_converged and mm_tgt.deg1_converged:
             raise
         degraded.append(pair)
-        return _zero_representative(mm_src, mm_tgt)
+        return CDGAMorphism(mm_src.model, mm_tgt.model, [{} for _ in mm_src.model.generators])
 
 
-def _maps_key(f: GradedLinearMap, max_deg: int) -> tuple:
+def _maps_key(f, max_deg: int) -> tuple:
+    """The matrices of a ring map or CDGA morphism in degrees 0..max_deg."""
     return tuple(f.matrix(k) for k in range(max_deg + 1))
+
+
+def _shared(cache: dict, key, build):
+    """The value cached under `key`, built by `build()` on first use."""
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
+def _models_and_reps(algebras: list, keys: list, maps: list, cfg: Config):
+    """(models, reps, degraded pairs): the minimal model of each stage
+    algebra and a representative of each map, maps[k] running from stage
+    k+1 to stage k, checked on every length-2 span.  Stages with equal
+    keys share one `MinimalModel`; pairs with the same two model objects
+    and the same map matrices share one representative.  Only successful
+    lifts are shared; a pair with no lift is retried, and degraded.
+    """
+    deg = cfg.max_degree
+    shared_models: dict = {}
+    models = [_shared(shared_models, key, lambda: minimal_model(alg, deg, cfg.deg1_cap))
+              for alg, key in zip(algebras, keys)]
+    shared_lifts: dict = {}
+
+    def lift(f, mm_src, mm_tgt, max_degree):
+        return _shared(shared_lifts, (id(mm_src), id(mm_tgt), _maps_key(f, max_degree)),
+                       lambda: sullivan_representative(f, mm_src, mm_tgt, max_degree))
+
+    degraded: list = []
+    reps = [_representative_or_degrade(f, models[k + 1], models[k], deg, k, degraded, lift)
+            for k, f in enumerate(maps)]
+    _check_functoriality(models, reps, maps, degraded, deg, lift)
+    return models, reps, degraded
+
+
+def _check_functoriality(models: list, reps: list, maps: list, degraded: list,
+                         max_degree: int, lift):
+    """Composites over length-2 spans: the representative of g o f must
+    agree with rep(g) o rep(f) on cohomology and on linear parts.
+    Spans touching non-converged or degraded stages are skipped; the
+    functoriality guarantee does not extend to truncated degree-1
+    constructions.  A span with the same model and representative
+    objects and the same composite as one already checked is not
+    checked again; `lift` makes the direct representatives."""
+    skip = {k for k, mm in enumerate(models) if not mm.deg1_converged}
+    checked = set()
+    for k in range(len(maps) - 1):
+        if {k, k + 1, k + 2} & skip or {k, k + 1} & set(degraded):
+            continue
+        composite = maps[k].compose_after(maps[k + 1])
+        span = (*(id(mm) for mm in models[k:k + 3]), id(reps[k]), id(reps[k + 1]),
+                _maps_key(composite, max_degree))
+        if span in checked:
+            continue
+        checked.add(span)
+        direct = lift(composite, models[k + 2], models[k], max_degree)
+        chained = reps[k].compose_after(reps[k + 1])
+        if not linear_part_map(direct).equals(linear_part_map(chained)):
+            raise InputError(f"Q-functoriality fails across stages {k}..{k + 2}")
+        h_src, h_tgt = models[k + 2].h_model, models[k].h_model
+        hd = induced_cohomology_map(direct, h_src, h_tgt, max_degree)
+        hc = induced_cohomology_map(chained, h_src, h_tgt, max_degree)
+        if not hd.equals(hc):
+            raise InputError(f"H-functoriality fails across stages {k}..{k + 2}")
 
 
 def persistent_model(m: MetricSpace, cfg: Optional[Config] = None) -> PersistentSullivanModel:
     """Formality pipeline for a metric space: Rips filtration, stage
-    rings, formal minimal models, representatives of the consecutive
-    induced maps, with H- and Q-functoriality checks on length-2 spans
-    (`_check_functoriality`).  When the degrees read, 0..max_degree, lie
-    below max_dim, the filtration stops enumerating below the enclosing
-    radius and every stage from it on is one shared star
-    (`build_filtration`), so they share one ring and one induced map.
-
-    One ring is built per distinct stage object and one induced map per
-    distinct pair of rings.  A minimal model is a function of its core's
-    dims and structure constants (`CohomologyRing.core_key`), so stages
-    with equal core data share one `MinimalModel`.  Pairs with the same
-    two model objects and the same core-map matrices share one
-    representative, and each distinct span is checked once.  Only
-    successful lifts are shared; a pair with no lift is retried, and
-    degraded as before.
+    rings, and the formal minimal models and representatives of their
+    unital cores and core maps (`_models_and_reps`), shared by
+    `CohomologyRing.core_key`.  One ring is built per distinct stage
+    object and one induced map per distinct pair of rings.  When the
+    degrees read, 0..max_degree, lie below max_dim, the filtration stops
+    enumerating below the enclosing radius and every stage from it on is
+    one shared star (`build_filtration`) with one ring.
     """
     cfg = cfg or Config()
     filt = build_filtration(m, cfg.max_dim, cfg.simplex_cap, max_degree=cfg.max_degree)
@@ -234,116 +291,38 @@ def persistent_model(m: MetricSpace, cfg: Optional[Config] = None) -> Persistent
                  cx, ring_deg, eager_through=cfg.max_degree))
              for cx in filt.stages]
     cores = [r.unital_core() for r in rings]
-    shared_models: dict = {}
-    models = [_shared(shared_models, core.core_key(cfg.max_degree),
-                      lambda: minimal_model(core, cfg.max_degree, cfg.deg1_cap))
-              for core in cores]
-
-    shared_lifts: dict = {}
-
-    def lift(f, mm_src, mm_tgt, max_degree):
-        return _shared(shared_lifts, (id(mm_src), id(mm_tgt), _maps_key(f, max_degree)),
-                       lambda: sullivan_representative(f, mm_src, mm_tgt, max_degree))
-
-    n = len(filt.stages)
     shared_maps: dict = {}
-    ring_maps = [_shared(shared_maps, (id(rings[k]), id(rings[k + 1])),
-                         lambda: induced_ring_map(rings[k], rings[k + 1], cfg.max_degree))
-                 for k in range(n - 1)]
-    core_maps = [_core_map(ring_maps[k], cores[k], cores[k + 1], cfg.max_degree)
-                 for k in range(n - 1)]
-    degraded: list = []
-    reps = [_representative_or_degrade(core_maps[k], models[k + 1], models[k],
-                                       cfg.max_degree, k, degraded, lift)
-            for k in range(n - 1)]
-
-    psm = PersistentSullivanModel(
-        grid=filt.critical_values,
-        models=models,
-        reps=reps,
-        h_spaces=[r.space(cfg.max_degree) for r in rings],
-        h_maps=ring_maps,
-        max_degree=cfg.max_degree,
-        h1_stages=[k for k, r in enumerate(rings) if cfg.max_degree >= 1 and r.dim(1) > 0],
-        nonconverged_stages=[k for k, mm in enumerate(models) if not mm.deg1_converged],
-        degraded_pairs=degraded,
-        source="metric",
-    )
-    _check_functoriality(psm, core_maps, lift)
-    return psm
-
-
-def _shared(cache: dict, key, build):
-    """The value cached under `key`, built by `build()` on first use."""
-    if key not in cache:
-        cache[key] = build()
-    return cache[key]
-
-
-def _check_functoriality(psm: PersistentSullivanModel, core_maps: list, lift):
-    """Composites over length-2 spans: the representative of g o f must
-    agree with rep(g) o rep(f) on cohomology and on linear parts.
-    Spans touching non-converged or degraded stages are skipped; the
-    functoriality guarantee does not extend to truncated degree-1
-    constructions.  A span with the same model and representative
-    objects and the same composite as one already checked is not
-    checked again; `lift` makes the direct representatives."""
-    skip = set(psm.nonconverged_stages)
-    checked = set()
-    for k in range(len(core_maps) - 1):
-        if {k, k + 1, k + 2} & skip or {k, k + 1} & set(psm.degraded_pairs):
-            continue
-        composite = core_maps[k].compose(core_maps[k + 1])
-        span = (*(id(mm) for mm in psm.models[k:k + 3]), id(psm.reps[k]),
-                id(psm.reps[k + 1]), _maps_key(composite, psm.max_degree))
-        if span in checked:
-            continue
-        checked.add(span)
-        direct = lift(composite, psm.models[k + 2], psm.models[k], psm.max_degree)
-        chained = psm.reps[k].compose_after(psm.reps[k + 1])
-        if not linear_part_map(direct).equals(linear_part_map(chained)):
-            raise InputError(f"Q-functoriality fails across stages {k}..{k + 2}")
-        h_src = psm.models[k + 2].h_model
-        h_tgt = psm.models[k].h_model
-        hd = induced_cohomology_map(direct, h_src, h_tgt, psm.max_degree)
-        hc = induced_cohomology_map(chained, h_src, h_tgt, psm.max_degree)
-        if not hd.equals(hc):
-            raise InputError(f"H-functoriality fails across stages {k}..{k + 2}")
+    ring_maps = [_shared(shared_maps, (id(small), id(big)),
+                         lambda: induced_ring_map(small, big, cfg.max_degree))
+                 for small, big in zip(rings, rings[1:])]
+    core_maps = [_core_map(f, small, big, cfg.max_degree)
+                 for f, small, big in zip(ring_maps, cores, cores[1:])]
+    models, reps, degraded = _models_and_reps(
+        cores, [core.core_key(cfg.max_degree) for core in cores], core_maps, cfg)
+    return PersistentSullivanModel(
+        grid=filt.critical_values, models=models, reps=reps,
+        h_spaces=[r.space(cfg.max_degree) for r in rings], h_maps=ring_maps,
+        max_degree=cfg.max_degree, degraded_pairs=degraded, source="metric")
 
 
 def persistent_model_from_cdgas(pc: PersistentCDGA,
                                 cfg: Optional[Config] = None) -> PersistentSullivanModel:
     """Verbatim persistent-CDGA mode: per-stage models of the given
-    algebras and representatives along the given structure maps."""
+    algebras and representatives along the given structure maps
+    (`_models_and_reps`, one model per algebra object), with H spaces
+    and maps read off each model's input cohomology."""
     cfg = cfg or Config()
-    models = [minimal_model(alg, cfg.max_degree, cfg.deg1_cap) for alg in pc.stages]
-    degraded: list = []
-    reps = [_representative_or_degrade(pc.maps[k], models[k + 1], models[k],
-                                       cfg.max_degree, k, degraded)
-            for k in range(len(pc.maps))]
-    h_spaces = []
-    for mm in models:
-        h_spaces.append(GradedVectorSpace.from_dims(
-            {k: mm.h_input.h_dim(k) for k in range(cfg.max_degree + 1)}))
-    h_maps = [
-        induced_cohomology_map(pc.maps[k], models[k + 1].h_input,
-                               models[k].h_input, cfg.max_degree)
-        for k in range(len(pc.maps))
-    ]
+    models, reps, degraded = _models_and_reps(
+        pc.stages, [id(alg) for alg in pc.stages], pc.maps, cfg)
+    h_spaces = [GradedVectorSpace.from_dims(
+                    {k: mm.h_input.h_dim(k) for k in range(cfg.max_degree + 1)})
+                for mm in models]
+    h_maps = [induced_cohomology_map(f, models[k + 1].h_input, models[k].h_input,
+                                     cfg.max_degree)
+              for k, f in enumerate(pc.maps)]
     return PersistentSullivanModel(
-        grid=pc.grid,
-        models=models,
-        reps=reps,
-        h_spaces=h_spaces,
-        h_maps=h_maps,
-        max_degree=cfg.max_degree,
-        h1_stages=[k for k, mm in enumerate(models)
-                   if cfg.max_degree >= 1 and mm.h_input.h_dim(1) > 0],
-        nonconverged_stages=[k for k, mm in enumerate(models)
-                             if not mm.deg1_converged],
-        degraded_pairs=degraded,
-        source="cdga",
-    )
+        grid=pc.grid, models=models, reps=reps, h_spaces=h_spaces, h_maps=h_maps,
+        max_degree=cfg.max_degree, degraded_pairs=degraded, source="cdga")
 
 
 def v_barcode(psm: PersistentSullivanModel) -> Barcode:
@@ -523,6 +502,29 @@ def _space_from_dims(dims: dict) -> GradedVectorSpace:
                                         for k, v in dims.items()})
 
 
+# The largest H dim a model dump may give: nothing in a dump bounds H^0,
+# nor the verification's input dims; the barcode holds a vector per dim.
+DUMP_DIM_CAP = 1 << 16
+
+
+def _check_stage_dims(stage: dict, v: GradedVectorSpace, h: GradedVectorSpace):
+    """InputError unless a dump stage's V dims count its model's
+    generators by degree, its positive-degree H dims are the
+    verification's input dims, and no H dim passes DUMP_DIM_CAP."""
+    gens = Counter(json_int(g["degree"], "a generator degree")
+                   for g in stage["model"]["generators"])
+    if v != GradedVectorSpace.from_dims(gens):
+        raise InputError("v_dims differ from the generator degrees of the model")
+    dim_input = {json_int(e["degree"], "a verification degree"):
+                 json_int(e["dim_input"], "a verification dim")
+                 for e in stage["verification"]["per_degree"]}
+    if ({d: n for d, n in h.dims if d > 0}
+            != {d: n for d, n in dim_input.items() if d > 0 and n}):
+        raise InputError("h_dims differ from the verification's dim_input")
+    if any(n > DUMP_DIM_CAP for _, n in h.dims):
+        raise InputError(f"an H dim exceeds the cap {DUMP_DIM_CAP}")
+
+
 def _gmap_from_json(data: dict, src: GradedVectorSpace,
                     tgt: GradedVectorSpace) -> GradedLinearMap:
     mats = {}
@@ -537,8 +539,8 @@ def _gmap_from_json(data: dict, src: GradedVectorSpace,
 def barcodes_from_json(data: dict):
     """(V barcode, H barcode) rebuilt from a model dump.  A dump missing
     a field, with the wrong number of stages or maps, a dim that is not
-    a JSON integer >= 0, or a matrix of the wrong shape raises
-    InputError."""
+    a JSON integer >= 0 or disagrees with its stage (`_check_stage_dims`),
+    or a matrix of the wrong shape raises InputError."""
     if data.get("format") != "psmm-model":
         raise InputError("not a model dump")
     try:
@@ -549,6 +551,8 @@ def barcodes_from_json(data: dict):
                              "one representative and one H map per consecutive pair")
         v_spaces = [_space_from_dims(s["v_dims"]) for s in stages]
         h_spaces = [_space_from_dims(s["h_dims"]) for s in stages]
+        for s, v, h in zip(stages, v_spaces, h_spaces):
+            _check_stage_dims(s, v, h)
         v_maps = [_gmap_from_json(rep["q_matrices"], v_spaces[k + 1], v_spaces[k])
                   for k, rep in enumerate(reps)]
         h_maps = [_gmap_from_json(hm, h_spaces[k + 1], h_spaces[k])
@@ -599,23 +603,10 @@ def bounds_report(x, y, cfg: Optional[Config] = None,
             caveats.append(f"gh2 omitted: |X|*|Y| exceeds cap {cfg.gh_cap}")
 
     verdicts = []
-    h1_caveat = bool(psm_x.h1_stages or psm_y.h1_stages)
-    if gh2 is None:
-        verdicts.append({"name": "dB_H <= 2*d_GH", "holds": None})
-        verdicts.append({"name": "dB_V(deg>=2) <= 2*d_GH", "holds": None,
-                         "caveated": h1_caveat})
-    else:
-        verdicts.append({
-            "name": "dB_H <= 2*d_GH",
-            "holds": bool(db_h.sup <= gh2),
-            "lhs": num_to_json(db_h.sup),
-            "rhs": num_to_json(gh2),
-        })
-        verdicts.append({
-            "name": "dB_V(deg>=2) <= 2*d_GH",
-            "holds": bool(db_v_verdict <= gh2),
-            "lhs": num_to_json(db_v_verdict),
-            "rhs": num_to_json(gh2),
-            "caveated": h1_caveat,
-        })
+    h1_caveat = {"caveated": bool(psm_x.h1_stages or psm_y.h1_stages)}
+    for name, lhs, extra in (("dB_H <= 2*d_GH", db_h.sup, {}),
+                             ("dB_V(deg>=2) <= 2*d_GH", db_v_verdict, h1_caveat)):
+        checked = {} if gh2 is None else {
+            "holds": bool(lhs <= gh2), "lhs": num_to_json(lhs), "rhs": num_to_json(gh2)}
+        verdicts.append({"name": name, "holds": None, **checked, **extra})
     return BoundsReport(db_h, db_v, db_v_verdict, gh2, verdicts, caveats)

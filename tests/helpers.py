@@ -2,8 +2,9 @@
 itself takes sparse {index: Fraction} dicts), whole-algebra linear
 parts and cohomology, polynomial products, monomial labels, generator
 offsets, a necessary test for homotopic morphisms, the
-simplicial-complex closure check, one-line constructors and a
-persistent model built with no sharing between stages.  The package
+simplicial-complex closure check, one-line constructors, and a
+persistent model of a metric space and one of a persistent CDGA, each
+built with no sharing between stages.  The package
 itself never needs them, so they live beside the tests.
 """
 
@@ -23,7 +24,7 @@ from psmm.errors import InputError, LiftError
 from psmm.gvec import GradedLinearMap, GradedVectorSpace
 from psmm.metric import MetricSpace, SimplicialComplex, build_filtration
 from psmm.minmodel import minimal_model, sullivan_representative
-from psmm.pipeline import PersistentSullivanModel
+from psmm.pipeline import PersistentCDGA, PersistentSullivanModel
 from psmm.ratlin import RatMatrix
 
 
@@ -195,7 +196,7 @@ def unshared_persistent_model(m: MetricSpace, cfg: Config) -> PersistentSullivan
     for k in range(len(core_maps) - 1):
         if {k, k + 1, k + 2} & set(nonconverged) or {k, k + 1} & set(degraded):
             continue
-        direct = sullivan_representative(core_maps[k].compose(core_maps[k + 1]),
+        direct = sullivan_representative(core_maps[k].compose_after(core_maps[k + 1]),
                                          models[k + 2], models[k], deg)
         chained = reps[k].compose_after(reps[k + 1])
         if not linear_part_map(direct).equals(linear_part_map(chained)):
@@ -211,8 +212,37 @@ def unshared_persistent_model(m: MetricSpace, cfg: Config) -> PersistentSullivan
         h_spaces=[r.space(deg) for r in rings],
         h_maps=ring_maps,
         max_degree=deg,
-        h1_stages=[k for k, r in enumerate(rings) if deg >= 1 and r.dim(1) > 0],
-        nonconverged_stages=nonconverged,
         degraded_pairs=degraded,
         source="metric",
+    )
+
+
+def unshared_persistent_cdga_model(pc: PersistentCDGA, cfg: Config) -> PersistentSullivanModel:
+    """`pipeline.persistent_model_from_cdgas` with nothing shared and no
+    functoriality check: one minimal model per stage and one lift per
+    structure map (a zero representative where no lift exists between
+    truncated degree-1 models)."""
+    deg = cfg.max_degree
+    models = [minimal_model(alg, deg, cfg.deg1_cap) for alg in pc.stages]
+    degraded, reps = [], []
+    for k, f in enumerate(pc.maps):
+        src, tgt = models[k + 1], models[k]
+        try:
+            reps.append(sullivan_representative(f, src, tgt, deg))
+        except LiftError:
+            if src.deg1_converged and tgt.deg1_converged:
+                raise
+            degraded.append(k)
+            reps.append(CDGAMorphism(src.model, tgt.model, [{} for _ in src.model.degrees]))
+    return PersistentSullivanModel(
+        grid=pc.grid,
+        models=models,
+        reps=reps,
+        h_spaces=[GradedVectorSpace.from_dims({k: mm.h_input.h_dim(k) for k in range(deg + 1)})
+                  for mm in models],
+        h_maps=[induced_cohomology_map(f, models[k + 1].h_input, models[k].h_input, deg)
+                for k, f in enumerate(pc.maps)],
+        max_degree=deg,
+        degraded_pairs=degraded,
+        source="cdga",
     )

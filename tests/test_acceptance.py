@@ -300,7 +300,7 @@ def test_criterion_7_algebra_property_suite(capsys):
         g = linear_morphism(v, w)
         comp = g.compose_after(f)
         if not linear_part_map(comp).equals(
-                linear_part_map(g).compose(linear_part_map(f))):
+                linear_part_map(g).compose_after(linear_part_map(f))):
             violations += 1
         # naturality: Q(wedge f) acts on generator slots exactly as f
         q = linear_part_map(f)

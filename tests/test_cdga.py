@@ -239,7 +239,7 @@ class TestMorphisms:
         g = random_linear_morphism(w, u)
         comp = g.compose_after(f)
         assert linear_part_map(comp).equals(
-            linear_part_map(g).compose(linear_part_map(f)))
+            linear_part_map(g).compose_after(linear_part_map(f)))
 
 
 class TestSparseChainMapCheck:

@@ -342,6 +342,41 @@ class TestBarcodeCommand:
         err = TestMinimalModelCommand._assert_rejected(tmp_path, capsys, "barcode", dump)
         assert "malformed model dump" in err
 
+    # Dims no genuine dump has, each past what a 512 MiB address space
+    # can hold if read as given: a V dim the model has no generators for,
+    # an H dim the verification does not report, one it does but past
+    # DUMP_DIM_CAP, and an H^0 dim that no map fixes.
+    @pytest.mark.parametrize("broken", ["v dim", "h dim", "h dim in verification",
+                                        "h0 dim without map"])
+    def test_dump_dims_bounded_exit_2(self, tmp_path, broken):
+        out = tmp_path / "model.json"
+        two = write(tmp_path, "two.json", {"distance_matrix": [[0, 1], [1, 0]]})
+        assert run_cli(["model", "--input", two, "-o", str(out)]) == 0
+        dump = json.loads(out.read_text())
+        for stage in dump["stages"]:
+            if broken == "v dim":
+                stage["v_dims"]["2"] = 10**9
+            elif broken == "h0 dim without map":
+                stage["h_dims"]["0"] = 10**9
+            else:
+                stage["h_dims"]["2"] = 10**9
+                if broken == "h dim in verification":
+                    stage["verification"]["per_degree"][2]["dim_input"] = 10**9
+        if broken == "h0 dim without map":
+            dump["h_maps"][0]["0"] = []
+        inp = write(tmp_path, "bad.json", dump)
+        limit = 512 << 20
+        src = str(Path(psmm.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "psmm", "barcode", "--input", inp, "--invariant", "V"],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: malformed model dump")
+
     def test_determinism_repeat_runs(self, tmp_path, capsys):
         inp = circle_file(tmp_path)
         a = tmp_path / "a.json"

@@ -636,4 +636,4 @@ class TestInducedMaps:
             f10 = induced_ring_map(rings[i], rings[i + 1])
             f21 = induced_ring_map(rings[i + 1], rings[i + 2])
             f20 = induced_ring_map(rings[i], rings[i + 2])
-            assert f10.compose(f21).equals(f20)
+            assert f10.compose_after(f21).equals(f20)

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import unshared_persistent_model
+from helpers import unshared_persistent_cdga_model, unshared_persistent_model
+from test_golden import PERSISTENT
 from psmm import pipeline
+from psmm.cdga import CDGAMorphism
 from psmm.config import Config
 from psmm.errors import CapExceeded, InputError
 from psmm.metric import build_filtration, metric_from_matrix, metric_from_points
@@ -67,6 +69,24 @@ KZ2_KZ3_CDGA = {
     }],
     "maps": [],
 }
+
+S2_IDENTITY_CDGA = {
+    "grid": [1],
+    "stages": [S2_CDGA["stages"][0], S2_CDGA["stages"][0]],
+    "maps": [{"images": {
+        "a": [{"coeff": 1, "monomial": ["a"]}],
+        "b": [{"coeff": 1, "monomial": ["b"]}],
+    }}],
+}
+
+S2_ZERO_MAP_CDGA = {
+    "grid": [1],
+    "stages": [S2_CDGA["stages"][0], S2_CDGA["stages"][0]],
+    "maps": [{"images": {"a": [], "b": []}}],
+}
+
+CIRCLE_CDGA = {"grid": [], "maps": [], "stages": [
+    {"generators": [{"name": "x", "degree": 1}], "truncation": 3}]}
 
 
 class TestPersistentModel:
@@ -395,6 +415,33 @@ class TestDegradedRepresentatives:
         assert all(all(c == 0 for c in img.values()) for img in rep.images)
 
 
+class TestFunctorialityCheck:
+    """Every representative doubled on generators: rep(g) o rep(f)
+    scales a composite's linear part by 4, its direct representative
+    by 2, so the span check must fail on both input forms."""
+
+    @pytest.fixture
+    def doubled_lifts(self, monkeypatch):
+        lift = pipeline.sullivan_representative
+
+        def doubled(f, mm_src, mm_tgt, max_degree):
+            rep = lift(f, mm_src, mm_tgt, max_degree)
+            return CDGAMorphism(rep.source, rep.target,
+                                [{i: 2 * c for i, c in img.items()} for img in rep.images],
+                                check=False)
+        monkeypatch.setattr(pipeline, "sullivan_representative", doubled)
+
+    def test_metric_input(self, doubled_lifts):
+        # stages 1-3 of the 13-point circle are circles with identity maps
+        with pytest.raises(InputError, match="Q-functoriality fails across stages 1..3"):
+            persistent_model(circle_space(13), Config(max_degree=2, max_dim=3))
+
+    def test_persistent_cdga_input(self, doubled_lifts):
+        with pytest.raises(InputError, match="Q-functoriality fails across stages 0..2"):
+            persistent_model_from_cdgas(persistent_cdga_from_json(PERSISTENT, min_trunc=4),
+                                        Config(max_degree=2))
+
+
 def graph_space(n, far, pairs):
     """Exact space with the distances of `pairs` ({(i, j): d}) and `far`
     between every other two points."""
@@ -540,16 +587,8 @@ class TestCdgaMode:
         assert hb.degree(4) == ()
 
     def test_two_stage_identity_maps(self):
-        spec = {
-            "grid": [1],
-            "stages": [S2_CDGA["stages"][0], S2_CDGA["stages"][0]],
-            "maps": [{"images": {
-                "a": [{"coeff": 1, "monomial": ["a"]}],
-                "b": [{"coeff": 1, "monomial": ["b"]}],
-            }}],
-        }
         psm = persistent_model_from_cdgas(
-            persistent_cdga_from_json(spec), Config(max_degree=4))
+            persistent_cdga_from_json(S2_IDENTITY_CDGA), Config(max_degree=4))
         vb = v_barcode(psm)
         assert vb.degree(2) == ((Fraction(0), INF, 1),)
         assert vb.degree(3) == ((Fraction(0), INF, 1),)
@@ -557,24 +596,31 @@ class TestCdgaMode:
         assert hb.degree(2) == ((Fraction(0), INF, 1),)
 
     def test_two_stage_zero_map_splits_bars(self):
-        spec = {
-            "grid": [1],
-            "stages": [S2_CDGA["stages"][0], S2_CDGA["stages"][0]],
-            "maps": [{"images": {"a": [], "b": []}}],
-        }
         psm = persistent_model_from_cdgas(
-            persistent_cdga_from_json(spec), Config(max_degree=4))
+            persistent_cdga_from_json(S2_ZERO_MAP_CDGA), Config(max_degree=4))
         vb = v_barcode(psm)
         assert vb.degree(2) == ((Fraction(0), Fraction(1), 1), (Fraction(1), INF, 1))
         hb = h_barcode(psm)
         assert hb.degree(2) == ((Fraction(0), Fraction(1), 1), (Fraction(1), INF, 1))
 
     def test_h1_stages_only_from_degree_one(self):
-        circle = {"grid": [], "maps": [], "stages": [
-            {"generators": [{"name": "x", "degree": 1}], "truncation": 3}]}
-        pc = persistent_cdga_from_json(circle)
+        pc = persistent_cdga_from_json(CIRCLE_CDGA)
         assert persistent_model_from_cdgas(pc, Config(max_degree=1)).h1_stages == [0]
         assert persistent_model_from_cdgas(pc, Config(max_degree=0)).h1_stages == []
+
+    # The shared, span-checked build must write the dump of the build
+    # with nothing shared and nothing checked, byte for byte; the stages
+    # are read as `psmm model` reads them.
+    @pytest.mark.parametrize("spec, max_degree", [
+        (PERSISTENT, 2), (PERSISTENT, 3), (PERSISTENT, 4), (S2_CDGA, 4), (KZ2_KZ3_CDGA, 4),
+        (S2_IDENTITY_CDGA, 4), (S2_ZERO_MAP_CDGA, 4), (CIRCLE_CDGA, 1)])
+    def test_matches_unshared_unchecked(self, spec, max_degree):
+        pc = persistent_cdga_from_json(spec, min_trunc=max_degree + 2)
+        cfg = Config(max_degree=max_degree)
+
+        def dump(build):
+            return json.dumps(psm_to_json(build(pc, cfg)), sort_keys=True, indent=2)
+        assert dump(persistent_model_from_cdgas) == dump(unshared_persistent_cdga_model)
 
     def test_bad_grid_rejected(self):
         with pytest.raises(InputError):
