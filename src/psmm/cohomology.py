@@ -5,7 +5,8 @@ cocycles plus multiplication structure constants) and the maps induced
 by stage inclusions.  Cup products use the Alexander-Whitney formula in
 the global vertex order; the ring is graded-commutative and associative
 after projection to cohomology, and both facts are asserted during
-construction.
+construction.  A ring is built in one pass: everything below its top
+degree at construction, the top degree on its first `dim`.
 
 Everything in degree 0 is read off component labels instead, with no
 cup product and no class solve.  Each H^0 representative is the 0/1
@@ -213,6 +214,9 @@ class CohomologyRing:
     sparse over simplex indices, or None per class in an abstract ring.
     `structure` stores products; those with a degree-0 factor only in an
     abstract ring, as unit entries (a complex-backed ring reads labels).
+    Everything below the top degree `max_deg` is built at construction,
+    the top degree on its first `dim`: `from_data` fills it up front,
+    and `from_complex` asks for it only when a product can land there.
     Doubles as a formal CDGA (zero differential) for minimal-model
     construction: `dim`, `d_columns`, `mul_basis`, `unit_coords` and
     `trunc` (with `zero_differential` set) make up the finite-CDGA
@@ -229,20 +233,30 @@ class CohomologyRing:
         self.engine = engine
         self.basis: dict[int, list] = {}
         self.structure: dict[tuple, dict] = {}
-        self._materialized: set = set()
         self._labels: Optional[list] = None
         self._comps: dict[int, list] = {}
 
     # -- construction ---------------------------------------------------
 
     @staticmethod
-    def from_complex(cx: SimplicialComplex, max_deg: int,
-                     eager_through: Optional[int] = None) -> "CohomologyRing":
+    def from_complex(cx: SimplicialComplex, max_deg: int) -> "CohomologyRing":
+        """The ring of `cx` in one pass: the basis of every degree below
+        max_deg, every product of positive degrees landing in 0..max_deg
+        (`{}` where that degree is zero), then the ring axioms.  The top
+        degree max_deg is fetched only when such a product lands there."""
         ring = CohomologyRing(max_deg, StageCohomology.of_complex(cx))
-        hi = max_deg if eager_through is None else min(eager_through, max_deg)
-        for k in range(hi + 1):
-            ring.ensure_degree(k)
-        ring._check_ring_axioms(hi)
+        for k in range(max_deg):
+            ring.dim(k)
+        for p in range(1, max_deg):
+            for q in range(1, max_deg + 1 - p):
+                if ring.dim(p) == 0 or ring.dim(q) == 0:
+                    continue
+                zero = ring.dim(p + q) == 0
+                for i, ci in enumerate(ring.basis[p]):
+                    for j, cj in enumerate(ring.basis[q]):
+                        ring.structure[(p, i, q, j)] = {} if zero else ring.engine.class_of(
+                            p + q, cup_product(cx, ci, p, cj, q))
+        ring._check_ring_axioms()
         return ring
 
     @staticmethod
@@ -251,55 +265,20 @@ class CohomologyRing:
         which only the count is kept; structure maps (p, i, q, j) ->
         {index: coeff} in degree p+q.  H^0 is Q, spanned by the unit."""
         ring = CohomologyRing(max_deg)
-        for k, names in labels.items():
-            ring.basis[k] = [None] * len(names)
+        for k in range(max_deg + 1):
+            ring.basis[k] = [None] * len(labels.get(k, ()))
         for key, val in structure.items():
             ring.structure[tuple(key)] = {i: Fraction(c) for i, c in val.items() if c}
-        ring._materialized = set(range(max_deg + 1))
         if len(ring.basis.get(0, ())) != 1:
             raise InputError("abstract rings must have H^0 = Q with the unit as basis")
         for p in range(ring.max_deg + 1):
-            for i in range(len(ring.basis.get(p, ()))):
+            for i in range(len(ring.basis[p])):
                 ring.structure.setdefault((0, 0, p, i), {i: Fraction(1)})
                 ring.structure.setdefault((p, i, 0, 0), {i: Fraction(1)})
-        ring._check_ring_axioms(max_deg)
+        ring._check_ring_axioms()
         return ring
 
-    # -- lazy materialization --------------------------------------------
-
-    def ensure_degree(self, k: int):
-        if k in self._materialized or k > self.max_deg:
-            return
-        if self.engine is None:
-            self._materialized.add(k)
-            self.basis.setdefault(k, [])
-            return
-        self.basis[k] = list(self.engine.h_reps(k))
-        self._materialized.add(k)
-        # structure constants against all previously materialized degrees
-        for p in sorted(self._materialized):
-            q = k  # new degree
-            for (dp, dq) in ((p, q), (q, p)):
-                if dp + dq > self.max_deg:
-                    continue
-                self._compute_structure(dp, dq)
-
-    def _compute_structure(self, p: int, q: int):
-        if self.dim(p) == 0 or self.dim(q) == 0 or p + q > self.max_deg:
-            return
-        self.ensure_degree(p + q)
-        if p == 0 or q == 0:
-            self._components(p + q)  # mul_basis reads these products off it
-            return
-        for i, ci in enumerate(self.basis[p]):
-            for j, cj in enumerate(self.basis[q]):
-                if (p, i, q, j) in self.structure:
-                    continue
-                if self.dim(p + q) == 0:
-                    self.structure[(p, i, q, j)] = {}
-                    continue
-                prod = cup_product(self.engine.cx, ci, p, cj, q)
-                self.structure[(p, i, q, j)] = self.engine.class_of(p + q, prod)
+    # -- component labels ------------------------------------------------
 
     def _vertex_labels(self) -> list:
         """The index of the H^0 rep holding each vertex.  Checks what the
@@ -341,12 +320,13 @@ class CohomologyRing:
 
     # -- ring axioms -----------------------------------------------------
 
-    def _check_ring_axioms(self, through: int):
+    def _check_ring_axioms(self):
         # graded commutativity with exact Koszul signs; the label rule
         # for degree 0 is symmetric, its invariants checked by _components
         low = 0 if self.engine is None else 1
-        for p in range(low, through + 1):
-            for q in range(low, through + 1 - p):
+        top = self.max_deg
+        for p in range(low, top + 1):
+            for q in range(low, top + 1 - p):
                 sign = -1 if (p % 2 and q % 2) else 1
                 for i in range(self.dim(p)):
                     for j in range(self.dim(q)):
@@ -356,9 +336,9 @@ class CohomologyRing:
                             raise InputError(
                                 f"graded commutativity fails at ({p},{i})x({q},{j})")
         # associativity on basis triples within truncation
-        for p in range(1, through + 1):
-            for q in range(1, through + 1 - p):
-                for r in range(1, through + 1 - p - q):
+        for p in range(1, top + 1):
+            for q in range(1, top + 1 - p):
+                for r in range(1, top + 1 - p - q):
                     for i in range(self.dim(p)):
                         for j in range(self.dim(q)):
                             for t in range(self.dim(r)):
@@ -372,34 +352,32 @@ class CohomologyRing:
     # -- finite-CDGA interface --------------------------------------------
 
     def dim(self, k: int) -> int:
+        """dim H^k; the one place a missing degree is filled, with the
+        check that each of its reps lies in one component.  Only the top
+        degree of a complex-backed ring can be missing."""
         if k < 0:
             return 0
         if k > self.max_deg:
             raise TruncationError(f"degree {k} beyond ring truncation {self.max_deg}")
-        self.ensure_degree(k)
-        return len(self.basis.get(k, ()))
+        if k not in self.basis:
+            self.basis[k] = list(self.engine.h_reps(k))
+            self._components(k)
+        return len(self.basis[k])
 
     def d_columns(self, k: int) -> tuple:
-        """Zero columns of d^k with row count 0: degree k + 1 is never
-        touched, so asking for it materializes no cup products."""
+        """Zero columns of d^k with row count 0.  Only dim(k) is read:
+        everything below the top degree is built at construction, and
+        d^{max_deg - 1} leaves the top degree to its first `dim`."""
         return [{} for _ in range(self.dim(k))], 0
 
     def mul_basis(self, p: int, i: int, q: int, j: int) -> dict:
         if p + q > self.max_deg:
             return {}
-        self.ensure_degree(p)
-        self.ensure_degree(q)
         if self.engine is not None and (p == 0 or q == 0):
             # 1_C . b and b . 1_C are b when b lies in C, else 0
             c, k, b = (i, q, j) if p == 0 else (j, p, i)
             return {b: _ONE} if self._components(k)[b] == c else {}
-        key = (p, i, q, j)
-        if key not in self.structure:
-            if self.engine is not None:
-                self._compute_structure(p, q)
-            else:
-                return {}
-        return dict(self.structure.get(key, {}))
+        return dict(self.structure.get((p, i, q, j), {}))
 
     def unit_coords(self) -> dict:
         if self.engine is None:
@@ -425,7 +403,6 @@ class CohomologyRing:
         core = CohomologyRing(self.max_deg, self.engine)
         core.basis = dict(self.basis)
         core.basis[0] = [{i: _ONE for i in range(self.engine.n_cochains(0))}]
-        core._materialized = set(self._materialized) | {0}
         core.structure = dict(self.structure)  # products of positive degrees
         return core
 
@@ -433,19 +410,20 @@ class CohomologyRing:
         """Hashable data on which the minimal model of this unital core
         through degree `through` depends: dim(k) for k <= through, every
         stored structure constant (both degrees >= 1), and
-        dim(through + 1) only when that degree is already materialized.
+        dim(through + 1) only when that degree is already fetched.
 
-        dim(through + 1) is never called here, since on a large stage
-        that degree can cost more than the model itself.  Leaving an
-        unmaterialized top degree out is exact:
-        materializing degrees <= through computes every product landing
-        in through + 1 and materializes it when one can be nonzero, so no
-        product lands there, H^{through+1}(rho) is zero whatever its
-        dimension, and `minimal_model` finds the same kernel.
+        Everything below the top degree is built at construction, the
+        top degree on its first `dim`, which is never called here, since
+        on a large stage that degree can cost more than the model itself.
+        Leaving an unfetched top degree out is exact: construction
+        computes every product landing in the top degree and fetches it
+        when one can be nonzero, so no product lands there,
+        H^{through+1}(rho) is zero whatever its dimension, and
+        `minimal_model` finds the same kernel.
         """
         top = through + 1
         dims = tuple(self.dim(k) for k in range(through + 1))
-        top_dim = self.dim(top) if top in self._materialized else None
+        top_dim = self.dim(top) if top in self.basis else None
         products = tuple(sorted((key, tuple(sorted(v.items())))
                                 for key, v in self.structure.items()))
         return dims, top_dim, products

@@ -48,7 +48,6 @@ class MetricSpace:
     dist: tuple  # tuple of tuples, Fraction or float
     names: Optional[tuple] = None
     exact: bool = True
-    triangle_ok: bool = True
 
     @property
     def n(self) -> int:
@@ -80,8 +79,7 @@ class MetricSpace:
 
     def scaled(self, lam: Num) -> "MetricSpace":
         rows = tuple(tuple(x * lam for x in row) for row in self.dist)
-        return MetricSpace(rows, self.names, self.exact and isinstance(lam, (int, Fraction)),
-                           self.triangle_ok)
+        return MetricSpace(rows, self.names, self.exact and isinstance(lam, (int, Fraction)))
 
 
 def metric_from_matrix(matrix: Sequence[Sequence], names=None) -> MetricSpace:
@@ -107,15 +105,11 @@ def metric_from_matrix(matrix: Sequence[Sequence], names=None) -> MetricSpace:
                 raise InputError(f"asymmetric entries at ({i},{j})")
             if rows[i][j] < 0:
                 raise InputError(f"negative distance at ({i},{j})")
-    tri = all(
-        rows[i][k] <= rows[i][j] + rows[j][k]
-        for i in range(n) for j in range(n) for k in range(n)
-    )
     if names is not None:
         names = tuple(str(x) for x in names)
         if len(names) != n:
             raise InputError("names length mismatch")
-    return MetricSpace(tuple(tuple(r) for r in rows), names, exact, tri)
+    return MetricSpace(tuple(tuple(r) for r in rows), names, exact)
 
 
 def _coordinate(c) -> float:
@@ -144,7 +138,7 @@ def metric_from_points(points: Sequence[Sequence]) -> MetricSpace:
             if not math.isfinite(d):
                 raise InputError(f"distance between points {i} and {j} overflows")
             rows[i][j] = rows[j][i] = d
-    return MetricSpace(tuple(tuple(r) for r in rows), None, exact=False, triangle_ok=True)
+    return MetricSpace(tuple(tuple(r) for r in rows), None, exact=False)
 
 
 def load_metric(source) -> MetricSpace:

@@ -21,9 +21,10 @@ A persistent-CDGA input takes per-grid CDGAs and structure maps
 verbatim, which covers non-metric comparisons.  Both input forms hand
 their stage algebras, sharing keys and structure maps to one driver,
 `_models_and_reps`: stages with equal keys (for a metric stage, equal
-core dims and structure constants) share one model object, pairs with
-the same two models and map matrices share one representative, and
-every length-2 span is checked for Q- and H-functoriality.  The dump
+core dims and structure constants; for a given algebra, equal
+generators, differential and truncation) share one model object, pairs
+with the same two models and map matrices share one representative,
+and every length-2 span is checked for Q- and H-functoriality.  The dump
 still lists every stage and pair, byte for byte as without sharing.
 """
 
@@ -209,6 +210,13 @@ def _maps_key(f, max_deg: int) -> tuple:
     return tuple(f.matrix(k) for k in range(max_deg + 1))
 
 
+def _algebra_key(alg) -> tuple:
+    """Generators, nonzero differentials and truncation: the data that
+    fixes a Sullivan algebra, so equal stages share one model."""
+    diff = tuple(sorted((i, tuple(sorted(p.items()))) for i, p in alg.diff.items() if p))
+    return alg.generators, diff, alg.trunc
+
+
 def _shared(cache: dict, key, build):
     """The value cached under `key`, built by `build()` on first use."""
     if key not in cache:
@@ -287,8 +295,7 @@ def persistent_model(m: MetricSpace, cfg: Optional[Config] = None) -> Persistent
     ring_deg = cfg.max_degree + 1
 
     shared_rings: dict = {}
-    rings = [_shared(shared_rings, id(cx), lambda: CohomologyRing.from_complex(
-                 cx, ring_deg, eager_through=cfg.max_degree))
+    rings = [_shared(shared_rings, id(cx), lambda: CohomologyRing.from_complex(cx, ring_deg))
              for cx in filt.stages]
     cores = [r.unital_core() for r in rings]
     shared_maps: dict = {}
@@ -309,11 +316,12 @@ def persistent_model_from_cdgas(pc: PersistentCDGA,
                                 cfg: Optional[Config] = None) -> PersistentSullivanModel:
     """Verbatim persistent-CDGA mode: per-stage models of the given
     algebras and representatives along the given structure maps
-    (`_models_and_reps`, one model per algebra object), with H spaces
-    and maps read off each model's input cohomology."""
+    (`_models_and_reps`, one model per distinct algebra, keyed by
+    `_algebra_key`), with H spaces and maps read off each model's input
+    cohomology."""
     cfg = cfg or Config()
     models, reps, degraded = _models_and_reps(
-        pc.stages, [id(alg) for alg in pc.stages], pc.maps, cfg)
+        pc.stages, [_algebra_key(alg) for alg in pc.stages], pc.maps, cfg)
     h_spaces = [GradedVectorSpace.from_dims(
                     {k: mm.h_input.h_dim(k) for k in range(cfg.max_degree + 1)})
                 for mm in models]

@@ -172,8 +172,7 @@ def unshared_persistent_model(m: MetricSpace, cfg: Config) -> PersistentSullivan
     models) and the Q- and H-functoriality check on every span."""
     deg = cfg.max_degree
     filt = build_filtration(m, cfg.max_dim, cfg.simplex_cap)
-    rings = [CohomologyRing.from_complex(cx, deg + 1, eager_through=deg)
-             for cx in filt.stages]
+    rings = [CohomologyRing.from_complex(cx, deg + 1) for cx in filt.stages]
     cores = [r.unital_core() for r in rings]
     models = [minimal_model(core, deg, cfg.deg1_cap) for core in cores]
     ring_maps = [induced_ring_map(small, big, deg) for small, big in zip(rings, rings[1:])]

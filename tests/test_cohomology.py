@@ -220,10 +220,11 @@ class TestEngineAgainstGreedyOracle:
         real_add = ColumnReducer.add
         monkeypatch.setattr(ColumnReducer, "add",
                             lambda red, col: added.append(id(col)) or real_add(red, col))
-        eng = StageCohomology(lambda k: len(cx.dim_simplices(k)), columns, cx=cx)
-        ring = CohomologyRing(2, eng)
+        monkeypatch.setattr(StageCohomology, "of_complex", staticmethod(
+            lambda c: StageCohomology(lambda k: len(c.dim_simplices(k)), columns, cx=c)))
+        ring = CohomologyRing.from_complex(cx, 2)
+        eng = ring.engine
         for k in range(3):
-            ring.ensure_degree(k)
             reps = eng.h_reps(k)
             for i, rep in enumerate(reps):
                 assert dense(eng.class_of(k, rep), eng.h_dim(k)) == \
@@ -296,14 +297,14 @@ class TestDegreeZeroProducts:
         eng = StageCohomology.of_complex(cx)
         eng._reps[0] = [{v: 2 * c for v, c in rep.items()} for rep in eng.h_reps(0)]
         with pytest.raises(InputError, match="invariant breach"):
-            CohomologyRing(1, eng).ensure_degree(0)
+            CohomologyRing(1, eng).dim(0)
         eng = StageCohomology.of_complex(cx)
         a, b = eng.h_reps(1)
         eng._reps[1] = [{**a, **b}, b]
         ring = CohomologyRing(1, eng)
-        ring.ensure_degree(0)
+        ring.dim(0)
         with pytest.raises(InputError, match="invariant breach"):
-            ring.ensure_degree(1)
+            ring.dim(1)
 
 
 def corrupted_columns(cols, rng):
@@ -559,7 +560,7 @@ class TestCohomologyRing:
             8, [[0, 1], [1, 2], [0, 2], [0, 3], [3, 4], [0, 4], *sphere])
 
         def core(cx):
-            return CohomologyRing.from_complex(cx, 3, eager_through=2).unital_core()
+            return CohomologyRing.from_complex(cx, 3).unital_core()
 
         torus, other = core(torus7()), core(wedge)
         assert [other.dim(k) for k in range(3)] == [torus.dim(k) for k in range(3)] == [1, 2, 1]
@@ -571,9 +572,9 @@ class TestCohomologyRing:
         rows = [[math.pi * min(abs(i - j), n - abs(i - j)) / (n / 2) for j in range(n)]
                 for i in range(n)]
         last = build_filtration(metric_from_matrix(rows), max_dim=5).stages[-1]
-        core = CohomologyRing.from_complex(last, 5, eager_through=4).unital_core()
+        core = CohomologyRing.from_complex(last, 5).unital_core()
         core.core_key(4)
-        assert 5 not in core._materialized
+        assert 5 not in core.basis
 
     def test_star_ring_leaves_top_degree_unmaterialized(self, monkeypatch):
         # circle-13 at degree 4 of max_dim 5: the star stands in for the
@@ -585,8 +586,8 @@ class TestCohomologyRing:
         built = []
         from_complex = CohomologyRing.from_complex
 
-        def record(cx, max_deg, eager_through=None):
-            built.append(from_complex(cx, max_deg, eager_through))
+        def record(cx, max_deg):
+            built.append(from_complex(cx, max_deg))
             return built[-1]
 
         monkeypatch.setattr(CohomologyRing, "from_complex", staticmethod(record))
@@ -594,7 +595,34 @@ class TestCohomologyRing:
         star = built[-1]  # one ring per distinct stage, the star's last
         assert star.engine.cx == complex_from_simplices(n, [(0, v) for v in range(1, n)])
         assert psm.h_spaces[-1].dims == ((0, 1),)
-        assert star.max_deg == 5 and 5 not in star._materialized
+        assert star.max_deg == 5 and 5 not in star.basis
+
+
+    def test_production_ring_checks_top_degree_products(self, monkeypatch):
+        # a 4-cycle and an octahedron far apart: at scale 1 the stage has
+        # H^1 = Q from the cycle and H^2 = Q from the octahedron, so at
+        # max degree 1 its ring's top degree 2 holds the product a.a
+        n = 10
+        rows = [[Fraction(0 if i == j else 10) for j in range(n)] for i in range(n)]
+        for i in range(4):
+            for j in range(i + 1, 4):
+                rows[i][j] = rows[j][i] = Fraction(2 if j - i == 2 else 1)
+        for i in range(4, n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = Fraction(2 if j - i == 3 else 1)  # antipodes
+        m = metric_from_matrix(rows)
+        ring = CohomologyRing.from_complex(build_filtration(m, max_dim=2).stages[1], 2)
+        assert [ring.dim(k) for k in range(3)] == [2, 1, 1]
+        class_of = StageCohomology.class_of
+
+        def skewed(eng, k, cochain):
+            # a.a = b, which graded commutativity forbids for |a| = 1
+            return {0: Fraction(1)} if eng.cx is not None and k == 2 else \
+                class_of(eng, k, cochain)
+
+        monkeypatch.setattr(StageCohomology, "class_of", skewed)
+        with pytest.raises(InputError, match="graded commutativity fails at"):
+            persistent_model(m, Config(max_degree=1))
 
 
 class TestInducedMaps:

@@ -75,11 +75,6 @@ class TestLoadMetric:
         m = metric_from_matrix([[0, "2/4"], ["2/4", 0]])
         assert m.d(0, 1) == Fraction(1, 2) and m.exact
 
-    def test_triangle_flag(self):
-        bad = metric_from_matrix([[0, 1, 9], [1, 0, 1], [9, 1, 0]])
-        assert not bad.triangle_ok
-        assert square_space().triangle_ok
-
 
 class TestFiltration:
     def test_two_point(self):

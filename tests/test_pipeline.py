@@ -622,6 +622,27 @@ class TestCdgaMode:
             return json.dumps(psm_to_json(build(pc, cfg)), sort_keys=True, indent=2)
         assert dump(persistent_model_from_cdgas) == dump(unshared_persistent_cdga_model)
 
+    def test_equal_stages_share_one_model(self, monkeypatch):
+        # four equal S^2 stages, two written differently: the generators
+        # in another order, an explicit zero differential
+        stage = S2_CDGA["stages"][0]
+        reordered = {**stage, "generators": stage["generators"][::-1]}
+        zero_diff = {**stage, "differential": {**stage["differential"], "a": []}}
+        spec = {"grid": [1, 2, 3], "stages": [stage, reordered, zero_diff, stage],
+                "maps": S2_IDENTITY_CDGA["maps"] * 3}
+        pc = persistent_cdga_from_json(spec, min_trunc=6)
+        cfg = Config(max_degree=4)
+        calls = []
+        build = pipeline.minimal_model
+        monkeypatch.setattr(pipeline, "minimal_model",
+                            lambda *args: calls.append(args) or build(*args))
+        psm = persistent_model_from_cdgas(pc, cfg)
+        assert len(calls) == 1 and len({id(mm) for mm in psm.models}) == 1
+
+        def dump(built):
+            return json.dumps(psm_to_json(built), sort_keys=True, indent=2)
+        assert dump(psm) == dump(unshared_persistent_cdga_model(pc, cfg))
+
     def test_bad_grid_rejected(self):
         with pytest.raises(InputError):
             persistent_cdga_from_json({"grid": [2, 1], "stages": [{}, {}, {}]})
