@@ -2,14 +2,18 @@
 
 Monomials in named generators (degrees >= 1) are kept in a canonical
 form: generator indices sorted by (degree, name), odd generators at
-most once, Koszul signs normalized away during sorting.  Polynomials
-are sparse dicts {monomial: Fraction}; a homogeneous one has sparse
-coordinates {monomial index: Fraction} in its degree's basis
-(`poly_to_vec`), the one vector format of the package.
+most once.  `sort_monomial` is the one Koszul sign rule: a product
+concatenates its factors, a Leibniz term splices d(x) in place of x,
+and both are put in canonical form by sorting.  Polynomials are sparse
+dicts {monomial: Fraction}; a homogeneous one has sparse coordinates
+{monomial index: Fraction} in its degree's basis (`poly_to_vec`), the
+one vector format of the package.
 
-Degree bases are materialized through an explicit truncation degree;
-symbolic polynomial arithmetic (multiplication, Leibniz differential,
-the d^2 = 0 check) is exact and truncation-free.
+Degree bases are materialized through an explicit truncation degree,
+each counted from the generator degrees before it is enumerated, with
+CapExceeded past MONOMIAL_CAP monomials; symbolic polynomial arithmetic
+(multiplication, Leibniz differential, the d^2 = 0 check) is exact and
+truncation-free.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cohomology import StageCohomology, mul_elements
-from .errors import DimensionMismatch, InputError, TruncationError
+from .errors import CapExceeded, DimensionMismatch, InputError, TruncationError
 from .gvec import GradedLinearMap, GradedVectorSpace
 from .ratlin import RatMatrix, combine
 from .util import json_int
@@ -26,23 +30,19 @@ from .util import json_int
 Monomial = tuple  # sorted generator indices
 Poly = dict  # Monomial -> Fraction
 
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    out = dict(p)
-    for m, c in q.items():
-        nc = out.get(m, Fraction(0)) + c
-        if nc == 0:
-            out.pop(m, None)
-        else:
-            out[m] = nc
-    return out
+# Cap on the monomial basis of one degree; CapExceeded past it.
+MONOMIAL_CAP = 1 << 20
 
 
-def poly_scale(p: Poly, c) -> Poly:
-    c = Fraction(c)
-    if c == 0:
-        return {}
-    return {m: c * v for m, v in p.items()}
+def count_monomials(degrees: Sequence[int], deg: int) -> int:
+    """Size of the degree-deg monomial basis on generators of the given
+    degrees (deg >= 0): the coefficient of t^deg in
+    prod_odd (1 + t^d) * prod_even 1 / (1 - t^d)."""
+    counts = [1] + [0] * deg
+    for d in degrees:
+        for k in range(deg, d - 1, -1) if d % 2 else range(d, deg + 1):
+            counts[k] += counts[k - d]
+    return counts[deg]
 
 
 class SullivanAlgebra:
@@ -104,67 +104,27 @@ class SullivanAlgebra:
         """(product monomial, Koszul sign) or None when it vanishes."""
         key = (m1, m2)
         hit = self._mulcache.get(key, 0)
-        if hit != 0:
-            return hit
-        odd_suffix = 0
-        suffix_odds = []
-        for i in range(len(m1) - 1, -1, -1):
-            if self.degrees[m1[i]] % 2:
-                odd_suffix += 1
-            suffix_odds.append(odd_suffix)
-        suffix_odds.reverse()  # suffix_odds[i] = #odd in m1[i:]
-        merged = []
-        sign = 1
-        i = j = 0
-        res = None
-        while True:
-            if i < len(m1) and (j >= len(m2) or m1[i] <= m2[j]):
-                g = m1[i]
-                i += 1
-            elif j < len(m2):
-                g = m2[j]
-                if self.degrees[g] % 2 and i < len(m1) and suffix_odds[i] % 2:
-                    sign = -sign
-                j += 1
-            else:
-                break
-            if merged and merged[-1] == g and self.degrees[g] % 2:
-                self._mulcache[key] = None
-                return None
-            merged.append(g)
-        res = (tuple(merged), sign)
-        self._mulcache[key] = res
-        return res
+        if hit == 0:
+            hit = self._mulcache[key] = self.sort_monomial(m1 + m2)
+        return hit
 
     def d_monomial(self, m: Monomial) -> Poly:
-        out: Poly = {}
+        """Leibniz rule: d(x_1..x_n) = sum over positions of the sign of
+        the odd generators before x_i times x_1..d(x_i)..x_n, each term
+        put in canonical form by `sort_monomial`."""
+        terms = []
         sign = 1
         for pos, g in enumerate(m):
-            dg = self.diff.get(g)
-            if dg:
-                prefix, suffix = m[:pos], m[pos + 1:]
-                for mono, coeff in dg.items():
-                    r1 = self.mul_monomials(prefix, mono)
-                    if r1 is None:
-                        continue
-                    r2 = self.mul_monomials(r1[0], suffix)
-                    if r2 is None:
-                        continue
-                    total = sign * r1[1] * r2[1] * coeff
-                    nc = out.get(r2[0], Fraction(0)) + total
-                    if nc == 0:
-                        out.pop(r2[0], None)
-                    else:
-                        out[r2[0]] = nc
+            for mono, coeff in self.diff.get(g, {}).items():
+                r = self.sort_monomial(m[:pos] + mono + m[pos + 1:])
+                if r is not None:
+                    terms.append((sign * r[1] * coeff, {r[0]: 1}))
             if self.degrees[g] % 2:
                 sign = -sign
-        return out
+        return combine(terms)
 
     def d_poly(self, p: Poly) -> Poly:
-        out: Poly = {}
-        for m, c in p.items():
-            out = poly_add(out, poly_scale(self.d_monomial(m), c))
-        return out
+        return combine((c, self.d_monomial(m)) for m, c in p.items())
 
     def _canon_poly(self, terms) -> Poly:
         """The polynomial of a list of terms, each a {'coeff', 'monomial'}
@@ -226,6 +186,10 @@ class SullivanAlgebra:
                 acc.pop()
 
         if deg >= 0:
+            n = count_monomials(self.degrees, deg)
+            if n > MONOMIAL_CAP:
+                raise CapExceeded(f"degree-{deg} monomial basis of {n} exceeds "
+                                  f"cap {MONOMIAL_CAP}")
             extend(0, deg, [])
         self._monomials[deg] = out
         self._mono_index[deg] = {m: i for i, m in enumerate(out)}

@@ -14,7 +14,8 @@ class DimensionMismatch(PsmmError):
 
 
 class CapExceeded(PsmmError):
-    """A configured resource cap (simplex count, GH size) was exceeded."""
+    """A resource cap (simplex count, GH size, model generators, monomial
+    basis size) was exceeded."""
 
 
 class TruncationError(PsmmError):

@@ -3,14 +3,13 @@ representatives of CDGA morphisms between them.
 
 The input is anything with the finite-CDGA interface (a cohomology ring
 with zero differential, or a Sullivan algebra).  Generators are adjoined
-in nondecreasing degree: an iterated degree-1 extension first (capped,
-with an explicit non-convergence flag, since minimal models of
-non-nilpotent fundamental groups are infinitely generated), then one
-pass per degree k >= 2 adding closed generators onto the cokernel of
-H^k(rho) followed by generators killing the kernel of H^{k+1}(rho).
-Minimality of the k >= 2 passes is automatic: no degree-(k+1) generator
-exists yet, so the new differentials have no linear term; the degree-1
-stage lands in words of length two by construction.
+in nondecreasing degree, one pass per degree k: closed generators onto
+the cokernel of H^k(rho), then generators killing the kernel of
+H^{k+1}(rho).  The degree-1 kill step is iterated (capped, with an
+explicit non-convergence flag, since minimal models of non-nilpotent
+fundamental groups are infinitely generated).  Minimality is automatic:
+no degree-(k+1) generator exists yet when degree k is built, so the new
+differentials have no linear term.
 """
 
 from __future__ import annotations
@@ -47,41 +46,32 @@ class _Builder:
         self.target = target
         self.entries = []  # (name, degree, diff poly in name-tuples, sparse rho coords)
         self.counters: dict[int, int] = {}
+        self._last = None  # ((generator count, trunc), (model, rho, cohomology))
 
-    def add(self, degree: int, diff_poly: dict, rho_vec: dict) -> str:
+    def add(self, degree: int, diff_poly: dict, rho_vec: dict):
+        if len(self.entries) >= GEN_CAP:
+            raise CapExceeded(f"generator cap {GEN_CAP} exceeded at degree {degree}")
         c = self.counters.get(degree, 0)
         self.counters[degree] = c + 1
         name = f"v{degree}_{c:03d}"
         self.entries.append((name, degree, diff_poly, rho_vec))
-        return name
 
     def build(self, trunc: int):
-        gens = [(n, d) for n, d, _, _ in self.entries]
-        diff = {n: [(coeff, list(names)) for names, coeff in p.items()]
-                for n, d, p, _ in self.entries if p}
-        alg = SullivanAlgebra(gens, diff, trunc)
-        order = sorted(range(len(self.entries)),
-                       key=lambda i: (self.entries[i][1], self.entries[i][0]))
-        assert order == sorted(order)  # addition order is canonical order
-        images = [self.entries[i][3] for i in order]
-        rho = CDGAMorphism(alg, self.target, images, check=True)
-        return alg, rho
-
-
-def _add_killers(builder: "_Builder", a, alg: SullivanAlgebra, rho: CDGAMorphism,
-                 h_model: StageCohomology, ker: RatMatrix, k: int):
-    """One degree-(k-1) generator z per kernel vector of H^k(rho): d z
-    is the model cocycle zeta it names, rho(z) a solution x of
-    d x = rho(zeta) in the input."""
-    reps = h_model.h_reps(k)
-    basis = alg.monomials(k)
-    for col in ker.sparse_columns():
-        zeta = combine((c, reps[i]) for i, c in col.items())
-        zeta_names = {tuple(alg.names[g] for g in basis[t]): c for t, c in sorted(zeta.items())}
-        x = solve(a.d_columns(k - 1)[0], a.dim(k), rho.apply_vec(k, zeta))
-        if x is None:
-            raise InputError("d x = rho(d z) unsolvable: invariant breach")
-        builder.add(k - 1, zeta_names, x)
+        """(model, rho, cohomology of the model through trunc - 1), built
+        again only when a generator or the truncation changed."""
+        key = (len(self.entries), trunc)
+        if self._last is None or self._last[0] != key:
+            gens = [(n, d) for n, d, _, _ in self.entries]
+            diff = {n: [(coeff, list(names)) for names, coeff in p.items()]
+                    for n, d, p, _ in self.entries if p}
+            alg = SullivanAlgebra(gens, diff, trunc)
+            order = sorted(range(len(self.entries)),
+                           key=lambda i: (self.entries[i][1], self.entries[i][0]))
+            assert order == sorted(order)  # addition order is canonical order
+            images = [self.entries[i][3] for i in order]
+            rho = CDGAMorphism(alg, self.target, images, check=True)
+            self._last = (key, (alg, rho, StageCohomology.of_cdga(alg, trunc - 1)))
+        return self._last[1]
 
 
 def minimal_model(a, max_deg: int, deg1_cap: int = 8) -> MinimalModel:
@@ -93,59 +83,43 @@ def minimal_model(a, max_deg: int, deg1_cap: int = 8) -> MinimalModel:
 
     builder = _Builder(a)
     deg1_converged = True
-
-    def total_gens():
-        return len(builder.entries)
-
-    # -- degree 1: iterated extension ---------------------------------
-    if max_deg >= 1 and h_input.h_dim(1) > 0:
-        for rep in h_input.h_reps(1):
-            builder.add(1, {}, rep)
-        deg1_converged = False
-        for iteration in range(deg1_cap + 1):
-            alg, rho = builder.build(trunc=3)
-            h_model = StageCohomology.of_cdga(alg, 2)
-            if h_model.h_dim(2) == 0:
-                deg1_converged = True
-                break
-            hk = induced_cohomology_map(rho, h_model, h_input, 2, min_deg=2).matrix(2)
-            ker = kernel_basis(hk)
-            if ker.cols == 0:
-                deg1_converged = True
-                break
-            if iteration == deg1_cap:
-                break
-            if total_gens() + ker.cols > GEN_CAP:
-                raise CapExceeded(f"generator cap {GEN_CAP} exceeded in degree 1")
-            _add_killers(builder, a, alg, rho, h_model, ker, 2)
-
-    # -- degrees 2..max_deg: one pass each ------------------------------
-    for k in range(2, max_deg + 1):
-        alg, rho = builder.build(trunc=k + 2)
-        h_model = StageCohomology.of_cdga(alg, k + 1)
+    for k in range(1, max_deg + 1):
         # cokernel of H^k(rho): new closed generators
         if h_input.h_dim(k) > 0:
+            alg, rho, h_model = builder.build(k + 2)
             hk = induced_cohomology_map(rho, h_model, h_input, k, min_deg=k).matrix(k)
-            coker = quotient_basis(h_input.h_dim(k), hk, RatMatrix.identity(h_input.h_dim(k)))
-            if total_gens() + len(coker) > GEN_CAP:
-                raise CapExceeded(f"generator cap {GEN_CAP} exceeded at degree {k}")
-            for idx in coker:
+            for idx in quotient_basis(h_input.h_dim(k), hk,
+                                      RatMatrix.identity(h_input.h_dim(k))):
                 builder.add(k, {}, h_input.h_reps(k)[idx])
-            if coker:
-                alg, rho = builder.build(trunc=k + 2)
-                h_model = StageCohomology.of_cdga(alg, k + 1)
-        # kernel of H^{k+1}(rho): new generators with decomposable d
-        if h_model.h_dim(k + 1) > 0:
+        # kernel of H^{k+1}(rho): one generator z per kernel vector, d z
+        # the model cocycle zeta it names, rho(z) a solution x of
+        # d x = rho(zeta) in the input; iterated in degree 1, where the
+        # new generators can leave new kernel behind
+        for iteration in range(deg1_cap + 1 if k == 1 else 1):
+            alg, rho, h_model = builder.build(k + 2)
+            if h_model.h_dim(k + 1) == 0:
+                break
             hk1 = induced_cohomology_map(rho, h_model, h_input, k + 1, min_deg=k + 1)
             ker = kernel_basis(hk1.matrix(k + 1))
-            if total_gens() + ker.cols > GEN_CAP:
-                raise CapExceeded(f"generator cap {GEN_CAP} exceeded at degree {k}")
-            _add_killers(builder, a, alg, rho, h_model, ker, k + 1)
+            if ker.cols == 0:
+                break
+            if k == 1 and iteration == deg1_cap:
+                deg1_converged = False
+                break
+            reps = h_model.h_reps(k + 1)
+            basis = alg.monomials(k + 1)
+            for col in ker.sparse_columns():
+                zeta = combine((c, reps[i]) for i, c in col.items())
+                zeta_names = {tuple(alg.names[g] for g in basis[t]): c
+                              for t, c in sorted(zeta.items())}
+                x = solve(a.d_columns(k)[0], a.dim(k + 1), rho.apply_vec(k + 1, zeta))
+                if x is None:
+                    raise InputError("d x = rho(d z) unsolvable: invariant breach")
+                builder.add(k, zeta_names, x)
 
-    alg, rho = builder.build(trunc=max_deg + 2)
+    alg, rho, h_model = builder.build(max_deg + 2)
     if not alg.is_minimal():
         raise InputError("constructed model is not minimal: invariant breach")
-    h_model = StageCohomology.of_cdga(alg, max_deg + 1)
     mm = MinimalModel(alg, rho, a, -1, deg1_converged, {}, h_input, h_model)
     mm.report = verify_quasi_iso(mm, max_deg)
     mm.verified_degree = mm.report["verified_degree"]

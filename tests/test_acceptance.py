@@ -28,7 +28,6 @@ from fractions import Fraction
 from helpers import cohomology_ring, dense, gen_offset, make_sullivan, poly_mul, sparse
 from interleaving import direct_sum, interleaving_check, interval_module
 from psmm.cdga import linear_part_map, CDGAMorphism
-from psmm.cdga import poly_add, poly_scale
 from psmm.cli import main as cli_main
 from psmm.cohomology import StageCohomology
 from psmm.config import Config
@@ -42,6 +41,7 @@ from psmm.pipeline import (
     persistent_model,
     v_barcode,
 )
+from psmm.ratlin import combine
 
 
 def report(num, name, checks, elapsed=None, budget=None):
@@ -269,8 +269,8 @@ def test_criterion_7_algebra_property_suite(capsys):
             if prod != {m: sign * c for m, c in flip.items()}:
                 violations += 1
             lhs = alg.d_poly(prod)
-            rhs = poly_add(poly_mul(alg, alg.d_poly(p1), p2),
-                           poly_scale(poly_mul(alg, p1, alg.d_poly(p2)), (-1) ** d1))
+            rhs = combine([(1, poly_mul(alg, alg.d_poly(p1), p2)),
+                           ((-1) ** d1, poly_mul(alg, p1, alg.d_poly(p2)))])
             if lhs != rhs:
                 violations += 1
             if alg.d_poly(alg.d_poly(p1)):

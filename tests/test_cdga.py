@@ -18,12 +18,13 @@ from helpers import (
 )
 from psmm.cdga import (
     CDGAMorphism,
+    count_monomials,
     induced_cohomology_map,
     linear_part_map,
 )
 from psmm.cohomology import CohomologyRing
-from psmm.errors import InputError
-from psmm.ratlin import RatMatrix
+from psmm.errors import CapExceeded, InputError
+from psmm.ratlin import RatMatrix, combine
 
 
 def sphere2_model(trunc=8):
@@ -145,6 +146,54 @@ class TestMonomialBasis:
         alg = free_algebra([("x", 1), ("y", 1)], trunc=4)
         labels = [monomial_label(alg, m) for m in alg.monomials(2)]
         assert labels == ["x*y"]
+
+    @given(st.lists(st.integers(1, 5), max_size=8), st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_count_matches_basis(self, degrees, deg):
+        alg = free_algebra([(f"g{i}", d) for i, d in enumerate(degrees)], trunc=max(deg, 1))
+        assert count_monomials(alg.degrees, deg) == len(alg.monomials(deg))
+
+    def test_basis_past_cap_raises_before_enumerating(self):
+        # C(128, 4) = 10,668,000 degree-4 monomials on 128 odd generators
+        alg = free_algebra([(f"x{i:03d}", 1) for i in range(128)], trunc=4)
+        assert count_monomials(alg.degrees, 4) == 10_668_000
+        with pytest.raises(CapExceeded, match="monomial basis"):
+            alg.monomials(4)
+        assert 4 not in alg._monomials
+
+
+def koszul_oracle(degrees, seq):
+    """(sorted(seq), (-1)^(inversions among its odd entries)), or None
+    when an odd index repeats."""
+    odd = [g for g in seq if degrees[g] % 2]
+    if len(set(odd)) < len(odd):
+        return None
+    inversions = sum(a > b for i, a in enumerate(odd) for b in odd[i + 1:])
+    return tuple(sorted(seq)), (-1) ** inversions
+
+
+class TestKoszulSign:
+    """`sort_monomial` is the one sign rule; the oracle counts odd
+    inversions directly instead of sorting."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_mul_monomials_against_inversion_count(self, data):
+        degrees = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+        alg = free_algebra([(f"g{i}", d) for i, d in enumerate(degrees)])
+        index = st.integers(0, len(degrees) - 1)
+
+        def canonical(seq):
+            m = sorted(seq)
+            return tuple(g for i, g in enumerate(m)
+                         if not (alg.degrees[g] % 2 and i and m[i - 1] == g))
+
+        for _ in range(5):
+            m1 = canonical(data.draw(st.lists(index, max_size=5)))
+            m2 = canonical(data.draw(st.lists(index, max_size=5)))
+            assert alg.mul_monomials(m1, m2) == koszul_oracle(alg.degrees, m1 + m2)
+            seq = data.draw(st.lists(index, max_size=7))
+            assert alg.sort_monomial(seq) == koszul_oracle(alg.degrees, seq)
 
 
 class TestCohomology:
@@ -350,11 +399,10 @@ class TestAlgebraProperties:
             m1, m2 = rng.choice(m1s), rng.choice(m2s)
             p1, p2 = {m1: Fraction(1)}, {m2: Fraction(1)}
             lhs = alg.d_poly(poly_mul(alg, p1, p2))
-            from psmm.cdga import poly_add, poly_scale
-            rhs = poly_add(
-                poly_mul(alg, alg.d_poly(p1), p2),
-                poly_scale(poly_mul(alg, p1, alg.d_poly(p2)), (-1) ** d1),
-            )
+            rhs = combine([
+                (1, poly_mul(alg, alg.d_poly(p1), p2)),
+                ((-1) ** d1, poly_mul(alg, p1, alg.d_poly(p2))),
+            ])
             assert lhs == rhs
 
     @given(st.integers(0, 10 ** 6))

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -524,3 +525,63 @@ class TestEntryPoint:
                               env=dict(os.environ, PYTHONPATH=src), timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("usage: psmm ")
+
+
+def run_limited(args, limit=1 << 30):
+    """`python -m psmm` in a subprocess under an RLIMIT_AS of `limit`
+    bytes: (process, wall seconds)."""
+    src = str(Path(psmm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "psmm", *args], capture_output=True, text=True,
+        env=env, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    return proc, time.perf_counter() - start
+
+
+WEDGE_RING = {"cohomology_ring": {
+    "max_degree": 3, "products": [],
+    "classes": [{"name": "x", "degree": 1}, {"name": "y", "degree": 1}]}}
+
+
+class TestMonomialBudget:
+    """Inputs whose degree-1 models grow without bound (their stages are
+    wedges of circles) ask for a monomial basis past cdga.MONOMIAL_CAP:
+    each exits 3 at once, inside 1 GiB of address space, instead of
+    exhausting it."""
+
+    @pytest.mark.parametrize("command, spec, flags", [
+        pytest.param(
+            "model",
+            {"distance_matrix": [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]]},
+            ["--max-degree", "1", "--max-dim", "1"], id="four-point-line"),
+        pytest.param(
+            "model",
+            {"distance_matrix": [[0, 1, "9/4", 2, "3/4"], [1, 0, "1/2", "5/4", "9/4"],
+                                 ["9/4", "1/2", 0, "3/2", "1/2"], [2, "5/4", "3/2", 0, 1],
+                                 ["3/4", "9/4", "1/2", 1, 0]]},
+            ["--max-degree", "2"], id="five-point-matrix"),
+        pytest.param("minimal-model", WEDGE_RING, ["--max-degree", "2"], id="wedge-ring"),
+    ])
+    def test_exit_3(self, tmp_path, command, spec, flags):
+        inp = write(tmp_path, "input.json", spec)
+        proc, elapsed = run_limited([command, "--input", inp, *flags,
+                                     "-o", str(tmp_path / "out.json")])
+        assert proc.returncode == 3, proc.stderr[-2000:]
+        assert "Traceback" not in proc.stderr
+        assert "monomial basis" in proc.stderr
+        assert elapsed < 10
+
+    def test_wedge_degree_1_still_exits_4(self, tmp_path):
+        # the capped iteration's last model has 127 degree-1 generators
+        # and C(127, 3) = 333,375 degree-3 monomials, under the cap
+        inp = write(tmp_path, "wedge.json", WEDGE_RING)
+        out = tmp_path / "out.json"
+        proc, _ = run_limited(["minimal-model", "--input", inp, "--max-degree", "1",
+                               "-o", str(out)])
+        assert proc.returncode == 4, proc.stderr[-2000:]
+        dump = json.loads(out.read_text())
+        assert not dump["deg1_converged"]
+        assert len(dump["model"]["generators"]) == 127

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,9 @@ import pytest
 from helpers import cohomology_ring, make_sullivan
 from psmm.cdga import linear_part_map
 from psmm.cohomology import CohomologyRing, StageCohomology
-from psmm.errors import InputError
+from psmm import minmodel
+from psmm.cli import main as cli_main
+from psmm.errors import CapExceeded, InputError
 from psmm.gvec import GradedLinearMap
 from psmm.minmodel import (
     MinimalModel,
@@ -106,6 +109,25 @@ class TestMinimalModel:
         other = minimal_model(permuted_ring, max_deg=3)
         counts = lambda mm: sorted(d for _, d in mm.model.generators)
         assert counts(base) == counts(other)
+
+
+class TestGeneratorCap:
+    """The wedge of two circles adds x, y, then z with d z = xy, then
+    two more degree-1 generators: a cap of 3 is passed on the fourth."""
+
+    def test_minimal_model_raises(self, monkeypatch):
+        monkeypatch.setattr(minmodel, "GEN_CAP", 3)
+        with pytest.raises(CapExceeded, match="generator cap 3"):
+            minimal_model(wedge_circles_ring(), max_deg=2)
+
+    def test_cli_exit_3(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(minmodel, "GEN_CAP", 3)
+        ring = {"max_degree": 3, "products": [],
+                "classes": [{"name": "x", "degree": 1}, {"name": "y", "degree": 1}]}
+        path = tmp_path / "wedge-ring.json"
+        path.write_text(json.dumps({"cohomology_ring": ring}))
+        assert cli_main(["minimal-model", "--input", str(path), "--max-degree", "2"]) == 3
+        assert capsys.readouterr().err.startswith("error: generator cap 3")
 
 
 class TestVerifyQuasiIso:
