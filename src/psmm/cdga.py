@@ -25,7 +25,7 @@ from .cohomology import StageCohomology, mul_elements
 from .errors import CapExceeded, DimensionMismatch, InputError, TruncationError
 from .gvec import GradedLinearMap, GradedVectorSpace
 from .ratlin import RatMatrix, combine
-from .util import json_int
+from .util import json_coeff, json_int
 
 Monomial = tuple  # sorted generator indices
 Poly = dict  # Monomial -> Fraction
@@ -134,8 +134,8 @@ class SullivanAlgebra:
             try:
                 coeff, names = ((term["coeff"], term["monomial"]) if isinstance(term, dict)
                                 else term)
-                coeff, names = Fraction(coeff), [str(n) for n in names]
-            except (KeyError, TypeError, ValueError, ZeroDivisionError):
+                coeff, names = json_coeff(coeff, term), [str(n) for n in names]
+            except (KeyError, TypeError, ValueError):
                 raise InputError(f"malformed term {term!r}: needs a coeff and a "
                                  "monomial list") from None
             try:

@@ -17,7 +17,7 @@ from .cdga import sullivan_from_json
 from .cohomology import ring_from_json
 from .config import Config
 from .errors import CapExceeded, InputError, LiftError, TruncationError
-from .metric import gh_bruteforce, load_metric
+from .metric import MetricSpace, gh_bruteforce, load_metric
 from .minmodel import minimal_model
 from .pipeline import (
     _as_psm,
@@ -66,47 +66,61 @@ def _emit(obj: dict, output: str | None):
         sys.stdout.write(blob)
 
 
-def _config_from_args(args) -> Config:
-    return Config(
-        max_degree=args.max_degree,
-        max_dim=args.max_dim,
-        deg1_cap=args.deg1_cap,
-        simplex_cap=args.simplex_cap,
-        gh_cap=args.gh_cap,
-    )
+# The input kinds, as an error message names them.
+DUMP, METRIC, CDGA = "a model dump", "a metric space", "a persistent CDGA"
+RING, SULLIVAN = "a cohomology ring", "a Sullivan algebra"
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--max-degree", type=int, default=4)
-    p.add_argument("--max-dim", type=int, default=None,
-                   help="simplex dimension cap (default max_degree + 1)")
-    p.add_argument("--deg1-cap", type=int, default=8,
-                   help="iterations for the degree-1 extension")
-    p.add_argument("--simplex-cap", type=int, default=2_000_000)
-    p.add_argument("--gh-cap", type=int, default=30,
-                   help="cap on |X|*|Y| for the exact branch-and-bound "
-                        "Gromov-Hausdorff")
-    p.add_argument("-o", "--output", default=None)
-
-
-def _load_comparand(path: str, cfg: Config):
-    """The metric space or persistent CDGA in a file; a model dump, which
-    also has `stages`, is neither."""
+def _load(path: str, cfg: Config, *kinds: str):
+    """The input in the file at `path`, parsed as the first of `kinds`
+    whose keys it has, tested in the order of the kinds above: a model
+    dump (returned as its dict) has `format` "psmm-model"; a metric space
+    `points` or `distance_matrix`; a persistent CDGA `stages`, which a
+    dump has too; a cohomology ring `cohomology_ring`; a Sullivan algebra
+    `generators`."""
     data = _read_json(path)
-    if "points" in data or "distance_matrix" in data:
+    dump = data.get("format") == "psmm-model"
+    if DUMP in kinds and dump:
+        return data
+    if METRIC in kinds and ("points" in data or "distance_matrix" in data):
         return load_metric(data)
-    if "stages" in data and data.get("format") != "psmm-model":
+    if CDGA in kinds and "stages" in data and not dump:
         return persistent_cdga_from_json(data, min_trunc=cfg.max_degree + 2)
-    raise InputError(f"{path}: expected a metric space or a persistent CDGA")
+    if RING in kinds and "cohomology_ring" in data:
+        return ring_from_json(data["cohomology_ring"], min_max_deg=cfg.max_degree + 1)
+    if SULLIVAN in kinds and "generators" in data:
+        return sullivan_from_json(data, min_trunc=cfg.max_degree + 2)
+    raise InputError(f"{path}: expected {' or '.join(kinds)}")
 
 
-def _build_psm(path: str, cfg: Config):
-    return _as_psm(_load_comparand(path, cfg), cfg)
+def _config_from_args(args) -> Config:
+    """The run flags given; an omitted one keeps its `Config` default."""
+    return Config(**{k: v for k, v in vars(args).items()
+                     if k in Config.__dataclass_fields__ and v is not None})
+
+
+# The run flags, each stored under its `Config` field's name; each command
+# registers the ones it reads.
+_FLAGS = {
+    "--max-degree": {"type": int},
+    "--max-dim": {"type": int, "help": "simplex dimension cap (default max_degree + 1)"},
+    "--deg1-cap": {"type": int, "help": "iterations for the degree-1 extension"},
+    "--simplex-cap": {"type": int},
+    "--gh-cap": {"type": int, "help": "cap on |X|*|Y| for the exact branch-and-bound "
+                                      "Gromov-Hausdorff"},
+}
+_MODEL_FLAGS = ("--max-degree", "--max-dim", "--deg1-cap", "--simplex-cap")
+
+
+def _add_flags(p: argparse.ArgumentParser, *flags: str):
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
+    p.add_argument("-o", "--output")
 
 
 def cmd_model(args) -> int:
     cfg = _config_from_args(args)
-    psm = _build_psm(args.input, cfg)
+    psm = _as_psm(_load(args.input, cfg, METRIC, CDGA), cfg)
     _emit(psm_to_json(psm), args.output)
     if psm.nonconverged_stages:
         print(f"warning: degree-1 construction did not converge at stages "
@@ -117,18 +131,18 @@ def cmd_model(args) -> int:
 
 def cmd_barcode(args) -> int:
     cfg = _config_from_args(args)
-    data = _read_json(args.input)
+    x = _load(args.input, cfg, DUMP, METRIC, CDGA)
     code = EXIT_OK
-    if data.get("format") == "psmm-model":
-        vb, hb = barcodes_from_json(data)
+    if isinstance(x, dict):  # a model dump
+        vb, hb = barcodes_from_json(x)
         bc = vb if args.invariant == "V" else hb
-        if data.get("nonconverged_stages"):
+        if x.get("nonconverged_stages"):
             code = EXIT_DEG1
-    elif args.invariant == "H" and ("points" in data or "distance_matrix" in data):
+    elif args.invariant == "H" and isinstance(x, MetricSpace):
         # the cohomology barcode needs no models, so none are built
-        bc = h_barcode(load_metric(data), cfg)
+        bc = h_barcode(x, cfg)
     else:
-        psm = _build_psm(args.input, cfg)
+        psm = _as_psm(x, cfg)
         bc = v_barcode(psm) if args.invariant == "V" else h_barcode(psm)
         if psm.nonconverged_stages:
             code = EXIT_DEG1
@@ -142,8 +156,8 @@ def cmd_compare(args) -> int:
     if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise InputError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
     cfg = _config_from_args(args)
-    left = _load_comparand(args.left, cfg)
-    right = _load_comparand(args.right, cfg)
+    left = _load(args.left, cfg, METRIC, CDGA)
+    right = _load(args.right, cfg, METRIC, CDGA)
     report = bounds_report(left, right, cfg, with_gh=args.gh)
     blob = report.to_json()
     if args.tolerance:
@@ -155,14 +169,7 @@ def cmd_compare(args) -> int:
 
 def cmd_minimal_model(args) -> int:
     cfg = _config_from_args(args)
-    data = _read_json(args.input)
-    if "cohomology_ring" in data:
-        alg = ring_from_json(data["cohomology_ring"], min_max_deg=cfg.max_degree + 1)
-    elif "generators" in data:
-        alg = sullivan_from_json(data, min_trunc=cfg.max_degree + 2)
-    else:
-        raise InputError(f"{args.input}: expected a 'generators' list or a "
-                         "'cohomology_ring' object")
+    alg = _load(args.input, cfg, RING, SULLIVAN)
     mm = minimal_model(alg, cfg.max_degree, cfg.deg1_cap)
     _emit({"format": "psmm-minimal-model", "is_minimal": mm.model.is_minimal(),
            **minimal_model_to_json(mm)}, args.output)
@@ -174,8 +181,8 @@ def cmd_minimal_model(args) -> int:
 
 def cmd_gh(args) -> int:
     cfg = _config_from_args(args)
-    x = load_metric(_read_json(args.left))
-    y = load_metric(_read_json(args.right))
+    x = _load(args.left, cfg, METRIC)
+    y = _load(args.right, cfg, METRIC)
     val = gh_bruteforce(x, y, cfg.gh_cap)
     _emit({"gh": num_to_json(val), "gh2": num_to_json(2 * val)}, args.output)
     return EXIT_OK
@@ -192,14 +199,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("model", help="persistent model dump from a metric "
                                      "space or persistent CDGA")
     p.add_argument("--input", required=True)
-    _add_common(p)
+    _add_flags(p, *_MODEL_FLAGS)
     p.set_defaults(fn=cmd_model)
 
     p = sub.add_parser("barcode", help="V or H barcode")
     p.add_argument("--input", required=True,
                    help="metric space, persistent CDGA, or model dump")
     p.add_argument("--invariant", choices=("V", "H"), required=True)
-    _add_common(p)
+    _add_flags(p, *_MODEL_FLAGS)
     p.set_defaults(fn=cmd_barcode)
 
     p = sub.add_parser("compare", help="lower-bound report for two inputs")
@@ -210,18 +217,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=0.0,
                    help="a finite number >= 0, echoed into the report for "
                         "downstream comparisons")
-    _add_common(p)
+    _add_flags(p, *_MODEL_FLAGS, "--gh-cap")
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("minimal-model", help="minimal model of one CDGA file")
     p.add_argument("--input", required=True)
-    _add_common(p)
+    _add_flags(p, "--max-degree", "--deg1-cap")
     p.set_defaults(fn=cmd_minimal_model)
 
     p = sub.add_parser("gh", help="exact branch-and-bound Gromov-Hausdorff distance")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    _add_common(p)
+    _add_flags(p, "--gh-cap")
     p.set_defaults(fn=cmd_gh)
     return ap
 

@@ -36,7 +36,7 @@ from .errors import InputError, TruncationError
 from .gvec import GradedLinearMap, GradedVectorSpace
 from .metric import SimplicialComplex
 from .ratlin import ColumnReducer, RatMatrix, combine
-from .util import json_int
+from .util import json_coeff, json_int
 
 _ONE = Fraction(1)
 
@@ -482,10 +482,7 @@ def ring_from_json(data: dict, min_max_deg: int = 0) -> CohomologyRing:
             (r, t) = lookup(term, "class")
             if r != p + q:
                 raise InputError("product term has wrong degree")
-            try:
-                result[t] = Fraction(str(term.get("coeff", 1)))
-            except (ValueError, ZeroDivisionError):
-                raise InputError(f"bad coefficient in {term!r}") from None
+            result[t] = json_coeff(term.get("coeff", 1), term)
         structure[(p, i, q, j)] = result
     sign_filled = dict(structure)
     for (p, i, q, j), val in structure.items():

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -83,6 +82,11 @@ class MetricSpace:
 
 
 def metric_from_matrix(matrix: Sequence[Sequence], names=None) -> MetricSpace:
+    if not (isinstance(matrix, (list, tuple))
+            and all(isinstance(row, (list, tuple)) for row in matrix)):
+        raise InputError("distance matrix must be a list of rows")
+    if not (names is None or isinstance(names, (list, tuple))):
+        raise InputError("names must be a list")
     n = len(matrix)
     if n == 0:
         raise InputError("distance matrix has no points")
@@ -141,23 +145,9 @@ def metric_from_points(points: Sequence[Sequence]) -> MetricSpace:
     return MetricSpace(tuple(tuple(r) for r in rows), None, exact=False)
 
 
-def load_metric(source) -> MetricSpace:
-    """Load a metric space from a JSON dict, file path, or file object."""
-    if isinstance(source, (str,)):
-        with open(source) as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise InputError(f"malformed JSON: {e}") from e
-    elif hasattr(source, "read"):
-        try:
-            data = json.load(source)
-        except json.JSONDecodeError as e:
-            raise InputError(f"malformed JSON: {e}") from e
-    else:
-        data = source
-    if not isinstance(data, dict):
-        raise InputError("metric input must be a JSON object")
+def load_metric(data: dict) -> MetricSpace:
+    """A metric space from its JSON object: `points`, or a
+    `distance_matrix` with optional `names`."""
     if "points" in data:
         return metric_from_points(data["points"])
     if "distance_matrix" in data:

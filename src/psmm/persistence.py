@@ -369,8 +369,8 @@ class _CostTable:
     """The matching graph of two bar lists with its edges of cost at most
     `bound`, each labelled by its cost's rank.
 
-    `bound` is a number in the bars' own terms; None means the cap.
-    `keys` are the sorted distinct costs at or below the bound, and 0
+    `bound` is the floor at construction and the last bound given to
+    `widen` after, in the table's arithmetic.  `keys` are the sorted distinct costs at or below the bound, and 0
     (scaled ints when `_scaled_endpoints` applies, the costs themselves
     otherwise); a cost's rank is its index in `keys`, and a cost above
     the bound or infinite has rank `len(keys)`.  `cap` is the rank of
@@ -399,27 +399,11 @@ class _CostTable:
     and pairs the essential bars of the two lists in full.
     """
 
-    def __init__(self, bars1, bars2, bound=None):
-        self._prepare(bars1, bars2)
-        if bound is None:
-            bound = self.cap_cost
-        elif self.scale is not None and bound != INF:
-            bound = math.floor(Fraction(bound) * self.scale)
-        self.widen(bound)
-
-    @classmethod
-    def at_floor(cls, bars1, bars2):
-        """The table of the pairs within the floor, the search's first
-        bound."""
-        table = cls.__new__(cls)
-        table._prepare(bars1, bars2)
-        table.widen(table.floor_cost)
-        return table
-
-    def _prepare(self, bars1, bars2):
-        """What no bound changes: the endpoints in the table's arithmetic,
-        the half-lengths, the sorted finite bars, the essential pairs,
-        the cap matching, and the costs of the cap and the floor."""
+    def __init__(self, bars1, bars2):
+        """The table at the floor, the search's first bound.  First what no
+        bound changes: the endpoints in the table's arithmetic, the
+        half-lengths, the sorted finite bars, the essential pairs, the cap
+        matching, and the costs of the cap and the floor."""
         n, m = len(bars1), len(bars2)
         self.n, self.size = n, n + m
         self.bars = list(bars1) + list(bars2)
@@ -461,6 +445,7 @@ class _CostTable:
         for t, others in [(i, ess2) for i in ess1] + [(t, ess1) for t in ess2]:
             cheapest.append(min((abs(pts[t][0] - pts[u][0]) for u in others), default=INF))
         self.floor_cost = max(cheapest, default=0)
+        self.widen(self.floor_cost)
 
     def _cheapest_edges(self, rows, others, xs):
         """For each finite bar t of `rows`, the cost of its cheapest edge:
@@ -655,7 +640,7 @@ def _bottleneck_degree(bars1, bars2):
         return 0
     if sum(_essential(e) for _, e in bars1) != sum(_essential(e) for _, e in bars2):
         return INF
-    table = _CostTable.at_floor(bars1, bars2)
+    table = _CostTable(bars1, bars2)
     # The answer is the least cost whose graph has a perfect matching, at
     # least the floor and at most the cap.  The first probes read the
     # whole graph at their bound: the floor, then twice the last bound

@@ -575,8 +575,6 @@ def barcodes_from_json(data: dict):
 
 
 def _as_psm(x, cfg: Config) -> PersistentSullivanModel:
-    if isinstance(x, PersistentSullivanModel):
-        return x
     if isinstance(x, PersistentCDGA):
         return persistent_model_from_cdgas(x, cfg)
     if isinstance(x, MetricSpace):

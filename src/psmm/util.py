@@ -1,5 +1,5 @@
 """Serialization of exact numbers and infinity to and from JSON, and the
-JSON-integer check the input parsers share."""
+JSON integer and coefficient readers the input parsers share."""
 
 from __future__ import annotations
 
@@ -14,6 +14,23 @@ def json_int(value, what: str) -> int:
     if type(value) is not int:
         raise InputError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def json_coeff(value, where) -> Fraction:
+    """An exact coefficient, else InputError naming `where`, the term that
+    holds it: a Fraction as it is, a JSON integer or "p/q" string read
+    exactly, a finite float read by its decimal repr (0.1 is 1/10)."""
+    if isinstance(value, Fraction):
+        return value
+    if type(value) is float and math.isfinite(value):
+        value = repr(value)
+    if type(value) is int or isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputError(f"bad coefficient in {where!r}: expected an integer, a 'p/q' "
+                     "string or a finite number")
 
 
 def num_to_json(x):

@@ -138,6 +138,7 @@ def _matching_at(bars1, bars2, delta):
     or None; deleted bars are those not in any pair."""
     n, m = len(bars1), len(bars2)
     table = _CostTable(bars1, bars2)
+    table.widen(table.cap_cost)
     matched, match_r = _max_matching(table.adjacency(_rank_at(table, delta)), table.size)
     if matched != table.size:
         return None

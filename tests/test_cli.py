@@ -196,7 +196,10 @@ class TestModelCommand:
                                       "--gh-cap"])
     def test_negative_flag_exit_2(self, tmp_path, capsys, flag):
         inp = write(tmp_path, "two.json", {"distance_matrix": [[0, 1], [1, 0]]})
-        assert run_cli(["model", "--input", inp, flag, "-1"]) == 2
+        # --gh-cap is read by compare, not model
+        args = (["compare", "--left", inp, "--right", inp] if flag == "--gh-cap"
+                else ["model", "--input", inp])
+        assert run_cli([*args, flag, "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "must be nonnegative" in captured.err
@@ -585,3 +588,152 @@ class TestMonomialBudget:
         dump = json.loads(out.read_text())
         assert not dump["deg1_converged"]
         assert len(dump["model"]["generators"]) == 127
+
+
+TWO_STAGE = {
+    "grid": [1], "stages": [S2_FILE, {"generators": [{"name": "e", "degree": 2}]}],
+    "maps": [{"images": {"e": [{"coeff": 2, "monomial": ["a"]}]}}],
+}
+CP2_RING = {"cohomology_ring": {
+    "max_degree": 5, "classes": [{"name": "a", "degree": 2}, {"name": "u", "degree": 4}],
+    "products": [{"left": "a", "right": "a", "result": [{"class": "u", "coeff": 1}]}]}}
+
+
+def json_nodes(obj, path=()):
+    """The path of every node of a JSON tree, the root first."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, child in items:
+        yield from json_nodes(child, path + (key,))
+
+
+def replaced(obj, path, value):
+    """A copy of `obj` with the node at `path` replaced by `value`."""
+    if not path:
+        return value
+    out = json.loads(json.dumps(obj))
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+class TestInputSweep:
+    """Every input ends in a result or a documented exit code: each node of
+    one seed file per input kind, replaced in turn by each of a fixed set
+    of values, is run through every command that takes that kind."""
+
+    VALUES = [5, -1, 0, 1.5, "x", "1/0", None, True, [], {}, [5], [[]], {"a": 1},
+              "inf", 1e308, [1, 2], math.inf, math.nan]
+    # {input} is the mutated file, {valid} the seed itself
+    BARCODES = (["barcode", "--input", "{input}", "--invariant", "V"],
+                ["barcode", "--input", "{input}", "--invariant", "H"])
+    MODELS = (["model", "--input", "{input}", "--max-degree", "2"],
+              *(args + ["--max-degree", "2"] for args in BARCODES),
+              ["compare", "--left", "{input}", "--right", "{valid}", "--max-degree", "2"])
+    GH = (["gh", "--left", "{input}", "--right", "{valid}"],)
+    MINIMAL_MODEL = (["minimal-model", "--input", "{input}", "--max-degree", "2"],)
+    SEEDS = {
+        "matrix": ({"distance_matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]],
+                    "names": ["a", "b", "c"]}, MODELS + GH),
+        "points": ({"points": [[0, 0], [1, 0], [0, 1]]}, MODELS + GH),
+        "persistent-cdga": (TWO_STAGE, MODELS),
+        "ring": (CP2_RING, MINIMAL_MODEL),
+        "sullivan": (S2_FILE, MINIMAL_MODEL),
+    }
+
+    @staticmethod
+    def sweep(tmp_path, seed, commands):
+        """The (command, exception, message) of every call that raised or
+        returned an undocumented exit code."""
+        files = {"input": str(tmp_path / "input.json"),
+                 "valid": write(tmp_path, "valid.json", seed)}
+        out = str(tmp_path / "out.json")
+        failures = set()
+        for path in json_nodes(seed):
+            for value in TestInputSweep.VALUES:
+                Path(files["input"]).write_text(json.dumps(replaced(seed, path, value)))
+                for command in commands:
+                    try:
+                        code = main([arg.format(**files) for arg in command] + ["-o", out])
+                    except Exception as e:  # noqa: BLE001 - any escape is a finding
+                        failures.add((command[0], type(e).__name__, str(e)[:200]))
+                    else:
+                        if code not in (0, 2, 3, 4):
+                            failures.add((command[0], f"exit {code}", ""))
+        return failures
+
+    @pytest.mark.parametrize("kind", SEEDS)
+    def test_seed(self, tmp_path, capsys, kind):
+        seed, commands = self.SEEDS[kind]
+        assert self.sweep(tmp_path, seed, commands) == set()
+
+    def test_model_dump(self, tmp_path, capsys):
+        two = write(tmp_path, "two.json", {"distance_matrix": [[0, 1], [1, 0]]})
+        dump = tmp_path / "dump.json"
+        assert main(["model", "--input", two, "--max-degree", "1", "-o", str(dump)]) == 0
+        assert self.sweep(tmp_path, json.loads(dump.read_text()), self.BARCODES) == set()
+
+
+class TestFlags:
+    """Each command registers exactly the run flags it reads."""
+
+    MODEL = {"--max-degree", "--max-dim", "--deg1-cap", "--simplex-cap", "--output"}
+    EXPECTED = {
+        "model": MODEL | {"--input"},
+        "barcode": MODEL | {"--input", "--invariant"},
+        "compare": MODEL | {"--left", "--right", "--gh", "--tolerance", "--gh-cap"},
+        "minimal-model": {"--input", "--max-degree", "--deg1-cap", "--output"},
+        "gh": {"--left", "--right", "--gh-cap", "--output"},
+    }
+
+    def test_flag_sets(self):
+        parser = psmm.cli.build_parser()
+        sub = next(a for a in parser._actions if a.dest == "command")
+        got = {name: {s for a in p._actions for s in a.option_strings if s.startswith("--")}
+               - {"--help"} for name, p in sub.choices.items()}
+        assert got == self.EXPECTED
+
+    @pytest.mark.parametrize("args", [
+        ["gh", "--left", "x.json", "--right", "x.json", "--max-degree", "2"],
+        ["minimal-model", "--input", "x.json", "--max-dim", "3"],
+    ])
+    def test_unread_flag_exit_2(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: psmm ")
+        assert err.endswith(f"psmm: error: unrecognized arguments: {args[-2]} {args[-1]}\n")
+
+
+class TestCoefficients:
+    """One reader for every `coeff` field: 0.1 is 1/10 in a Sullivan spec,
+    a persistent-CDGA map and a ring alike, and a boolean or non-finite
+    coefficient exits 2."""
+
+    def test_decimal_float(self):
+        spec = {"generators": [{"name": "a", "degree": 2}, {"name": "b", "degree": 3}],
+                "differential": {"b": [{"coeff": 0.1, "monomial": ["a", "a"]}]}}
+        assert psmm.cdga.sullivan_from_json(spec).diff[1] == {(0, 0): Fraction(1, 10)}
+        images = {"e": [{"coeff": 0.1, "monomial": ["a"]}]}
+        pcdga = psmm.pipeline.persistent_cdga_from_json(
+            {**TWO_STAGE, "maps": [{"images": images}]})
+        assert pcdga.maps[0].images == [{0: Fraction(1, 10)}]
+        ring = {**CP2_RING["cohomology_ring"], "products": [
+            {"left": "a", "right": "a", "result": [{"class": "u", "coeff": 0.1}]}]}
+        assert psmm.cohomology.ring_from_json(ring).structure[(2, 0, 2, 0)] == {
+            0: Fraction(1, 10)}
+
+    @pytest.mark.parametrize("coeff", [True, math.inf, math.nan, "inf", "1/0", [1]])
+    def test_rejected(self, tmp_path, capsys, coeff):
+        spec = {"generators": [{"name": "a", "degree": 2}, {"name": "b", "degree": 3}],
+                "differential": {"b": [{"coeff": coeff, "monomial": ["a", "a"]}]}}
+        ring = {"cohomology_ring": {**CP2_RING["cohomology_ring"], "products": [
+            {"left": "a", "right": "a", "result": [{"class": "u", "coeff": coeff}]}]}}
+        for obj in (spec, ring):
+            assert main(["minimal-model", "--input", write(tmp_path, "c.json", obj)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -357,6 +358,7 @@ class TestBottleneck:
         if not bars1 and not bars2:
             return
         table = _CostTable(bars1, bars2)
+        table.widen(table.cap_cost)
         if essential != sum(1 for _, e in bars2 if e == INF):
             assert table.cap == len(table.keys) and table.cap_matching is None
             return
@@ -422,7 +424,9 @@ class TestBottleneck:
         half = [oracles._half_length(b) for b in bars]
         finite = [c for c in list(cost.values()) + half if c != INF]
         bound = rng.choice(finite + [0, INF, number(rng.randint(0, 12))])
-        table = _CostTable(bars1, bars2, bound)
+        table = _CostTable(bars1, bars2)
+        table.widen(bound if table.scale is None or bound == INF
+                    else math.floor(Fraction(bound) * table.scale))
 
         def edges(k):
             adj = table.adjacency(k)
@@ -474,6 +478,7 @@ class TestBottleneck:
                 return out
             bars1, bars2 = random_bars(kind), random_bars((float, Fraction)[case % 2])
         table = _CostTable(bars1, bars2)
+        table.widen(table.cap_cost)
         lo, hi = 0, table.cap
         while lo < hi:
             mid = (lo + hi) // 2
