@@ -4,14 +4,21 @@ Exit codes: 0 success, 2 invalid input, 3 resource cap exceeded,
 4 degree-1 non-convergence (output still written, flagged).  Data goes
 to stdout when no -o is given; diagnostics go to stderr.  Same input
 and flags produce byte-identical output.
+
+Every command writes its output through `json_text`, which gives the
+bytes of `json.dumps(obj, sort_keys=True, indent=2)` without the
+standard library's pure-Python encoder, the one it uses whenever
+`indent` is set.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .cdga import sullivan_from_json
 from .cohomology import ring_from_json
@@ -49,13 +56,79 @@ def _read_json(path: str) -> dict:
         raise InputError(f"cannot decode {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise InputError(f"malformed JSON in {path}: {e}") from e
+    except ValueError as e:  # an integer literal past the int-string limit
+        raise InputError(f"{path}: {e}") from e
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object at the top level")
     return data
 
 
+def _scalar(x) -> str:
+    """A JSON scalar as `json.dumps` writes it: floats by repr, with NaN
+    and +-Infinity for the non-finite ones."""
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x == math.inf:
+            return "Infinity"
+        if x == -math.inf:
+            return "-Infinity"
+        return float.__repr__(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _write(obj, nl: str, put):
+    """Pass the text of obj to `put` in pieces; `nl` is a newline and the
+    indent of obj's own level."""
+    if isinstance(obj, dict):
+        if not obj:
+            put("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            put(sep + _quote(key) + ": ")
+            _write(obj[key], inner, put)
+            sep = "," + inner
+        put(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            put("[]")
+            return
+        inner = nl + "  "
+        if not any(isinstance(x, (dict, list, tuple)) for x in obj):
+            put("[" + inner + ("," + inner).join(map(_scalar, obj)) + nl + "]")
+            return
+        sep = "[" + inner
+        for x in obj:
+            put(sep)
+            _write(x, inner, put)
+            sep = "," + inner
+        put(nl + "]")
+    else:
+        put(_scalar(obj))
+
+
+def json_text(obj) -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte, for a
+    tree of dicts with str keys, lists, tuples and JSON scalars."""
+    out: list = []
+    _write(obj, "\n", out.append)
+    return "".join(out)
+
+
 def _emit(obj: dict, output: str | None):
-    blob = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    blob = json_text(obj) + "\n"
     if output:
         try:
             with open(output, "w") as fh:
@@ -188,7 +261,10 @@ def cmd_gh(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared after it: callers
+    read it and do not change it."""
     ap = argparse.ArgumentParser(
         prog="psmm",
         description="Persistent minimal models of Rips filtrations: "

@@ -189,6 +189,9 @@ class StageCohomology:
         with no zeros."""
         if self.h_dim(k) == 0:
             return {}
+        if k == 0 and self.n_cochains(0) == 1 and cochain.keys() <= {0}:
+            # connected: H^0 = C^0, its one rep the unit cochain {0: 1}
+            return {0: Fraction(v) for v in cochain.values() if v}
         sol = self._class_reducer(k).solve(cochain)
         if sol is None:
             raise InputError("cochain is not a cocycle modulo boundaries")

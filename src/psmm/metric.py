@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import CapExceeded, InputError
+from .util import bounded_literal
 
 Num = Union[Fraction, float]
 
@@ -32,7 +33,7 @@ def _parse_entry(x) -> Num:
         return Fraction(x)
     if isinstance(x, str):
         try:
-            return Fraction(x)
+            return Fraction(bounded_literal(x))
         except (ValueError, ZeroDivisionError) as e:
             raise InputError(f"bad rational literal {x!r}") from e
     if isinstance(x, float):

@@ -10,8 +10,11 @@ The barcode is read off an interval decomposition with explicit bases,
 built by the elder-rule sweep (Zomorodian-Carlsson, "Computing
 persistent homology", 2005): each live bar's vector is pushed through
 the next map, the images are reduced in birth order, and an image that
-depends on older ones ends the youngest bar.  Every decomposition is
-verified against the raw matrices before its bars are reported.
+depends on older ones ends the youngest bar.  A stage whose map is the
+identity between equal dims is carried across with no reduction: the
+live vectors before it are a basis, so every bar lives on with its
+vector and none is born.  Every decomposition is verified against the
+raw matrices, every stage in full, before its bars are reported.
 
 The persistent-cohomology barcode of a simplicial filtration
 (`cohomology_barcode`) needs no module: one reduction of the coboundary
@@ -179,6 +182,12 @@ class PersistentGVec:
         bars: list[dict] = []
         active: list[int] = []
         for k in range(m):
+            if k > 0 and mats[k - 1].is_identity():
+                # The live vectors are a basis of stage k-1, so an identity
+                # onto an equal stage keeps every bar and starts none.
+                for b in active:
+                    bars[b]["vecs"][k] = bars[b]["vecs"][k - 1]
+                continue
             red = ColumnReducer(max(dims[k], 1), record=True)
             added_bars = []
             survivors = []

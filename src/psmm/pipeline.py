@@ -56,8 +56,8 @@ from .persistence import (
     bottleneck,
     cohomology_barcode,
 )
-from .ratlin import RatMatrix, to_dense
-from .util import json_int, num_from_json, num_to_json
+from .ratlin import RatMatrix
+from .util import bounded_literal, json_int, num_from_json, num_to_json
 
 
 @dataclass
@@ -123,6 +123,8 @@ def _grid_value(x):
     "p/q" string."""
     if isinstance(x, float) and math.isfinite(x):
         return x
+    if isinstance(x, str):
+        x = bounded_literal(x)
     if type(x) is int or isinstance(x, str):
         try:
             return Fraction(x)
@@ -440,7 +442,12 @@ class BoundsReport:
 
 
 def _mat_to_json(m: RatMatrix) -> list:
-    return [[num_to_json(x) for x in row] for row in m.tolist()]
+    """The dense rows of m, written from its sparse columns."""
+    rows = [["0"] * m.cols for _ in range(m.rows)]
+    for j, col in enumerate(m.sparse_columns()):
+        for i, v in col.items():
+            rows[i][j] = num_to_json(v)
+    return rows
 
 
 def _gmap_to_json(f: GradedLinearMap, max_deg: int) -> dict:
@@ -454,9 +461,15 @@ def _gmap_to_json(f: GradedLinearMap, max_deg: int) -> dict:
 
 def _images_to_json(phi: CDGAMorphism) -> dict:
     """Each source generator's image as the dense coordinate list of its
-    degree in the target basis."""
-    return {name: [num_to_json(c) for c in to_dense(vec, phi.target.dim(d))]
-            for (name, d), vec in zip(phi.source.generators, phi.images)}
+    degree in the target basis, written from the sparse image: "0"
+    wherever it has no entry."""
+    out = {}
+    for (name, d), vec in zip(phi.source.generators, phi.images):
+        row = ["0"] * phi.target.dim(d)
+        for i, v in vec.items():
+            row[i] = num_to_json(v)
+        out[name] = row
+    return out
 
 
 def minimal_model_to_json(mm: MinimalModel) -> dict:
@@ -533,12 +546,30 @@ def _check_stage_dims(stage: dict, v: GradedVectorSpace, h: GradedVectorSpace):
         raise InputError(f"an H dim exceeds the cap {DUMP_DIM_CAP}")
 
 
+def _mat_from_json(rows) -> RatMatrix:
+    """The matrix of a dump's dense rows, read straight into sparse
+    columns.  Rows that are not lists raise InputError, rows of unequal
+    length DimensionMismatch; every entry but the string "0" is read by
+    `num_from_json` and checked by `RatMatrix.from_columns`, zeros
+    included, so an entry that is not an exact number raises."""
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise InputError("a matrix must be a list of rows, each a list")
+    ncols = len(rows[0])
+    if any(len(row) != ncols for row in rows):
+        raise DimensionMismatch("data shape does not match (rows, cols)")
+    cols: list = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x != "0":
+                cols[j][i] = num_from_json(x)
+    return RatMatrix.from_columns(cols, len(rows))
+
+
 def _gmap_from_json(data: dict, src: GradedVectorSpace,
                     tgt: GradedVectorSpace) -> GradedLinearMap:
     mats = {}
     for k, rows in data.items():
-        m = RatMatrix.from_rows([[num_from_json(x) for x in row] for row in rows]) if rows \
-            else RatMatrix.zeros(tgt.dim(int(k)), src.dim(int(k)))
+        m = _mat_from_json(rows) if rows else RatMatrix.zeros(tgt.dim(int(k)), src.dim(int(k)))
         if not m.is_zero():
             mats[int(k)] = m
     return GradedLinearMap(src, tgt, mats)

@@ -15,9 +15,10 @@ A vector is a sparse {index: Fraction} dict with no zero entries, from
 input parsing to the dump writer.  A differential is a list of such
 columns, as `SullivanAlgebra.d_columns` and `coboundary_columns` give
 them, with a row count; `solve` takes such columns, the row count and a
-sparse right-hand side, and `combine` sums multiples of them.  Dense
-lists appear only where a dump is read or written: `RatMatrix.from_rows`
-and `tolist` for matrices, `to_dense` for vectors.
+sparse right-hand side, and `combine` sums multiples of them.  The dump
+writer and reader go between the sparse columns and a dump's dense rows
+directly; `RatMatrix.from_rows` and `tolist` are the dense forms of a
+matrix for callers that build or read one by rows.
 
 One engine eliminates: `ColumnReducer`, a sparse incremental column
 reducer that works on integer columns (each input column scaled by the
@@ -152,6 +153,11 @@ class RatMatrix:
     def is_zero(self) -> bool:
         return not any(self._cols)
 
+    def is_identity(self) -> bool:
+        """Square with column j the unit vector e_j, for every j."""
+        return self.rows == self.cols and all(
+            col == ((j, _ONE),) for j, col in enumerate(self._cols))
+
     # -- arithmetic ---------------------------------------------------
 
     def _image(self, items) -> dict:
@@ -170,14 +176,6 @@ class RatMatrix:
             raise DimensionMismatch(f"{self.cols} != {other.rows}")
         return RatMatrix._of(self.rows, tuple(tuple(sorted(self._image(col).items()))
                                               for col in other._cols))
-
-
-def to_dense(col: dict, n: int) -> list:
-    """Dense length-n vector of a sparse {index: value} column."""
-    out = [Fraction(0)] * n
-    for i, v in col.items():
-        out[i] = v
-    return out
 
 
 def combine(terms) -> dict:

@@ -1,5 +1,10 @@
 """Serialization of exact numbers and infinity to and from JSON, and the
-JSON integer and coefficient readers the input parsers share."""
+JSON integer and coefficient readers the input parsers share.
+
+Every exact-number string an input holds passes `bounded_literal`
+before a `Fraction` is built from it: "1e100000000" would take seconds
+and hundreds of MiB to build, and a number past 4300 digits cannot be
+written back out (CPython's int-to-string limit)."""
 
 from __future__ import annotations
 
@@ -7,6 +12,30 @@ import math
 from fractions import Fraction
 
 from .errors import InputError
+
+
+# The most digits an exact-number string may hold, and the largest
+# decimal exponent it may give, either sign.  Every finite float's repr
+# (17 digits, exponents -324..308) stays within it.
+EXACT_DIGITS_CAP = 1000
+
+
+def bounded_literal(s: str) -> str:
+    """s, unless it holds more than EXACT_DIGITS_CAP digits before any
+    exponent or a decimal exponent beyond +-EXACT_DIGITS_CAP: then
+    InputError.  Only the bound is checked; `Fraction` rejects the
+    malformed strings that pass it."""
+    if len(s) <= EXACT_DIGITS_CAP and "e" not in s and "E" not in s:
+        return s
+    mantissa, _, exp = s.replace("E", "e").partition("e")
+    exp = exp.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if (sum(c.isdigit() for c in mantissa) > EXACT_DIGITS_CAP
+            or len(exp) > len(str(EXACT_DIGITS_CAP))
+            or (exp.isdecimal() and int(exp) > EXACT_DIGITS_CAP)):
+        shown = s if len(s) <= 40 else s[:37] + "..."
+        raise InputError(f"exact number {shown!r} has more than {EXACT_DIGITS_CAP} "
+                         f"digits or an exponent beyond +-{EXACT_DIGITS_CAP}")
+    return s
 
 
 def json_int(value, what: str) -> int:
@@ -24,6 +53,8 @@ def json_coeff(value, where) -> Fraction:
         return value
     if type(value) is float and math.isfinite(value):
         value = repr(value)
+    if isinstance(value, str):
+        value = bounded_literal(value)
     if type(value) is int or isinstance(value, str):
         try:
             return Fraction(value)
@@ -50,10 +81,12 @@ def num_from_json(x):
         return math.inf
     if isinstance(x, str):
         try:
-            return Fraction(x)
+            return Fraction(bounded_literal(x))
         except (ValueError, ZeroDivisionError) as e:
             raise InputError(f"bad numeric literal {x!r}") from e
-    if isinstance(x, (int,)):
+    if type(x) is int:
         return Fraction(x)
+    if isinstance(x, bool):
+        raise InputError(f"bad numeric literal {x!r}")
     return float(x)
 

@@ -9,10 +9,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 import psmm
-from psmm.cli import main
+from psmm.cli import json_text, main
 from psmm.metric import build_filtration, load_metric
 
 
@@ -381,6 +383,33 @@ class TestBarcodeCommand:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: malformed model dump")
 
+    # Each entry of a dumped matrix is checked, zeros included; a boolean
+    # is not read as 0 or 1, nor a string row as the list of its characters.
+    @pytest.mark.parametrize("field", ["q_matrices", "h_maps"])
+    @pytest.mark.parametrize("entry, message", [
+        (0.0, "TypeError: not an exact rational: 0.0"),
+        (True, "bad numeric literal True"),
+        ("1/0", "bad numeric literal '1/0'"),
+        ("x", "bad numeric literal 'x'"),
+        ("ragged", "DimensionMismatch: data shape does not match (rows, cols)"),
+        ("string row", "a matrix must be a list of rows, each a list"),
+    ])
+    def test_bad_matrix_entry_exit_2(self, tmp_path, capsys, field, entry, message):
+        out = tmp_path / "model.json"
+        inp = write(tmp_path, "two-stage.json", TWO_STAGE)
+        assert run_cli(["model", "--input", inp, "-o", str(out)]) == 0
+        dump = json.loads(out.read_text())
+        mats = dump["representatives"][0]["q_matrices"] if field == "q_matrices" \
+            else dump["h_maps"][0]
+        if entry == "ragged":
+            mats["2"].append(["0", "1"])
+        elif entry == "string row":
+            mats["2"][0] = mats["2"][0][0]
+        else:
+            mats["2"][0][0] = entry
+        err = TestMinimalModelCommand._assert_rejected(tmp_path, capsys, "barcode", dump)
+        assert err == f"error: malformed model dump: {message}\n"
+
     def test_determinism_repeat_runs(self, tmp_path, capsys):
         inp = circle_file(tmp_path)
         a = tmp_path / "a.json"
@@ -737,3 +766,83 @@ class TestCoefficients:
             assert main(["minimal-model", "--input", write(tmp_path, "c.json", obj)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+class TestLongNumbers:
+    """An exact-number string past util.EXACT_DIGITS_CAP digits or
+    decimal exponent, wherever an input holds one, and a JSON integer
+    past the int-string limit, exit 2 at once with one error line: no
+    `Fraction` is built from them."""
+
+    @staticmethod
+    def inputs(big):
+        sullivan = {"generators": [{"name": "a", "degree": 2}, {"name": "b", "degree": 3}],
+                    "differential": {"b": [{"coeff": big, "monomial": ["a", "a"]}]}}
+        ring = {"cohomology_ring": {**CP2_RING["cohomology_ring"], "products": [
+            {"left": "a", "right": "a", "result": [{"class": "u", "coeff": big}]}]}}
+        return [
+            ("model", {"distance_matrix": [[0, big], [big, 0]]}),
+            ("minimal-model", sullivan),
+            ("minimal-model", ring),
+            ("model", {**TWO_STAGE, "grid": [big]}),
+        ]
+
+    @pytest.mark.parametrize("big", ["1e5000", "1e100000000", "1E-5000", "7" * 1001,
+                                     "1" * 600 + "/" + "3" * 600])
+    def test_exit_2(self, tmp_path, capsys, big):
+        dump = tmp_path / "model.json"
+        assert main(["model", "--input", write(tmp_path, "two-stage.json", TWO_STAGE),
+                     "-o", str(dump)]) == 0
+        good = json.loads(dump.read_text())
+        bad_grid = {**good, "grid": [big]}
+        bad_entry = json.loads(json.dumps(good))
+        bad_entry["h_maps"][0]["2"][0][0] = big
+        runs = self.inputs(big) + [("barcode", bad_grid), ("barcode", bad_entry)]
+        for command, obj in runs:
+            args = [command, "--input", write(tmp_path, "big.json", obj)]
+            if command == "barcode":
+                args += ["--invariant", "V"]
+            start = time.perf_counter()
+            assert main(args) == 2, (command, obj)
+            assert time.perf_counter() - start < 1.0
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+
+    def test_within_cap_accepted(self, tmp_path, capsys):
+        assert main(["model", "--input", write(
+            tmp_path, "m.json", {"distance_matrix": [[0, "1e999"], ["1e999", 0]]})]) == 0
+        assert json.loads(capsys.readouterr().out)["grid"] == ["1" + "0" * 999]
+
+    def test_long_json_integer_exit_2(self, tmp_path, capsys):
+        inp = tmp_path / "m.json"
+        inp.write_text('{"distance_matrix": [[0, %s], [1, 0]]}' % ("1" * 5000))
+        assert main(["model", "--input", str(inp)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {inp}: ") and len(err.splitlines()) == 1
+
+
+# Trees of every kind of node a JSON writer meets: str keys with escapes
+# and non-ASCII text, empty containers, ints past 2**64 of either sign,
+# floats including -0.0, 1e308 and the non-finite ones, bools and None.
+JSON_SCALARS = (st.none() | st.booleans()
+                | st.integers(-(2 ** 70), 2 ** 70) | st.sampled_from([2 ** 64, -(2 ** 64) - 1])
+                | st.floats(allow_nan=True, allow_infinity=True)
+                | st.sampled_from([-0.0, 1e308, math.inf, -math.inf, math.nan])
+                | st.text())
+JSON_KEYS = st.text() | st.sampled_from(["", "\"", "\\", "\n\t\x00", "\u00e9", "\U0001f600"])
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: (st.lists(children, max_size=5) | st.tuples(children, children)
+                      | st.dictionaries(JSON_KEYS, children, max_size=5)),
+    max_leaves=40)
+
+
+class TestJsonText:
+    """The one JSON writer of the commands gives the bytes of
+    `json.dumps(obj, sort_keys=True, indent=2)`."""
+
+    @given(JSON_TREES)
+    @example({"a": [], "b": {}, "c": [[], {}, [[]], {"d": {}}], "e": ()})
+    @settings(max_examples=300, deadline=None)
+    def test_matches_stdlib(self, obj):
+        assert json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)

@@ -147,6 +147,49 @@ class TestBarcode:
             p = PersistentGVec(grid, spaces, maps)
         assert p.barcode().bars == oracles.rank_function_barcode(grid, raw, contravariant)
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_identity_runs_match_rank_function_oracle(self, data):
+        # runs of identity maps between equal dims, which the sweep carries
+        # across without reducing, between random maps that may end bars
+        n = data.draw(st.integers(2, 7), label="stages")
+        grid = tuple(Fraction(k + 1, 3) for k in range(n - 1))
+        contravariant = data.draw(st.booleans(), label="contravariant")
+        identity = [data.draw(st.booleans(), label=f"map {k} is the identity")
+                    for k in range(n - 1)]
+        dims = [data.draw(st.integers(0, 3))]
+        for k in range(n - 1):
+            dims.append(dims[k] if identity[k] else data.draw(st.integers(0, 3)))
+        mats = []
+        for k in range(n - 1):
+            src, tgt = (k + 1, k) if contravariant else (k, k + 1)
+            mats.append([[int(i == j) if identity[k] else data.draw(st.integers(-1, 1))
+                          for j in range(dims[src])] for i in range(dims[tgt])])
+        spaces = [GradedVectorSpace.from_dims({0: d}) for d in dims]
+        maps = []
+        for k in range(n - 1):
+            src, tgt = (k + 1, k) if contravariant else (k, k + 1)
+            maps.append(GradedLinearMap(spaces[src], spaces[tgt], {
+                0: RatMatrix(dims[tgt], dims[src], mats[k])}))
+        if contravariant:
+            p = PersistentGVec.from_contravariant(grid, spaces, maps)
+        else:
+            p = PersistentGVec(grid, spaces, maps)
+        assert p.barcode().bars == oracles.rank_function_barcode(
+            grid, {0: (dims, mats)}, contravariant)
+
+    def test_death_after_identity_run(self):
+        # e0 born at stage 0, e1 at stage 1, two identities, then both map
+        # to one vector: the younger bar dies on leaving the run, and its
+        # carried vectors take the older bar's into account
+        grid = tuple(Fraction(k + 1) for k in range(4))
+        eye = [[1, 0], [0, 1]]
+        p = module_from_dims(grid, [1, 2, 2, 2, 1], [[[1], [0]], eye, eye, [[1, 1]]])
+        assert p.barcode().degree(0) == ((0, INF, 1), (Fraction(1), Fraction(4), 1))
+        bars = p.decompose(0)
+        assert [bar["vecs"] for bar in bars if bar["birth"] == 1] == [
+            {k: {0: -1, 1: 1} for k in (1, 2, 3)}]
+
     def test_contravariant_reporting(self):
         # two-point-space H^0 pattern: dims 2 at stage 0, 1 at stage 1,
         # contravariant restriction map is injective transpose-like
