@@ -25,7 +25,7 @@ from .cohomology import StageCohomology, mul_elements
 from .errors import CapExceeded, DimensionMismatch, InputError, TruncationError
 from .gvec import GradedLinearMap, GradedVectorSpace
 from .ratlin import RatMatrix, combine
-from .util import json_coeff, json_int
+from .util import json_coeff, json_int, num_to_json
 
 Monomial = tuple  # sorted generator indices
 Poly = dict  # Monomial -> Fraction
@@ -256,7 +256,7 @@ class SullivanAlgebra:
             "generators": [{"name": n, "degree": d} for n, d in self.generators],
             "differential": {
                 self.names[i]: [
-                    {"coeff": str(c), "monomial": [self.names[g] for g in m]}
+                    {"coeff": num_to_json(c), "monomial": [self.names[g] for g in m]}
                     for m, c in sorted(p.items())
                 ]
                 for i, p in sorted(self.diff.items()) if p
@@ -399,22 +399,23 @@ def linear_part_map(phi: CDGAMorphism) -> GradedLinearMap:
     raise InputError("linear part of a morphism needs a free target")
 
 
+def induced_matrix(phi: CDGAMorphism, h_src: StageCohomology,
+                   h_tgt: StageCohomology, k: int) -> RatMatrix:
+    """The matrix of H^k(phi) on the chosen representative bases."""
+    rows, cols = h_tgt.h_dim(k), h_src.h_dim(k)
+    if rows == 0 or cols == 0:
+        return RatMatrix.zeros(rows, cols)
+    return RatMatrix.from_columns(
+        [h_tgt.class_of(k, phi.apply_vec(k, rep)) for rep in h_src.h_reps(k)], rows)
+
+
 def induced_cohomology_map(phi: CDGAMorphism, h_src: StageCohomology,
-                           h_tgt: StageCohomology, max_deg: int,
-                           min_deg: int = 0) -> GradedLinearMap:
-    """H(phi) on the chosen representative bases, in degrees
-    min_deg..max_deg."""
-    degrees = range(min_deg, max_deg + 1)
-    mats = {}
-    for k in degrees:
-        if h_src.h_dim(k) == 0 or h_tgt.h_dim(k) == 0:
-            continue
-        cols = [h_tgt.class_of(k, phi.apply_vec(k, rep)) for rep in h_src.h_reps(k)]
-        m = RatMatrix.from_columns(cols, rows=h_tgt.h_dim(k))
-        if not m.is_zero():
-            mats[k] = m
+                           h_tgt: StageCohomology, max_deg: int) -> GradedLinearMap:
+    """H(phi) on the chosen representative bases, in degrees 0..max_deg."""
+    degrees = range(max_deg + 1)
+    mats = {k: induced_matrix(phi, h_src, h_tgt, k) for k in degrees}
     return GradedLinearMap(
         GradedVectorSpace.from_dims({k: h_src.h_dim(k) for k in degrees}),
         GradedVectorSpace.from_dims({k: h_tgt.h_dim(k) for k in degrees}),
-        mats,
+        {k: m for k, m in mats.items() if not m.is_zero()},
     )

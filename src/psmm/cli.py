@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 invalid input, 3 resource cap exceeded,
 4 degree-1 non-convergence (output still written, flagged).  Data goes
-to stdout when no -o is given; diagnostics go to stderr.  Same input
-and flags produce byte-identical output.
+to stdout when no -o is given; diagnostics go to stderr, each one line
+that starts `error:` or `warning:`.  Same input and flags produce
+byte-identical output.
 
 Every command writes its output through `json_text`, which gives the
 bytes of `json.dumps(obj, sort_keys=True, indent=2)` without the
@@ -18,6 +19,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from json.encoder import encode_basestring_ascii as _quote
 
 from .cdga import sullivan_from_json
@@ -309,10 +311,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _warn_line(message, *_):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warn_line
+            return args.fn(args)
     except (InputError, TruncationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID_INPUT

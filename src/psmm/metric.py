@@ -2,10 +2,15 @@
 Gromov-Hausdorff distance of small spaces.
 
 Distances are either exact rationals or binary64 floats, tracked per
-instance.  The Rips convention is the open one, diam < t, realized as
-left-open right-closed constancy intervals (d_k, d_{k+1}] over the grid
-of distinct positive pairwise distances.  A filtration read only below
-its max_dim puts one shared star at and past the enclosing radius
+instance.  A distance entry is read by `util.json_number`: a JSON integer
+or an exact-number string is exact, a float keeps binary64 and makes the
+whole matrix binary64, and a NaN or infinite entry is rejected.  Point
+coordinates are read as floats.
+
+The Rips convention is the open one, diam < t, realized as left-open
+right-closed constancy intervals (d_k, d_{k+1}] over the grid of
+distinct positive pairwise distances.  A filtration read only below its
+max_dim puts one shared star at and past the enclosing radius
 (`build_filtration`).
 """
 
@@ -19,26 +24,9 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import CapExceeded, InputError
-from .util import bounded_literal
+from .util import json_number
 
 Num = Union[Fraction, float]
-
-
-def _parse_entry(x) -> Num:
-    if isinstance(x, bool):
-        raise InputError(f"invalid distance entry {x!r}")
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(bounded_literal(x))
-        except (ValueError, ZeroDivisionError) as e:
-            raise InputError(f"bad rational literal {x!r}") from e
-    if isinstance(x, float):
-        return x
-    raise InputError(f"invalid distance entry {x!r}")
 
 
 @dataclass(frozen=True)
@@ -93,7 +81,7 @@ def metric_from_matrix(matrix: Sequence[Sequence], names=None) -> MetricSpace:
         raise InputError("distance matrix has no points")
     if any(len(row) != n for row in matrix):
         raise InputError("distance matrix is not square")
-    rows = [[_parse_entry(x) for x in row] for row in matrix]
+    rows = [[json_number(x, "distance entry") for x in row] for row in matrix]
     if any(isinstance(x, float) and not math.isfinite(x) for row in rows for x in row):
         raise InputError("distance matrix has a NaN or infinite entry")
     exact = all(isinstance(x, Fraction) for row in rows for x in row)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cdga import CDGAMorphism, SullivanAlgebra, image_of_monomial, induced_cohomology_map
+from .cdga import CDGAMorphism, SullivanAlgebra, image_of_monomial, induced_matrix
 from .cohomology import StageCohomology
 from .errors import CapExceeded, InputError, LiftError
 from .ratlin import ColumnReducer, RatMatrix, combine, kernel_basis, quotient_basis, rank, solve
@@ -87,7 +87,7 @@ def minimal_model(a, max_deg: int, deg1_cap: int = 8) -> MinimalModel:
         # cokernel of H^k(rho): new closed generators
         if h_input.h_dim(k) > 0:
             alg, rho, h_model = builder.build(k + 2)
-            hk = induced_cohomology_map(rho, h_model, h_input, k, min_deg=k).matrix(k)
+            hk = induced_matrix(rho, h_model, h_input, k)
             for idx in quotient_basis(h_input.h_dim(k), hk,
                                       RatMatrix.identity(h_input.h_dim(k))):
                 builder.add(k, {}, h_input.h_reps(k)[idx])
@@ -99,8 +99,7 @@ def minimal_model(a, max_deg: int, deg1_cap: int = 8) -> MinimalModel:
             alg, rho, h_model = builder.build(k + 2)
             if h_model.h_dim(k + 1) == 0:
                 break
-            hk1 = induced_cohomology_map(rho, h_model, h_input, k + 1, min_deg=k + 1)
-            ker = kernel_basis(hk1.matrix(k + 1))
+            ker = kernel_basis(induced_matrix(rho, h_model, h_input, k + 1))
             if ker.cols == 0:
                 break
             if k == 1 and iteration == deg1_cap:
@@ -137,8 +136,7 @@ def verify_quasi_iso(mm: MinimalModel, max_deg: int) -> dict:
         di = mm.h_input.h_dim(k)
         r = 0
         if dm and di:
-            h_rho = induced_cohomology_map(mm.rho, mm.h_model, mm.h_input, k, min_deg=k)
-            r = rank(h_rho.matrix(k))
+            r = rank(induced_matrix(mm.rho, mm.h_model, mm.h_input, k))
         per_degree.append({"degree": k, "dim_model": dm, "dim_input": di, "rank": r})
         if prefix_ok and dm == di == r:
             verified = k

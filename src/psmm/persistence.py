@@ -14,7 +14,9 @@ depends on older ones ends the youngest bar.  A stage whose map is the
 identity between equal dims is carried across with no reduction: the
 live vectors before it are a basis, so every bar lives on with its
 vector and none is born.  Every decomposition is verified against the
-raw matrices, every stage in full, before its bars are reported.
+raw matrices, every stage in full, before its bars are reported.  A
+module checks once that each map runs between its two stage spaces; the
+map has already checked its matrices against those spaces.
 
 The persistent-cohomology barcode of a simplicial filtration
 (`cohomology_barcode`) needs no module: one reduction of the coboundary
@@ -109,10 +111,9 @@ class PersistentGVec:
         if len(maps) != max(len(spaces) - 1, 0):
             raise DimensionMismatch("need one map per consecutive stage pair")
         for k, f in enumerate(maps):
-            for deg in set(spaces[k].degrees()) | set(spaces[k + 1].degrees()):
-                m = f.matrix(deg)
-                if m.rows != spaces[k + 1].dim(deg) or m.cols != spaces[k].dim(deg):
-                    raise DimensionMismatch(f"map {k} shape at degree {deg}")
+            if f.source != spaces[k] or f.target != spaces[k + 1]:
+                raise DimensionMismatch(
+                    f"map {k} does not run from stage {k} to stage {k + 1}")
         self.grid = tuple(grid)
         self.spaces = list(spaces)
         self.maps = list(maps)
@@ -217,11 +218,13 @@ class PersistentGVec:
                     survivors.append(len(bars))
                     bars.append({"birth": k, "death": m, "vecs": {k: unit}})
             active = survivors
-        self._verify_decomposition(deg, bars)
+        self._verify_decomposition(dims, mats, bars)
         return bars
 
-    def _verify_decomposition(self, deg: int, bars: list):
-        dims, mats = self.degree_data(deg)
+    def _verify_decomposition(self, dims: list, mats: list, bars: list):
+        """InputError unless the bars' vectors are a basis of every stage
+        and each map sends a live vector to its next one; `dims` and
+        `mats` are `degree_data` of the bars' degree."""
         m = self.num_stages
         for k in range(m):
             red = ColumnReducer(max(dims[k], 1))

@@ -26,6 +26,11 @@ generators, differential and truncation) share one model object, pairs
 with the same two models and map matrices share one representative,
 and every length-2 span is checked for Q- and H-functoriality.  The dump
 still lists every stage and pair, byte for byte as without sharing.
+
+Grid values, in a persistent-CDGA file or a model dump, and the entries
+of a dump's matrices are read by `util.json_number`.  A grid value may
+be a float if it is finite; a matrix entry must be exact, since the
+dump writes every entry as an exact-number string.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from .persistence import (
     cohomology_barcode,
 )
 from .ratlin import RatMatrix
-from .util import bounded_literal, json_int, num_from_json, num_to_json
+from .util import json_int, json_number, num_to_json
 
 
 @dataclass
@@ -118,26 +123,14 @@ class PersistentCDGA:
     maps: list  # CDGAMorphism per consecutive pair
 
 
-def _grid_value(x):
-    """A grid point: a JSON number (floats kept as floats) or an exact
-    "p/q" string."""
-    if isinstance(x, float) and math.isfinite(x):
-        return x
-    if isinstance(x, str):
-        x = bounded_literal(x)
-    if type(x) is int or isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise InputError(f"grid value {x!r} is not a finite number or a 'p/q' string")
-
-
 def _grid_from_json(values) -> tuple:
-    """A list of strictly increasing positive grid values."""
+    """A list of strictly increasing positive grid values, each a
+    `json_number` and, when a float, finite."""
     if not isinstance(values, list):
         raise InputError("'grid' must be a list")
-    grid = tuple(_grid_value(x) for x in values)
+    grid = tuple(json_number(x, "grid value") for x in values)
+    if any(isinstance(g, float) and not math.isfinite(g) for g in grid):
+        raise InputError("grid has a NaN or infinite value")
     if list(grid) != sorted(set(grid)) or any(g <= 0 for g in grid):
         raise InputError("grid must be strictly increasing positive values")
     return grid
@@ -550,8 +543,9 @@ def _mat_from_json(rows) -> RatMatrix:
     """The matrix of a dump's dense rows, read straight into sparse
     columns.  Rows that are not lists raise InputError, rows of unequal
     length DimensionMismatch; every entry but the string "0" is read by
-    `num_from_json` and checked by `RatMatrix.from_columns`, zeros
-    included, so an entry that is not an exact number raises."""
+    `json_number` and checked by `RatMatrix.from_columns`, zeros
+    included, so an entry that is not an exact number raises (a float
+    with TypeError)."""
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise InputError("a matrix must be a list of rows, each a list")
     ncols = len(rows[0])
@@ -561,7 +555,7 @@ def _mat_from_json(rows) -> RatMatrix:
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
             if x != "0":
-                cols[j][i] = num_from_json(x)
+                cols[j][i] = json_number(x, "numeric literal")
     return RatMatrix.from_columns(cols, len(rows))
 
 

@@ -1,7 +1,10 @@
 """Serialization of exact numbers and infinity to and from JSON, and the
-JSON integer and coefficient readers the input parsers share.
+JSON integer, number and coefficient readers the input parsers share.
 
-Every exact-number string an input holds passes `bounded_literal`
+Every exact number an input holds enters through `json_number`: a JSON
+integer or an exact-number string becomes a `Fraction`, a float stays a
+float for its field to judge, and anything else, booleans included,
+raises InputError.  An exact-number string passes `bounded_literal`
 before a `Fraction` is built from it: "1e100000000" would take seconds
 and hundreds of MiB to build, and a number past 4300 digits cannot be
 written back out (CPython's int-to-string limit)."""
@@ -45,23 +48,33 @@ def json_int(value, what: str) -> int:
     return value
 
 
-def json_coeff(value, where) -> Fraction:
-    """An exact coefficient, else InputError naming `where`, the term that
-    holds it: a Fraction as it is, a JSON integer or "p/q" string read
-    exactly, a finite float read by its decimal repr (0.1 is 1/10)."""
-    if isinstance(value, Fraction):
-        return value
-    if type(value) is float and math.isfinite(value):
-        value = repr(value)
-    if isinstance(value, str):
-        value = bounded_literal(value)
-    if type(value) is int or isinstance(value, str):
+def json_number(x, what: str):
+    """An exact number or a float, else InputError "bad <what> <x>": a
+    Fraction as it is, a JSON integer or an exact-number string ("3",
+    "-1/3", "2.5e3") as a Fraction, a float as it is.  Each caller
+    decides what a float means in its field."""
+    if isinstance(x, str):
         try:
-            return Fraction(value)
+            return Fraction(bounded_literal(x))
         except (ValueError, ZeroDivisionError):
             pass
-    raise InputError(f"bad coefficient in {where!r}: expected an integer, a 'p/q' "
-                     "string or a finite number")
+    elif isinstance(x, (Fraction, float)):
+        return x
+    elif type(x) is int:
+        return Fraction(x)
+    raise InputError(f"bad {what} {x!r}")
+
+
+def json_coeff(value, where) -> Fraction:
+    """An exact coefficient (`json_number`), else InputError naming
+    `where`, the term that holds it; a finite float is read by its
+    decimal repr (0.1 is 1/10)."""
+    x = json_number(value, f"coefficient in {where!r}:")
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise InputError(f"bad coefficient in {where!r}: {x!r} is not finite")
+        x = Fraction(repr(x))
+    return x
 
 
 def num_to_json(x):
@@ -72,21 +85,3 @@ def num_to_json(x):
     if x == math.inf:
         return "inf"
     return x
-
-
-def num_from_json(x):
-    if x is None:
-        return None
-    if x == "inf":
-        return math.inf
-    if isinstance(x, str):
-        try:
-            return Fraction(bounded_literal(x))
-        except (ValueError, ZeroDivisionError) as e:
-            raise InputError(f"bad numeric literal {x!r}") from e
-    if type(x) is int:
-        return Fraction(x)
-    if isinstance(x, bool):
-        raise InputError(f"bad numeric literal {x!r}")
-    return float(x)
-

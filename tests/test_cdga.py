@@ -16,12 +16,7 @@ from helpers import (
     poly_mul,
     sparse,
 )
-from psmm.cdga import (
-    CDGAMorphism,
-    count_monomials,
-    induced_cohomology_map,
-    linear_part_map,
-)
+from psmm.cdga import CDGAMorphism, count_monomials, linear_part_map
 from psmm.cohomology import CohomologyRing
 from psmm.errors import CapExceeded, InputError
 from psmm.ratlin import RatMatrix, combine

@@ -206,6 +206,15 @@ class TestModelCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "must be nonnegative" in captured.err
 
+    def test_config_warning_is_one_line(self, tmp_path, capsys):
+        # Config warns that max_dim < max_degree - 1 truncates degrees away
+        inp = write(tmp_path, "sq.json", {"distance_matrix": [
+            [0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]})
+        assert run_cli(["barcode", "--input", inp, "--invariant", "H",
+                        "--max-dim", "0"]) == 0
+        assert capsys.readouterr().err == ("warning: max_dim < max_degree - 1: top "
+                                           "cohomology degrees will be truncated away\n")
+
     def test_non_finite_input_exit_2(self, tmp_path, capsys):
         # NaN and Infinity are JSON extensions that Python's parser accepts
         for text in ('{"points": [[0, 0], [1, NaN], [2, 0]]}',
@@ -766,6 +775,58 @@ class TestCoefficients:
             assert main(["minimal-model", "--input", write(tmp_path, "c.json", obj)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+class TestExactNumbers:
+    """Every field that holds an exact number reads it through
+    `util.json_number`, with the field's own rule for floats and for its
+    range.  Each value of the sweep, put in each field, gives the exit
+    code pinned here: 0 for the values listed as accepted, else 2 with
+    one error line."""
+
+    VALUES = TestInputSweep.VALUES + ["1/3", "2.5e3", "1e5000", 0.1]
+    EXACT = {"5", '"1/3"', '"2.5e3"'}  # the JSON text of each accepted value
+    FLOATS = {"1.5", "1e+308", "0.1"}
+    # field: (command, seed file, the paths the value goes to, accepted values);
+    # "dump" is the model dump of TWO_STAGE
+    FIELDS = {
+        "distance": ("model", {"distance_matrix": [[0, 1], [1, 0]]},
+                     [("distance_matrix", 0, 1), ("distance_matrix", 1, 0)],
+                     EXACT | FLOATS | {"0"}),
+        "cdga grid": ("model", TWO_STAGE, [("grid", 0)], EXACT | FLOATS),
+        "dump grid": ("barcode", "dump", [("grid", 0)], EXACT | FLOATS),
+        "sullivan coeff": ("minimal-model", S2_FILE, [("differential", "b", 0, "coeff")],
+                           EXACT | FLOATS | {"0", "-1"}),
+        "ring coeff": ("minimal-model", CP2_RING,
+                       [("cohomology_ring", "products", 0, "result", 0, "coeff")],
+                       EXACT | FLOATS | {"0", "-1"}),
+        "image coeff": ("model", TWO_STAGE, [("maps", 0, "images", "e", 0, "coeff")],
+                        EXACT | FLOATS | {"0", "-1"}),
+        "dump entry": ("barcode", "dump", [("h_maps", 0, "2", 0, 0)], EXACT | {"0", "-1"}),
+    }
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_exit_codes(self, tmp_path, capsys, field):
+        command, seed, paths, accepted = self.FIELDS[field]
+        if seed == "dump":
+            out = tmp_path / "model.json"
+            assert main(["model", "--input", write(tmp_path, "two-stage.json", TWO_STAGE),
+                         "-o", str(out)]) == 0
+            seed = json.loads(out.read_text())
+        got, want = {}, {}
+        for value in self.VALUES:
+            obj = seed
+            for path in paths:
+                obj = replaced(obj, path, value)
+            args = [command, "--input", write(tmp_path, "in.json", obj),
+                    "-o", str(tmp_path / "out.json")]
+            text = json.dumps(value)
+            got[text] = main(args + (["--invariant", "V"] if command == "barcode" else []))
+            want[text] = 0 if text in accepted else 2
+            err = capsys.readouterr().err
+            if got[text] == 2:
+                assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+        assert got == want
 
 
 class TestLongNumbers:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from interleaving import direct_sum, interleaving_check, interval_module
-from psmm.errors import InputError
+from psmm.errors import DimensionMismatch, InputError
 from psmm.gvec import GradedLinearMap, GradedVectorSpace
 from psmm.persistence import (INF, Barcode, PersistentGVec, _CostTable, _max_matching,
                                bottleneck)
@@ -74,6 +74,19 @@ class TestIntervalModule:
 
 
 class TestBarcode:
+    @pytest.mark.parametrize("source, target", [
+        ({0: 1}, {0: 2}),  # a matrix of the wrong shape
+        ({0: 1, 1: 1}, {0: 1}),  # the right matrix, between other spaces
+    ])
+    def test_map_between_other_spaces_rejected(self, source, target):
+        spaces = [GradedVectorSpace.from_dims({0: 1})] * 2
+        f = GradedLinearMap(GradedVectorSpace.from_dims(source),
+                            GradedVectorSpace.from_dims(target))
+        with pytest.raises(DimensionMismatch, match="map 0 does not run"):
+            PersistentGVec((Fraction(1),), spaces, [f])
+        with pytest.raises(DimensionMismatch, match="map 0 does not run"):
+            PersistentGVec.from_contravariant((Fraction(1),), spaces, [f])
+
     def test_two_bars_zero_map(self):
         p = module_from_dims((Fraction(1),), [1, 1], [[[0]]])
         assert p.barcode().degree(0) == ((0, Fraction(1), 1), (Fraction(1), INF, 1))

@@ -1,5 +1,7 @@
-"""The runnable scripts under scripts/, run as a user runs them."""
+"""The runnable scripts under scripts/, run as a user runs them, and a
+lint over the source, test and script files."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -90,3 +92,29 @@ def test_trace_hooks_resolve():
         if target is None or vars(target).get(attr) is None:
             missing.append(f"{owner}.{attr}")
     assert len(tracing.SPANS) == 20 and missing == []
+
+
+def unused_imports(path):
+    """(line, name) of each name `path` imports and never reads; names
+    listed in `__all__` count as read, `from __future__` imports not at
+    all."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+            and isinstance(n.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_no_unused_imports():
+    found = {str(p.relative_to(ROOT)): unused_imports(p)
+             for d in ("src", "tests", "scripts") for p in sorted((ROOT / d).rglob("*.py"))}
+    assert {p: names for p, names in found.items() if names} == {}
