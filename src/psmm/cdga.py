@@ -18,6 +18,7 @@ truncation-free.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -63,6 +64,7 @@ class SullivanAlgebra:
         self.index = {n: i for i, (n, _) in enumerate(self.generators)}
         self.degrees = tuple(d for _, d in self.generators)
         self.names = tuple(n for n, _ in self.generators)
+        self._generator_space = GradedVectorSpace.from_dims(Counter(self.degrees))
         if truncation_degree < 1:
             raise InputError("truncation degree must be >= 1")
         self.trunc = truncation_degree
@@ -239,10 +241,7 @@ class SullivanAlgebra:
     # -- linear part and minimality ----------------------------------------
 
     def generator_space(self) -> GradedVectorSpace:
-        dims: dict[int, int] = {}
-        for _, d in self.generators:
-            dims[d] = dims.get(d, 0) + 1
-        return GradedVectorSpace.from_dims(dims)
+        return self._generator_space
 
     def is_minimal(self) -> bool:
         """No linear term in any differential: im(d) in wedge^{>=2}."""

@@ -4,8 +4,9 @@ Gromov-Hausdorff distance of small spaces.
 Distances are either exact rationals or binary64 floats, tracked per
 instance.  A distance entry is read by `util.json_number`: a JSON integer
 or an exact-number string is exact, a float keeps binary64 and makes the
-whole matrix binary64, and a NaN or infinite entry is rejected.  Point
-coordinates are read as floats.
+whole matrix binary64, and a NaN or infinite entry is rejected.  A point
+coordinate must be a JSON number, an int or a float, and is read as a
+float.
 
 The Rips convention is the open one, diam < t, realized as left-open
 right-closed constancy intervals (d_k, d_{k+1}] over the grid of
@@ -106,7 +107,9 @@ def metric_from_matrix(matrix: Sequence[Sequence], names=None) -> MetricSpace:
 
 
 def _coordinate(c) -> float:
-    if isinstance(c, bool):
+    """A point coordinate: a JSON number, an int or a float; a bool, a
+    string or anything else is rejected."""
+    if isinstance(c, bool) or not isinstance(c, (int, float)):
         raise InputError(f"invalid point coordinate {c!r}")
     return float(c)
 
@@ -115,7 +118,7 @@ def metric_from_points(points: Sequence[Sequence]) -> MetricSpace:
     """Euclidean distances computed in binary64."""
     try:
         pts = [tuple(_coordinate(c) for c in p) for p in points]
-    except (TypeError, ValueError, OverflowError) as e:
+    except (TypeError, OverflowError) as e:
         raise InputError(f"bad point coordinate: {e}") from e
     if not pts:
         raise InputError("no points")

@@ -29,8 +29,10 @@ cost of one matching known in advance (finite bars to the diagonal,
 essential bars paired in birth order).  Each probe reads only the pairs
 within a bound, found by range queries on the bars sorted by one
 endpoint; the bound starts at the floor and doubles until a probe
-succeeds, then the costs below it are bisected.  Each probe starts from
-the matching of the probe before it.
+succeeds.  When the first probe succeeds the floor is the distance and
+no cost is ranked; otherwise the costs are ranked and those between the
+last two bounds bisected.  Each probe starts from the matching of the
+probe before it.
 """
 
 from __future__ import annotations
@@ -314,8 +316,8 @@ def cohomology_barcode(simplices: dict, max_degree: int, zero) -> Barcode:
 # the least cost at which every bar has a partner (a bar of the other
 # list, or the diagonal), bounds it from below.
 #
-# `_CostTable` keeps the candidates at or below a bound R and labels the
-# matching graph's edges with the integer ranks of their costs.  It
+# `_CostTable` keeps the matching graph's edges of cost at most a bound R
+# with their costs, and ranks them by cost only when a bisection asks.  It
 # finds the pairs of cost at most R by range queries (Kerber-Morozov-
 # Nigmetov, "Geometry helps to compare persistence diagrams", 2017): a
 # pair costs at least the difference of its bars' endpoints on either
@@ -325,12 +327,14 @@ def cohomology_barcode(simplices: dict, max_degree: int, zero) -> Barcode:
 # `_bottleneck_degree` asks Hopcroft-Karp (`_max_matching`) for a
 # perfect matching of the graph at R (Efrat-Itai-Katz 2001): first at
 # the floor, then at twice the last R, never past the cap, until one
-# exists; then it bisects the costs between the last failed R and R.
-# No probe starts from an empty matching: the first starts from the cap
-# matching without its edges above the floor, a failed probe hands its
-# maximum matching to the next, higher probe as it is, and a successful
-# probe hands its perfect matching to the next, lower probe without the
-# pairs whose edges rank above that probe.
+# exists.  A perfect matching at the floor makes the floor the answer,
+# and nothing is ranked; otherwise it ranks the edges and bisects the
+# costs between the last failed R and R.  No probe starts from an empty
+# matching: the first starts from the cap matching without its edges
+# above the floor, a failed probe hands its maximum matching to the
+# next, higher probe as it is, and a successful probe hands its perfect
+# matching to the next, lower probe without the pairs whose edges rank
+# above that probe.
 # ---------------------------------------------------------------------------
 
 
@@ -379,18 +383,25 @@ def _scaled_endpoints(bars):
 
 class _CostTable:
     """The matching graph of two bar lists with its edges of cost at most
-    `bound`, each labelled by its cost's rank.
+    `bound`: `nbrs[u]` lists left vertex u's right neighbours and
+    `costs[u]` their edges' costs.
 
     `bound` is the floor at construction and the last bound given to
-    `widen` after, in the table's arithmetic.  `keys` are the sorted distinct costs at or below the bound, and 0
-    (scaled ints when `_scaled_endpoints` applies, the costs themselves
-    otherwise); a cost's rank is its index in `keys`, and a cost above
-    the bound or infinite has rank `len(keys)`.  `cap` is the rank of
-    the cap, the cost of the cap matching `cap_matching` (the `match_r`
-    of `_max_matching`), and `floor` the rank of the floor; each is
-    `len(keys)` when it lies above the bound.  When the lists hold
-    different numbers of essential bars no matching has a finite cost;
-    then the cap is infinite and `cap_matching` is None.
+    `widen` after, in the table's arithmetic (scaled ints when
+    `_scaled_endpoints` applies, the costs themselves otherwise), as are
+    `floor_cost` and `cap_cost`.  The cap is the cost of the cap matching
+    `cap_matching` (the `match_r` of `_max_matching`).  When the lists
+    hold different numbers of essential bars no matching has a finite
+    cost; then the cap is infinite and `cap_matching` is None.
+
+    Ranks are built on first read after each `widen`, and only a
+    bisection reads them.  `keys` are the sorted distinct costs at or
+    below the bound, and 0; a cost's rank is its index in `keys`, and a
+    cost above the bound or infinite has rank `len(keys)`.  `cap` and
+    `floor` are the ranks of the cap and the floor, each `len(keys)`
+    when it lies above the bound.  Ranking sorts each vertex's edges by
+    rank, so the graph at rank k (`adjacency`) keeps a prefix of every
+    list.
 
     The graph is Kerber-Morozov-Nigmetov's.  Left vertices are bars1
     (0..n-1) and diagonal copies of bars2 (n..n+m-1); right vertices are
@@ -399,10 +410,8 @@ class _CostTable:
     copy n+j meets bar j at its half-length and copy m+i at the cost of
     the pair (i, j), which is what the copies of a matched pair pay to
     meet.  At any delta up to the bound it has a perfect matching iff
-    the bars admit a delta-matching.  Each vertex's edges are sorted by
-    rank, so the graph at rank k keeps a prefix of every list.  Below
-    rank `floor` some vertex has no edge, so the graph has no perfect
-    matching there.
+    the bars admit a delta-matching.  Below the floor some vertex has no
+    edge, so the graph has no perfect matching there.
 
     The finite bars are sorted by their endpoint on one axis, the one
     with more distinct values among them: the death for degree-0 Rips
@@ -466,21 +475,25 @@ class _CostTable:
         search walks out from t's place in `others`, and each side stops
         where the computed endpoint difference exceeds the best cost so
         far: that difference only grows further out, and bounds every
-        pair cost beyond."""
+        pair cost beyond.  The pair cost is `_finite_cost`'s, inline."""
         pts, axis = self.pts, self.axis
         out = []
         for t in rows:
-            p = pts[t]
+            b, e = p = pts[t]
             x, best = p[axis], self.halves[t]
             start = k = bisect_left(xs, x)
             while k < len(xs) and abs(x - xs[k]) <= best:
-                c = _finite_cost(p, pts[others[k]])
+                q = pts[others[k]]
+                db, de = abs(b - q[0]), abs(e - q[1])
+                c = de if de > db else db
                 if c < best:
                     best = c
                 k += 1
             k = start - 1
             while k >= 0 and abs(x - xs[k]) <= best:
-                c = _finite_cost(p, pts[others[k]])
+                q = pts[others[k]]
+                db, de = abs(b - q[0]), abs(e - q[1])
+                c = de if de > db else db
                 if c < best:
                     best = c
                 k -= 1
@@ -489,16 +502,24 @@ class _CostTable:
 
     def widen(self, bound):
         """Rebuild the graph with the edges of cost at most `bound`, given
-        in the table's arithmetic (a scaled int when `scale` is set)."""
+        in the table's arithmetic (a scaled int when `scale` is set):
+        `nbrs[u]` lists left vertex u's right neighbours and `costs[u]`
+        their edges' costs, in no set order.  The ranks are built again
+        on first read."""
         n, m, pts, axis = self.n, self.size - self.n, self.pts, self.axis
-        xs, fin2 = self._xs2, self._fin2
-        edges = []  # (cost, left vertex, right vertex)
+        xs, fin2, halves = self._xs2, self._fin2, self.halves
+        self.bound = bound
+        self.nbrs = nbrs = [[] for _ in range(self.size)]
+        self.costs = costs = [[] for _ in range(self.size)]
+        self._ranks = None
         for i, t, c in self._ess_pairs:
             if c <= bound:
-                edges.append((c, i, t - n))
-                edges.append((c, t, m + i))
+                nbrs[i].append(t - n)
+                costs[i].append(c)
+                nbrs[t].append(m + i)
+                costs[t].append(c)
         for i in self._fin1:
-            p = pts[i]
+            b, e = p = pts[i]
             x = p[axis]
             lo, hi = bisect_left(xs, x - bound), bisect_right(xs, x + bound)
             # For floats x - bound and x + bound are rounded.  The computed
@@ -508,68 +529,89 @@ class _CostTable:
                 lo -= 1
             while hi < len(xs) and abs(x - xs[hi]) <= bound:
                 hi += 1
+            row, row_costs, copy = nbrs[i], costs[i], m + i
             for t in fin2[lo:hi]:
-                c = _finite_cost(p, pts[t])
+                q = pts[t]
+                db, de = abs(b - q[0]), abs(e - q[1])
+                c = de if de > db else db
                 if c <= bound:
-                    edges.append((c, i, t - n))
-                    edges.append((c, t, m + i))
+                    row.append(t - n)
+                    row_costs.append(c)
+                    nbrs[t].append(copy)
+                    costs[t].append(c)
         for t in self._fin1 + fin2:
-            if self.halves[t] <= bound:
-                edges.append((self.halves[t], t, m + t if t < n else t - n))
-        # Sorted by cost, the edges fill each vertex's list in rank order
-        # and meet the distinct costs in turn.
-        edges.sort()
-        self.bound = bound
-        self.keys = keys = [0]
-        self._ranks = [[] for _ in range(self.size)]
-        self._nbrs = [[] for _ in range(self.size)]
-        half_ranks = [None] * self.size
-        for c, u, v in edges:
-            if c != keys[-1]:
-                keys.append(c)
-            r = len(keys) - 1
-            self._ranks[u].append(r)
-            self._nbrs[u].append(v)
-            if (u < n) == (v >= m):
-                half_ranks[u] = r
-        top = len(keys)
-        self.half_ranks = [top if r is None else r for r in half_ranks]
-        # Each is an edge's cost when it is at most the bound.
-        self.cap = bisect_left(keys, self.cap_cost)
-        self.floor = bisect_left(keys, self.floor_cost)
+            if halves[t] <= bound:
+                nbrs[t].append(m + t if t < n else t - n)
+                costs[t].append(halves[t])
+
+    def _rank(self):
+        """Rank the edges of the last `widen`, once: `keys`, and each
+        vertex's lists sorted by rank, then by neighbour, with their ranks
+        in `_ranks`.  Only a bisection reads ranks."""
+        if self._ranks is not None:
+            return
+        self._keys = keys = sorted({0, *(c for row in self.costs for c in row)})
+        rank = {c: r for r, c in enumerate(keys)}
+        self._ranks = []
+        for row, row_costs in zip(self.nbrs, self.costs):
+            edges = sorted(zip([rank[c] for c in row_costs], row, row_costs))
+            self._ranks.append([r for r, _, _ in edges])
+            row[:] = [v for _, v, _ in edges]
+            row_costs[:] = [c for _, _, c in edges]
+
+    @property
+    def keys(self):
+        self._rank()
+        return self._keys
+
+    @property
+    def cap(self):
+        return bisect_left(self.keys, self.cap_cost)
+
+    @property
+    def floor(self):
+        return bisect_left(self.keys, self.floor_cost)
 
     def adjacency(self, k):
         """The matching graph with the edges of rank at most k."""
-        return [nbrs[:bisect_right(ranks, k)]
-                for ranks, nbrs in zip(self._ranks, self._nbrs)]
+        self._rank()
+        return [nbrs[:bisect_right(ranks, k)] for ranks, nbrs in zip(self._ranks, self.nbrs)]
 
     def matched_ranks(self, match_r):
         """The rank of each right vertex's edge in the perfect matching
         `match_r` (as `_max_matching` returns it), `len(keys)` for an
         edge above the bound."""
-        top = len(self.keys)
+        self._rank()
+        top = len(self._keys)
         out = []
         for v, u in enumerate(match_r):
-            nbrs = self._nbrs[u]
+            nbrs = self.nbrs[u]
             out.append(self._ranks[u][nbrs.index(v)] if v in nbrs else top)
         return out
 
     def value(self, k):
-        """The cost of rank k as the bars' own number: the first equal
-        cost met in the order 0, pair costs row by row, half-lengths of
-        bars1, then of bars2.  Every pair of cost at most the bound is in
-        the graph, so its row order is that of all pairs.  Equal costs of
-        different types (`Fraction(1, 2)` and `0.5`) are told apart only
-        by this order, and the type shows in the JSON reports."""
-        if self.keys[k] == 0:
+        """The cost of rank k as the bars' own number (`own_number`)."""
+        return self.own_number(self.keys[k])
+
+    def own_number(self, cost):
+        """`cost`, the cost of an edge in the graph or 0, in the table's
+        arithmetic, as the bars' own number: the first equal cost met in
+        the order 0, pair costs row by row, half-lengths of bars1, then of
+        bars2.  Every pair of cost at most the bound is in the graph, so
+        its row order is that of all pairs.  Equal costs of different
+        types (`Fraction(1, 2)` and `0.5`) are told apart only by this
+        order, and the type shows in the JSON reports."""
+        if cost == 0:
             return 0
         n, m = self.n, self.size - self.n
         for i in range(n):
-            js = [v for r, v in zip(self._ranks[i], self._nbrs[i]) if r == k and v < m]
-            if js:
-                b1, b2 = self.bars[i], self.bars[n + min(js)]
-                return abs(b1[0] - b2[0]) if _essential(b1[1]) else _finite_cost(b1, b2)
-        b, e = self.bars[self.half_ranks.index(k)]
+            row_costs = self.costs[i]
+            if cost in row_costs:
+                js = [v for c, v in zip(row_costs, self.nbrs[i]) if c == cost and v < m]
+                if js:
+                    b1, b2 = self.bars[i], self.bars[n + min(js)]
+                    return abs(b1[0] - b2[0]) if _essential(b1[1]) else _finite_cost(b1, b2)
+        b, e = self.bars[self.halves.index(cost)]
         return (e - b) / 2
 
 
@@ -659,25 +701,25 @@ def _bottleneck_degree(bars1, bars2):
     # (the least positive half-length after 0), never past the cap, until
     # one succeeds; the graph only grows, so a failed probe's maximum
     # matching starts the next one as it is.  The first probe starts from
-    # the cap matching without its edges above the floor.  Then the
-    # probes bisect the ranks of the costs above the last failed bound.
-    # After a success `held[v]` is the rank of right vertex v's matched
-    # edge, and the next, lower probe drops the pairs above it; after a
-    # failure `held` is None, and the maximum matching holds as it is at
-    # the next, higher probe.
-    top = len(table.keys) - 1
-    match_r = [u if r <= top else -1
-               for u, r in zip(table.cap_matching, table.matched_ranks(table.cap_matching))]
+    # the cap matching without its edges above the floor.  When it
+    # succeeds the answer is the floor, and no edge is ranked.  Otherwise
+    # the probes bisect the ranks of the costs above the last failed
+    # bound.  After a success `held[v]` is the rank of right vertex v's
+    # matched edge, and the next, lower probe drops the pairs above it;
+    # after a failure `held` is None, and the maximum matching holds as it
+    # is at the next, higher probe.
+    match_r = [u if v in table.nbrs[u] else -1 for v, u in enumerate(table.cap_matching)]
     failed = None
     while -1 in match_r:
-        matched, match_r = _max_matching(table.adjacency(top), table.size, match_r)
+        matched, match_r = _max_matching(table.nbrs, table.size, match_r)
         if matched < table.size:
             failed = table.bound
             grown = 2 * failed if failed else min(
                 (h for h in table.halves if 0 < h <= table.cap_cost), default=table.cap_cost)
             table.widen(min(grown, table.cap_cost))
-            top = len(table.keys) - 1
-    lo, hi = (top if failed is None else bisect_right(table.keys, failed)), top
+    if failed is None:
+        return table.own_number(table.floor_cost)
+    lo, hi = bisect_right(table.keys, failed), len(table.keys) - 1
     held = table.matched_ranks(match_r) if lo < hi else None
     while lo < hi:
         mid = (lo + hi) // 2

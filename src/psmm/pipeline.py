@@ -444,11 +444,14 @@ def _mat_to_json(m: RatMatrix) -> list:
 
 
 def _gmap_to_json(f: GradedLinearMap, max_deg: int) -> dict:
+    """The map's blocks in degrees 0..max_deg that have rows and columns;
+    a degree with no stored block is the zero block of the spaces' dims."""
     out = {}
     for k in range(max_deg + 1):
-        m = f.matrix(k)
-        if not m.is_zero() or (m.rows and m.cols):
-            out[str(k)] = _mat_to_json(m)
+        rows, cols = f.target.dim(k), f.source.dim(k)
+        if rows and cols:
+            m = f.mats.get(k)
+            out[str(k)] = [["0"] * cols for _ in range(rows)] if m is None else _mat_to_json(m)
     return out
 
 

@@ -246,6 +246,18 @@ class TestModelCommand:
                      '{"points": [[0, 0], [1, false]]}'):
             self._assert_rejected(tmp_path, capsys, text, "invalid point coordinate")
 
+    @pytest.mark.parametrize("coord", ["2.5", " 7 ", "1/3", "0x10"])
+    def test_string_coordinate_exit_2(self, tmp_path, capsys, coord):
+        # a coordinate is a JSON number; a string is rejected whatever it spells
+        text = json.dumps({"points": [[coord, 0], [0, 1]]})
+        self._assert_rejected(tmp_path, capsys, text, f"invalid point coordinate {coord!r}")
+
+    def test_number_coordinates_accepted(self, tmp_path, capsys):
+        for coord in (2.5, 7):
+            inp = write(tmp_path, "pts.json", {"points": [[coord, 0], [0, 1]]})
+            assert run_cli(["model", "--input", inp, "-o", str(tmp_path / "m.json")]) == 0
+            assert capsys.readouterr().err == ""
+
     def test_persistent_cdga_model_roundtrip(self, tmp_path, capsys):
         inp = write(tmp_path, "pc.json", {
             "grid": [1],

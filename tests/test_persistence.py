@@ -547,6 +547,51 @@ class TestBottleneck:
                          Barcode.from_dict({0: [(b, e, 1) for b, e in bars2]})).degree(0)
         assert got == want and type(got) is type(want), (got, want)
 
+    @pytest.mark.parametrize("bars1, bars2", [
+        # essential bars and one pair of cost 1/2, the floor
+        ([(Fraction(0), INF), (Fraction(0), Fraction(7, 2))],
+         [(Fraction(0), INF), (Fraction(0), Fraction(4))]),
+        # float bars
+        ([(0.5, 2.0), (1.0, 4.0)], [(0.5, 2.25), (1.0, 4.0)]),
+        # a half-length 1/2 and a pair cost 0.5: the pair comes first
+        ([(Fraction(0), Fraction(1))], [(0.0, 1.5)]),
+        # equal barcodes: the floor is 0
+        ([(Fraction(0), Fraction(1))], [(Fraction(0), Fraction(1))]),
+    ])
+    def test_floor_probe_ranks_no_edge(self, monkeypatch, bars1, bars2):
+        # When the probe at the floor succeeds the floor is the answer,
+        # read off the unranked graph.
+        def no_ranks(table):
+            raise AssertionError("edges ranked after the floor probe succeeded")
+        monkeypatch.setattr(_CostTable, "_rank", no_ranks)
+        b1 = Barcode.from_dict({0: [(b, e, 1) for b, e in bars1]})
+        b2 = Barcode.from_dict({0: [(b, e, 1) for b, e in bars2]})
+        got = bottleneck(b1, b2).degree(0)
+        want = oracles.bottleneck_reference(b1.expanded(0), b2.expanded(0))
+        assert got == want and type(got) is type(want), (got, want)
+
+    @pytest.mark.parametrize("kind", (Fraction, float))
+    def test_bisection_ranks_once(self, monkeypatch, kind):
+        # Both bars of bars1 are nearest to the one bar of bars2, so the
+        # floor probe (1/2) fails; the bounds double to 4, fail, and stop
+        # at the cap 21/4, and the bisection of the costs between finds 5:
+        # (0, 10) to the diagonal, (0, 21/2) to (0, 10).  The edges are
+        # ranked once, at the last bound.
+        builds = []
+        rank = _CostTable._rank
+
+        def counted(table):
+            if table._ranks is None:
+                builds.append(table.bound)
+            rank(table)
+        monkeypatch.setattr(_CostTable, "_rank", counted)
+        b1 = Barcode.from_dict({0: [(kind(0), kind(10), 1), (kind(0), kind(21) / 2, 1)]})
+        b2 = Barcode.from_dict({0: [(kind(0), kind(10), 1)]})
+        got = bottleneck(b1, b2).degree(0)
+        want = oracles.bottleneck_reference(b1.expanded(0), b2.expanded(0))
+        assert got == want == 5 and type(got) is type(want) is kind, (got, want)
+        assert len(builds) == 1
+
     def test_long_augmenting_path(self):
         # the last vertex's augmenting path runs through all n vertices,
         # deeper than the interpreter's recursion limit
