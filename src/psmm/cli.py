@@ -228,16 +228,11 @@ def cmd_barcode(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-        raise InputError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
     cfg = _config_from_args(args)
     left = _load(args.left, cfg, METRIC, CDGA)
     right = _load(args.right, cfg, METRIC, CDGA)
     report = bounds_report(left, right, cfg, with_gh=args.gh)
-    blob = report.to_json()
-    if args.tolerance:
-        blob["tolerance"] = args.tolerance
-    _emit(blob, args.output)
+    _emit(report.to_json(), args.output)
     print(report.table(), file=sys.stderr)
     return EXIT_OK
 
@@ -292,9 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", required=True)
     p.add_argument("--gh", action="store_true",
                    help="include the exact branch-and-bound 2*d_GH upper bound")
-    p.add_argument("--tolerance", type=float, default=0.0,
-                   help="a finite number >= 0, echoed into the report for "
-                        "downstream comparisons")
     _add_flags(p, *_MODEL_FLAGS, "--gh-cap")
     p.set_defaults(fn=cmd_compare)
 

@@ -28,11 +28,11 @@ It runs between the least cost at which every bar has a partner and the
 cost of one matching known in advance (finite bars to the diagonal,
 essential bars paired in birth order).  Each probe reads only the pairs
 within a bound, found by range queries on the bars sorted by one
-endpoint; the bound starts at the floor and doubles until a probe
-succeeds.  When the first probe succeeds the floor is the distance and
-no cost is ranked; otherwise the costs are ranked and those between the
-last two bounds bisected.  Each probe starts from the matching of the
-probe before it.
+endpoint, in one graph that each probe widens or narrows to its bound.
+The bound starts at the floor and doubles until a probe succeeds.  When
+the first probe succeeds the floor is the distance; otherwise the costs
+between the last two bounds are bisected.  Each probe starts from the
+matching of the probe before it.
 """
 
 from __future__ import annotations
@@ -317,24 +317,21 @@ def cohomology_barcode(simplices: dict, max_degree: int, zero) -> Barcode:
 # list, or the diagonal), bounds it from below.
 #
 # `_CostTable` keeps the matching graph's edges of cost at most a bound R
-# with their costs, and ranks them by cost only when a bisection asks.  It
-# finds the pairs of cost at most R by range queries (Kerber-Morozov-
-# Nigmetov, "Geometry helps to compare persistence diagrams", 2017): a
-# pair costs at least the difference of its bars' endpoints on either
-# axis, so a bar meets only the bars of the other list whose endpoint
-# lies within R of its own, one window of that list sorted by endpoint.
+# with their costs; `widen` rebuilds it at each new R.  It finds the pairs
+# of cost at most R by range queries (Kerber-Morozov-Nigmetov, "Geometry
+# helps to compare persistence diagrams", 2017): a pair costs at least
+# the difference of its bars' endpoints on either axis, so a bar meets
+# only the bars of the other list whose endpoint lies within R of its
+# own, one window of that list sorted by endpoint.
 # The floor comes from the same sorted lists, by nearest neighbours.
 # `_bottleneck_degree` asks Hopcroft-Karp (`_max_matching`) for a
 # perfect matching of the graph at R (Efrat-Itai-Katz 2001): first at
 # the floor, then at twice the last R, never past the cap, until one
-# exists.  A perfect matching at the floor makes the floor the answer,
-# and nothing is ranked; otherwise it ranks the edges and bisects the
-# costs between the last failed R and R.  No probe starts from an empty
-# matching: the first starts from the cap matching without its edges
-# above the floor, a failed probe hands its maximum matching to the
-# next, higher probe as it is, and a successful probe hands its perfect
-# matching to the next, lower probe without the pairs whose edges rank
-# above that probe.
+# exists.  A perfect matching at the floor makes the floor the answer;
+# otherwise it bisects the sorted costs between the last failed R and R,
+# widening the graph to each.  No probe starts from an empty matching:
+# each starts from the last probe's matching (the first from the cap
+# matching) without the pairs that are not edges of its graph.
 # ---------------------------------------------------------------------------
 
 
@@ -393,15 +390,6 @@ class _CostTable:
     `cap_matching` (the `match_r` of `_max_matching`).  When the lists
     hold different numbers of essential bars no matching has a finite
     cost; then the cap is infinite and `cap_matching` is None.
-
-    Ranks are built on first read after each `widen`, and only a
-    bisection reads them.  `keys` are the sorted distinct costs at or
-    below the bound, and 0; a cost's rank is its index in `keys`, and a
-    cost above the bound or infinite has rank `len(keys)`.  `cap` and
-    `floor` are the ranks of the cap and the floor, each `len(keys)`
-    when it lies above the bound.  Ranking sorts each vertex's edges by
-    rank, so the graph at rank k (`adjacency`) keeps a prefix of every
-    list.
 
     The graph is Kerber-Morozov-Nigmetov's.  Left vertices are bars1
     (0..n-1) and diagonal copies of bars2 (n..n+m-1); right vertices are
@@ -504,14 +492,12 @@ class _CostTable:
         """Rebuild the graph with the edges of cost at most `bound`, given
         in the table's arithmetic (a scaled int when `scale` is set):
         `nbrs[u]` lists left vertex u's right neighbours and `costs[u]`
-        their edges' costs, in no set order.  The ranks are built again
-        on first read."""
+        their edges' costs, in no set order."""
         n, m, pts, axis = self.n, self.size - self.n, self.pts, self.axis
         xs, fin2, halves = self._xs2, self._fin2, self.halves
         self.bound = bound
         self.nbrs = nbrs = [[] for _ in range(self.size)]
         self.costs = costs = [[] for _ in range(self.size)]
-        self._ranks = None
         for i, t, c in self._ess_pairs:
             if c <= bound:
                 nbrs[i].append(t - n)
@@ -543,55 +529,6 @@ class _CostTable:
             if halves[t] <= bound:
                 nbrs[t].append(m + t if t < n else t - n)
                 costs[t].append(halves[t])
-
-    def _rank(self):
-        """Rank the edges of the last `widen`, once: `keys`, and each
-        vertex's lists sorted by rank, then by neighbour, with their ranks
-        in `_ranks`.  Only a bisection reads ranks."""
-        if self._ranks is not None:
-            return
-        self._keys = keys = sorted({0, *(c for row in self.costs for c in row)})
-        rank = {c: r for r, c in enumerate(keys)}
-        self._ranks = []
-        for row, row_costs in zip(self.nbrs, self.costs):
-            edges = sorted(zip([rank[c] for c in row_costs], row, row_costs))
-            self._ranks.append([r for r, _, _ in edges])
-            row[:] = [v for _, v, _ in edges]
-            row_costs[:] = [c for _, _, c in edges]
-
-    @property
-    def keys(self):
-        self._rank()
-        return self._keys
-
-    @property
-    def cap(self):
-        return bisect_left(self.keys, self.cap_cost)
-
-    @property
-    def floor(self):
-        return bisect_left(self.keys, self.floor_cost)
-
-    def adjacency(self, k):
-        """The matching graph with the edges of rank at most k."""
-        self._rank()
-        return [nbrs[:bisect_right(ranks, k)] for ranks, nbrs in zip(self._ranks, self.nbrs)]
-
-    def matched_ranks(self, match_r):
-        """The rank of each right vertex's edge in the perfect matching
-        `match_r` (as `_max_matching` returns it), `len(keys)` for an
-        edge above the bound."""
-        self._rank()
-        top = len(self._keys)
-        out = []
-        for v, u in enumerate(match_r):
-            nbrs = self.nbrs[u]
-            out.append(self._ranks[u][nbrs.index(v)] if v in nbrs else top)
-        return out
-
-    def value(self, k):
-        """The cost of rank k as the bars' own number (`own_number`)."""
-        return self.own_number(self.keys[k])
 
     def own_number(self, cost):
         """`cost`, the cost of an edge in the graph or 0, in the table's
@@ -695,42 +632,46 @@ def _bottleneck_degree(bars1, bars2):
     if sum(_essential(e) for _, e in bars1) != sum(_essential(e) for _, e in bars2):
         return INF
     table = _CostTable(bars1, bars2)
+    match_r = table.cap_matching
+
+    def perfect(bound):
+        """Does the graph at `bound` have a perfect matching?  The search
+        starts from the last probe's matching less its pairs that are not
+        edges of this graph."""
+        nonlocal match_r
+        if bound != table.bound:
+            table.widen(bound)
+        nbrs = table.nbrs
+        match_r = [u if v in nbrs[u] else -1 for v, u in enumerate(match_r)]
+        matched, match_r = _max_matching(nbrs, table.size, match_r)
+        return matched == table.size
+
     # The answer is the least cost whose graph has a perfect matching, at
-    # least the floor and at most the cap.  The first probes read the
-    # whole graph at their bound: the floor, then twice the last bound
-    # (the least positive half-length after 0), never past the cap, until
-    # one succeeds; the graph only grows, so a failed probe's maximum
-    # matching starts the next one as it is.  The first probe starts from
-    # the cap matching without its edges above the floor.  When it
-    # succeeds the answer is the floor, and no edge is ranked.  Otherwise
-    # the probes bisect the ranks of the costs above the last failed
-    # bound.  After a success `held[v]` is the rank of right vertex v's
-    # matched edge, and the next, lower probe drops the pairs above it;
-    # after a failure `held` is None, and the maximum matching holds as it
-    # is at the next, higher probe.
-    match_r = [u if v in table.nbrs[u] else -1 for v, u in enumerate(table.cap_matching)]
-    failed = None
-    while -1 in match_r:
-        matched, match_r = _max_matching(table.nbrs, table.size, match_r)
-        if matched < table.size:
-            failed = table.bound
-            grown = 2 * failed if failed else min(
-                (h for h in table.halves if 0 < h <= table.cap_cost), default=table.cap_cost)
-            table.widen(min(grown, table.cap_cost))
+    # least the floor and at most the cap.  The probes run at the floor,
+    # then at twice the last bound (the least positive half-length after
+    # 0), never past the cap, until one succeeds.  When the first succeeds
+    # the answer is the floor.  Otherwise the probes bisect the costs of
+    # the graph at that bound that lie above the last failed bound.
+    bound, failed = table.floor_cost, None
+    while not perfect(bound):
+        failed = bound
+        grown = 2 * failed if failed else min(
+            (h for h in table.halves if 0 < h <= table.cap_cost), default=table.cap_cost)
+        bound = min(grown, table.cap_cost)
     if failed is None:
         return table.own_number(table.floor_cost)
-    lo, hi = bisect_right(table.keys, failed), len(table.keys) - 1
-    held = table.matched_ranks(match_r) if lo < hi else None
+    keys = sorted({c for row in table.costs for c in row if c > failed})
+    lo, hi = 0, len(keys) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if held is not None:
-            match_r = [u if r <= mid else -1 for u, r in zip(match_r, held)]
-        matched, match_r = _max_matching(table.adjacency(mid), table.size, match_r)
-        if matched == table.size:
-            hi, held = mid, table.matched_ranks(match_r)
+        if perfect(keys[mid]):
+            hi = mid
         else:
-            lo, held = mid + 1, None
-    return table.value(lo)
+            lo = mid + 1
+    # `own_number` reads the pairs at the answer's cost off the graph.
+    if table.bound < keys[lo]:
+        table.widen(keys[lo])
+    return table.own_number(keys[lo])
 
 
 @dataclass(frozen=True)

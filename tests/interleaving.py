@@ -13,7 +13,7 @@ Unlike `oracles.py`, this module builds on `psmm`: the modules are
 code's cost table and Hopcroft-Karp matching.
 """
 
-from bisect import bisect_right
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -123,23 +123,14 @@ def map_between(p: PersistentGVec, t, s, deg: int) -> RatMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _rank_at(table: _CostTable, delta) -> int:
-    """The highest rank of the table whose cost is at most delta; -1
-    when none is."""
-    if delta == INF:
-        return len(table.keys)
-    if table.scale is not None:
-        delta = Fraction(delta) * table.scale
-    return bisect_right(table.keys, delta) - 1
-
-
 def _matching_at(bars1, bars2, delta):
     """One feasible matching (list of (i, j) real-real pairs) at delta,
     or None; deleted bars are those not in any pair."""
     n, m = len(bars1), len(bars2)
     table = _CostTable(bars1, bars2)
-    table.widen(table.cap_cost)
-    matched, match_r = _max_matching(table.adjacency(_rank_at(table, delta)), table.size)
+    table.widen(delta if table.scale is None or delta == INF
+                else math.floor(Fraction(delta) * table.scale))
+    matched, match_r = _max_matching(table.nbrs, table.size)
     if matched != table.size:
         return None
     return [(match_r[v], v) for v in range(m) if 0 <= match_r[v] < n]

@@ -478,18 +478,6 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert "dB_H" in err
 
-    def test_invalid_tolerance_exit_2(self, tmp_path, capsys):
-        inp = write(tmp_path, "one.json", {"distance_matrix": [[0]]})
-        out = tmp_path / "report.json"
-        for tol in ("nan", "inf", "-inf", "-1"):
-            assert run_cli(["compare", "--left", inp, "--right", inp,
-                            f"--tolerance={tol}", "-o", str(out)]) == 2, tol
-            assert "--tolerance" in capsys.readouterr().err
-        assert not out.exists()
-        assert run_cli(["compare", "--left", inp, "--right", inp,
-                        "--tolerance", "0.5", "-o", str(out)]) == 0
-        assert json.loads(out.read_text())["tolerance"] == 0.5
-
     def test_model_dump_rejected(self, tmp_path, capsys):
         # a dump has `stages` too, but is not a persistent CDGA
         two = write(tmp_path, "two.json", {"distance_matrix": [[0, 1], [1, 0]]})
@@ -734,7 +722,7 @@ class TestFlags:
     EXPECTED = {
         "model": MODEL | {"--input"},
         "barcode": MODEL | {"--input", "--invariant"},
-        "compare": MODEL | {"--left", "--right", "--gh", "--tolerance", "--gh-cap"},
+        "compare": MODEL | {"--left", "--right", "--gh", "--gh-cap"},
         "minimal-model": {"--input", "--max-degree", "--deg1-cap", "--output"},
         "gh": {"--left", "--right", "--gh-cap", "--output"},
     }
@@ -749,6 +737,7 @@ class TestFlags:
     @pytest.mark.parametrize("args", [
         ["gh", "--left", "x.json", "--right", "x.json", "--max-degree", "2"],
         ["minimal-model", "--input", "x.json", "--max-dim", "3"],
+        ["compare", "--left", "x.json", "--right", "x.json", "--tolerance", "0.5"],
     ])
     def test_unread_flag_exit_2(self, capsys, args):
         with pytest.raises(SystemExit) as exc:

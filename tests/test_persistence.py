@@ -394,10 +394,11 @@ class TestBottleneck:
     @settings(max_examples=40, deadline=None)
     def test_cost_table_cap(self, seed):
         # The cap matching (finite bars to the diagonal, essential bars
-        # paired in birth order) is perfect at the cap's rank, the cap is
-        # its cost, and no key exceeds it; below the floor no matching is
-        # perfect.  With essential counts apart there is no cap and
-        # nothing is cut.
+        # paired in birth order) is perfect in the graph at the cap, the
+        # cap is its dearest edge's cost, and no edge there costs more;
+        # the floor is a cost of that graph, and at the cost below it no
+        # matching is perfect.  With essential counts apart there is no
+        # cap and nothing is cut.
         rng = random.Random(seed)
         kind = rng.choice((Fraction, float))
 
@@ -414,37 +415,40 @@ class TestBottleneck:
         if not bars1 and not bars2:
             return
         table = _CostTable(bars1, bars2)
-        table.widen(table.cap_cost)
         if essential != sum(1 for _, e in bars2 if e == INF):
-            assert table.cap == len(table.keys) and table.cap_matching is None
+            assert table.cap_cost == INF and table.cap_matching is None
             return
         births1 = sorted(b for b, e in bars1 if e == INF)
         births2 = sorted(b for b, e in bars2 if e == INF)
         cap = max([(e - b) / 2 for b, e in bars1 + bars2 if e != INF]
                   + [abs(x - y) for x, y in zip(births1, births2)], default=0)
-        assert table.cap == len(table.keys) - 1
-        assert table.value(table.cap) == cap
-        assert all(table.value(k) <= cap for k in range(len(table.keys)))
-        adj = table.adjacency(table.cap)
-        match_r = table.cap_matching
+        table.widen(table.cap_cost)
+        costs = sorted({0, *(c for row in table.costs for c in row)})
+        assert costs[-1] == table.cap_cost
+        assert table.own_number(table.cap_cost) == cap
+        assert all(table.own_number(c) <= cap for c in costs)
+        nbrs, match_r = table.nbrs, table.cap_matching
         assert sorted(match_r) == list(range(table.size))
-        assert all(v in adj[u] for v, u in enumerate(match_r))
-        assert max(table.matched_ranks(match_r)) == table.cap
-        assert _max_matching(adj, table.size)[0] == table.size
-        assert 0 <= table.floor <= table.cap
-        if table.floor:
-            below = table.adjacency(table.floor - 1)
-            assert _max_matching(below, table.size)[0] < table.size
+        assert all(v in nbrs[u] for v, u in enumerate(match_r))
+        assert max(table.costs[u][nbrs[u].index(v)] for v, u in enumerate(match_r)) \
+            == table.cap_cost
+        assert _max_matching(nbrs, table.size)[0] == table.size
+        assert table.floor_cost in costs
+        below = [c for c in costs if c < table.floor_cost]
+        if below:
+            table.widen(below[-1])
+            assert _max_matching(table.nbrs, table.size)[0] < table.size
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=60, deadline=None)
     def test_cost_table_keeps_the_edges_within_its_bound(self, seed):
         # The windows find every pair of cost at most the bound and no
-        # other, each edge labelled with its cost's rank, on rational,
-        # float and mixed bars, on float near ties (where a window cut at
-        # the rounded x - bound, x + bound misses pairs) and with every
-        # birth or every death equal (one axis all ties).  The floor is
-        # the dearest of the bars' cheapest edges.
+        # other, each edge with its cost, at the bound and at every
+        # distinct cost below it, on rational, float and mixed bars, on
+        # float near ties (where a window cut at the rounded x - bound,
+        # x + bound misses pairs) and with every birth or every death
+        # equal (one axis all ties).  The floor is the dearest of the
+        # bars' cheapest edges.
         rng = random.Random(seed)
         kind = rng.choice(("rational", "float", "mixed", "near ties"))
         shape = rng.choice(("free", "births equal", "deaths equal"))
@@ -481,40 +485,55 @@ class TestBottleneck:
         finite = [c for c in list(cost.values()) + half if c != INF]
         bound = rng.choice(finite + [0, INF, number(rng.randint(0, 12))])
         table = _CostTable(bars1, bars2)
-        table.widen(bound if table.scale is None or bound == INF
-                    else math.floor(Fraction(bound) * table.scale))
 
-        def edges(k):
-            adj = table.adjacency(k)
-            pairs = {(i, v) for i in range(n) for v in adj[i] if v < m}
-            assert pairs == {(v - m, j) for j in range(m) for v in adj[n + j] if v >= m}
-            halves = {i for i in range(n) if m + i in adj[i]}
-            return pairs, halves | {n + j for j in range(m) if j in adj[n + j]}
+        def scaled(x):
+            return x if table.scale is None or x == INF else Fraction(x) * table.scale
+
+        def edges():
+            # the graph's edges, each checked against its cost, as
+            # (pairs of bars, bars that meet the diagonal)
+            nbrs = table.nbrs
+            for u, (row, row_costs) in enumerate(zip(nbrs, table.costs)):
+                for v, c in zip(row, row_costs):
+                    if u < n:
+                        want = cost[u, v] if v < m else half[u]
+                    else:
+                        want = half[u] if v < m else cost[v - m, u - n]
+                    assert c == scaled(want), (u, v, c, want)
+            pairs = {(i, v) for i in range(n) for v in nbrs[i] if v < m}
+            assert pairs == {(v - m, j) for j in range(m) for v in nbrs[n + j] if v >= m}
+            halves = {i for i in range(n) if m + i in nbrs[i]}
+            return pairs, halves | {n + j for j in range(m) if j in nbrs[n + j]}
 
         def within(delta):
             return ({p for p, c in cost.items() if c != INF and c <= delta},
                     {t for t, h in enumerate(half) if h != INF and h <= delta})
 
-        assert edges(len(table.keys)) == within(bound)
-        values = [table.value(k) for k in range(len(table.keys))]
+        table.widen(bound if table.scale is None or bound == INF
+                    else math.floor(Fraction(bound) * table.scale))
+        assert edges() == within(bound)
+        keys = sorted({0, *(c for row in table.costs for c in row)})
+        values = [table.own_number(c) for c in keys]
         assert values == sorted({0} | {c for c in finite if c <= bound})
-        for k, delta in enumerate(values):
-            assert edges(k) == within(delta)
         floor = max(min([half[t]] + [cost[t, j] for j in range(m)]) for t in range(n)) \
             if n else 0
         floor = max([floor] + [min([half[n + j]] + [cost[i, j] for i in range(n)])
                                for j in range(m)])
         if floor <= bound and floor != INF:
-            assert values[table.floor] == floor
+            assert table.floor_cost in keys and table.own_number(table.floor_cost) == floor
         else:
-            assert table.floor == len(table.keys)
+            assert all(c < table.floor_cost for c in keys)
+        for key, delta in zip(keys, values):
+            table.widen(key)
+            assert edges() == within(delta)
 
     @pytest.mark.parametrize("case", range(4))
     def test_large_matches_bisection_over_the_cap_table(self, case):
         # Barcodes of 300 to 500 bars, too many for the reference: the
-        # search's answer is the least rank of the table at the cap whose
-        # graph has a perfect matching, found by plain bisection from
-        # empty matchings, as the same number of the same type.
+        # search's answer is the least distinct cost of the graph at the
+        # cap at which the graph has a perfect matching, found by plain
+        # bisection from empty matchings, as the same number of the same
+        # type.
         rng = random.Random(case)
         size = rng.randint(300, 500)
         kind = (Fraction, float)[case % 2]
@@ -535,17 +554,33 @@ class TestBottleneck:
             bars1, bars2 = random_bars(kind), random_bars((float, Fraction)[case % 2])
         table = _CostTable(bars1, bars2)
         table.widen(table.cap_cost)
-        lo, hi = 0, table.cap
+        keys = sorted({0, *(c for row in table.costs for c in row)})
+        lo, hi = 0, len(keys) - 1
         while lo < hi:
             mid = (lo + hi) // 2
-            if _max_matching(table.adjacency(mid), table.size)[0] == table.size:
+            table.widen(keys[mid])
+            if _max_matching(table.nbrs, table.size)[0] == table.size:
                 hi = mid
             else:
                 lo = mid + 1
-        want = table.value(lo)
+        table.widen(keys[lo])
+        want = table.own_number(keys[lo])
         got = bottleneck(Barcode.from_dict({0: [(b, e, 1) for b, e in bars1]}),
                          Barcode.from_dict({0: [(b, e, 1) for b, e in bars2]})).degree(0)
         assert got == want and type(got) is type(want), (got, want)
+
+    @staticmethod
+    def widened(monkeypatch):
+        """The bounds every `_CostTable.widen` is given from here on, each
+        as the bars' own number (unscaled)."""
+        bounds = []
+        widen = _CostTable.widen
+
+        def recorded(table, bound):
+            bounds.append(bound if table.scale is None else Fraction(bound, table.scale))
+            widen(table, bound)
+        monkeypatch.setattr(_CostTable, "widen", recorded)
+        return bounds
 
     @pytest.mark.parametrize("bars1, bars2", [
         # essential bars and one pair of cost 1/2, the floor
@@ -560,37 +595,45 @@ class TestBottleneck:
     ])
     def test_floor_probe_ranks_no_edge(self, monkeypatch, bars1, bars2):
         # When the probe at the floor succeeds the floor is the answer,
-        # read off the unranked graph.
-        def no_ranks(table):
-            raise AssertionError("edges ranked after the floor probe succeeded")
-        monkeypatch.setattr(_CostTable, "_rank", no_ranks)
+        # read off the graph at the floor: the table's one `widen`, and
+        # no list of costs to bisect.
+        bounds = self.widened(monkeypatch)
         b1 = Barcode.from_dict({0: [(b, e, 1) for b, e in bars1]})
         b2 = Barcode.from_dict({0: [(b, e, 1) for b, e in bars2]})
         got = bottleneck(b1, b2).degree(0)
         want = oracles.bottleneck_reference(b1.expanded(0), b2.expanded(0))
         assert got == want and type(got) is type(want), (got, want)
+        assert bounds == [got]
 
     @pytest.mark.parametrize("kind", (Fraction, float))
-    def test_bisection_ranks_once(self, monkeypatch, kind):
+    def test_bisection_widens_per_probe(self, monkeypatch, kind):
         # Both bars of bars1 are nearest to the one bar of bars2, so the
         # floor probe (1/2) fails; the bounds double to 4, fail, and stop
         # at the cap 21/4, and the bisection of the costs between finds 5:
-        # (0, 10) to the diagonal, (0, 21/2) to (0, 10).  The edges are
-        # ranked once, at the last bound.
-        builds = []
-        rank = _CostTable._rank
-
-        def counted(table):
-            if table._ranks is None:
-                builds.append(table.bound)
-            rank(table)
-        monkeypatch.setattr(_CostTable, "_rank", counted)
+        # (0, 10) to the diagonal, (0, 21/2) to (0, 10).  Each probe
+        # widens the one graph to its bound.
+        bounds = self.widened(monkeypatch)
         b1 = Barcode.from_dict({0: [(kind(0), kind(10), 1), (kind(0), kind(21) / 2, 1)]})
         b2 = Barcode.from_dict({0: [(kind(0), kind(10), 1)]})
         got = bottleneck(b1, b2).degree(0)
         want = oracles.bottleneck_reference(b1.expanded(0), b2.expanded(0))
         assert got == want == 5 and type(got) is type(want) is kind, (got, want)
-        assert len(builds) == 1
+        assert bounds == [Fraction(1, 2), 1, 2, 4, Fraction(21, 4), 5]
+
+    @pytest.mark.parametrize("kind", (Fraction, float))
+    def test_last_probe_fails_widens_to_the_answer(self, monkeypatch, kind):
+        # The floor 2 fails and the cap 13/4 succeeds; the bisection of
+        # the costs 9/4, 5/2 and 13/4 succeeds at 5/2, a pair cost, and
+        # fails last at 9/4, a half-length.  The answer lies above that
+        # last graph, so the search widens to it again before reading it.
+        bounds = self.widened(monkeypatch)
+        b1 = Barcode.from_dict({0: [(kind(0), INF, 1), (kind(0), kind(13) / 2, 2)]})
+        b2 = Barcode.from_dict({0: [(kind(0), INF, 1), (kind(0), kind(4), 1),
+                                    (kind(0), kind(9) / 2, 1)]})
+        got = bottleneck(b1, b2).degree(0)
+        want = oracles.bottleneck_reference(b1.expanded(0), b2.expanded(0))
+        assert got == want == Fraction(5, 2) and type(got) is type(want) is kind, (got, want)
+        assert bounds == [2, Fraction(13, 4), Fraction(5, 2), Fraction(9, 4), Fraction(5, 2)]
 
     def test_long_augmenting_path(self):
         # the last vertex's augmenting path runs through all n vertices,
