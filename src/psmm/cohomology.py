@@ -238,6 +238,7 @@ class CohomologyRing:
         self.structure: dict[tuple, dict] = {}
         self._labels: Optional[list] = None
         self._comps: dict[int, list] = {}
+        self._spaces: dict = {}
 
     # -- construction ---------------------------------------------------
 
@@ -390,8 +391,14 @@ class CohomologyRing:
         return {i: _ONE for i in range(n0)}
 
     def space(self, through: Optional[int] = None) -> GradedVectorSpace:
+        """H^0..H^through, built once per `through`: a degree's dim is
+        fixed once `dim` has filled it."""
         hi = self.max_deg if through is None else through
-        return GradedVectorSpace.from_dims({k: self.dim(k) for k in range(hi + 1)})
+        space = self._spaces.get(hi)
+        if space is None:
+            space = self._spaces[hi] = GradedVectorSpace.from_dims(
+                {k: self.dim(k) for k in range(hi + 1)})
+        return space
 
     def unital_core(self) -> "CohomologyRing":
         """The subring Q.1 + H^+, used as the formal CDGA of a stage.

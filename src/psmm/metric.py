@@ -8,6 +8,15 @@ whole matrix binary64, and a NaN or infinite entry is rejected.  A point
 coordinate must be a JSON number, an int or a float, and is read as a
 float.
 
+Every step that only orders or compares distances reads one integer
+scale, the space's key matrix (`MetricSpace.keys`), built on first use
+and kept.  For an exact space it holds each distance times L, the lcm of
+their denominators, as Python ints, with L; for a binary64 space it is
+the float matrix itself.  Rips diameters, the enclosing radius, the grid
+and the cone cut, the H-barcode reduction and the Gromov-Hausdorff search
+all compare keys; a number is made only where a value leaves, as
+`Fraction(key, L)` (`MetricSpace.value`).
+
 The Rips convention is the open one, diam < t, realized as left-open
 right-closed constancy intervals (d_k, d_{k+1}] over the grid of
 distinct positive pairwise distances.  A filtration read only below its
@@ -22,6 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .errors import CapExceeded, InputError
@@ -45,11 +55,42 @@ class MetricSpace:
     def d(self, i: int, j: int) -> Num:
         return self.dist[i][j]
 
+    @cached_property
+    def keys(self) -> tuple:
+        """(K, L): the distances on one integer scale, built once.
+
+        For an exact space K[i][j] = dist[i][j] * L as an int, L the lcm
+        of the denominators; for a binary64 space K is `dist` itself and
+        L is None.  Keys order and compare as the distances do, and
+        equal distances have equal keys.  Equality, hashing, copies and
+        pickles ignore them (`__reduce__`).
+        """
+        if not self.exact:
+            return self.dist, None
+        scale = math.lcm(*{v.denominator for row in self.dist for v in row})
+        return tuple(tuple(v.numerator * (scale // v.denominator) for v in row)
+                     for row in self.dist), scale
+
+    def __reduce__(self):
+        # the keys are derived: a copy or an unpickled space builds its own
+        return MetricSpace, (self.dist, self.names, self.exact)
+
+    def value(self, key) -> Num:
+        """The distance a key stands for: `Fraction(key, L)`, or the
+        float key itself."""
+        scale = self.keys[1]
+        return key if scale is None else Fraction(key, scale)
+
+    def positive_keys(self) -> list:
+        """The keys of the distinct positive distances, ascending."""
+        return sorted({k for row in self.keys[0] for k in row if k})
+
     def positive_distances(self) -> list:
-        vals = {self.dist[i][j] for i in range(self.n) for j in range(i + 1, self.n)}
-        vals.discard(Fraction(0))
-        vals.discard(0.0)
-        return sorted(vals)
+        return [self.value(k) for k in self.positive_keys()]
+
+    def radius_key(self):
+        """The key of `enclosing_radius`."""
+        return min(map(max, self.keys[0]))
 
     def enclosing_radius(self) -> Num:
         """min_x max_y d(x, y) (Bauer, *Ripser*, 2021).
@@ -64,7 +105,7 @@ class MetricSpace:
         points can stand in for every stage at or past it
         (`build_filtration`).
         """
-        return min(max(row) for row in self.dist)
+        return self.value(self.radius_key())
 
     def scaled(self, lam: Num) -> "MetricSpace":
         rows = tuple(tuple(x * lam for x in row) for row in self.dist)
@@ -209,10 +250,12 @@ class FilteredComplex:
 
 
 def rips_simplices(m: MetricSpace, max_dim: int, simplex_cap: int = 2_000_000,
-                   max_diameter: Optional[Num] = None) -> dict:
-    """Every simplex of dimension <= max_dim with its diameter, or only
-    those of diameter <= max_diameter: per dimension, the lexicographic
-    list of (simplex, diameter).
+                   max_diameter=None) -> dict:
+    """Every simplex of dimension <= max_dim with its diameter as a key
+    (`MetricSpace.keys`), or only those whose key is <= max_diameter, a
+    key too: per dimension, the lexicographic list of (simplex, key),
+    a vertex's key the int 0.  `m.value` turns a key back into the
+    diameter.
 
     Only kept simplices are extended, which is exact since every face of
     a kept simplex is kept, and keeps the order.  The final Rips stage is
@@ -225,16 +268,15 @@ def rips_simplices(m: MetricSpace, max_dim: int, simplex_cap: int = 2_000_000,
     n = m.n
     if max_dim > 0 and sum(math.comb(n, d + 1) for d in range(max_dim + 1)) > simplex_cap:
         raise CapExceeded(f"simplex count exceeds cap {simplex_cap}")
-    dist = m.dist
-    zero = Fraction(0) if m.exact else 0.0
-    simplices: dict[int, list] = {0: [((v,), zero) for v in range(n)]}
+    keys = m.keys[0]
+    simplices: dict[int, list] = {0: [((v,), 0) for v in range(n)]}
     for d in range(1, max_dim + 1):
         cur = []
         for s, diam in simplices[d - 1]:
             for v in range(s[-1] + 1, n):
                 nd = diam
                 for u in s:
-                    duv = dist[u][v]
+                    duv = keys[u][v]
                     if duv > nd:
                         nd = duv
                 if max_diameter is None or nd <= max_diameter:
@@ -245,7 +287,7 @@ def rips_simplices(m: MetricSpace, max_dim: int, simplex_cap: int = 2_000_000,
 
 def build_filtration(m: MetricSpace, max_dim: int, simplex_cap: int = 2_000_000,
                      max_degree: Optional[int] = None) -> FilteredComplex:
-    """The stages of `rips_simplices`, sliced by diameter.
+    """The stages of `rips_simplices`, sliced by diameter key.
 
     `max_degree` is the highest cohomology degree the caller reads; by
     default every stage is complete.  When it is below max_dim, every
@@ -257,12 +299,11 @@ def build_filtration(m: MetricSpace, max_dim: int, simplex_cap: int = 2_000_000,
     last grid value below the radius (0 when the radius is 0) are then
     enumerated.
     """
-    crit = m.positive_distances()
-    zero = Fraction(0) if m.exact else 0.0
-    bounds = [zero, *crit]
+    crit = m.positive_keys()
+    bounds = [0, *crit]
     cut = max_degree is not None and max_degree < max_dim
     # the first cone stage: the radius is 0 or one of the distances
-    cone_from = bisect.bisect_left(bounds, m.enclosing_radius()) if cut else len(bounds)
+    cone_from = bisect.bisect_left(bounds, m.radius_key()) if cut else len(bounds)
     simplices = rips_simplices(m, max_dim, simplex_cap,
                                bounds[max(cone_from - 1, 0)] if cut else None)
     star = complex_from_simplices(m.n, [(0, v) for v in range(1, m.n)])
@@ -277,21 +318,12 @@ def build_filtration(m: MetricSpace, max_dim: int, simplex_cap: int = 2_000_000,
             if sel:
                 by_dim[d] = sel
         stages.append(SimplicialComplex(m.n, by_dim))
-    return FilteredComplex(tuple(crit), tuple(stages))
+    return FilteredComplex(tuple(map(m.value, crit)), tuple(stages))
 
 
 # ---------------------------------------------------------------------------
 # Gromov-Hausdorff by correspondence distortion
 # ---------------------------------------------------------------------------
-
-
-def _integerize(dx, dy):
-    """Common integer scaling of two exact distance matrices, so the
-    search runs on machine integers."""
-    scale = math.lcm(*{v.denominator for m in (dx, dy) for row in m for v in row})
-    ix = tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in dx)
-    iy = tuple(tuple(v.numerator * (scale // v.denominator) for v in row) for row in dy)
-    return ix, iy, scale
 
 
 def gh_bruteforce(x: MetricSpace, y: MetricSpace, cap: int = 30) -> Num:
@@ -308,16 +340,26 @@ def gh_bruteforce(x: MetricSpace, y: MetricSpace, cap: int = 30) -> Num:
     search stops as soon as that one meets the eccentricity lower bound.
     The stack is explicit, so the depth |X| + |Y| is not bounded by the
     interpreter's recursion limit.
+
+    Two exact spaces are searched on their keys (`MetricSpace.keys`),
+    both brought to lcm(Lx, Ly) only when their scales differ, and the
+    result is the `Fraction` best / (2 L); a float space on either side
+    makes the search and its result binary64.
     """
     if x.n * y.n > cap:
         raise CapExceeded(f"|X|*|Y| = {x.n * y.n} exceeds cap {cap}")
     if x.n == 0 or y.n == 0:
         raise InputError("empty metric space")
     nx, ny = x.n, y.n
-    dx, dy = x.dist, y.dist
-    scale = None
-    if x.exact and y.exact:
-        dx, dy, scale = _integerize(dx, dy)
+    (dx, lx), (dy, ly) = x.keys, y.keys
+    if lx is None or ly is None:
+        dx, dy, scale = x.dist, y.dist, None
+    elif lx == ly:
+        scale = lx
+    else:
+        scale = math.lcm(lx, ly)
+        dx = tuple(tuple(k * (scale // lx) for k in row) for row in dx)
+        dy = tuple(tuple(k * (scale // ly) for k in row) for row in dy)
     # every correspondence pairs each x with some y and each y with some
     # x, and one that pairs x with y has distortion >= |ecc x - ecc y|, where
     # ecc x = max_x' d(x, x'); in floats too, as rounding is monotone

@@ -20,7 +20,9 @@ map has already checked its matrices against those spaces.
 
 The persistent-cohomology barcode of a simplicial filtration
 (`cohomology_barcode`) needs no module: one reduction of the coboundary
-over the whole filtration, with clearing, pairs the simplices.
+over the whole filtration, with clearing, pairs the simplices.  It
+orders, pairs and merges on keys (for a metric space, its diameters on
+one integer scale) and makes a value only for each reported endpoint.
 
 The bottleneck distance between barcodes is exact: a search over the
 candidate costs with a Hopcroft-Karp perfect-matching test per probe.
@@ -253,31 +255,33 @@ class PersistentGVec:
 # ---------------------------------------------------------------------------
 
 
-def cohomology_barcode(simplices: dict, max_degree: int, zero) -> Barcode:
+def cohomology_barcode(simplices: dict, max_degree: int, zero, value) -> Barcode:
     """Persistent-cohomology barcode in degrees 0..max_degree of a
     simplicial filtration, by one reduction of its coboundary with
     clearing (de Silva-Morozov-Vejdemo-Johansson, "Dualities in
     persistent (co)homology", 2011; Bauer, "Ripser", 2021).
 
-    `simplices[d]` lists the d-simplices as (vertex tuple, value), every
-    face of a listed simplex listed with a value no larger.  The
-    filtration order is (value, dimension, list order).  For each degree
+    `simplices[d]` lists the d-simplices as (vertex tuple, key), every
+    face of a listed simplex listed with a key no larger; keys order as
+    the values they stand for (`metric.rips_simplices`).  The filtration
+    order is (key, dimension, list order).  For each degree
     k the coboundary columns of the k-simplices are reduced from the
     last simplex to the first, with the (k+1)-simplices as rows, last
     first, so a column's pivot is its earliest surviving coface.  A
     pivot tau pairs the column's simplex sigma with tau: the bar
-    (value sigma, value tau] when it is not empty.  A k-simplex that is
+    (key sigma, key tau] when it is not empty.  A k-simplex that is
     already the pivot of a degree-(k-1) column reduces to zero and is
     skipped (clearing); any other column that reduces to zero is an
-    essential class (value sigma, inf).  Births at value 0 are reported
-    as `zero`.
+    essential class (key sigma, inf).  Equal bars are merged on their
+    keys, and only then is each endpoint reported as a value: a birth at
+    key 0 as `zero`, any other finite endpoint as `value(key)`.
     """
-    by_value = {d: sorted(group, key=lambda sv: sv[1]) for d, group in simplices.items()}
-    top = max((d for d, group in by_value.items() if group), default=-1)
-    out: dict[int, list] = {}
+    by_key = {d: sorted(group, key=lambda sv: sv[1]) for d, group in simplices.items()}
+    top = max((d for d, group in by_key.items() if group), default=-1)
+    items = []
     cleared: set = set()
     for k in range(min(max_degree, top) + 1):
-        cofaces = by_value.get(k + 1, [])
+        cofaces = by_key.get(k + 1, [])
         last = len(cofaces) - 1
         coboundary: dict = {}
         for i, (t, _) in enumerate(cofaces):
@@ -285,21 +289,22 @@ def cohomology_barcode(simplices: dict, max_degree: int, zero) -> Barcode:
                 coboundary.setdefault(t[:j] + t[j + 1:], {})[last - i] = -1 if j % 2 else 1
         red = ColumnReducer(len(cofaces))
         pivots = set()
-        bars = out.setdefault(k, [])
-        for s, birth in reversed(by_value[k]):
+        bars: dict = {}
+        for s, birth in reversed(by_key[k]):
             if s in cleared:
                 continue
-            if birth == 0:
-                birth = zero
             if red.add(coboundary.get(s, {})):
                 t, death = cofaces[last - red.last_low]
                 pivots.add(t)
-                if birth < death:
-                    bars.append((birth, death, 1))
             else:
-                bars.append((birth, INF, 1))
+                death = INF
+            if birth < death:
+                bars[birth, death] = bars.get((birth, death), 0) + 1
         cleared = pivots
-    return Barcode.from_dict(out)
+        if bars:
+            items.append((k, tuple((zero if b == 0 else value(b), e if e == INF else value(e), m)
+                                   for (b, e), m in sorted(bars.items()))))
+    return Barcode(tuple(items))
 
 
 # ---------------------------------------------------------------------------

@@ -345,10 +345,11 @@ def h_barcode(source, cfg: Optional[Config] = None) -> Barcode:
     From a PersistentSullivanModel it is read off the stage cohomology
     and the induced-map matrices.  From a MetricSpace it is one
     reduction over the Rips simplices (`persistence.cohomology_barcode`),
-    with no stages, rings or induced maps.  When max_degree < max_dim,
-    simplices of diameter above the enclosing radius are never
-    enumerated (`rips_simplices`' bound): from the radius on every stage
-    is a cone through dimension max_dim - 1
+    with no stages, rings or induced maps, run on the space's keys
+    (`MetricSpace.keys`): only the bar endpoints become values.  When
+    max_degree < max_dim, simplices of diameter above the enclosing
+    radius are never enumerated (`rips_simplices`' bound): from the
+    radius on every stage is a cone through dimension max_dim - 1
     (`MetricSpace.enclosing_radius`), so no bar of a reported degree
     lives past it.  Both paths give equal bars with endpoints of equal
     types: a zero birth is `Fraction(0)` unless the space has a positive
@@ -356,10 +357,11 @@ def h_barcode(source, cfg: Optional[Config] = None) -> Barcode:
     """
     if isinstance(source, MetricSpace):
         cfg = cfg or Config()
-        radius = source.enclosing_radius() if cfg.max_degree < cfg.max_dim else None
+        radius = source.radius_key() if cfg.max_degree < cfg.max_dim else None
         simplices = rips_simplices(source, cfg.max_dim, cfg.simplex_cap, radius)
-        zero = 0.0 if not source.exact and source.positive_distances() else Fraction(0)
-        return cohomology_barcode(simplices, cfg.max_degree, zero)
+        keys, scale = source.keys
+        zero = 0.0 if scale is None and any(map(any, keys)) else Fraction(0)
+        return cohomology_barcode(simplices, cfg.max_degree, zero, source.value)
     psm = source
     module = PersistentGVec.from_contravariant(psm.grid, psm.h_spaces, psm.h_maps)
     return module.barcode()

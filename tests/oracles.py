@@ -4,22 +4,25 @@ Persistent homology by straight boundary-matrix reduction over Q,
 written against the raw filtration data; dense Gauss-Jordan
 elimination; the barcode by inclusion-exclusion over the rank
 function; the former dense matrix-vector and matrix products; the
-cohomology engine's former kernel-mod-image algorithm;
-the general cone-apex search the enclosing radius is checked against;
-the elimination engine's former `Fraction` arithmetic; dense
-coboundary matrices; ring structure constants by the former cup route
-(every pair of representatives multiplied and solved for); induced
-maps by the former restriction route (every representative restricted
-and solved for) and the former bilinear multiplicativity check over
-every pair of degrees; the bottleneck distance's former algorithm; and
-the Gromov-Hausdorff distance by the package's former bisection and by
-exhaustive search over pairs of maps.  All deliberately share no code
-with the package: this module imports nothing from `psmm`.
+cohomology engine's former kernel-mod-image algorithm; the Rips
+filtration of an exact distance matrix by brute-force clique
+enumeration; the general cone-apex search the enclosing radius is
+checked against; the elimination engine's former `Fraction`
+arithmetic; dense coboundary matrices; ring structure constants by the
+former cup route (every pair of representatives multiplied and solved
+for); induced maps by the former restriction route (every
+representative restricted and solved for) and the former bilinear
+multiplicativity check over every pair of degrees; the bottleneck
+distance's former algorithm; and the Gromov-Hausdorff distance by the
+package's former bisection and by exhaustive search over pairs of
+maps.  All deliberately share no code with the package: this module
+imports nothing from `psmm`.
 """
 
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 INF = math.inf
 
@@ -115,6 +118,31 @@ def parameter_bars(filtration, max_deg):
             conv.append((birth, death))
         out[k] = sorted(conv, key=lambda t: (t[0], t[1] is None, t[1] or 0))
     return out
+
+
+def rips_filtration(matrix, max_dim):
+    """The Rips filtration of a distance matrix of exact entries through
+    dimension max_dim: every vertex subset of at most max_dim + 1 points
+    with its `Fraction` diameter, and stage k the subsets of diameter at
+    most d_k, over the sorted distinct positive distances d_1 < d_2 < ...
+    (d_0 = 0): the `critical_values` and per stage the `simplices` dict
+    that `reduction_barcodes` and `parameter_bars` read."""
+    n = len(matrix)
+    dist = [[Fraction(v) for v in row] for row in matrix]
+    grid = sorted({v for row in dist for v in row if v > 0})
+    diameter = {}
+    for size in range(1, max_dim + 2):
+        for s in itertools.combinations(range(n), size):
+            diameter[s] = max((dist[i][j] for i, j in itertools.combinations(s, 2)),
+                              default=Fraction(0))
+    stages = []
+    for bound in [Fraction(0), *grid]:
+        by_dim = {}
+        for s, diam in diameter.items():
+            if diam <= bound:
+                by_dim.setdefault(len(s) - 1, []).append(s)
+        stages.append(SimpleNamespace(simplices={d: tuple(g) for d, g in by_dim.items()}))
+    return SimpleNamespace(critical_values=tuple(grid), stages=tuple(stages))
 
 
 def complex_betti(cx, max_deg):

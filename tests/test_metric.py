@@ -1,9 +1,11 @@
+import copy
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import validate_complex
@@ -148,12 +150,16 @@ class TestFiltration:
         m = random_space(random.Random(5), 5)
         simplices = rips_simplices(m, 3)
         assert sorted(simplices) == [0, 1, 2, 3]
+        keys = m.keys[0]
         for d, group in simplices.items():
             assert [s for s, _ in group] == list(itertools.combinations(range(5), d + 1))
             for s, diam in group:
-                assert diam == max((m.d(i, j) for i, j in itertools.combinations(s, 2)),
-                                   default=Fraction(0))
-                assert type(diam) is Fraction
+                # the diameter as a key: an int on the scale of the quarters
+                assert diam == max((keys[i][j] for i, j in itertools.combinations(s, 2)),
+                                   default=0)
+                assert type(diam) is int
+                assert m.value(diam) == max((m.d(i, j) for i, j in itertools.combinations(s, 2)),
+                                            default=Fraction(0))
 
     def test_rips_simplices_cap_is_the_final_count(self):
         import random
@@ -232,12 +238,11 @@ def rips_spaces(draw):
 @given(rips_spaces(), st.integers(0, 4), st.data())
 @settings(max_examples=150, deadline=None)
 def test_bounded_rips_simplices_filter_the_full_list(m, max_dim, data):
-    """The diameter bound keeps exactly the simplices the full list has
-    within it, in the same order, at a tie, a zero or a gap."""
-    values = [m.d(0, 0), *m.positive_distances()]
-    bound = data.draw(st.sampled_from(values))
+    """The diameter bound, a key, keeps exactly the simplices the full
+    list has within it, in the same order, at a tie, a zero or a gap."""
+    bound = data.draw(st.sampled_from([0, *m.positive_keys()]))
     if data.draw(st.booleans()):
-        bound = bound + type(bound)(1) / 4  # between grid values
+        bound = bound + Fraction(1, 4)  # between grid keys
     full = rips_simplices(m, max_dim)
     assert rips_simplices(m, max_dim, max_diameter=bound) == {
         d: [sv for sv in group if sv[1] <= bound] for d, group in full.items()}
@@ -337,6 +342,50 @@ def assert_same_value_and_type(got, want):
     assert got == want and type(got) is type(want), (got, want)
 
 
+class TestKeys:
+    """The key matrix is derived data: built on first use and kept, it
+    never shows in equality, hashing, copies or pickles."""
+
+    def spaces(self):
+        exact = metric_from_matrix([[0, "1/2", "2/3"], ["1/2", 0, 5], ["2/3", 5, 0]])
+        return exact, square_space()
+
+    def test_exact_keys_on_one_integer_scale(self):
+        m = self.spaces()[0]
+        assert m.keys == (((0, 3, 4), (3, 0, 30), (4, 30, 0)), 6)
+        assert all(type(k) is int for row in m.keys[0] for k in row)
+        assert m.positive_keys() == [3, 4, 30]
+        assert m.positive_distances() == [Fraction(1, 2), Fraction(2, 3), Fraction(5)]
+        assert m.radius_key() == 4 and m.enclosing_radius() == Fraction(2, 3)
+        assert all(type(v) is Fraction for v in m.positive_distances())
+
+    def test_float_keys_are_the_matrix(self):
+        m = self.spaces()[1]
+        assert m.keys == (m.dist, None) and m.value(m.radius_key()) == math.sqrt(2)
+
+    def test_keys_do_not_show(self):
+        for m in self.spaces():
+            fresh = metric_from_matrix(m.dist) if m.exact else square_space()
+            blob = pickle.dumps(fresh)
+            m.keys
+            assert "keys" in vars(m) and "keys" not in vars(fresh)
+            assert m == fresh and hash(m) == hash(fresh)
+            assert pickle.dumps(m) == blob
+            for twin in (pickle.loads(blob), copy.copy(m), copy.deepcopy(m)):
+                assert twin == m and "keys" not in vars(twin)
+                assert twin.keys == m.keys
+
+    def test_scaled_gets_fresh_keys(self):
+        m = self.spaces()[0]
+        m.keys
+        for lam, want in ((Fraction(3, 7), 14), (2, 3)):
+            s = m.scaled(lam)
+            assert "keys" not in vars(s) and s.keys[1] == want
+            assert all(s.value(k) == v for row, krow in zip(s.dist, s.keys[0])
+                       for v, k in zip(row, krow))
+        assert m.scaled(0.5).keys == (m.scaled(0.5).dist, None)
+
+
 class TestGromovHausdorff:
     def test_self_distance_zero(self):
         m = square_space()
@@ -379,6 +428,26 @@ class TestGromovHausdorff:
         want = gh_exhaustive(x.dist, y.dist)
         assert gh_bisection(x.dist, y.dist) == want
         assert gh_bruteforce(x, y) == want
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_unequal_key_scales(self, data):
+        """Sevenths against quarters: the keys are brought to one scale
+        only for the search, and the result matches in value and type."""
+        def space(q):
+            n = data.draw(st.integers(1, 4))
+            entry = st.builds(Fraction, st.integers(0, 30), st.just(q))
+            rows = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    rows[i][j] = rows[j][i] = data.draw(entry)
+            return metric_from_matrix(rows)
+
+        x, y = space(7), space(4)
+        assume(x.keys[1] != y.keys[1])
+        keys = x.keys, y.keys
+        assert_same_value_and_type(gh_bruteforce(x, y), gh_bisection(x.dist, y.dist))
+        assert (x.keys, y.keys) == keys  # the rescaled copies are the search's own
 
     def test_cap(self):
         m = circle_space(8)

@@ -353,6 +353,38 @@ class TestMetricHBarcode:
         assert expanded_bars(hb) == oracle_bars(m, cfg)
         assert typed_bars(hb) == typed_bars(h_barcode(persistent_model(m, cfg)))
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_exact_keys_match_brute_force_rips(self, data):
+        """On exact spaces whose entries mix the denominators 1, 2, 3, 5
+        and 7, with numerators up to 10**12, the grid and the bars equal
+        those of a Rips filtration enumerated with `Fraction` diameters,
+        in value and type: `Fraction` endpoints and zero births, float
+        INF deaths."""
+        n = data.draw(st.integers(1, 6))
+        numerator = st.one_of(st.integers(0, 4), st.integers(0, 10 ** 12))
+        entry = st.builds(Fraction, numerator, st.sampled_from([1, 2, 3, 5, 7]))
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = data.draw(entry)
+        max_dim = data.draw(st.integers(0, 3))
+        max_degree = data.draw(st.integers(0, max_dim))
+        m = metric_from_matrix(rows)
+        filt = oracles.rips_filtration(rows, max_dim)
+
+        def typed(values):
+            return [(v, type(v)) for v in values]
+
+        assert typed(build_filtration(m, max_dim, max_degree=max_degree).critical_values) \
+            == typed(filt.critical_values)
+        assert all(type(v) is Fraction for v in filt.critical_values)
+        want = {deg: [typed(bar) for bar in sorted(
+                    (Fraction(0) if b == 0 else b, INF if e is None else e) for b, e in bars)]
+                for deg, bars in oracles.parameter_bars(filt, max_degree).items()}
+        hb = h_barcode(m, Config(max_degree=max_degree, max_dim=max_dim))
+        assert {deg: [typed(bar) for bar in hb.expanded(deg)] for deg in hb.degrees()} == want
+
     def test_invalid_input_fails_before_any_reduction(self, monkeypatch):
         def no_reduction(*args):
             raise AssertionError("reduction reached")
