@@ -10,6 +10,10 @@ explicit non-convergence flag, since minimal models of non-nilpotent
 fundamental groups are infinitely generated).  Minimality is automatic:
 no degree-(k+1) generator exists yet when degree k is built, so the new
 differentials have no linear term.
+
+Each generator set is built once, into one Sullivan algebra at the
+final truncation max_deg + 2, and rho is checked to be a chain map once,
+on the final model (`_Builder` says why no check is lost).
 """
 
 from __future__ import annotations
@@ -40,13 +44,26 @@ class MinimalModel:
 class _Builder:
     """Accumulates generators in addition order; names are zero-padded
     so the algebra's canonical (degree, name) order equals addition
-    order and differentials only mention earlier generators."""
+    order and differentials only mention earlier generators.
 
-    def __init__(self, target):
+    One algebra per generator set: `build` makes the model, rho and the
+    model's cohomology once per generator count, all at the final
+    truncation `trunc`, and rho unchecked.  A generator set's algebra
+    at a lower truncation is this one cut off, and its monomial bases
+    are enumerated lazily, on first use, so asking for the cohomology
+    of low degrees enumerates no more monomials than a lower truncation
+    would.  Each rho built is the final rho restricted to a
+    sub-algebra, so the one chain-map check of the final rho, through
+    every degree below min(trunc, the target's truncation), covers
+    every degree a check of an earlier rho would cover.
+    """
+
+    def __init__(self, target, trunc: int):
         self.target = target
+        self.trunc = trunc
         self.entries = []  # (name, degree, diff poly in name-tuples, sparse rho coords)
         self.counters: dict[int, int] = {}
-        self._last = None  # ((generator count, trunc), (model, rho, cohomology))
+        self._last = None  # (generator count, (model, rho, cohomology))
 
     def add(self, degree: int, diff_poly: dict, rho_vec: dict):
         if len(self.entries) >= GEN_CAP:
@@ -56,21 +73,21 @@ class _Builder:
         name = f"v{degree}_{c:03d}"
         self.entries.append((name, degree, diff_poly, rho_vec))
 
-    def build(self, trunc: int):
-        """(model, rho, cohomology of the model through trunc - 1), built
-        again only when a generator or the truncation changed."""
-        key = (len(self.entries), trunc)
-        if self._last is None or self._last[0] != key:
+    def build(self):
+        """(model, unchecked rho, cohomology of the model through
+        trunc - 1), built again only when a generator was added."""
+        if self._last is None or self._last[0] != len(self.entries):
             gens = [(n, d) for n, d, _, _ in self.entries]
             diff = {n: [(coeff, list(names)) for names, coeff in p.items()]
                     for n, d, p, _ in self.entries if p}
-            alg = SullivanAlgebra(gens, diff, trunc)
+            alg = SullivanAlgebra(gens, diff, self.trunc)
             order = sorted(range(len(self.entries)),
                            key=lambda i: (self.entries[i][1], self.entries[i][0]))
             assert order == sorted(order)  # addition order is canonical order
             images = [self.entries[i][3] for i in order]
-            rho = CDGAMorphism(alg, self.target, images, check=True)
-            self._last = (key, (alg, rho, StageCohomology.of_cdga(alg, trunc - 1)))
+            rho = CDGAMorphism(alg, self.target, images, check=False)
+            self._last = (len(self.entries),
+                          (alg, rho, StageCohomology.of_cdga(alg, self.trunc - 1)))
         return self._last[1]
 
 
@@ -81,12 +98,12 @@ def minimal_model(a, max_deg: int, deg1_cap: int = 8) -> MinimalModel:
     if h_input.h_dim(0) != 1 or not h_input.class_of(0, a.unit_coords()):
         raise InputError("input is not path-connected: H^0 != Q")
 
-    builder = _Builder(a)
+    builder = _Builder(a, max_deg + 2)
     deg1_converged = True
     for k in range(1, max_deg + 1):
         # cokernel of H^k(rho): new closed generators
         if h_input.h_dim(k) > 0:
-            alg, rho, h_model = builder.build(k + 2)
+            alg, rho, h_model = builder.build()
             hk = induced_matrix(rho, h_model, h_input, k)
             for idx in quotient_basis(h_input.h_dim(k), hk,
                                       RatMatrix.identity(h_input.h_dim(k))):
@@ -96,7 +113,7 @@ def minimal_model(a, max_deg: int, deg1_cap: int = 8) -> MinimalModel:
         # d x = rho(zeta) in the input; iterated in degree 1, where the
         # new generators can leave new kernel behind
         for iteration in range(deg1_cap + 1 if k == 1 else 1):
-            alg, rho, h_model = builder.build(k + 2)
+            alg, rho, h_model = builder.build()
             if h_model.h_dim(k + 1) == 0:
                 break
             ker = kernel_basis(induced_matrix(rho, h_model, h_input, k + 1))
@@ -116,7 +133,8 @@ def minimal_model(a, max_deg: int, deg1_cap: int = 8) -> MinimalModel:
                     raise InputError("d x = rho(d z) unsolvable: invariant breach")
                 builder.add(k, zeta_names, x)
 
-    alg, rho, h_model = builder.build(max_deg + 2)
+    alg, rho, h_model = builder.build()
+    rho.verify_chain_map()
     if not alg.is_minimal():
         raise InputError("constructed model is not minimal: invariant breach")
     mm = MinimalModel(alg, rho, a, -1, deg1_converged, {}, h_input, h_model)

@@ -23,20 +23,25 @@ matrix for callers that build or read one by rows.
 One engine eliminates: `ColumnReducer`, a sparse incremental column
 reducer that works on integer columns (each input column scaled by the
 lcm of its denominators, fraction-free steps, pivots divided by their
-content) and converts to `Fraction` only at its answers.
-`cohomology.StageCohomology` runs it over the coboundary matrices of
-Vietoris-Rips stages and the differentials of Sullivan algebras, and
-`rank`, `solve`, `kernel_basis` and `quotient_basis` feed it their
-columns left to right.  Their answers are the dense Gauss-Jordan ones:
-a column is a pivot column iff it is independent of the columns before
-it, so `solve` sets free variables to zero and each kernel vector is
-e_c minus the coefficients of column c over the pivot columns before
-it.
+content) and converts to `Fraction` only at its answers.  A column of
+int entries all +-1 whose lowest row holds no pivot yet is stored
+straight away (negated when that entry is -1), with no scaling,
+reduction or gcd: over Q it is the exact form of an apparent pair
+(Bauer, Ripser, 2021), and most Rips coboundary columns are one.
+`cohomology.StageCohomology` runs it over the
+coboundary matrices of Vietoris-Rips stages and the differentials of
+Sullivan algebras, and `rank`, `solve`, `kernel_basis` and
+`quotient_basis` feed it their columns left to right.  Their answers
+are the dense Gauss-Jordan ones: a column is a pivot column iff it is
+independent of the columns before it, so `solve` sets free variables to
+zero and each kernel vector is e_c minus the coefficients of column c
+over the pivot columns before it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
@@ -115,7 +120,11 @@ class RatMatrix:
         return RatMatrix._of(rows, tuple(_canonical(c, rows) for c in cols))
 
     @staticmethod
+    @lru_cache(maxsize=64)
     def zeros(rows: int, cols: int) -> "RatMatrix":
+        """The zero matrix of a shape, one shared instance per recent
+        shape: a matrix is immutable, and absent degrees of graded maps
+        ask for the same few shapes over and over."""
         if cols < 0:
             raise DimensionMismatch("negative dimensions")
         return RatMatrix._of(rows, ((),) * cols)
@@ -276,6 +285,13 @@ class ColumnReducer:
     product of the multipliers its steps applied.  Both are the
     `Fraction`-elimination values exactly.
 
+    `add` stores a column whose entries are all `int` +-1 (not `bool`
+    or `Fraction`), whose lowest row is below `nrows` and holds no pivot,
+    straight away: a copy, negated when its lowest entry is -1, with the
+    combination {its index: +-1} in record mode.  That is the state the
+    general path leaves, since such a column has scale 1, no reduction
+    step and content 1.  Every other column takes the general path.
+
     `last_low` is the pivot row of the column the last `add` stored, or
     None when that column was dependent; `add` itself answers only
     whether it stored one.
@@ -385,6 +401,24 @@ class ColumnReducer:
 
     def add(self, col: Mapping) -> bool:
         """Add one column; True iff it was independent of those stored."""
+        if col:
+            low = max(col)
+            if low < self.nrows and low not in self._pivots:
+                for v in col.values():
+                    if type(v) is not int or (v != 1 and v != -1):
+                        break
+                else:
+                    # a +-1 column on a free row: stored as the general
+                    # path stores it (content 1, leading entry +1)
+                    sign = col[low]
+                    self._pivots[low] = (dict(col) if sign == 1
+                                         else {r: -v for r, v in col.items()})
+                    if self.record:
+                        self._combos[low] = {self._ncols: sign}
+                    self._ncols += 1
+                    self.rank += 1
+                    self._last_low = low
+                    return True
         c, scale = self._scaled(col)
         for r in c:
             if r >= self.nrows:

@@ -130,6 +130,60 @@ class TestGeneratorCap:
         assert capsys.readouterr().err.startswith("error: generator cap 3")
 
 
+class TestOneAlgebraPerGeneratorSet:
+    """The builder makes one Sullivan algebra per generator count, at
+    the final truncation, and checks the final rho alone."""
+
+    def test_one_algebra_per_generator_count(self, monkeypatch):
+        built, checked = [], []
+        real_alg, real_check = minmodel.SullivanAlgebra, minmodel.CDGAMorphism.verify_chain_map
+
+        def counting_alg(gens, diff, trunc):
+            built.append((len(gens), trunc))
+            return real_alg(gens, diff, trunc)
+
+        monkeypatch.setattr(minmodel, "SullivanAlgebra", counting_alg)
+        monkeypatch.setattr(minmodel.CDGAMorphism, "verify_chain_map",
+                            lambda rho: checked.append(rho) or real_check(rho))
+        mm = minimal_model(sphere3_ring(), max_deg=4)
+        assert built == [(0, 6), (1, 6)]  # the empty model, then u in degree 3
+        assert checked == [mm.rho]
+        assert mm.verified_degree == 4
+
+    def test_rho_broken_after_construction_raises(self, monkeypatch):
+        # Lambda(a, b), d b = a^2, is its own model: v3 with d v3 = v2^2
+        # and rho(v3) = b.  Sending v3 to 0 instead breaks d rho = rho d
+        # in degree 3, which no pass of the construction reads.
+        s2 = make_sullivan([("a", 2), ("b", 3)], {"b": [(1, ["a", "a"])]}, 8)
+        assert [d for _, d in minimal_model(s2, max_deg=4).model.generators] == [2, 3]
+        real_build = minmodel._Builder.build
+
+        def broken_build(builder):
+            alg, rho, h_model = real_build(builder)
+            for i, d in enumerate(alg.degrees):
+                if d == 3:
+                    rho.images[i] = {}
+            rho._mono_image.clear()
+            return alg, rho, h_model
+
+        monkeypatch.setattr(minmodel._Builder, "build", broken_build)
+        with pytest.raises(InputError, match="does not commute with d at degree 3"):
+            minimal_model(s2, max_deg=4)
+
+    @pytest.mark.parametrize("max_degree, code, message", [
+        ("1", 4, "warning: degree-1 construction did not converge"),
+        ("2", 3, "error: degree-4 monomial basis of 10334625 exceeds cap 1048576"),
+    ])
+    def test_wedge_ring_exits(self, tmp_path, capsys, max_degree, code, message):
+        ring = {"max_degree": 3, "products": [],
+                "classes": [{"name": "x", "degree": 1}, {"name": "y", "degree": 1}]}
+        path = tmp_path / "wedge-ring.json"
+        path.write_text(json.dumps({"cohomology_ring": ring}))
+        assert cli_main(["minimal-model", "--input", str(path), "--max-degree", max_degree,
+                         "-o", str(tmp_path / "out.json")]) == code
+        assert capsys.readouterr().err.strip() == message
+
+
 class TestVerifyQuasiIso:
     def test_mutation_detected(self):
         mm = minimal_model(sphere2_ring(), max_deg=6)

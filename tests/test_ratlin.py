@@ -345,6 +345,80 @@ class TestAgainstFractionEngine:
             self._solve_both(red2, ref2, col)
 
 
+@st.composite
+def unit_column(draw, nrows):
+    """A nonempty column of int entries +-1 over `nrows` rows."""
+    rows = draw(st.lists(st.integers(0, nrows - 1), min_size=1, max_size=nrows, unique=True))
+    return {r: draw(st.sampled_from([1, -1])) for r in rows}
+
+
+class TestUnitColumnFastPath:
+    """`add` stores a +-1 int column whose lowest row holds no pivot
+    without reducing it; fed as `Fraction` copies, the same columns take
+    the general path, and both reducers end in the same state."""
+
+    @staticmethod
+    def _same_state(red, ref):
+        assert red.rank == ref.rank
+        assert red.last_low == ref.last_low
+        assert list(red.pivots) == list(ref.pivots)
+        assert [list(p.items()) for p in red.pivots.values()] == \
+            [list(p.items()) for p in ref.pivots.values()]
+        assert red.kernel_combos == ref.kernel_combos
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_same_state_as_fraction_copies(self, data):
+        nrows = data.draw(st.integers(1, 6))
+        record = data.draw(st.booleans())
+        red, ref = ColumnReducer(nrows, record=record), ColumnReducer(nrows, record=record)
+        cols = []
+        for _ in range(data.draw(st.integers(0, 10))):
+            kind = data.draw(st.integers(0, 3))
+            if kind == 0:
+                col = data.draw(engine_column(nrows))
+            elif kind == 1:
+                col = {r: data.draw(st.sampled_from([True, False, 1, -1]))
+                       for r in data.draw(st.lists(st.integers(0, nrows - 1), unique=True))}
+            else:
+                col = data.draw(unit_column(nrows))
+            copy = {r: Fraction(v) for r, v in col.items()}
+            assert red.add(col) == ref.add(copy)
+            self._same_state(red, ref)
+            cols.append(copy)
+        if record:
+            probes = [data.draw(unit_column(nrows)), data.draw(engine_column(nrows))]
+            if cols:
+                coeffs = [data.draw(st.integers(-3, 3)) for _ in cols]
+                probes.append({i: sum((c * v.get(i, 0) for c, v in zip(coeffs, cols)),
+                                      Fraction(0)) for i in range(nrows)})
+            for b in probes:
+                assert red.solve(b) == ref.solve({r: Fraction(v) for r, v in b.items()})
+
+    def test_stored_pivot_is_a_copy(self):
+        for record in (False, True):
+            red = ColumnReducer(3, record=record)
+            col, neg = {0: 1, 2: 1}, {0: 1, 1: -1}
+            assert red.add(col) and red.add(neg)
+            col[2] = 7
+            neg.clear()
+            assert dict(red.pivots) == {2: {0: 1, 2: 1}, 1: {0: -1, 1: 1}}
+            assert red.rank == 2 and red.last_low == 1
+            if record:
+                assert red.solve({1: 1, 2: 1}) == {0: Fraction(1), 1: Fraction(-1)}
+                assert red.solve({0: 1, 1: 1}) is None
+
+    def test_unit_column_past_the_rows_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            ColumnReducer(2).add({0: 1, 2: -1})
+
+
+def test_zero_matrix_shared_per_shape():
+    assert RatMatrix.zeros(2, 3) is RatMatrix.zeros(2, 3)
+    assert RatMatrix.zeros(2, 3) == RatMatrix.from_rows([[0, 0, 0], [0, 0, 0]])
+    assert RatMatrix.zeros(3, 2).rows == 3 and RatMatrix.zeros(3, 2).cols == 2
+
+
 class TestFromColumns:
     def test_longer_column_rejected(self):
         # the second column reaches past the one row
