@@ -9,7 +9,10 @@ byte-identical output.
 Every command writes its output through `json_text`, which gives the
 bytes of `json.dumps(obj, sort_keys=True, indent=2)` without the
 standard library's pure-Python encoder, the one it uses whenever
-`indent` is set.
+`indent` is set.  It writes a dict held in several places of the tree
+(as `psm_to_json` shares the parts of shared models, representatives
+and H maps) once per indent and repeats its text, and it quotes a list
+of strings, such as a dense matrix row, in one join.
 """
 
 from __future__ import annotations
@@ -89,43 +92,91 @@ def _scalar(x) -> str:
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
-def _write(obj, nl: str, put):
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+def _shared_dicts(obj) -> set:
+    """The ids of the dicts that obj holds more than once, found in one
+    iterative pass that enters each dict, list and tuple once."""
+    seen, shared = set(), set()
+    stack = [obj]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, dict):
+            items = x.values()
+        elif isinstance(x, (list, tuple)):
+            items = x
+        else:
+            continue
+        if id(x) in seen:
+            if isinstance(x, dict):
+                shared.add(id(x))
+            continue
+        seen.add(id(x))
+        if not _SCALAR_TYPES.issuperset(map(type, items)):
+            stack.extend(items)
+    return shared
+
+
+def _write(obj, nl: str, put, shared: set, texts: dict):
     """Pass the text of obj to `put` in pieces; `nl` is a newline and the
-    indent of obj's own level."""
+    indent of obj's own level.  A dict whose id is in `shared` is
+    written once per indent and its text kept in `texts`, keyed by
+    (id, nl), for every later place that holds it."""
     if isinstance(obj, dict):
         if not obj:
             put("{}")
             return
-        inner = nl + "  "
-        sep = "{" + inner
-        for key in sorted(obj):
-            put(sep + _quote(key) + ": ")
-            _write(obj[key], inner, put)
-            sep = "," + inner
-        put(nl + "}")
+        if id(obj) in shared:
+            key = (id(obj), nl)
+            if key not in texts:
+                parts: list = []
+                _write_dict(obj, nl, parts.append, shared, texts)
+                texts[key] = "".join(parts)
+            put(texts[key])
+            return
+        _write_dict(obj, nl, put, shared, texts)
     elif isinstance(obj, (list, tuple)):
         if not obj:
             put("[]")
             return
         inner = nl + "  "
+        try:  # a list of strings, such as a dense matrix row
+            put("[" + inner + ("," + inner).join(map(_quote, obj)) + nl + "]")
+            return
+        except TypeError:
+            pass
         if not any(isinstance(x, (dict, list, tuple)) for x in obj):
             put("[" + inner + ("," + inner).join(map(_scalar, obj)) + nl + "]")
             return
         sep = "[" + inner
         for x in obj:
             put(sep)
-            _write(x, inner, put)
+            _write(x, inner, put, shared, texts)
             sep = "," + inner
         put(nl + "]")
     else:
         put(_scalar(obj))
 
 
+def _write_dict(obj: dict, nl: str, put, shared: set, texts: dict):
+    inner = nl + "  "
+    sep = "{" + inner
+    for key in sorted(obj):
+        put(sep + _quote(key) + ": ")
+        _write(obj[key], inner, put, shared, texts)
+        sep = "," + inner
+    put(nl + "}")
+
+
 def json_text(obj) -> str:
     """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte, for a
-    tree of dicts with str keys, lists, tuples and JSON scalars."""
+    tree of dicts with str keys, lists, tuples and JSON scalars.  A
+    dict the tree holds in more than one place (`psm_to_json` shares
+    them) is written once per indent; only those dicts keep their text,
+    so the copies held stay bounded by the shared part of the output."""
     out: list = []
-    _write(obj, "\n", out.append)
+    _write(obj, "\n", out.append, _shared_dicts(obj), {})
     return "".join(out)
 
 

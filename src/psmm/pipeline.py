@@ -24,8 +24,14 @@ their stage algebras, sharing keys and structure maps to one driver,
 core dims and structure constants; for a given algebra, equal
 generators, differential and truncation) share one model object, pairs
 with the same two models and map matrices share one representative,
-and every length-2 span is checked for Q- and H-functoriality.  The dump
-still lists every stage and pair, byte for byte as without sharing.
+and every length-2 span is checked for Q- and H-functoriality, once per
+distinct span of model and representative objects and map matrices.
+The dump still lists every stage and pair, byte for byte as without
+sharing, but each later layer works once per distinct object:
+`psm_to_json` builds the part of a shared model, representative or H
+map once and puts the same dict wherever it recurs, `cli.json_text`
+writes such a dict once per indent and repeats its text, and
+`barcodes_from_json` parses each distinct matrix of a dump once.
 
 Grid values, in a persistent-CDGA file or a model dump, and the entries
 of a dump's matrices are read by `util.json_number`.  A grid value may
@@ -39,6 +45,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .cdga import (
@@ -251,19 +258,20 @@ def _check_functoriality(models: list, reps: list, maps: list, degraded: list,
     Spans touching non-converged or degraded stages are skipped; the
     functoriality guarantee does not extend to truncated degree-1
     constructions.  A span with the same model and representative
-    objects and the same composite as one already checked is not
-    checked again; `lift` makes the direct representatives."""
+    objects and the same two map matrices as one already checked is
+    not checked again, nor its composite built: equal maps have equal
+    composites.  `lift` makes the direct representatives."""
     skip = {k for k, mm in enumerate(models) if not mm.deg1_converged}
     checked = set()
     for k in range(len(maps) - 1):
         if {k, k + 1, k + 2} & skip or {k, k + 1} & set(degraded):
             continue
-        composite = maps[k].compose_after(maps[k + 1])
         span = (*(id(mm) for mm in models[k:k + 3]), id(reps[k]), id(reps[k + 1]),
-                _maps_key(composite, max_degree))
+                _maps_key(maps[k], max_degree), _maps_key(maps[k + 1], max_degree))
         if span in checked:
             continue
         checked.add(span)
+        composite = maps[k].compose_after(maps[k + 1])
         direct = lift(composite, models[k + 2], models[k], max_degree)
         chained = reps[k].compose_after(reps[k + 1])
         if not linear_part_map(direct).equals(linear_part_map(chained)):
@@ -372,26 +380,33 @@ def h_barcode(source, cfg: Optional[Config] = None) -> Barcode:
 # ---------------------------------------------------------------------------
 
 
+def _bottleneck_to_json(r: Optional[BottleneckResult]) -> Optional[dict]:
+    if r is None:
+        return None
+    return {**{str(k): num_to_json(v) for k, v in sorted(r.per_degree.items())},
+            "sup": num_to_json(r.sup)}
+
+
 @dataclass
 class BoundsReport:
+    """dB_V and its verdict value are None when a model passed a cap."""
+
     dB_H: BottleneckResult
-    dB_V: BottleneckResult
+    dB_V: Optional[BottleneckResult]
     dB_V_verdict_value: object  # sup over degrees >= 2
     gh2: Optional[object]
     verdicts: list
     caveats: list
 
     def bracket(self):
-        lower = max(self.dB_H.sup, self.dB_V_verdict_value)
+        lower = max(v for v in (self.dB_H.sup, self.dB_V_verdict_value) if v is not None)
         return (lower, self.gh2)
 
     def to_json(self) -> dict:
         lower, upper = self.bracket()
         return {
-            "dB_H": {**{str(k): num_to_json(v) for k, v in sorted(self.dB_H.per_degree.items())},
-                     "sup": num_to_json(self.dB_H.sup)},
-            "dB_V": {**{str(k): num_to_json(v) for k, v in sorted(self.dB_V.per_degree.items())},
-                     "sup": num_to_json(self.dB_V.sup)},
+            "dB_H": _bottleneck_to_json(self.dB_H),
+            "dB_V": _bottleneck_to_json(self.dB_V),
             "gh2": num_to_json(self.gh2),
             "verdicts": self.verdicts,
             "caveats": self.caveats,
@@ -418,7 +433,7 @@ class BoundsReport:
 
         rows.append(f"dB_H (sup)      {fmt(self.dB_H.sup)}")
         rows.append(f"dB_V (deg>=2)   {fmt(self.dB_V_verdict_value)}")
-        rows.append(f"dB_V (sup)      {fmt(self.dB_V.sup)}")
+        rows.append(f"dB_V (sup)      {fmt(None if self.dB_V is None else self.dB_V.sup)}")
         rows.append(f"2*d_GH          {fmt(self.gh2)}")
         for v in self.verdicts:
             status = {True: "PASS", False: "FAIL", None: "SKIPPED"}[v["holds"]]
@@ -482,32 +497,44 @@ def minimal_model_to_json(mm: MinimalModel) -> dict:
     }
 
 
+def _dims_to_json(space: GradedVectorSpace) -> dict:
+    return {str(d): space.dim(d) for d in space.degrees()}
+
+
 def psm_to_json(psm: PersistentSullivanModel) -> dict:
     """Full dump: per-stage models with rho images and verification,
-    plus the matrices needed to rebuild both barcodes exactly."""
-    stages = []
-    for k, mm in enumerate(psm.models):
-        vspace = mm.model.generator_space()
-        stages.append({
+    plus the matrices needed to rebuild both barcodes exactly.
+
+    Each distinct part is built once, keyed by object identity: a
+    model's entries and V dims, a stage's dict (its model and H space),
+    a representative's images and linear-part matrices, an H map's
+    matrices.  Stages and pairs that share an object hold the same
+    dict, so the returned tree shares sub-dicts and is read-only."""
+    deg = psm.max_degree
+    model_parts: dict = {}
+
+    def stage(mm, h):
+        part = _shared(model_parts, id(mm), lambda: {
             **minimal_model_to_json(mm),
-            "v_dims": {str(d): vspace.dim(d) for d in vspace.degrees()},
-            "h_dims": {str(d): psm.h_spaces[k].dim(d)
-                       for d in psm.h_spaces[k].degrees()},
-        })
-    reps = []
-    for rep in psm.reps:
-        reps.append({
-            "images": _images_to_json(rep),
-            "q_matrices": _gmap_to_json(linear_part_map(rep), psm.max_degree),
-        })
+            "v_dims": _dims_to_json(mm.model.generator_space())})
+        return {**part, "h_dims": _dims_to_json(h)}
+
+    stage_json: dict = {}
+    rep_json: dict = {}
+    h_map_json: dict = {}
     return {
         "format": "psmm-model",
         "source": psm.source,
-        "max_degree": psm.max_degree,
+        "max_degree": deg,
         "grid": [num_to_json(g) for g in psm.grid],
-        "stages": stages,
-        "representatives": reps,
-        "h_maps": [_gmap_to_json(f, psm.max_degree) for f in psm.h_maps],
+        "stages": [_shared(stage_json, (id(mm), id(h)), lambda: stage(mm, h))
+                   for mm, h in zip(psm.models, psm.h_spaces)],
+        "representatives": [_shared(rep_json, id(rep), lambda: {
+                                "images": _images_to_json(rep),
+                                "q_matrices": _gmap_to_json(linear_part_map(rep), deg)})
+                            for rep in psm.reps],
+        "h_maps": [_shared(h_map_json, id(f), lambda: _gmap_to_json(f, deg))
+                   for f in psm.h_maps],
         "h1_stages": psm.h1_stages,
         "nonconverged_stages": psm.nonconverged_stages,
         "caveats": psm.caveats(),
@@ -564,11 +591,26 @@ def _mat_from_json(rows) -> RatMatrix:
     return RatMatrix.from_columns(cols, len(rows))
 
 
+def _shared_mat_from_json(rows, parsed: dict) -> RatMatrix:
+    """`_mat_from_json(rows)`, read once per content: `parsed` keeps the
+    matrices already read, keyed by their rows.  Only rows of strings
+    are keyed, since JSON 1, 1.0 and true are equal as tuple keys but
+    not as entries; any other matrix is read afresh."""
+    if (type(rows) is list and all(type(row) is list for row in rows)
+            and set(map(type, chain.from_iterable(rows))) == {str}):
+        return _shared(parsed, tuple(map(tuple, rows)), lambda: _mat_from_json(rows))
+    return _mat_from_json(rows)
+
+
 def _gmap_from_json(data: dict, src: GradedVectorSpace,
-                    tgt: GradedVectorSpace) -> GradedLinearMap:
+                    tgt: GradedVectorSpace, parsed: dict) -> GradedLinearMap:
+    """The map of a dump's {"degree": rows} object, its matrices read
+    through `parsed` (`_shared_mat_from_json`); a `RatMatrix` is
+    immutable, so maps may share one."""
     mats = {}
     for k, rows in data.items():
-        m = _mat_from_json(rows) if rows else RatMatrix.zeros(tgt.dim(int(k)), src.dim(int(k)))
+        m = (_shared_mat_from_json(rows, parsed) if rows
+             else RatMatrix.zeros(tgt.dim(int(k)), src.dim(int(k))))
         if not m.is_zero():
             mats[int(k)] = m
     return GradedLinearMap(src, tgt, mats)
@@ -591,9 +633,10 @@ def barcodes_from_json(data: dict):
         h_spaces = [_space_from_dims(s["h_dims"]) for s in stages]
         for s, v, h in zip(stages, v_spaces, h_spaces):
             _check_stage_dims(s, v, h)
-        v_maps = [_gmap_from_json(rep["q_matrices"], v_spaces[k + 1], v_spaces[k])
+        parsed: dict = {}
+        v_maps = [_gmap_from_json(rep["q_matrices"], v_spaces[k + 1], v_spaces[k], parsed)
                   for k, rep in enumerate(reps)]
-        h_maps = [_gmap_from_json(hm, h_spaces[k + 1], h_spaces[k])
+        h_maps = [_gmap_from_json(hm, h_spaces[k + 1], h_spaces[k], parsed)
                   for k, hm in enumerate(h_dumps)]
     except InputError as e:
         raise InputError(f"malformed model dump: {e}") from e
@@ -616,20 +659,43 @@ def bounds_report(x, y, cfg: Optional[Config] = None,
                   with_gh: bool = True) -> BoundsReport:
     """Lower-bound chain between two inputs (metric spaces or persistent
     CDGAs), with an optional exact branch-and-bound 2*d_GH sandwich when
-    both are small metric spaces."""
+    both are small metric spaces.
+
+    When the model of a metric input passes a cap, dB_V and its verdict
+    are omitted with a caveat, no model is built for a later metric
+    input, and the H barcode of each metric input without a model is
+    read off the space (`h_barcode(MetricSpace)`).  A persistent CDGA
+    has no other route to its H barcode, so its cap still raises."""
     cfg = cfg or Config()
-    psm_x = _as_psm(x, cfg)
-    psm_y = _as_psm(y, cfg)
+    omitted = None  # the CapExceeded of a metric input's model
+    psms = []
+    for z in (x, y):
+        psm = None
+        if omitted is None or not isinstance(z, MetricSpace):
+            try:
+                psm = _as_psm(z, cfg)
+            except CapExceeded as e:
+                if not isinstance(z, MetricSpace):
+                    raise
+                omitted = e
+        psms.append(psm)
+    psm_x, psm_y = psms
 
-    db_h = bottleneck(h_barcode(psm_x), h_barcode(psm_y))
-    db_v = bottleneck(v_barcode(psm_x), v_barcode(psm_y))
-    reliable = [v for k, v in db_v.per_degree.items() if k >= 2]
-    db_v_verdict = max(reliable) if reliable else 0
-
-    caveats = psm_x.caveats() + psm_y.caveats()
-    if any(k == 1 for k in db_v.per_degree):
-        caveats.append("degree-1 homotopy bars reported but outside the "
-                       "proved lower-bound chain")
+    db_h = bottleneck(*(h_barcode(psm) if psm else h_barcode(z, cfg)
+                        for psm, z in zip(psms, (x, y))))
+    caveats = [c for psm in psms if psm for c in psm.caveats()]
+    if omitted is None:
+        db_v = bottleneck(v_barcode(psm_x), v_barcode(psm_y))
+        reliable = [v for k, v in db_v.per_degree.items() if k >= 2]
+        db_v_verdict = max(reliable) if reliable else 0
+        if any(k == 1 for k in db_v.per_degree):
+            caveats.append("degree-1 homotopy bars reported but outside the "
+                           "proved lower-bound chain")
+        v_extra = {"caveated": bool(psm_x.h1_stages or psm_y.h1_stages)}
+    else:
+        db_v = db_v_verdict = None
+        caveats.append(f"dB_V omitted: {omitted}")
+        v_extra = {}
 
     gh2 = None
     if with_gh and isinstance(x, MetricSpace) and isinstance(y, MetricSpace):
@@ -639,10 +705,9 @@ def bounds_report(x, y, cfg: Optional[Config] = None,
             caveats.append(f"gh2 omitted: |X|*|Y| exceeds cap {cfg.gh_cap}")
 
     verdicts = []
-    h1_caveat = {"caveated": bool(psm_x.h1_stages or psm_y.h1_stages)}
     for name, lhs, extra in (("dB_H <= 2*d_GH", db_h.sup, {}),
-                             ("dB_V(deg>=2) <= 2*d_GH", db_v_verdict, h1_caveat)):
-        checked = {} if gh2 is None else {
+                             ("dB_V(deg>=2) <= 2*d_GH", db_v_verdict, v_extra)):
+        checked = {} if gh2 is None or lhs is None else {
             "holds": bool(lhs <= gh2), "lhs": num_to_json(lhs), "rhs": num_to_json(gh2)}
         verdicts.append({"name": name, "holds": None, **checked, **extra})
     return BoundsReport(db_h, db_v, db_v_verdict, gh2, verdicts, caveats)

@@ -15,7 +15,11 @@ from hypothesis import strategies as st
 import oracles
 import psmm
 from psmm.cli import json_text, main
+from psmm.config import Config
 from psmm.metric import build_filtration, load_metric
+from psmm.persistence import bottleneck
+from psmm.pipeline import h_barcode
+from psmm.util import num_to_json
 
 
 def run_cli(args):
@@ -431,6 +435,40 @@ class TestBarcodeCommand:
         err = TestMinimalModelCommand._assert_rejected(tmp_path, capsys, "barcode", dump)
         assert err == f"error: malformed model dump: {message}\n"
 
+    # A matrix the reader has seen is read once: the second H map repeats
+    # the first, whose "2" block is [["1"]], with that entry changed.  JSON
+    # true, 1.0 and 1 equal each other as keys, and a row of one string
+    # equals its list as a tuple, so each must be read as it would be
+    # alone, after the first map's "1" or an accepted 1.
+    @pytest.mark.parametrize("first", ["1", 1])
+    @pytest.mark.parametrize("entry, message", [
+        (True, "bad numeric literal True"),
+        (1.0, "TypeError: not an exact rational: 1.0"),
+        (1, None),
+        ("string row", "a matrix must be a list of rows, each a list"),
+    ])
+    def test_repeated_matrix_read_type_exact(self, tmp_path, capsys, first, entry, message):
+        identity = {"images": {"a": [{"coeff": 1, "monomial": ["a"]}],
+                               "b": [{"coeff": 1, "monomial": ["b"]}]}}
+        inp = write(tmp_path, "three-stage.json",
+                    {"grid": [1, 2], "stages": [S2_FILE] * 3, "maps": [identity] * 2})
+        out = tmp_path / "model.json"
+        assert run_cli(["model", "--input", inp, "-o", str(out)]) == 0
+        dump = json.loads(out.read_text())
+        assert dump["h_maps"][0] == dump["h_maps"][1] and dump["h_maps"][0]["2"] == [["1"]]
+        dump["h_maps"][0]["2"] = [[first]]
+        dump["h_maps"][1]["2"] = [first] if entry == "string row" else [[entry]]
+        if message is not None:
+            err = TestMinimalModelCommand._assert_rejected(tmp_path, capsys, "barcode", dump)
+            assert err == f"error: malformed model dump: {message}\n"
+            return
+        changed = write(tmp_path, "changed.json", dump)
+        for invariant in ("V", "H"):
+            assert run_cli(["barcode", "--input", str(out), "--invariant", invariant]) == 0
+            want = capsys.readouterr().out
+            assert run_cli(["barcode", "--input", changed, "--invariant", invariant]) == 0
+            assert capsys.readouterr().out == want
+
     def test_determinism_repeat_runs(self, tmp_path, capsys):
         inp = circle_file(tmp_path)
         a = tmp_path / "a.json"
@@ -614,6 +652,43 @@ class TestMonomialBudget:
         assert "Traceback" not in proc.stderr
         assert "monomial basis" in proc.stderr
         assert elapsed < 10
+
+    # `compare` keeps dB_H and 2*d_GH when a metric input's model passes
+    # the cap: that side's H barcode is read off the space, dB_V dropped.
+    @pytest.mark.parametrize("line_side", ["right", "left"])
+    def test_compare_omits_dB_V(self, tmp_path, line_side):
+        three = write(tmp_path, "three.json",
+                      {"distance_matrix": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]})
+        line = write(tmp_path, "line4.json", {"distance_matrix": [
+            [0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]]})
+        left, right = (three, line) if line_side == "right" else (line, three)
+        proc, elapsed = run_limited(["compare", "--left", left, "--right", right, "--gh",
+                                     "--max-degree", "1", "--max-dim", "1"])
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert elapsed < 10
+        report = json.loads(proc.stdout)
+        assert report["dB_V"] is None
+        assert "dB_V omitted: degree-3 monomial basis of 1235780 exceeds cap 1048576" \
+            in report["caveats"]
+        cfg = Config(max_degree=1, max_dim=1)
+        spaces = [load_metric(json.loads(Path(p).read_text())) for p in (left, right)]
+        db_h = bottleneck(*(h_barcode(m, cfg) for m in spaces))
+        assert report["dB_H"]["sup"] == num_to_json(db_h.sup) == "inf"
+        assert report["gh2"] == "2"
+        assert report["verdicts"][1] == {"name": "dB_V(deg>=2) <= 2*d_GH", "holds": None}
+        assert "dB_V (sup)      -" in proc.stderr
+
+    def test_compare_cdga_cap_exits_3(self, tmp_path):
+        # 190 degree-1 generators have C(190, 3) degree-3 monomials
+        free = write(tmp_path, "free.json", {"grid": [], "maps": [], "stages": [
+            {"generators": [{"name": f"x{i:03d}", "degree": 1} for i in range(190)]}]})
+        three = write(tmp_path, "three.json",
+                      {"distance_matrix": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]})
+        for left, right in ((free, three), (three, free)):
+            proc, _ = run_limited(["compare", "--left", left, "--right", right,
+                                   "--max-degree", "1"])
+            assert proc.returncode == 3, proc.stderr[-2000:]
+            assert proc.stdout == "" and "monomial basis" in proc.stderr
 
     def test_wedge_degree_1_still_exits_4(self, tmp_path):
         # the capped iteration's last model has 127 degree-1 generators
@@ -907,4 +982,28 @@ class TestJsonText:
     @example({"a": [], "b": {}, "c": [[], {}, [[]], {"d": {}}], "e": ()})
     @settings(max_examples=300, deadline=None)
     def test_matches_stdlib(self, obj):
+        assert json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+    # One dict held at the same depth, at different depths and inside
+    # lists and tuples: the writer keeps its text once per indent.
+    @given(st.dictionaries(JSON_KEYS, JSON_TREES, max_size=4))
+    @example({"q": [["1", "0"], ["0", "-1/2"]]})
+    @settings(max_examples=100, deadline=None)
+    def test_shared_dicts(self, shared):
+        inner = {"x": shared, "y": [shared, (shared, {"z": shared})]}
+        for obj in ([shared, shared, shared],
+                    {"a": shared, "b": {"c": shared, "d": [shared]}, "e": inner, "f": inner},
+                    ([shared, (shared,)], {"g": (inner, [inner, shared])})):
+            assert json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+    # Lists of strings, such as dense matrix rows, with quotes,
+    # backslashes and non-ASCII text; the last example turns non-string
+    # after a string.
+    @given(st.lists(st.text() | st.sampled_from(['"', "\\", "é", "\U0001f600", 'a"b\\c',
+                                                  "\x7f\n"]), min_size=1))
+    @example(["0", "1/2", "-3"])
+    @example(["a", "b", 1, None, "c"])
+    @settings(max_examples=200, deadline=None)
+    def test_string_rows(self, row):
+        obj = {"rows": [row, list(row)], "row": tuple(row)}
         assert json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)

@@ -422,6 +422,37 @@ class TestRandomEndToEnd:
                         assert v.dim(d) == dims[d]
 
 
+class TestRelabelling:
+    """A metric space and a copy with its points relabelled have equal H
+    and V barcodes, in value and in type, or fail on the same cap: the
+    labels only order the simplices and bases."""
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_barcodes_unchanged(self, data):
+        n = data.draw(st.integers(4, 7), label="points")
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rows[j][i] = data.draw(st.integers(1, 9))
+        for k in range(n):  # shortest paths: an integer metric
+            for i in range(n):
+                for j in range(n):
+                    rows[i][j] = min(rows[i][j], rows[i][k] + rows[k][j])
+        perm = data.draw(st.permutations(range(n)), label="relabelling")
+        relabelled = [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+        cfg = Config(max_degree=2)
+
+        def outcome(matrix):
+            try:
+                psm = persistent_model(metric_from_matrix(matrix), cfg)
+            except CapExceeded as e:
+                return f"CapExceeded: {e}"
+            return typed_bars(h_barcode(psm)), typed_bars(v_barcode(psm))
+
+        assert outcome(rows) == outcome(relabelled)
+
+
 class TestDegradedRepresentatives:
     def test_zero_fallback_between_truncated_wedge_models(self):
         from psmm.cohomology import CohomologyRing
