@@ -6,13 +6,13 @@ to stdout when no -o is given; diagnostics go to stderr, each one line
 that starts `error:` or `warning:`.  Same input and flags produce
 byte-identical output.
 
-Every command writes its output through `json_text`, which gives the
-bytes of `json.dumps(obj, sort_keys=True, indent=2)` without the
-standard library's pure-Python encoder, the one it uses whenever
-`indent` is set.  It writes a dict held in several places of the tree
-(as `psm_to_json` shares the parts of shared models, representatives
-and H maps) once per indent and repeats its text, and it quotes a list
-of strings, such as a dense matrix row, in one join.
+Every command writes its output through `_write_json`, which streams
+the bytes of `json.dumps(obj, sort_keys=True, indent=2)` to the output
+in pieces, without the standard library's pure-Python encoder, the one
+it uses whenever `indent` is set.  It writes a dict held in several
+places of the tree (as `psm_to_json` shares the parts of shared models,
+representatives and H maps) once per indent and repeats its text, and
+it quotes a list of strings, such as a dense matrix row, in one join.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
 import warnings
 from json.encoder import encode_basestring_ascii as _quote
@@ -169,27 +171,37 @@ def _write_dict(obj: dict, nl: str, put, shared: set, texts: dict):
     put(nl + "}")
 
 
-def json_text(obj) -> str:
-    """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte, for a
-    tree of dicts with str keys, lists, tuples and JSON scalars.  A
-    dict the tree holds in more than one place (`psm_to_json` shares
-    them) is written once per indent; only those dicts keep their text,
-    so the copies held stay bounded by the shared part of the output."""
-    out: list = []
-    _write(obj, "\n", out.append, _shared_dicts(obj), {})
-    return "".join(out)
+def _write_json(obj, put):
+    """Pass the text of `json.dumps(obj, sort_keys=True, indent=2)`, byte
+    for byte, to `put` in pieces, for a tree of dicts with str keys,
+    lists, tuples and JSON scalars.  A dict the tree holds in more than
+    one place (`psm_to_json` shares them) is written once per indent;
+    only those dicts keep their text, so the copies held stay bounded by
+    the shared part of the output."""
+    _write(obj, "\n", put, _shared_dicts(obj), {})
 
 
 def _emit(obj: dict, output: str | None):
-    blob = json_text(obj) + "\n"
-    if output:
-        try:
-            with open(output, "w") as fh:
-                fh.write(blob)
-        except OSError as e:
-            raise InputError(f"cannot write {output}: {e.strerror or e}") from e
-    else:
-        sys.stdout.write(blob)
+    """Write obj's JSON text and a newline to the file `output`, or to
+    stdout, as the writer makes its pieces: the whole text is never held
+    at once.  A write to a regular file that fails part-way removes the
+    file, so it never holds part of a dump."""
+    if not output:
+        _write_json(obj, sys.stdout.write)
+        sys.stdout.write("\n")
+        return
+    try:
+        with open(output, "w") as fh:
+            try:
+                _write_json(obj, fh.write)
+                fh.write("\n")
+                fh.flush()
+            except BaseException:
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    os.remove(output)
+                raise
+    except OSError as e:
+        raise InputError(f"cannot write {output}: {e.strerror or e}") from e
 
 
 # The input kinds, as an error message names them.

@@ -96,6 +96,13 @@ class StageCohomology:
     solves against the reduced pivots of d^{k-1} with the
     representatives added on top.  Degrees above `max_deg`, when given,
     have zero cohomology.
+
+    The coboundary columns of a complex (`cx` given) are built afresh by
+    each `columns(k)` call for this pass alone, so the reducer takes
+    them whole (`ColumnReducer.add_fresh`) and keeps its +-1 pivots
+    without copying them.  Every other source's columns, such as the
+    cached `d_columns` of an algebra, stay with their owner and go
+    through `add`, which copies.
     """
 
     def __init__(self, n_cochains, columns, max_deg: Optional[int] = None,
@@ -133,11 +140,14 @@ class StageCohomology:
             cleared = self._reducer(k - 1).pivots if k > 0 else {}
             cols, nup = self._delta(k)
             red = ColumnReducer(nup, record=True)
-            for j, c in enumerate(cols):
-                if j in cleared:
-                    red.skip()
-                else:
-                    red.add(c)
+            if self.cx is not None:
+                red.add_fresh(cols, cleared)
+            else:
+                for j, c in enumerate(cols):
+                    if j in cleared:
+                        red.skip()
+                    else:
+                        red.add(c)
             self._reduced[k] = red
         return self._reduced[k]
 

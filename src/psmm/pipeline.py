@@ -25,11 +25,11 @@ core dims and structure constants; for a given algebra, equal
 generators, differential and truncation) share one model object, pairs
 with the same two models and map matrices share one representative,
 and every length-2 span is checked for Q- and H-functoriality, once per
-distinct span of model and representative objects and map matrices.
+distinct span of model and representative objects.
 The dump still lists every stage and pair, byte for byte as without
 sharing, but each later layer works once per distinct object:
 `psm_to_json` builds the part of a shared model, representative or H
-map once and puts the same dict wherever it recurs, `cli.json_text`
+map once and puts the same dict wherever it recurs, `cli._write_json`
 writes such a dict once per indent and repeats its text, and
 `barcodes_from_json` parses each distinct matrix of a dump once.
 
@@ -257,23 +257,33 @@ def _check_functoriality(models: list, reps: list, maps: list, degraded: list,
     agree with rep(g) o rep(f) on cohomology and on linear parts.
     Spans touching non-converged or degraded stages are skipped; the
     functoriality guarantee does not extend to truncated degree-1
-    constructions.  A span with the same model and representative
-    objects and the same two map matrices as one already checked is
-    not checked again, nor its composite built: equal maps have equal
-    composites.  `lift` makes the direct representatives."""
+    constructions.
+
+    `lift` makes the direct representatives, and it made every
+    representative of a pair not degraded.  It is keyed on its map's
+    matrices, so a representative object fixes them: a span with the
+    same three model objects and two representative objects as one
+    already checked has the same composite, and is not checked again.
+    When rep(g) o rep(f) has the direct representative's source, target
+    and generator images, the two are one morphism, and their linear
+    parts and H maps are not compared, as on every span where one
+    side's representative is the identity.  Every other span is
+    compared in full."""
     skip = {k for k, mm in enumerate(models) if not mm.deg1_converged}
     checked = set()
     for k in range(len(maps) - 1):
         if {k, k + 1, k + 2} & skip or {k, k + 1} & set(degraded):
             continue
-        span = (*(id(mm) for mm in models[k:k + 3]), id(reps[k]), id(reps[k + 1]),
-                _maps_key(maps[k], max_degree), _maps_key(maps[k + 1], max_degree))
+        span = (*(id(mm) for mm in models[k:k + 3]), id(reps[k]), id(reps[k + 1]))
         if span in checked:
             continue
         checked.add(span)
         composite = maps[k].compose_after(maps[k + 1])
         direct = lift(composite, models[k + 2], models[k], max_degree)
         chained = reps[k].compose_after(reps[k + 1])
+        if (chained.source is direct.source and chained.target is direct.target
+                and chained.images == direct.images):
+            continue
         if not linear_part_map(direct).equals(linear_part_map(chained)):
             raise InputError(f"Q-functoriality fails across stages {k}..{k + 2}")
         h_src, h_tgt = models[k + 2].h_model, models[k].h_model
@@ -389,17 +399,21 @@ def _bottleneck_to_json(r: Optional[BottleneckResult]) -> Optional[dict]:
 
 @dataclass
 class BoundsReport:
-    """dB_V and its verdict value are None when a model passed a cap."""
+    """dB_V and its verdict value are None when a model passed a cap.
+    The verdict values are the sups over the degrees the verdicts read:
+    every degree, or those below a metric input's cut-off `max_dim`."""
 
     dB_H: BottleneckResult
     dB_V: Optional[BottleneckResult]
-    dB_V_verdict_value: object  # sup over degrees >= 2
+    dB_H_verdict_value: object
+    dB_V_verdict_value: object  # degrees >= 2 only
     gh2: Optional[object]
     verdicts: list
     caveats: list
 
     def bracket(self):
-        lower = max(v for v in (self.dB_H.sup, self.dB_V_verdict_value) if v is not None)
+        lower = max(v for v in (self.dB_H_verdict_value, self.dB_V_verdict_value)
+                    if v is not None)
         return (lower, self.gh2)
 
     def to_json(self) -> dict:
@@ -665,8 +679,16 @@ def bounds_report(x, y, cfg: Optional[Config] = None,
     are omitted with a caveat, no model is built for a later metric
     input, and the H barcode of each metric input without a model is
     read off the space (`h_barcode(MetricSpace)`).  A persistent CDGA
-    has no other route to its H barcode, so its cap still raises."""
+    has no other route to its H barcode, so its cap still raises.
+
+    When a metric input's simplices stop at `max_dim` <= `max_degree`,
+    its Rips complexes have the cohomology and homotopy of the full
+    filtration only in degrees below `max_dim`, where stability holds.
+    The verdicts and the bracket's lower end then read those degrees
+    alone, and a caveat names the degrees left out."""
     cfg = cfg or Config()
+    cut = (cfg.max_dim if cfg.max_dim <= cfg.max_degree
+           and any(isinstance(z, MetricSpace) for z in (x, y)) else None)
     omitted = None  # the CapExceeded of a metric input's model
     psms = []
     for z in (x, y):
@@ -684,9 +706,12 @@ def bounds_report(x, y, cfg: Optional[Config] = None,
     db_h = bottleneck(*(h_barcode(psm) if psm else h_barcode(z, cfg)
                         for psm, z in zip(psms, (x, y))))
     caveats = [c for psm in psms if psm for c in psm.caveats()]
+    db_h_verdict = db_h.sup if cut is None else max(
+        (v for k, v in db_h.per_degree.items() if k < cut), default=0)
     if omitted is None:
         db_v = bottleneck(v_barcode(psm_x), v_barcode(psm_y))
-        reliable = [v for k, v in db_v.per_degree.items() if k >= 2]
+        reliable = [v for k, v in db_v.per_degree.items()
+                    if k >= 2 and (cut is None or k < cut)]
         db_v_verdict = max(reliable) if reliable else 0
         if any(k == 1 for k in db_v.per_degree):
             caveats.append("degree-1 homotopy bars reported but outside the "
@@ -704,10 +729,17 @@ def bounds_report(x, y, cfg: Optional[Config] = None,
         except CapExceeded:
             caveats.append(f"gh2 omitted: |X|*|Y| exceeds cap {cfg.gh_cap}")
 
+    if cut is not None:
+        left_out = list(range(cut, cfg.max_degree + 1))
+        caveats.append(
+            f"degree{'s' if len(left_out) > 1 else ''} {', '.join(map(str, left_out))} "
+            f"left out of the verdicts and the bracket: simplices stop at max_dim {cut}, "
+            f"and only degrees below it are those of the full Rips filtration")
+
     verdicts = []
-    for name, lhs, extra in (("dB_H <= 2*d_GH", db_h.sup, {}),
+    for name, lhs, extra in (("dB_H <= 2*d_GH", db_h_verdict, {}),
                              ("dB_V(deg>=2) <= 2*d_GH", db_v_verdict, v_extra)):
         checked = {} if gh2 is None or lhs is None else {
             "holds": bool(lhs <= gh2), "lhs": num_to_json(lhs), "rhs": num_to_json(gh2)}
         verdicts.append({"name": name, "holds": None, **checked, **extra})
-    return BoundsReport(db_h, db_v, db_v_verdict, gh2, verdicts, caveats)
+    return BoundsReport(db_h, db_v, db_h_verdict, db_v_verdict, gh2, verdicts, caveats)

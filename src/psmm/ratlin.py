@@ -18,7 +18,7 @@ them, with a row count; `solve` takes such columns, the row count and a
 sparse right-hand side, and `combine` sums multiples of them.  The dump
 writer and reader go between the sparse columns and a dump's dense rows
 directly; `RatMatrix.from_rows` and `tolist` are the dense forms of a
-matrix for callers that build or read one by rows.
+matrix, which only the tests build or read.
 
 One engine eliminates: `ColumnReducer`, a sparse incremental column
 reducer that works on integer columns (each input column scaled by the
@@ -28,10 +28,15 @@ int entries all +-1 whose lowest row holds no pivot yet is stored
 straight away (negated when that entry is -1), with no scaling,
 reduction or gcd: over Q it is the exact form of an apparent pair
 (Bauer, Ripser, 2021), and most Rips coboundary columns are one.
-`cohomology.StageCohomology` runs it over the
-coboundary matrices of Vietoris-Rips stages and the differentials of
-Sullivan algebras, and `rank`, `solve`, `kernel_basis` and
-`quotient_basis` feed it their columns left to right.  Their answers
+Who owns a column decides how it is stored.  `add` stores a copy,
+since its callers hold on to their dicts (the cached `d_columns` of a
+Sullivan algebra, ring columns, the columns of a `RatMatrix`).
+`add_fresh` takes a list of columns built for the reducer alone (the
+coboundary columns of a simplicial complex) and stores such a +-1
+column itself, negated in place.  `cohomology.StageCohomology` runs the
+reducer over the coboundary matrices of Vietoris-Rips stages and the
+differentials of Sullivan algebras, and `rank`, `solve`, `kernel_basis`
+and `quotient_basis` feed it their columns left to right.  Their answers
 are the dense Gauss-Jordan ones: a column is a pivot column iff it is
 independent of the columns before it, so `solve` sets free variables to
 zero and each kernel vector is e_c minus the coefficients of column c
@@ -44,7 +49,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Container, Mapping, Optional, Sequence
 
 from .errors import DimensionMismatch
 
@@ -85,9 +90,11 @@ def _add_scaled(out: dict, c, items):
 class RatMatrix:
     """Immutable matrix of rationals, stored as canonical sparse columns:
     per column a tuple of (row, Fraction) pairs sorted by row, with no
-    zero entries, so equal matrices have equal columns and hashes."""
+    zero entries, so equal matrices have equal columns and hashes.  The
+    hash is computed on first use and kept in a slot, since the lift
+    and sharing keys of the pipeline hash the same matrices many times."""
 
-    __slots__ = ("rows", "cols", "_cols")
+    __slots__ = ("rows", "cols", "_cols", "_hash")
 
     def __init__(self, rows: int, cols: int, data: Sequence[Sequence]):
         if len(data) != rows or any(len(r) != cols for r in data):
@@ -99,6 +106,7 @@ class RatMatrix:
         if rows < 0:
             raise DimensionMismatch("negative dimensions")
         self.rows, self.cols, self._cols = rows, len(columns), columns
+        self._hash = None
         return self
 
     @staticmethod
@@ -154,7 +162,9 @@ class RatMatrix:
         )
 
     def __hash__(self):
-        return hash((self.rows, self._cols))
+        if self._hash is None:
+            self._hash = hash((self.rows, self._cols))
+        return self._hash
 
     def __repr__(self):
         return f"RatMatrix({self.rows}x{self.cols})"
@@ -290,11 +300,15 @@ class ColumnReducer:
     straight away: a copy, negated when its lowest entry is -1, with the
     combination {its index: +-1} in record mode.  That is the state the
     general path leaves, since such a column has scale 1, no reduction
-    step and content 1.  Every other column takes the general path.
+    step and content 1.  Every other column takes the general path,
+    which stores a scaled copy.  `add_fresh` adds a whole list of
+    columns, skipping given positions, and stores such a +-1 column
+    without copying it: only columns built for the reducer, which no
+    caller reads again, may be passed to it.  Both leave the same state.
 
-    `last_low` is the pivot row of the column the last `add` stored, or
-    None when that column was dependent; `add` itself answers only
-    whether it stored one.
+    `last_low` is the pivot row of the column the last `add` (or the
+    last column `add_fresh` reduced) stored, or None when that column
+    was dependent; `add` itself answers only whether it stored one.
 
     `skip()` reserves the next column index for a column known to
     reduce to zero without reducing it, so the indices in later
@@ -332,8 +346,8 @@ class ColumnReducer:
 
     @property
     def last_low(self) -> Optional[int]:
-        """Pivot row of the column the last `add` stored; None when that
-        column was dependent, or before any `add`."""
+        """Pivot row of the last column added; None when that column was
+        dependent, or before any column."""
         return self._last_low
 
     def skip(self) -> int:
@@ -400,7 +414,8 @@ class ColumnReducer:
         return c, combo, None, mult
 
     def add(self, col: Mapping) -> bool:
-        """Add one column; True iff it was independent of those stored."""
+        """Add one column; True iff it was independent of those stored.
+        The caller keeps `col`: a stored +-1 column is a copy."""
         if col:
             low = max(col)
             if low < self.nrows and low not in self._pivots:
@@ -419,6 +434,45 @@ class ColumnReducer:
                     self.rank += 1
                     self._last_low = low
                     return True
+        return self._store(col)
+
+    def add_fresh(self, columns: Sequence[dict], skip: Container = ()):
+        """Add `columns` left to right, reserving the index of each column
+        whose position is in `skip` as `skip()` does, and leave the state
+        that `add` and `skip` one column at a time leave.
+
+        The columns must be built for this reducer: a +-1 column stored
+        on a free row is kept as it is, negated in place when its lowest
+        entry is -1, so no caller may read a column after passing it."""
+        pivots, nrows = self._pivots, self.nrows
+        combos = self._combos if self.record else None
+        for j, col in enumerate(columns):
+            if j in skip:
+                self._ncols += 1
+                continue
+            if col:
+                low = max(col)
+                if low < nrows and low not in pivots:
+                    for v in col.values():
+                        if type(v) is not int or (v != 1 and v != -1):
+                            break
+                    else:
+                        sign = col[low]
+                        if sign == -1:
+                            for r, v in col.items():
+                                col[r] = -v
+                        pivots[low] = col
+                        if combos is not None:
+                            combos[low] = {self._ncols: sign}
+                        self._ncols += 1
+                        self.rank += 1
+                        self._last_low = low
+                        continue
+            self._store(col)
+
+    def _store(self, col: Mapping) -> bool:
+        """The general path of `add`: scale, reduce and store a copy of
+        col, or record its kernel combination.  True iff it was stored."""
         c, scale = self._scaled(col)
         for r in c:
             if r >= self.nrows:

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import resource
+import signal
 import subprocess
 import sys
 import time
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 import oracles
 import psmm
-from psmm.cli import json_text, main
+from psmm import cli
+from psmm.cli import main
 from psmm.config import Config
 from psmm.metric import build_filtration, load_metric
 from psmm.persistence import bottleneck
@@ -24,6 +26,13 @@ from psmm.util import num_to_json
 
 def run_cli(args):
     return main(args)
+
+
+def json_text(obj):
+    """The text the commands' JSON writer streams, as one string."""
+    out = []
+    cli._write_json(obj, out.append)
+    return "".join(out)
 
 
 def write(tmp_path, name, obj):
@@ -528,6 +537,37 @@ class TestCompareCommand:
             assert captured.err == (f"error: {dump}: expected a metric space or a "
                                     "persistent CDGA\n")
 
+    # At --max-dim 1 the triangle's Rips complexes are graphs, with an
+    # infinite degree-1 bar that the full filtration does not have: the
+    # verdicts and the bracket read degree 0 alone, and say so.
+    @pytest.mark.parametrize("max_degree, max_dim, left_out", [
+        ("1", "1", "degree 1"), ("2", "1", "degrees 1, 2"), ("1", "2", None)])
+    def test_cut_off_degrees_left_out(self, tmp_path, capsys, max_degree, max_dim, left_out):
+        three = write(tmp_path, "three.json",
+                      {"distance_matrix": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]})
+        two = write(tmp_path, "two.json", {"distance_matrix": [[0, 1], [1, 0]]})
+        out = tmp_path / "report.json"
+        assert run_cli(["compare", "--left", three, "--right", two, "--gh", "--max-degree",
+                        max_degree, "--max-dim", max_dim, "-o", str(out)]) == 0
+        report = json.loads(out.read_text())
+        err = capsys.readouterr().err
+        assert "FAIL" not in err
+        assert report["verdicts"][0] == {"name": "dB_H <= 2*d_GH", "holds": True,
+                                         "lhs": "1/2", "rhs": "1"}
+        assert report["verdicts"][1]["holds"] is True
+        assert (report["ho_cdga_bracket"]["lower"], report["ho_cdga_bracket"]["upper"]) \
+            == ("1/2", "1")
+        assert "bracket on homotopy-category distance: [1/2 (0.5), 1 (1)]" in err
+        caveats = [c for c in report["caveats"] if "left out of the verdicts" in c]
+        if left_out is None:
+            assert caveats == [] and report["dB_H"] == {"0": "1/2", "sup": "1/2"}
+        else:
+            assert report["dB_H"]["1"] == report["dB_H"]["sup"] == "inf"
+            assert caveats == [f"{left_out} left out of the verdicts and the bracket: "
+                               f"simplices stop at max_dim 1, and only degrees below "
+                               f"it are those of the full Rips filtration"]
+            assert f"caveat: {caveats[0]}" in err
+
     def test_gh_cap_warning_code_0(self, tmp_path, capsys):
         inp = circle_file(tmp_path, n=8)
         out = tmp_path / "report.json"
@@ -588,6 +628,30 @@ class TestUnwritableOutput:
         assert not (tmp_path / "nonexistent").exists()
 
 
+class TestPartWrittenOutput:
+    """A dump written piece by piece leaves no partial file when a write
+    fails part-way, and an OSError there still exits 2 with one line."""
+
+    def test_file_size_limit_exit_2(self, tmp_path):
+        inp = circle_file(tmp_path, n=13)
+        args = ["model", "--input", inp, "--max-degree", "2", "--max-dim", "2"]
+        out = tmp_path / "dump.json"
+        proc, _ = run_limited([*args, "-o", str(out)], file_size=1 << 16)
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert proc.stderr == f"error: cannot write {out}: File too large\n"
+        assert not out.exists()
+        # the same run without the limit writes a 2.4 MB dump
+        assert run_cli([*args, "-o", str(out)]) == 0
+        assert out.stat().st_size > 1 << 21
+
+    def test_writer_error_removes_file(self, tmp_path):
+        out = tmp_path / "out.json"
+        out.write_text("an older file")
+        with pytest.raises(TypeError):
+            cli._emit({"a": ["0"] * 10 ** 5, "b": object()}, str(out))
+        assert not out.exists()
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         one = write(tmp_path, "one.json", {"distance_matrix": [[0]]})
@@ -606,17 +670,23 @@ class TestEntryPoint:
         assert proc.stdout.startswith("usage: psmm ")
 
 
-def run_limited(args, limit=1 << 30):
+def run_limited(args, limit=1 << 30, file_size=None):
     """`python -m psmm` in a subprocess under an RLIMIT_AS of `limit`
-    bytes: (process, wall seconds)."""
+    bytes: (process, wall seconds).  With `file_size`, a write past that
+    many bytes of a file fails with EFBIG instead of a signal."""
     src = str(Path(psmm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+    def set_limits():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        if file_size is not None:
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (file_size, file_size))
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "psmm", *args], capture_output=True, text=True,
-        env=env, timeout=120,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        env=env, timeout=120, preexec_fn=set_limits)
     return proc, time.perf_counter() - start
 
 
@@ -677,6 +747,13 @@ class TestMonomialBudget:
         assert report["gh2"] == "2"
         assert report["verdicts"][1] == {"name": "dB_V(deg>=2) <= 2*d_GH", "holds": None}
         assert "dB_V (sup)      -" in proc.stderr
+        # degree 1 of the 1-skeletons is left out: the verdict reads dB_H
+        # in degree 0, where stability holds
+        assert report["verdicts"][0] == {"name": "dB_H <= 2*d_GH", "holds": True,
+                                         "lhs": "1/2", "rhs": "2"}
+        assert report["ho_cdga_bracket"]["lower"] == "1/2"
+        assert any(c.startswith("degree 1 left out of the verdicts") for c in report["caveats"])
+        assert "FAIL" not in proc.stderr
 
     def test_compare_cdga_cap_exits_3(self, tmp_path):
         # 190 degree-1 generators have C(190, 3) degree-3 monomials

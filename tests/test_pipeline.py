@@ -478,6 +478,13 @@ class TestDegradedRepresentatives:
         assert all(all(c == 0 for c in img.values()) for img in rep.images)
 
 
+def doubled(rep):
+    """rep with every generator image doubled."""
+    return CDGAMorphism(rep.source, rep.target,
+                        [{i: 2 * c for i, c in img.items()} for img in rep.images],
+                        check=False)
+
+
 class TestFunctorialityCheck:
     """Every representative doubled on generators: rep(g) o rep(f)
     scales a composite's linear part by 4, its direct representative
@@ -486,13 +493,21 @@ class TestFunctorialityCheck:
     @pytest.fixture
     def doubled_lifts(self, monkeypatch):
         lift = pipeline.sullivan_representative
+        monkeypatch.setattr(pipeline, "sullivan_representative",
+                            lambda *args: doubled(lift(*args)))
 
-        def doubled(f, mm_src, mm_tgt, max_degree):
-            rep = lift(f, mm_src, mm_tgt, max_degree)
-            return CDGAMorphism(rep.source, rep.target,
-                                [{i: 2 * c for i, c in img.items()} for img in rep.images],
-                                check=False)
-        monkeypatch.setattr(pipeline, "sullivan_representative", doubled)
+    def test_tampered_representative(self, monkeypatch):
+        """One representative doubled after the lifts: across stages 1..3
+        of the circle every map is the identity, so the composite there
+        is the doubled representative and the direct lift the identity.
+        They are not one morphism, and the full comparison must fail."""
+        check = pipeline._check_functoriality
+
+        def tampered(models, reps, *args):
+            check(models, [*reps[:2], doubled(reps[2]), *reps[3:]], *args)
+        monkeypatch.setattr(pipeline, "_check_functoriality", tampered)
+        with pytest.raises(InputError, match="Q-functoriality fails across stages 1..3"):
+            persistent_model(circle_space(13), Config(max_degree=2, max_dim=3))
 
     def test_metric_input(self, doubled_lifts):
         # stages 1-3 of the 13-point circle are circles with identity maps

@@ -413,6 +413,63 @@ class TestUnitColumnFastPath:
             ColumnReducer(2).add({0: 1, 2: -1})
 
 
+@st.composite
+def batch_column(draw, nrows):
+    """A +-1 int column, a column of bools and +-1, or any engine column."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return draw(engine_column(nrows))
+    if kind == 1:
+        return {r: draw(st.sampled_from([True, False, 1, -1]))
+                for r in draw(st.lists(st.integers(0, nrows - 1), unique=True))}
+    return draw(unit_column(nrows))
+
+
+class TestBatchEntry:
+    """`add_fresh` leaves the state that `add` and `skip` leave one column
+    at a time, and keeps the +-1 columns it stores, negated in place."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_state_as_add_and_skip(self, data):
+        nrows = data.draw(st.integers(1, 6))
+        record = data.draw(st.booleans())
+        red, ref = ColumnReducer(nrows, record=record), ColumnReducer(nrows, record=record)
+        for col in data.draw(st.lists(batch_column(nrows), max_size=3)):
+            assert red.add(col) == ref.add(col)
+        for _ in range(data.draw(st.integers(1, 2))):
+            cols = data.draw(st.lists(batch_column(nrows), max_size=8))
+            skip = set(data.draw(st.lists(st.integers(0, len(cols)), unique=True)))
+            for j, col in enumerate(cols):
+                if j in skip:
+                    ref.skip()
+                else:
+                    ref.add(col)
+            red.add_fresh([dict(col) for col in cols], skip)
+            assert red.rank == ref.rank
+            assert red.last_low == ref.last_low
+            assert [list(p.items()) for p in red.pivots.values()] == \
+                [list(p.items()) for p in ref.pivots.values()]
+            assert list(red.pivots) == list(ref.pivots)
+            assert red._combos == ref._combos
+            assert red.kernel_combos == ref.kernel_combos
+        assert red.skip() == ref.skip()  # the same column count
+
+    def test_unit_columns_kept_not_copied(self):
+        cols = [{0: 1, 2: -1}, {1: 1, 2: -1}, {0: 1, 1: -1}, {0: 2}]
+        stored, negated, reduced = cols[0], cols[2], cols[3]
+        red = ColumnReducer(3, record=True)
+        red.add_fresh(cols, skip={1})
+        assert red.pivots[2] is stored and stored == {0: -1, 2: 1}
+        assert red.pivots[1] is negated and negated == {0: -1, 1: 1}
+        assert red.pivots[0] is not reduced and reduced == {0: 2}
+        # the general path keeps the content of the column and its
+        # combination {3: 1} together, so {0: 2} is stored as it reads
+        assert dict(red.pivots) == {2: {0: -1, 2: 1}, 1: {0: -1, 1: 1}, 0: {0: 2}}
+        assert red._combos == {2: {0: -1}, 1: {2: -1}, 0: {3: 1}}
+        assert red.rank == 3 and red.last_low == 0 and red.skip() == 4
+
+
 def test_zero_matrix_shared_per_shape():
     assert RatMatrix.zeros(2, 3) is RatMatrix.zeros(2, 3)
     assert RatMatrix.zeros(2, 3) == RatMatrix.from_rows([[0, 0, 0], [0, 0, 0]])
@@ -513,6 +570,17 @@ class TestSparseStoreAgainstDense:
         assert (ma == mb) == same
         if same:
             assert hash(ma) == hash(mb)
+
+    def test_cached_hash_of_matrices_built_apart(self):
+        """The hash a matrix keeps is the one a matrix built another way
+        computes, before and after either is hashed."""
+        a = RatMatrix(2, 2, [[1, "1/2"], [0, 3]])
+        first = hash(a)
+        b = RatMatrix.from_columns([{0: Fraction(1)}, {0: "2/4", 1: 3}], rows=2)
+        c = RatMatrix.identity(2).matmul(a)
+        assert hash(a) == first == hash(b) == hash(c) == hash((2, a._cols))
+        assert {a: "kept"}[b] == "kept" and len({a, b, c}) == 1
+        assert hash(RatMatrix.zeros(0, 3)) == hash(RatMatrix(0, 3, []))
 
     @given(st.integers(0, 5), st.integers(0, 5))
     def test_zeros_and_identity(self, r, c):

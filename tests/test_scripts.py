@@ -118,3 +118,39 @@ def test_no_unused_imports():
     found = {str(p.relative_to(ROOT)): unused_imports(p)
              for d in ("src", "tests", "scripts") for p in sorted((ROOT / d).rglob("*.py"))}
     assert {p: names for p, names in found.items() if names} == {}
+
+
+# Definitions in src/ that src/ never reads, each with the reader that
+# keeps it.
+UNREAD_BY_SRC = {
+    "total_bars": "perfbench/tracing.py counts the bars of each barcode with it",
+    "simplex_count": "perfbench/tracing.py counts the simplices of each filtration with it",
+    "positive_distances": "tests read a space's distances as values through it",
+    "enclosing_radius": "tests check the cone stages against it; radius_key is its key",
+    "from_rows": "tests build matrices from dense rows with it",
+    "tolist": "tests read matrices as dense rows through it",
+}
+
+
+def unread_definitions(paths):
+    """Names of the functions and methods defined in `paths` that no
+    file there reads, as a name or as an attribute; dunder methods are
+    read by the interpreter and are left out."""
+    defined, read = {}, set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return {name: where for name, where in defined.items()
+            if name not in read and not (name.startswith("__") and name.endswith("__"))}
+
+
+def test_no_unread_definitions():
+    found = unread_definitions(sorted((ROOT / "src").rglob("*.py")))
+    assert {n: w for n, w in found.items() if n not in UNREAD_BY_SRC} == {}
+    # a listed name that src/ now reads, or that is gone, leaves the list
+    assert sorted(found) == sorted(UNREAD_BY_SRC)
