@@ -5,9 +5,10 @@ form: generator indices sorted by (degree, name), odd generators at
 most once.  `sort_monomial` is the one Koszul sign rule: a product
 concatenates its factors, a Leibniz term splices d(x) in place of x,
 and both are put in canonical form by sorting.  Polynomials are sparse
-dicts {monomial: Fraction}; a homogeneous one has sparse coordinates
-{monomial index: Fraction} in its degree's basis (`poly_to_vec`), the
-one vector format of the package.
+dicts {monomial: exact}; a homogeneous one has sparse coordinates
+{monomial index: exact} in its degree's basis (`poly_to_vec`), the
+one vector format of the package.  A coefficient is a canonical exact
+rational (`ratlin._exact`): an int when integral, else a `Fraction`.
 
 Degree bases are materialized through an explicit truncation degree,
 each counted from the generator degrees before it is enumerated, with
@@ -19,17 +20,16 @@ truncation-free.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cohomology import StageCohomology, mul_elements
 from .errors import CapExceeded, DimensionMismatch, InputError, TruncationError
 from .gvec import GradedLinearMap, GradedVectorSpace
-from .ratlin import RatMatrix, combine
-from .util import json_coeff, json_int, num_to_json
+from .ratlin import RatMatrix, _exact, combine
+from .util import json_coeff, json_int
 
 Monomial = tuple  # sorted generator indices
-Poly = dict  # Monomial -> Fraction
+Poly = dict  # Monomial -> exact
 
 # Cap on the monomial basis of one degree; CapExceeded past it.
 MONOMIAL_CAP = 1 << 20
@@ -150,8 +150,8 @@ class SullivanAlgebra:
             mono, sign = res
             c = sign * coeff
             if c != 0:
-                out[mono] = out.get(mono, Fraction(0)) + c
-        return {m: c for m, c in out.items() if c != 0}
+                out[mono] = out.get(mono, 0) + c
+        return {m: _exact(c) for m, c in out.items() if c != 0}
 
     def _validate(self):
         for i, poly in self.diff.items():
@@ -233,10 +233,10 @@ class SullivanAlgebra:
         if r is None:
             return {}
         self.monomials(p + q)
-        return {self._mono_index[p + q][r[0]]: Fraction(r[1])}
+        return {self._mono_index[p + q][r[0]]: r[1]}
 
     def unit_coords(self) -> dict:
-        return {0: Fraction(1)}
+        return {0: 1}
 
     # -- linear part and minimality ----------------------------------------
 
@@ -255,7 +255,7 @@ class SullivanAlgebra:
             "generators": [{"name": n, "degree": d} for n, d in self.generators],
             "differential": {
                 self.names[i]: [
-                    {"coeff": num_to_json(c), "monomial": [self.names[g] for g in m]}
+                    {"coeff": str(c), "monomial": [self.names[g] for g in m]}
                     for m, c in sorted(p.items())
                 ]
                 for i, p in sorted(self.diff.items()) if p
@@ -308,7 +308,7 @@ class CDGAMorphism:
     """Degree-preserving algebra map from a Sullivan algebra into any
     finite CDGA (another Sullivan algebra or a cohomology ring).
 
-    `images` holds one sparse coordinate dict {basis index: Fraction}
+    `images` holds one sparse coordinate dict {basis index: exact}
     per source generator, in the target's basis of the generator's
     degree; monomial images are folded out of products in the target
     and cached as sparse columns, which `matrix` and `apply_vec` read.

@@ -25,20 +25,22 @@ complex in the package.  It eliminates each sparse coboundary once, in
 ascending degree and only up to the degrees asked for, and reads
 dimensions, representative cocycles and class coordinates off that one
 pass.
+
+Every value the engine and the rings hold is a canonical exact rational,
+as `ratlin` makes it: an int when integral, a `Fraction` otherwise.  On
+a simplicial complex the coboundaries are +-1, the H^0 representatives
+0/1 and the unit 1, all ints.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from .errors import InputError, TruncationError
 from .gvec import GradedLinearMap, GradedVectorSpace
 from .metric import SimplicialComplex
-from .ratlin import ColumnReducer, RatMatrix, combine
+from .ratlin import ColumnReducer, RatMatrix, _exact, combine
 from .util import json_coeff, json_int
-
-_ONE = Fraction(1)
 
 
 def coboundary_columns(cx: SimplicialComplex, p: int):
@@ -59,7 +61,7 @@ def coboundary_columns(cx: SimplicialComplex, p: int):
 def cup_product(cx: SimplicialComplex, a: dict, p: int, b: dict, q: int) -> dict:
     """Alexander-Whitney product of cochains: front face times back face.
 
-    Cochains are sparse {simplex index: Fraction} dicts over the ordered
+    Cochains are sparse {simplex index: exact} dicts over the ordered
     simplices of their degree, and so is the product.
     """
     ip = cx.index(p)
@@ -195,13 +197,13 @@ class StageCohomology:
 
     def class_of(self, k: int, cochain: dict) -> dict:
         """Coordinates of the class of a sparse cocycle in the chosen H^k
-        basis, as a sparse dict {rep index: Fraction} sorted by index
+        basis, as a sparse dict {rep index: exact} sorted by index
         with no zeros."""
         if self.h_dim(k) == 0:
             return {}
         if k == 0 and self.n_cochains(0) == 1 and cochain.keys() <= {0}:
             # connected: H^0 = C^0, its one rep the unit cochain {0: 1}
-            return {0: Fraction(v) for v in cochain.values() if v}
+            return {0: _exact(v) for v in cochain.values() if v}
         sol = self._class_reducer(k).solve(cochain)
         if sol is None:
             raise InputError("cochain is not a cocycle modulo boundaries")
@@ -282,13 +284,13 @@ class CohomologyRing:
         for k in range(max_deg + 1):
             ring.basis[k] = [None] * len(labels.get(k, ()))
         for key, val in structure.items():
-            ring.structure[tuple(key)] = {i: Fraction(c) for i, c in val.items() if c}
+            ring.structure[tuple(key)] = {i: _exact(c) for i, c in val.items() if c}
         if len(ring.basis.get(0, ())) != 1:
             raise InputError("abstract rings must have H^0 = Q with the unit as basis")
         for p in range(ring.max_deg + 1):
             for i in range(len(ring.basis[p])):
-                ring.structure.setdefault((0, 0, p, i), {i: Fraction(1)})
-                ring.structure.setdefault((p, i, 0, 0), {i: Fraction(1)})
+                ring.structure.setdefault((0, 0, p, i), {i: 1})
+                ring.structure.setdefault((p, i, 0, 0), {i: 1})
         ring._check_ring_axioms()
         return ring
 
@@ -390,15 +392,15 @@ class CohomologyRing:
         if self.engine is not None and (p == 0 or q == 0):
             # 1_C . b and b . 1_C are b when b lies in C, else 0
             c, k, b = (i, q, j) if p == 0 else (j, p, i)
-            return {b: _ONE} if self._components(k)[b] == c else {}
+            return {b: 1} if self._components(k)[b] == c else {}
         return dict(self.structure.get((p, i, q, j), {}))
 
     def unit_coords(self) -> dict:
         if self.engine is None:
-            return {0: _ONE}  # from_data: H^0 is Q, spanned by the unit
+            return {0: 1}  # from_data: H^0 is Q, spanned by the unit
         n0 = self.dim(0)
         self._vertex_labels()  # the H^0 reps sum to the constant 1
-        return {i: _ONE for i in range(n0)}
+        return {i: 1 for i in range(n0)}
 
     def space(self, through: Optional[int] = None) -> GradedVectorSpace:
         """H^0..H^through, built once per `through`: a degree's dim is
@@ -422,7 +424,7 @@ class CohomologyRing:
             return self
         core = CohomologyRing(self.max_deg, self.engine)
         core.basis = dict(self.basis)
-        core.basis[0] = [{i: _ONE for i in range(self.engine.n_cochains(0))}]
+        core.basis[0] = [{i: 1 for i in range(self.engine.n_cochains(0))}]
         core.structure = dict(self.structure)  # products of positive degrees
         return core
 
@@ -569,7 +571,7 @@ def _h0_columns(ring_small: CohomologyRing, ring_big: CohomologyRing) -> list:
     cols = [{} for _ in range(ring_big.dim(0))]
     for s, c in owner.items():
         if c is not None:
-            cols[c][s] = _ONE
+            cols[c][s] = 1
     return cols
 
 

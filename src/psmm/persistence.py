@@ -10,7 +10,8 @@ The barcode is read off an interval decomposition with explicit bases,
 built by the elder-rule sweep (Zomorodian-Carlsson, "Computing
 persistent homology", 2005): each live bar's vector is pushed through
 the next map, the images are reduced in birth order, and an image that
-depends on older ones ends the youngest bar.  A stage whose map is the
+depends on older ones ends the youngest bar.  Unit vectors then start
+the new bars, until the stage is spanned.  A stage whose map is the
 identity between equal dims is carried across with no reduction: the
 live vectors before it are a basis, so every bar lives on with its
 vector and none is born.  Every decomposition is verified against the
@@ -216,6 +217,8 @@ class PersistentGVec:
                         for st in range(bars[b]["birth"], k):
                             vecs[st] = combine(((1, vecs[st]), (c, bars[sb]["vecs"][st])))
             for e in range(dims[k]):
+                if red.rank == dims[k]:
+                    break  # the live vectors span stage k: every later unit depends
                 unit = {e: 1}
                 if red.add(unit):
                     added_bars.append(len(bars))

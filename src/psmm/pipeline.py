@@ -470,7 +470,7 @@ def _mat_to_json(m: RatMatrix) -> list:
     rows = [["0"] * m.cols for _ in range(m.rows)]
     for j, col in enumerate(m.sparse_columns()):
         for i, v in col.items():
-            rows[i][j] = num_to_json(v)
+            rows[i][j] = str(v)
     return rows
 
 
@@ -494,7 +494,7 @@ def _images_to_json(phi: CDGAMorphism) -> dict:
     for (name, d), vec in zip(phi.source.generators, phi.images):
         row = ["0"] * phi.target.dim(d)
         for i, v in vec.items():
-            row[i] = num_to_json(v)
+            row[i] = str(v)
         out[name] = row
     return out
 

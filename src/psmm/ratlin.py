@@ -3,15 +3,19 @@
 Everything downstream (cohomology, monomial differentials, quotient
 bases) funnels through this module.  All arithmetic is exact, and
 floating point is forbidden here because quasi-isomorphism and
-minimality checks are rank statements.  Values that leave the module
-are `fractions.Fraction`.
+minimality checks are rank statements.  Every value the module makes is
+a canonical exact rational (`_exact`): an `int` when it is integral,
+never a `bool`, and a `fractions.Fraction` only when its denominator is
+greater than 1.  On Rips inputs nearly every value is integral (+-1
+coboundaries, 0/1 component indicators, identity and partition maps),
+so most arithmetic stays on ints.
 
 A linear map is sparse columns.  `RatMatrix` holds the maps of graded
 linear maps, morphisms, dumps and barcodes as canonical sparse columns
 (sorted, no zeros) and applies them over the nonzero entries of a
 vector; `rank`, `kernel_basis` and `quotient_basis` take one.
 
-A vector is a sparse {index: Fraction} dict with no zero entries, from
+A vector is a sparse {index: exact} dict with no zero entries, from
 input parsing to the dump writer.  A differential is a list of such
 columns, as `SullivanAlgebra.d_columns` and `coboundary_columns` give
 them, with a row count; `solve` takes such columns, the row count and a
@@ -23,11 +27,13 @@ matrix, which only the tests build or read.
 One engine eliminates: `ColumnReducer`, a sparse incremental column
 reducer that works on integer columns (each input column scaled by the
 lcm of its denominators, fraction-free steps, pivots divided by their
-content) and converts to `Fraction` only at its answers.  A column of
-int entries all +-1 whose lowest row holds no pivot yet is stored
-straight away (negated when that entry is -1), with no scaling,
-reduction or gcd: over Q it is the exact form of an apparent pair
-(Bauer, Ripser, 2021), and most Rips coboundary columns are one.
+content) and divides only at its answers, leaving ints where the
+division is exact.  A column of int entries all +-1 whose lowest row
+holds no pivot yet is stored straight away (negated when that entry is
+-1), with no scaling, reduction or gcd: over Q it is the exact form of
+an apparent pair (Bauer, Ripser, 2021), and most Rips coboundary
+columns are one, as are the integral vectors of class solves and of
+the barcode sweep.
 Who owns a column decides how it is stored.  `add` stores a copy,
 since its callers hold on to their dicts (the cached `d_columns` of a
 Sullivan algebra, ring columns, the columns of a `RatMatrix`).
@@ -54,45 +60,52 @@ from typing import Container, Mapping, Optional, Sequence
 from .errors import DimensionMismatch
 
 
-_ONE = Fraction(1)
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _exact(x):
+    """The canonical exact rational of an int, a `Fraction` or an
+    exact-number string: an int when its value is integral (a bool as
+    the int it equals), else a `Fraction`.  Anything else, a float
+    included, raises TypeError."""
+    t = type(x)
+    if t is int:
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
+    if t is not Fraction:
+        if isinstance(x, int):
+            return int(x)
+        if not isinstance(x, (str, Fraction)):
+            raise TypeError(f"not an exact rational: {x!r}")
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _canonical(col: Mapping, rows: int) -> tuple:
-    """Sorted (row, Fraction) pairs of the nonzero entries of a sparse
+    """Sorted (row, exact) pairs of the nonzero entries of a sparse
     {row: value} column over `rows` rows."""
     items = sorted(col.items())
     if items and (items[0][0] < 0 or items[-1][0] >= rows):
         raise DimensionMismatch(f"row index out of range {rows}")
-    return tuple((i, v) for i, v in ((i, _frac(x)) for i, x in items) if v)
+    return tuple((i, v) for i, v in ((i, _exact(x)) for i, x in items) if v)
 
 
 def _add_scaled(out: dict, c, items):
-    """out += c·v over (index, v) pairs, in place, dropping zeros."""
+    """out += c·v over (index, v) pairs, in place, dropping zeros; each
+    value it writes is canonical, since a product or sum of Fractions
+    can be integral."""
     for i, v in items:
         old = out.get(i)
         nv = c * v if old is None else old + c * v
         if nv:
-            out[i] = nv
+            out[i] = nv if type(nv) is int else _exact(nv)
         else:
             out.pop(i, None)
 
 
 class RatMatrix:
     """Immutable matrix of rationals, stored as canonical sparse columns:
-    per column a tuple of (row, Fraction) pairs sorted by row, with no
-    zero entries, so equal matrices have equal columns and hashes.  The
-    hash is computed on first use and kept in a slot, since the lift
-    and sharing keys of the pipeline hash the same matrices many times."""
+    per column a tuple of (row, exact) pairs sorted by row, with no zero
+    entries and each entry canonical (`_exact`), so equal matrices have
+    equal columns and hashes.  The hash is computed on first use and
+    kept in a slot, since the lift and sharing keys of the pipeline hash
+    the same matrices many times."""
 
     __slots__ = ("rows", "cols", "_cols", "_hash")
 
@@ -139,16 +152,16 @@ class RatMatrix:
 
     @staticmethod
     def identity(n: int) -> "RatMatrix":
-        return RatMatrix._of(n, tuple(((i, _ONE),) for i in range(n)))
+        return RatMatrix._of(n, tuple(((i, 1),) for i in range(n)))
 
     # -- access -------------------------------------------------------
 
     def sparse_columns(self) -> list:
-        """The columns as {row: Fraction} dicts sorted by row, no zeros."""
+        """The columns as {row: exact} dicts sorted by row, no zeros."""
         return [dict(col) for col in self._cols]
 
     def tolist(self) -> list:
-        out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
+        out = [[0] * self.cols for _ in range(self.rows)]
         for j, col in enumerate(self._cols):
             for i, v in col:
                 out[i][j] = v
@@ -175,7 +188,7 @@ class RatMatrix:
     def is_identity(self) -> bool:
         """Square with column j the unit vector e_j, for every j."""
         return self.rows == self.cols and all(
-            col == ((j, _ONE),) for j, col in enumerate(self._cols))
+            col == ((j, 1),) for j, col in enumerate(self._cols))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -186,7 +199,7 @@ class RatMatrix:
         return out
 
     def apply_sparse(self, vec: Mapping) -> dict:
-        """Image of a sparse {column: value} vector as a {row: Fraction}
+        """Image of a sparse {column: value} vector as a {row: exact}
         dict with no zeros: the sum of c·column j over its entries."""
         return self._image(vec.items())
 
@@ -199,7 +212,7 @@ class RatMatrix:
 
 def combine(terms) -> dict:
     """Sparse column sum of c·col over (c, col) pairs of a coefficient and
-    a sparse column, with no zero entries."""
+    a sparse column, with no zero entries and canonical values."""
     out: dict = {}
     for c, col in terms:
         _add_scaled(out, c, col.items())
@@ -221,7 +234,7 @@ def rank(m: RatMatrix) -> int:
 def solve(columns: Sequence[Mapping], nrows: int, b: Mapping) -> Optional[dict]:
     """Particular solution x of sum_j x[j]·columns[j] = b, or None when b
     is outside their span.  The columns and b are sparse {row: value}
-    dicts over rows 0..nrows-1; x is a sparse {column: Fraction} dict.
+    dicts over rows 0..nrows-1; x is a sparse {column: exact} dict.
 
     Deterministic: free variables are set to zero, so reruns agree
     bit for bit.
@@ -260,12 +273,18 @@ def quotient_basis(ambient_dim: int, subspace: RatMatrix, vectors: RatMatrix) ->
 
 
 def _divided(combo: dict, den: int) -> dict:
-    """{k: Fraction(v, den)} of an integer combination, in its order."""
+    """{k: v / den} of an integer combination, in its order, each value
+    canonical: an int where den divides v, else a `Fraction`.  The
+    reducer keeps no reference to `combo`, so den = 1 returns it."""
     if den == 1:
-        return {k: Fraction(v) for k, v in combo.items()}
+        return combo
     if den == -1:
-        return {k: Fraction(-v) for k, v in combo.items()}
-    return {k: Fraction(v, den) for k, v in combo.items()}
+        return {k: -v for k, v in combo.items()}
+    out = {}
+    for k, v in combo.items():
+        q, r = divmod(v, den)
+        out[k] = Fraction(v, den) if r else q
+    return out
 
 
 class ColumnReducer:
@@ -288,12 +307,12 @@ class ColumnReducer:
     With `record=True` the reducer also tracks the integer combination
     of input columns producing each reduced column; a column's scale
     enters as the starting coefficient of its own index.  The answers
-    are converted to `Fraction` once, at the boundary: a column that
-    reduces to zero leaves its combination in `kernel_combos`,
-    normalised so the column's own coefficient is 1, and `solve`
-    divides its combination by the solved column's scale and the
-    product of the multipliers its steps applied.  Both are the
-    `Fraction`-elimination values exactly.
+    are divided once, at the boundary, into canonical exact values: a
+    column that reduces to zero leaves its combination in
+    `kernel_combos`, normalised so the column's own coefficient is 1,
+    and `solve` divides its combination by the solved column's scale and
+    the product of the multipliers its steps applied.  Both are the
+    `Fraction`-elimination values exactly, as ints where integral.
 
     `add` stores a column whose entries are all `int` +-1 (not `bool`
     or `Fraction`), whose lowest row is below `nrows` and holds no pivot,
@@ -325,7 +344,7 @@ class ColumnReducer:
         self._ncols = 0
         self._last_low: Optional[int] = None
         self.rank = 0
-        self.kernel_combos: list[dict[int, Fraction]] = []
+        self.kernel_combos: list[dict] = []
 
     @staticmethod
     def from_pivots(nrows: int, pivots: Mapping) -> "ColumnReducer":
@@ -360,20 +379,17 @@ class ColumnReducer:
         """(integer column, scale): the nonzero entries of the sparse
         column `col` times the lcm of their denominators."""
         c = {}
-        exact = True
+        integral = True
         for i, v in col.items():
-            t = type(v)
-            if t is not int:
-                exact = False
-                if t is not Fraction:
-                    v = _frac(v)
+            if type(v) is not int:
+                v = _exact(v)
+                if type(v) is not int:
+                    integral = False
             if v:
                 c[i] = v
-        if exact:
+        if integral:
             return c, 1
         scale = lcm(*[v.denominator for v in c.values() if type(v) is not int])
-        if scale == 1:
-            return {i: v if type(v) is int else v.numerator for i, v in c.items()}, 1
         return {i: v * scale if type(v) is int else v.numerator * (scale // v.denominator)
                 for i, v in c.items()}, scale
 

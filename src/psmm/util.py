@@ -52,7 +52,14 @@ def json_number(x, what: str):
     """An exact number or a float, else InputError "bad <what> <x>": a
     Fraction as it is, a JSON integer or an exact-number string ("3",
     "-1/3", "2.5e3") as a Fraction, a float as it is.  Each caller
-    decides what a float means in its field."""
+    decides what a float means in its field.
+
+    Metric and report values (distances, grid values) keep the
+    `Fraction` it gives, since `MetricSpace` tells exact inputs by it.
+    Linear-algebra values do not: coefficients and matrix entries become
+    canonical exact rationals where they are stored (`ratlin._exact`),
+    an int when integral, and are written back with `str`, the text
+    `num_to_json` gives the equal `Fraction`."""
     if isinstance(x, str):
         try:
             return Fraction(bounded_literal(x))

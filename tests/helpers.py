@@ -1,8 +1,9 @@
-"""Test-only API built on psmm: the dense/sparse vector pair (psmm
-itself takes sparse {index: Fraction} dicts), whole-algebra linear
-parts and cohomology, polynomial products, monomial labels, generator
-offsets, a necessary test for homotopic morphisms, the
-simplicial-complex closure check, one-line constructors, and a
+"""Test-only API built on psmm: the canonical exact value check, the
+dense/sparse vector pair (psmm itself takes sparse {index: exact}
+dicts), whole-algebra linear parts and cohomology, polynomial
+products, monomial labels, generator offsets, a necessary test for
+homotopic morphisms, the simplicial-complex closure check, one-line
+constructors, and a
 persistent model of a metric space and one of a persistent CDGA, each
 built with no sharing between stages.  The package
 itself never needs them, so they live beside the tests.
@@ -28,6 +29,14 @@ from psmm.pipeline import PersistentCDGA, PersistentSullivanModel
 from psmm.ratlin import RatMatrix
 
 
+def is_canonical_exact(v) -> bool:
+    """v is a canonical exact rational, the value type of psmm's linear
+    algebra: an int (not a bool) when integral, a `Fraction` only when
+    its denominator is greater than 1.  Floats, bools and `Fraction(k, 1)`
+    are not."""
+    return type(v) is int or (type(v) is Fraction and v.denominator > 1)
+
+
 def sparse(vec) -> dict:
     """The {index: Fraction} dict of the nonzero entries of a dense
     vector, the vector format psmm takes."""
@@ -36,8 +45,8 @@ def sparse(vec) -> dict:
 
 def dense(col: dict, n: int) -> list:
     """The dense length-n list of a sparse {index: value} vector, with
-    Fraction(0) where it has no entry."""
-    out = [Fraction(0)] * n
+    0 where it has no entry."""
+    out = [0] * n
     for i, v in col.items():
         out[i] = v
     return out

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense, sparse
+from helpers import dense, is_canonical_exact, sparse
 from oracles import (
     FractionColumnReducer,
     dense_apply,
@@ -14,14 +14,17 @@ from oracles import (
     dense_solve,
 )
 from psmm.errors import DimensionMismatch
+from psmm.pipeline import _mat_to_json
 from psmm.ratlin import (
     ColumnReducer,
     RatMatrix,
+    _exact,
     kernel_basis,
     quotient_basis,
     rank,
     solve,
 )
+from psmm.util import num_to_json
 
 
 def M(rows):
@@ -161,12 +164,12 @@ class TestKernel:
         assert rank(a) + kernel_basis(a).cols == a.cols
 
     @given(small_matrices(), st.data())
-    def test_answers_are_fractions(self, a, data):
+    def test_answers_are_canonical(self, a, data):
         k = kernel_basis(a)
-        assert all(type(v) is Fraction for col in dense_columns(k) for v in col)
+        assert all(is_canonical_exact(v) for col in dense_columns(k) for v in col)
         b = a.apply_sparse(sparse([data.draw(small_entries) for _ in range(a.cols)]))
         x = solve(a.sparse_columns(), a.rows, b)
-        assert all(type(v) is Fraction for v in x.values())
+        assert all(is_canonical_exact(v) for v in x.values())
 
     @given(small_matrices())
     def test_kernel_annihilated(self, a):
@@ -284,21 +287,21 @@ def _dense(col, nrows):
     return dense({i: Fraction(v) for i, v in col.items()}, nrows)
 
 
-def _all_fractions(combos):
-    return all(type(v) is Fraction for c in combos for v in c.values())
+def _all_canonical(combos):
+    return all(is_canonical_exact(v) for c in combos for v in c.values())
 
 
 class TestAgainstFractionEngine:
     """The integer engine answers exactly what the former `Fraction`
     engine answers: same ranks, pivot rows, kernel combinations and
-    solutions, every value a `Fraction`."""
+    solutions, every value canonical (an int when integral)."""
 
     @staticmethod
     def _solve_both(red, ref, col):
         got, want = red.solve(col), ref.solve(col)
         assert got == want
         if got is not None:
-            assert _all_fractions([got])
+            assert _all_canonical([got])
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -317,7 +320,7 @@ class TestAgainstFractionEngine:
         assert red.rank == ref.rank
         assert list(red.pivots) == list(ref.pivots)
         assert red.kernel_combos == ref.kernel_combos
-        assert _all_fractions(red.kernel_combos)
+        assert _all_canonical(red.kernel_combos)
 
         # solve over the stored columns, then modulo their span through
         # from_pivots with more columns on top
@@ -544,7 +547,7 @@ class TestSparseStoreAgainstDense:
             assert other == m and hash(other) == hash(m)
         assert m.rows == r and m.cols == c
         assert m.tolist() == want
-        assert all(type(x) is Fraction for row in m.tolist() for x in row)
+        assert all(is_canonical_exact(x) for row in m.tolist() for x in row)
         assert dense_columns(m) == [[row[j] for row in want] for j in range(c)]
         assert m.sparse_columns() == [sparse(col) for col in dense_columns(m)]
         assert m.is_zero() == all(x == 0 for row in want for x in row)
@@ -552,7 +555,7 @@ class TestSparseStoreAgainstDense:
         vec = [data.draw(engine_entries) for _ in range(c)]
         image = m.apply_sparse({j: Fraction(v) for j, v in enumerate(vec) if Fraction(v)})
         assert dense(image, r) == dense_apply(want, vec)
-        assert all(type(x) is Fraction and x for x in image.values())
+        assert all(is_canonical_exact(x) and x for x in image.values())
 
         other_rows = data.draw(dense_rows(c, s))
         prod = m.matmul(RatMatrix(c, s, other_rows))
@@ -588,3 +591,50 @@ class TestSparseStoreAgainstDense:
         assert RatMatrix.zeros(r, c).is_zero()
         ident = RatMatrix(r, r, [[1 if i == j else "-0/3" for j in range(r)] for i in range(r)])
         assert RatMatrix.identity(r) == ident and hash(RatMatrix.identity(r)) == hash(ident)
+
+
+def _spellings(x: Fraction) -> list:
+    """The ways an input can give the entry x: the Fraction, its string,
+    an unreduced string, and, when x is integral, the int (and the bool
+    when x is 0 or 1)."""
+    out = [x, str(x), f"{3 * x.numerator}/{3 * x.denominator}"]
+    if x.denominator == 1:
+        out.append(x.numerator)
+        if x in (0, 1):
+            out.append(bool(x))
+    return out
+
+
+class TestCanonicalEntries:
+    """Every spelling of an exact value is stored as the one canonical
+    value: an int when integral, a reduced Fraction otherwise."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_spellings_build_one_matrix(self, data):
+        r, c = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+        value = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 4))
+        values = [[data.draw(value) for _ in range(c)] for _ in range(r)]
+        m = RatMatrix(r, c, values)
+        for _ in range(3):
+            rows = [[data.draw(st.sampled_from(_spellings(x))) for x in row] for row in values]
+            cols = [{i: rows[i][j] for i in range(r)} for j in range(c)]
+            for other in (RatMatrix(r, c, rows), RatMatrix.from_columns(cols, rows=r)):
+                assert other == m and hash(other) == hash(m)
+                assert all(is_canonical_exact(v)
+                           for col in other.sparse_columns() for v in col.values())
+                # the text the dump writer gave these entries as Fractions
+                assert _mat_to_json(other) == [[num_to_json(x) for x in row] for row in values]
+
+    def test_integral_products_are_ints(self):
+        half = RatMatrix(1, 1, [["1/2"]])
+        product = half.matmul(RatMatrix(1, 1, [[2]])).sparse_columns()
+        assert product == [{0: 1}] and type(product[0][0]) is int
+        image = half.apply_sparse({0: Fraction(4)})
+        assert image == {0: 2} and type(image[0]) is int
+
+    def test_exact_rejects_floats(self):
+        assert _exact(True) == 1 and type(_exact(True)) is int
+        assert type(_exact(Fraction(6, 3))) is int and _exact("6/4") == Fraction(3, 2)
+        with pytest.raises(TypeError):
+            _exact(0.5)
